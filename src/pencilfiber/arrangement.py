@@ -6,17 +6,20 @@ pairwise distinct lines.  Intersection data is grouped by exact projective
 coordinates, so two points are equal iff their normalized triples agree
 field-by-field.
 
-Combinatorial equivalence is incidence-structure isomorphism of the
-multiple points (multiplicity >= 3); double points are determined by r and
-those.  Canonical forms are computed exactly by branch-and-bound label
-minimization while at most ten lines carry multiple points, and fall back
-to an explicitly flagged weaker certificate beyond that.
+Combinatorial equivalence is incidence-structure isomorphism of the triple
+points; double points are determined by r and those.  The canonical form is
+exact at every size: colour refinement plus individualization (McKay and
+Piperno, "Practical graph isomorphism II", 2014) over the lines through
+triple points, keeping the least relabelled encoding over all discrete
+leaves of the search tree.  Like every other invariant here it requires
+multiplicities <= 3.
 
 Arrangement JSON: {"label": "...", "lines": [["<eis>", "<eis>", "<eis>"], ...]}
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,13 +89,16 @@ class Line:
 
 
 class Arrangement:
-    """Ordered list of pairwise distinct lines with a label."""
+    """Nonempty ordered list of pairwise distinct lines with a label."""
 
-    __slots__ = ("lines", "label")
+    __slots__ = ("lines", "label", "_points")
 
     def __init__(self, lines: Iterable[Line], label: str = "") -> None:
         self.lines = tuple(lines)
+        if not self.lines:
+            raise ValueError("an arrangement needs at least one line")
         self.label = label
+        self._points: tuple[IncidencePoint, ...] | None = None
         seen: dict[Line, int] = {}
         for idx, line in enumerate(self.lines):
             if not isinstance(line, Line):
@@ -158,17 +164,22 @@ class IncidencePoint:
         }
 
 
-def intersection_points(arr: Arrangement) -> list[IncidencePoint]:
-    """All pairwise intersections, grouped exactly into incidence points."""
-    groups: dict[Point, set[int]] = {}
-    n = arr.r
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = line_intersection(arr.lines[i], arr.lines[j])
-            groups.setdefault(p, set()).update((i, j))
-    points = [IncidencePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
-    points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
-    return points
+def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
+    """All pairwise intersections, grouped exactly into incidence points.
+
+    Computed once per arrangement and kept on it.
+    """
+    if arr._points is None:
+        groups: dict[Point, set[int]] = {}
+        n = arr.r
+        for i in range(n):
+            for j in range(i + 1, n):
+                p = line_intersection(arr.lines[i], arr.lines[j])
+                groups.setdefault(p, set()).update((i, j))
+        points = [IncidencePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
+        points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
+        arr._points = tuple(points)
+    return arr._points
 
 
 def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
@@ -186,7 +197,7 @@ def validate_multiplicities(arr: Arrangement) -> IncidencePoint | None:
     return None
 
 
-def require_multiplicities_ok(arr: Arrangement) -> list[IncidencePoint]:
+def require_multiplicities_ok(arr: Arrangement) -> tuple[IncidencePoint, ...]:
     points = intersection_points(arr)
     for pt in points:
         if pt.multiplicity > 3:
@@ -194,97 +205,78 @@ def require_multiplicities_ok(arr: Arrangement) -> list[IncidencePoint]:
     return points
 
 
-EXACT_CANONICAL_LIMIT = 10
-
-
 @dataclass(frozen=True)
 class CombinatorialType:
     """Canonical certificate of the rank-2 incidence structure.
 
-    ``canonical`` is the exact label-minimized encoding of the multiple
-    points when available; otherwise ``weak_profile`` holds a non-canonical
-    invariant and equality is only a necessary condition.
+    ``canonical`` is the least relabelled encoding of the triple points over
+    the lines they cover, so two arrangements have equal types iff their
+    intersection lattices are isomorphic.
     """
 
     r: int
     census: tuple[tuple[int, int], ...]
-    canonical: tuple | None
-    weak_profile: tuple | None
-
-    @property
-    def exact(self) -> bool:
-        return self.canonical is not None
+    canonical: tuple[tuple[int, int, int], ...]
 
 
-def _canonical_encoding(sets: list[frozenset[int]]) -> tuple:
-    """Lexicographically minimal relabeled encoding of a set system.
+def _refine(colour: list[int], incident: list[list[tuple[int, int]]]) -> list[int]:
+    """Coarsest equitable refinement of an ordered vertex colouring.
 
-    A set's key is its new labels sorted descending, so a set completes when
-    its largest label is placed and keys arrive in final sorted order as the
-    labeling grows; that makes prefix comparison against the best complete
-    encoding a sound branch-and-bound prune.
+    A vertex's signature is its colour followed by the sorted colour pairs of
+    its partners at each triple; ranking the distinct signatures splits cells
+    in place, so colours depend on the incidence structure, never on labels.
+    The unordered pair {x, y} is encoded as 2**x + 2**y, which is injective.
     """
-    if not sets:
-        return ()
-    vertices = sorted(set().union(*sets))
-    index = {v: i for i, v in enumerate(vertices)}
-    sets_idx = [tuple(sorted(index[v] for v in s)) for s in sets]
-    m = len(vertices)
-    sets_of_vertex: list[list[int]] = [[] for _ in range(m)]
-    for si, s in enumerate(sets_idx):
-        for v in s:
-            sets_of_vertex[v].append(si)
-    remaining = [len(s) for s in sets_idx]
-    new_label: list[int | None] = [None] * m
-    used = [False] * m
-    cur: list[tuple] = []
-    best: list[tuple] | None = None
+    cells = len(set(colour))
+    while True:
+        signatures = [
+            (colour[v], tuple(sorted((1 << colour[a]) + (1 << colour[b]) for a, b in pairs)))
+            for v, pairs in enumerate(incident)
+        ]
+        rank = {sig: n for n, sig in enumerate(sorted(set(signatures)))}
+        colour = [rank[sig] for sig in signatures]
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
 
-    def dfs(depth: int) -> None:
-        nonlocal best
-        if depth == m:
-            if best is None or cur < best:
-                best = list(cur)
-            return
-        candidates = [v for v in range(m) if not used[v]]
-        # try vertices that finish more sets first: they produce small keys early
-        candidates.sort(key=lambda v: -sum(1 for si in sets_of_vertex[v] if remaining[si] == 1))
-        for v in candidates:
-            used[v] = True
-            new_label[v] = depth
-            completed = []
-            for si in sets_of_vertex[v]:
-                remaining[si] -= 1
-                if remaining[si] == 0:
-                    completed.append(tuple(sorted((new_label[u] for u in sets_idx[si]), reverse=True)))
-            completed.sort()
-            cur.extend(completed)
-            if best is None or cur <= best[: len(cur)]:
-                dfs(depth + 1)
-            del cur[len(cur) - len(completed):]
-            for si in sets_of_vertex[v]:
-                remaining[si] += 1
-            new_label[v] = None
-            used[v] = False
 
-    dfs(0)
-    assert best is not None
-    return tuple(best)
+def _canonical_encoding(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Least relabelled encoding of a set of triples over the lines they cover.
+
+    Search tree: refine, then branch by individualizing each vertex of the
+    first non-singleton cell.  Every discrete leaf is a relabelling chosen
+    by incidence alone, so the minimum over all leaves is canonical.
+    """
+    index = {v: n for n, v in enumerate(sorted({v for t in triples for v in t}))}
+    triples = [tuple(index[v] for v in t) for t in triples]
+    incident: list[list[tuple[int, int]]] = [[] for _ in index]
+    for a, b, c in triples:
+        incident[a].append((b, c))
+        incident[b].append((a, c))
+        incident[c].append((a, b))
+    best = None
+    stack = [[0] * len(index)]
+    while stack:
+        colour = _refine(stack.pop(), incident)
+        target = min((c for c, n in Counter(colour).items() if n > 1), default=None)
+        if target is None:
+            code = tuple(sorted(tuple(sorted(colour[v] for v in t)) for t in triples))
+            if best is None or code < best:
+                best = code
+            continue
+        for v, c in enumerate(colour):
+            if c == target:
+                # v keeps the front of its cell; the rest of the cell follows it
+                stack.append([2 * d + (d == target and u != v) for u, d in enumerate(colour)])
+    return best
 
 
 def combinatorial_type(arr: Arrangement) -> CombinatorialType:
-    points = intersection_points(arr)
+    """Exact combinatorial type; MultiplicityError above multiplicity 3."""
+    points = require_multiplicities_ok(arr)
     census = tuple(sorted(point_census(points).items()))
-    multiple = [frozenset(pt.lines) for pt in points if pt.multiplicity >= 3]
-    covered: set[int] = set().union(*multiple) if multiple else set()
-    if len(covered) <= EXACT_CANONICAL_LIMIT:
-        return CombinatorialType(arr.r, census, _canonical_encoding(multiple), None)
-    profile: dict[int, list[int]] = {i: [] for i in range(arr.r)}
-    for pt in points:
-        for i in pt.lines:
-            profile[i].append(pt.multiplicity)
-    weak = tuple(sorted(tuple(sorted(mults)) for mults in profile.values()))
-    return CombinatorialType(arr.r, census, None, weak)
+    triples = [pt.lines for pt in points if pt.multiplicity == 3]
+    return CombinatorialType(arr.r, census, _canonical_encoding(triples))
 
 
 def proj_transform(arr: Arrangement, matrix: Matrix) -> Arrangement:

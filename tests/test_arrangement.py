@@ -52,7 +52,9 @@ def test_triangle_census():
 
 
 def test_concurrent_triple_point():
-    points = intersection_points(concurrent_triple())
+    arr = concurrent_triple()
+    points = intersection_points(arr)
+    assert intersection_points(arr) is points  # computed once per arrangement
     assert len(points) == 1
     pt = points[0]
     assert pt.multiplicity == 3
@@ -152,21 +154,45 @@ def test_arrangement_json_roundtrip():
 
 
 def _eleven_concurrent_plus_generic():
-    # 11 lines through [0:0:1] cover more than ten lines with one multiple
-    # point, forcing the weak-certificate path
     lines = [Line(1, -k, 0) for k in range(1, 12)]
     lines.append(Line(0, 0, 1))
-    return Arrangement(lines, "weak_cert")
+    return Arrangement(lines, "eleven_concurrent")
 
 
-def test_weak_certificate_path():
-    arr = _eleven_concurrent_plus_generic()
-    ctype = combinatorial_type(arr)
-    assert not ctype.exact
-    assert ctype.weak_profile is not None
-    # relabeled copy still matches its own weak certificate
-    order = list(range(arr.r))
-    random.Random(1).shuffle(order)
-    assert combinatorial_type(arr.reordered(order)) == ctype
-    # weak and exact certificates never compare equal
-    assert ctype != combinatorial_type(dual_hesse())
+def test_combinatorial_type_rejects_multiplicity_above_three():
+    with pytest.raises(MultiplicityError):
+        combinatorial_type(_eleven_concurrent_plus_generic())
+
+
+# Two cubic graphs on 8 vertices: the cube Q3 (bipartite) and the Moebius
+# ladder M8 (not bipartite).  Drawing each edge as the line through its two
+# endpoints gives 12 lines, every vertex a triple point and every line on two
+# of them, so colour refinement alone cannot tell the two arrangements apart.
+CUBE_EDGES = [(0, 1), (1, 3), (3, 2), (2, 0), (4, 5), (5, 7), (7, 6), (6, 4), (0, 4), (1, 5), (2, 6), (3, 7)]
+MOEBIUS_EDGES = [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+
+
+def _edge_lines(edges, points, label):
+    lines = []
+    for u, v in edges:
+        (x1, y1), (x2, y2) = points[u], points[v]
+        lines.append(Line(y1 - y2, x2 - x1, x1 * y2 - x2 * y1))
+    return Arrangement(lines, label)
+
+
+def test_combinatorial_type_is_exact_beyond_ten_lines():
+    rng = random.Random(1)
+    points = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(8)]
+    cube = _edge_lines(CUBE_EDGES, points, "cube_q3")
+    moebius = _edge_lines(MOEBIUS_EDGES, points, "moebius_m8")
+    for arr in (cube, moebius):
+        assert point_census(intersection_points(arr)) == {3: 8, 2: 42}
+    assert combinatorial_type(cube) != combinatorial_type(moebius)
+    matrix = [[2, 1, 0], [1, 1, 0], [0, 1, 1]]
+    for arr in (cube, moebius):
+        reference = combinatorial_type(arr)
+        for _ in range(3):
+            order = list(range(arr.r))
+            rng.shuffle(order)
+            assert combinatorial_type(arr.reordered(order)) == reference
+        assert combinatorial_type(proj_transform(arr, matrix)) == reference

@@ -61,6 +61,14 @@ def test_analyze_malformed_json(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "pencils", "resonance"])
+def test_empty_arrangement_is_an_input_error(capsys, tmp_path, command):
+    path = write_json(tmp_path / "empty.json", {"label": "empty", "lines": []})
+    code, out = run_cli(capsys, [command, path])
+    assert code == 1
+    assert out == ""
+
+
 def test_pencils_command(capsys, dual_hesse_file):
     code, out = run_cli(capsys, ["pencils", dual_hesse_file])
     assert code == 0
@@ -167,6 +175,18 @@ def test_crosscheck_on_small_corpus(capsys, tmp_path):
     assert payload["all_consistent"] is True
     errors = [row for row in payload["rows"] if "error" in row]
     assert len(errors) == 1 and errors[0]["file"] == "bad.json"
+
+
+def test_crosscheck_records_empty_arrangement(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    write_json(corpus / "empty.json", {"label": "empty", "lines": []})
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["file"] for row in rows] == ["concurrent.json", "empty.json"]
+    assert "at least one line" in rows[1]["error"]
 
 
 def test_crosscheck_empty_directory(capsys, tmp_path):
