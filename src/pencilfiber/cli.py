@@ -343,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        # domain-level rejections (search caps, degenerate inputs, ...)
+        # domain-level rejections (degenerate relations or pencils, ...)
         _emit({"error": "domain_error", "detail": str(exc)})
         return EXIT_DOMAIN
 

@@ -48,6 +48,8 @@ class EisensteinNumber:
             return value
         if isinstance(value, str):
             return parse_eisenstein(value)
+        if isinstance(value, (float, bool)):
+            raise ValueError(f"{value!r} is not an exact field element")
         return cls(value)
 
     @staticmethod

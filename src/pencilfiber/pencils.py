@@ -7,11 +7,18 @@ nonzero.  Equal class sizes are forced (a linear dependence needs equal
 degrees) and the products are automatically reduced because the lines are
 pairwise distinct.
 
-The search enumerates every unordered partition into three k-classes --
-r! / ((k!)^3 * 3!) of them -- and keeps those whose coefficient matrix has
-rank exactly 2 with a nowhere-zero dependence; each accepted dependence is
-re-verified by polynomial multiplication before being returned.  The
-enumeration is capped at 15 lines.
+The search reads candidates off the incidence data, following Falk and
+Yuzvinsky ("Multinets, resonance varieties, and pencils of plane curves",
+Compositio Math. 2007): the pencils of a line arrangement are its 3-nets.
+If a in one class and b in another meet at p, then F1(p) = F2(p) = 0 in
+the dependence forces F3(p) = 0, so with multiplicities <= 3 the point p
+is a triple point with exactly one line from each class.  Hence the two
+lines of a double point share a class, and every triple point lies inside
+one class or meets all three.  Lines are merged into components by those
+rules, and the components are 3-coloured by backtracking with k lines per
+colour.  Every surviving partition must still have coefficient matrix of
+rank exactly 2 with a nowhere-zero dependence, and each accepted dependence
+is re-verified by polynomial multiplication before being returned.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -21,14 +28,14 @@ Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import mul
+from typing import Iterator
 
-from .arrangement import Arrangement, require_multiplicities_ok
+from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ZERO, EisensteinNumber
 from .forms import HomForm
 from .milnor import monomial_exponents
-
-MAX_LINES = 15
 
 
 @dataclass(frozen=True)
@@ -67,52 +74,121 @@ class PencilDecomposition:
 
 def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     """All pencil decompositions, in canonical class order."""
-    require_multiplicities_ok(arr)
-    r = arr.r
-    if r % 3 != 0:
+    points = require_multiplicities_ok(arr)
+    if arr.r % 3 != 0:
         return []
-    if r > MAX_LINES:
-        raise ValueError(f"pencil search is capped at {MAX_LINES} lines (got {r})")
-    k = r // 3
+    k = arr.r // 3
     monomials = monomial_exponents(k)
     forms = [line.form for line in arr.lines]
-
-    products: dict[tuple[int, ...], HomForm] = {(): HomForm.constant(1)}
-
-    def subset_product(idxs: tuple[int, ...]) -> HomForm:
-        cached = products.get(idxs)
-        if cached is None:
-            cached = subset_product(idxs[:-1]) * forms[idxs[-1]]
-            products[idxs] = cached
-        return cached
 
     def coeff_row(f: HomForm) -> list[EisensteinNumber]:
         return [f.coeffs.get(e, ZERO) for e in monomials]
 
     found: list[PencilDecomposition] = []
-    indices = tuple(range(r))
-    first = indices[0]
-    rest = indices[1:]
-    for extra_a in combinations(rest, k - 1):
-        class_a = (first,) + extra_a
-        remaining = tuple(i for i in rest if i not in extra_a)
-        anchor_b = remaining[0]
-        for extra_b in combinations(remaining[1:], k - 1):
-            class_b = (anchor_b,) + extra_b
-            class_c = tuple(i for i in remaining[1:] if i not in extra_b)
-            triple = (class_a, class_b, class_c)
-            prods = tuple(subset_product(c) for c in triple)
-            lam = _dependence([coeff_row(f) for f in prods])
-            if lam is None or not all(lam):
-                continue  # rank 3, a proportional pair, or a vanishing coefficient
-            inv = lam[0].inverse()
-            lam = tuple(l * inv for l in lam)
-            combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])
-            if not combo.is_zero:
-                raise AssertionError("dependence failed exact re-verification")
-            found.append(PencilDecomposition(triple, lam, prods))
+    for triple in _net_partitions(arr.r, points):
+        prods = tuple(reduce(mul, (forms[i] for i in c), HomForm.constant(1)) for c in triple)
+        lam = _dependence([coeff_row(f) for f in prods])
+        if lam is None or not all(lam):
+            continue  # rank 3, a proportional pair, or a vanishing coefficient
+        inv = lam[0].inverse()
+        lam = tuple(l * inv for l in lam)
+        combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])
+        if not combo.is_zero:
+            raise AssertionError("dependence failed exact re-verification")
+        found.append(PencilDecomposition(triple, lam, prods))
     found.sort(key=lambda p: p.classes)
     return found
+
+
+def _net_partitions(r: int, points: tuple[IncidencePoint, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every partition of range(r) into three classes of r/3 lines that obeys
+    the 3-net rules: both lines of a double point share a class, and each
+    triple point is monochrome or rainbow.  Classes are sorted by least line.
+    """
+    k = r // 3
+    parent = list(range(r))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for pt in points:
+        if pt.multiplicity == 2:
+            parent[find(pt.lines[0])] = find(pt.lines[1])
+    triples = [pt.lines for pt in points if pt.multiplicity == 3]
+    merged = True
+    while merged:  # two lines of a triple point in one class pull in the third
+        merged = False
+        for t in triples:
+            roots = {find(v) for v in t}
+            if len(roots) == 2:
+                a, b = roots
+                parent[a] = b
+                merged = True
+
+    by_root: dict[int, list[int]] = {}
+    for v in range(r):
+        by_root.setdefault(find(v), []).append(v)
+    members = list(by_root.values())  # components in order of their least line
+    number = {root: c for c, root in enumerate(by_root)}
+    if any(len(m) > k for m in members):
+        return
+    n = len(members)
+    watch: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t in triples:
+        a, b, c = (number[find(v)] for v in t)
+        if a != b:  # a rainbow candidate: three distinct components
+            watch[a].append((b, c))
+            watch[b].append((a, c))
+            watch[c].append((a, b))
+    colour = [-1] * n
+    load = [0, 0, 0]
+
+    def assign(c: int, col: int, trail: list[int]) -> bool:
+        """Colour c and everything the triple points force; False on a clash."""
+        todo = [(c, col)]
+        while todo:
+            c, col = todo.pop()
+            if colour[c] >= 0:
+                if colour[c] != col:
+                    return False
+                continue
+            colour[c] = col
+            trail.append(c)
+            load[col] += len(members[c])
+            if load[col] > k:
+                return False
+            for x, y in watch[c]:
+                cx, cy = colour[x], colour[y]
+                if cx >= 0 and cy >= 0:
+                    if len({cx, cy, col}) == 2:
+                        return False
+                elif cx >= 0 or cy >= 0:
+                    known, other = (cx, y) if cx >= 0 else (cy, x)
+                    todo.append((other, col if known == col else 3 - col - known))
+        return True
+
+    def search(c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        while c < n and colour[c] >= 0:
+            c += 1
+        if c == n:  # all loads are k, since none exceeds k and they sum to r
+            classes = [[], [], []]
+            for comp, col in zip(members, colour):
+                classes[col] += comp
+            yield tuple(sorted(tuple(sorted(cl)) for cl in classes))
+            return
+        # colours in use are 0..max; one fresh colour stands for all unused ones
+        for col in range(min(max(colour) + 2, 3)):
+            trail: list[int] = []
+            if assign(c, col, trail):
+                yield from search(c + 1)
+            for d in trail:
+                load[colour[d]] -= len(members[d])
+                colour[d] = -1
+
+    yield from search(0)
 
 
 def _dependence(rows: list[list[EisensteinNumber]]) -> list[EisensteinNumber] | None:

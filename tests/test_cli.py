@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pencilfiber.cli import main
-from pencilfiber.fixtures import concurrent_triple, dual_hesse, four_concurrent
+from pencilfiber.fixtures import concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
 from pencilfiber.pencils import find_pencils
 
 
@@ -74,6 +74,29 @@ def test_pencils_command(capsys, dual_hesse_file):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["pencils"]) == 4
+
+
+def test_pencils_command_has_no_line_cap(capsys, tmp_path):
+    path = write_json(tmp_path / "generic_18.json", conic_dual_lines(list(range(1, 19)), "generic_18").to_json())
+    code, out = run_cli(capsys, ["pencils", path])
+    assert code == 0
+    assert json.loads(out)["pencils"] == []
+
+
+@pytest.mark.parametrize("value", [0.1, True])
+def test_analyze_rejects_inexact_coefficient(capsys, tmp_path, value):
+    lines = [[value, 1, 0], ["0", "1", "0"], ["0", "0", "1"]]
+    path = write_json(tmp_path / "inexact.json", {"label": "inexact", "lines": lines})
+    code, out = run_cli(capsys, ["analyze", path])
+    assert code == 1
+    assert out == ""
+
+
+def test_resonance_rejects_float_vector(capsys, tmp_path):
+    path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
+    code, out = run_cli(capsys, ["resonance", path, "--vector", "[0.5, -0.5, 0]"])
+    assert code == 1
+    assert out == ""
 
 
 def test_resonance_probe_vector(capsys, tmp_path):

@@ -109,3 +109,15 @@ def test_mu3_membership():
     for zeta in MU3:
         assert zeta**3 == EisensteinNumber(1)
     assert len(set(MU3)) == 3
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, True, False])
+def test_of_rejects_inexact_and_boolean_values(value):
+    with pytest.raises(ValueError):
+        EisensteinNumber.of(value)
+
+
+def test_of_accepts_exact_values():
+    assert EisensteinNumber.of(3) == EisensteinNumber(3)
+    assert EisensteinNumber.of(Fraction(1, 2)) == EisensteinNumber(Fraction(1, 2))
+    assert EisensteinNumber.of("1/2-w") == EisensteinNumber(Fraction(1, 2), -1)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from pencilfiber.arrangement import MultiplicityError, proj_transform
+from pencilfiber.arrangement import MultiplicityError, intersection_points, proj_transform
 from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
@@ -14,12 +14,12 @@ from pencilfiber.fixtures import (
     four_concurrent,
     generic_nine,
     generic_six,
+    near_pencil_six,
     triangle,
 )
 from pencilfiber.forms import HomForm
 from pencilfiber.milnor import monomial_exponents
 from pencilfiber.pencils import (
-    MAX_LINES,
     PencilDecomposition,
     find_pencils,
     is_composed_of_reduced_pencil,
@@ -134,10 +134,35 @@ def test_multiplicity_violation_propagates():
         find_pencils(four_concurrent())
 
 
-def test_search_cap():
-    arr = conic_dual_lines(list(range(1, MAX_LINES + 4)), "too_big")
-    with pytest.raises(ValueError):
-        find_pencils(arr)
+def test_no_line_cap():
+    for count in (18, 30):
+        assert find_pencils(conic_dual_lines(list(range(1, count + 1)), f"generic_{count}")) == []
+
+
+def test_search_agrees_with_exhaustive_oracle():
+    """The 3-net pruning never drops a real pencil."""
+    hesse = dual_hesse()
+    for subset in combinations(range(9), 6):
+        sub = hesse.reordered(subset)
+        assert any(pt.multiplicity == 3 for pt in intersection_points(sub))
+        assert find_pencils(sub) == []
+        assert _exhaustive_pencil_oracle(sub) == set()
+    pencils = find_pencils(hesse)
+    assert len(pencils) == 4
+    assert _exhaustive_pencil_oracle(hesse) == {p.classes for p in pencils}
+    rng = random.Random(2024)
+    for builder in (braid, ceva_two, near_pencil_six):
+        arr = builder()
+        for _ in range(2):
+            matrix = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            try:
+                image = proj_transform(arr, matrix)
+            except ValueError:
+                continue  # singular matrix
+            order = list(range(arr.r))
+            rng.shuffle(order)
+            for variant in (image, arr.reordered(order)):
+                assert _exhaustive_pencil_oracle(variant) == {p.classes for p in find_pencils(variant)}
 
 
 def test_is_composed_examples():
