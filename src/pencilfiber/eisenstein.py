@@ -18,6 +18,7 @@ positive denominator, so ``parse_eisenstein(str(x)) == x``.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
@@ -70,7 +71,8 @@ class EisensteinNumber:
         return self.re == o.re and self.wc == o.wc
 
     def __hash__(self) -> int:
-        return hash((self.re, self.wc))
+        # equal to the hash of the int or Fraction it equals, as __eq__ requires
+        return hash((self.re, self.wc)) if self.wc else hash(self.re)
 
     def __neg__(self) -> "EisensteinNumber":
         return EisensteinNumber(-self.re, -self.wc)
@@ -223,6 +225,18 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
             raise ParseError(text, pos, "trailing characters")
         return EisensteinNumber(0, sign)
     raise ParseError(text, pos, "expected a rational or 'w'")
+
+
+def integer_pairs(row: list[EisensteinNumber]) -> list[tuple[int, int]]:
+    """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w].
+
+    The scale is a nonzero rational, so the row spans the same line and any
+    matrix built from such rows keeps its rank.
+    """
+    scale = math.lcm(*(x.re.denominator for x in row), *(x.wc.denominator for x in row))
+    return [
+        (x.re.numerator * (scale // x.re.denominator), x.wc.numerator * (scale // x.wc.denominator)) for x in row
+    ]
 
 
 ZERO = EisensteinNumber(0)

@@ -1,13 +1,15 @@
 """Dense exact linear algebra over Q(w): echelon forms, rank, null spaces.
 
-Matrices are lists of rows of EisensteinNumber.  Everything is computed by
-exact Gaussian elimination with a nonzero-pivot search, so results are
-certificates, not estimates.
+Matrices are lists of rows of EisensteinNumber.  Rank is computed by
+fraction-free (Bareiss) elimination on integer pairs in Z[w]; reduced row
+echelon forms, null spaces and inverses by Gaussian elimination over Q(w).
+Both search for a nonzero pivot and are exact, so results are certificates,
+not estimates.
 """
 
 from __future__ import annotations
 
-from .eisenstein import ONE, ZERO, EisensteinNumber
+from .eisenstein import ONE, ZERO, EisensteinNumber, integer_pairs
 
 Matrix = list[list[EisensteinNumber]]
 Vector = list[EisensteinNumber]
@@ -44,7 +46,43 @@ def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    """Rank by Bareiss fraction-free elimination over Z[w] (Math. Comp. 1968).
+
+    Each row is scaled to integer pairs (a, b) = a + b*w.  With pivot P and
+    previous pivot q, an entry below P becomes (M[i][j]*P - M[i][k]*M[k][j]) / q.
+    Sylvester's identity makes that division exact in Z[w]; a nonzero
+    remainder raises AssertionError, so the rank stays a certificate.
+    """
+    rest = [integer_pairs(row) for row in rows]  # unused rows, unprocessed columns
+    c, d = 1, 0  # previous pivot c + d*w
+    found = 0
+    while rest and rest[0]:
+        pivot_row = next((i for i, row in enumerate(rest) if row[0] != (0, 0)), None)
+        if pivot_row is None:
+            rest = [row[1:] for row in rest]
+            continue
+        pivot = rest.pop(pivot_row)
+        pa, pb = pivot[0]
+        # divide by c + d*w: multiply by its conjugate (c - d) - d*w, divide by the norm
+        ca, cb = c - d, -d
+        norm = c * c - c * d + d * d
+        reduced = []
+        for row in rest:
+            fa, fb = row[0]
+            new = []
+            for (x, y), (u, v) in zip(row[1:], pivot[1:]):
+                s = x * pa - y * pb - fa * u + fb * v
+                t = x * pb + y * pa - y * pb - fa * v - fb * u + fb * v
+                qa, ra = divmod(s * ca - t * cb, norm)
+                qb, rb = divmod(s * cb + t * ca - t * cb, norm)
+                if ra or rb:
+                    raise AssertionError("inexact Bareiss division in Z[w]")
+                new.append((qa, qb))
+            reduced.append(new)
+        rest = reduced
+        c, d = pa, pb
+        found += 1
+    return found
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:

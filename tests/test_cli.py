@@ -106,6 +106,9 @@ def test_resonance_probe_vector(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["probe"]["kernel_dim"] == 2
     assert payload["probe"]["resonant"] is True
+    code, out = run_cli(capsys, ["resonance", path, "--vector", '["1", "w", "-1-w"]'])
+    assert code == 0
+    assert json.loads(out)["probe"]["kernel_dim"] == 2
 
 
 def test_resonance_rejects_bad_vector(capsys, tmp_path):

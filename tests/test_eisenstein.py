@@ -10,6 +10,7 @@ from pencilfiber.eisenstein import (
     OMEGA2,
     EisensteinNumber,
     ParseError,
+    integer_pairs,
     parse_eisenstein,
 )
 
@@ -34,6 +35,21 @@ def test_omega_is_cube_root_of_unity():
 def test_unit_product():
     # (1 + w) * (-w) = 1 because 1 + w^2 = -w
     assert (EisensteinNumber(1) + OMEGA) * (-OMEGA) == EisensteinNumber(1)
+
+
+def test_hash_agrees_with_equality():
+    assert EisensteinNumber(3) == 3
+    assert hash(EisensteinNumber(3)) == hash(3)
+    assert hash(EisensteinNumber(Fraction(-2, 7))) == hash(Fraction(-2, 7))
+    assert len({EisensteinNumber(3), 3}) == 1
+    assert len({EisensteinNumber(Fraction(1, 2)), Fraction(1, 2), EisensteinNumber(Fraction(1, 2), 1)}) == 2
+
+
+def test_integer_pairs_scale_by_denominator_lcm():
+    row = [EisensteinNumber(Fraction(1, 2), Fraction(-1, 3)), EisensteinNumber(0, 2), EisensteinNumber(Fraction(5, 4))]
+    assert integer_pairs(row) == [(6, -4), (0, 24), (15, 0)]
+    assert integer_pairs([EisensteinNumber(0), EisensteinNumber(-3, 1)]) == [(0, 0), (-3, 1)]
+    assert integer_pairs([]) == []
 
 
 def test_self_division():

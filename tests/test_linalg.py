@@ -15,6 +15,14 @@ small_eis = st.builds(
 )
 
 
+# entries with w-parts and denominators up to 50, for products of small factors
+wide_eis = st.builds(
+    EisensteinNumber,
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+)
+
+
 def matrices(rows, cols):
     return st.lists(
         st.lists(small_eis, min_size=cols, max_size=cols), min_size=rows, max_size=rows
@@ -50,6 +58,44 @@ def _rank_by_minors(m):
 @given(matrices(3, 4))
 def test_rank_matches_minor_oracle(m):
     assert rank(m) == _rank_by_minors(m)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """M = A*B with inner size k < min(m, n), sometimes with a zeroed column,
+    so the elimination has to skip pivotless columns and take pivots from later rows."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=min(m, n) - 1))
+    if k == 0:
+        product = [[ZERO] * n for _ in range(m)]
+    else:
+        a = [draw(st.lists(wide_eis, min_size=k, max_size=k)) for _ in range(m)]
+        b = [draw(st.lists(wide_eis, min_size=n, max_size=n)) for _ in range(k)]
+        product = mat_mul(a, b)
+    if draw(st.booleans()):
+        col = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in product:
+            row[col] = ZERO
+    return product
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices())
+def test_rank_of_rank_deficient_products(m):
+    assert rank(m) == _rank_by_minors(m) == len(rref(m)[1])
+
+
+def test_rank_skips_pivotless_columns_and_later_pivot_rows():
+    w = EisensteinNumber(0, 1)
+    m = [
+        [ZERO, ZERO, w, EisensteinNumber(1)],
+        [ZERO, EisensteinNumber(2), EisensteinNumber(1), ZERO],
+        [ZERO, EisensteinNumber(4), EisensteinNumber(2) + w, EisensteinNumber(1)],
+    ]
+    assert rank(m) == _rank_by_minors(m) == 2
+    assert rank([]) == 0
+    assert rank([[ZERO, ZERO]]) == 0
 
 
 @settings(max_examples=60, deadline=None)
