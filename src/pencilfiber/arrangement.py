@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .eisenstein import ZERO, EisensteinNumber
+from .eisenstein import ZERO, EisensteinNumber, json_list
 from .forms import HomForm
 from .linalg import Matrix, mat_inverse
 
@@ -83,7 +83,7 @@ class Line:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Line":
-        if len(data) != 3:
+        if len(json_list(data, "a line")) != 3:
             raise ValueError("a line is a triple of coefficients")
         return cls(*data)
 
@@ -122,7 +122,7 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Arrangement":
-        return cls([Line.from_json(entry) for entry in data["lines"]], str(data.get("label", "")))
+        return cls([Line.from_json(entry) for entry in json_list(data["lines"], "lines")], str(data.get("label", "")))
 
     def __repr__(self) -> str:
         return f"Arrangement({self.label!r}, r={self.r})"

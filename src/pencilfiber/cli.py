@@ -36,7 +36,7 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, ParseError
+from .eisenstein import EisensteinNumber, ParseError, json_list
 from .forms import UniPoly
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, find_pencils
@@ -164,8 +164,7 @@ def cmd_resonance(args: argparse.Namespace) -> int:
     payload = _resonance_payload(arr, pencils, os2)
     if args.vector is not None:
         try:
-            entries = json.loads(args.vector)
-            vec = [EisensteinNumber.of(v) for v in entries]
+            vec = [EisensteinNumber.of(v) for v in json_list(json.loads(args.vector), "--vector")]
         except (TypeError, ValueError, ParseError) as exc:
             raise InputError(f"--vector is not a list of field elements: {exc}") from exc
         if len(vec) != arr.r:

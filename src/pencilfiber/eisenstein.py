@@ -227,6 +227,17 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
     raise ParseError(text, pos, "expected a rational or 'w'")
 
 
+def json_list(value: object, what: str) -> list:
+    """``value`` itself if it is a JSON list; TypeError for anything else.
+
+    Strings and objects are iterable too, so without this check a string
+    would be read as a list of its characters and an object as its keys.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def integer_pairs(row: list[EisensteinNumber]) -> list[tuple[int, int]]:
     """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w].
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .eisenstein import ONE, ZERO, EisensteinNumber
+from .eisenstein import ONE, ZERO, EisensteinNumber, json_list
 
 Exponent = tuple[int, int, int]
 
@@ -174,7 +174,8 @@ class HomForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomForm":
-        return cls(int(data["degree"]), {tuple(t["exp"]): EisensteinNumber.of(t["c"]) for t in data["terms"]})
+        terms = json_list(data["terms"], "terms")
+        return cls(int(data["degree"]), {tuple(json_list(t["exp"], "exp")): EisensteinNumber.of(t["c"]) for t in terms})
 
 
 X = HomForm.monomial((1, 0, 0))
@@ -341,7 +342,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "UniPoly":
-        return cls(data["coeffs"])
+        return cls(json_list(data["coeffs"], "coeffs"))
 
 
 def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:

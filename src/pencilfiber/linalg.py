@@ -1,10 +1,11 @@
 """Dense exact linear algebra over Q(w): echelon forms, rank, null spaces.
 
-Matrices are lists of rows of EisensteinNumber.  Rank is computed by
-fraction-free (Bareiss) elimination on integer pairs in Z[w]; reduced row
-echelon forms, null spaces and inverses by Gaussian elimination over Q(w).
-Both search for a nonzero pivot and are exact, so results are certificates,
-not estimates.
+Matrices are lists of rows of EisensteinNumber.  This is the one module
+that eliminates: callers ask for a rank or a null space and never reduce
+rows themselves.  Rank is computed by fraction-free (Bareiss) elimination
+on integer pairs in Z[w]; reduced row echelon forms, null spaces and
+inverses by Gaussian elimination over Q(w).  Both search for a nonzero
+pivot and are exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
@@ -103,16 +104,6 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
             vec[piv] = -row[free]
         basis.append(vec)
     return basis
-
-
-def reduce_mod_rowspace(vector: Vector, reduced: Matrix, pivots: tuple[int, ...]) -> Vector:
-    """Canonical representative of ``vector`` modulo the row space given in RREF."""
-    out = list(vector)
-    for row, piv in zip(reduced, pivots):
-        factor = out[piv]
-        if factor:
-            out = [a - factor * b for a, b in zip(out, row)]
-    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -16,9 +16,13 @@ is a triple point with exactly one line from each class.  Hence the two
 lines of a double point share a class, and every triple point lies inside
 one class or meets all three.  Lines are merged into components by those
 rules, and the components are 3-coloured by backtracking with k lines per
-colour.  Every surviving partition must still have coefficient matrix of
-rank exactly 2 with a nowhere-zero dependence, and each accepted dependence
-is re-verified by polynomial multiplication before being returned.
+colour.  For every surviving partition the dependences (l1, l2, l3) are the
+null space (``linalg.nullspace``) of the coefficient matrix, one row per
+monomial of degree k; the partition is a pencil iff that null space is one
+vector with no zero entry.  The colouring leaves only a handful of
+candidates, so each gets the full null space with no early exit.  Each
+accepted dependence is re-verified by polynomial multiplication before
+being returned.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -33,8 +37,9 @@ from operator import mul
 from typing import Iterator
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import ZERO, EisensteinNumber
+from .eisenstein import ZERO, EisensteinNumber, json_list
 from .forms import HomForm
+from .linalg import nullspace
 from .milnor import monomial_exponents
 
 
@@ -64,9 +69,9 @@ class PencilDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PencilDecomposition":
-        classes = tuple(tuple(int(i) for i in c) for c in data["classes"])
-        lambdas = tuple(EisensteinNumber.of(l) for l in data["lambdas"])
-        products = tuple(HomForm.from_json(f) for f in data["products"])
+        classes = tuple(tuple(int(i) for i in json_list(c, "a class")) for c in json_list(data["classes"], "classes"))
+        lambdas = tuple(EisensteinNumber.of(l) for l in json_list(data["lambdas"], "lambdas"))
+        products = tuple(HomForm.from_json(f) for f in json_list(data["products"], "products"))
         if len(classes) != 3 or len(lambdas) != 3 or len(products) != 3:
             raise ValueError("a pencil has three classes, lambdas and products")
         return cls(classes, lambdas, products)
@@ -80,16 +85,13 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     k = arr.r // 3
     monomials = monomial_exponents(k)
     forms = [line.form for line in arr.lines]
-
-    def coeff_row(f: HomForm) -> list[EisensteinNumber]:
-        return [f.coeffs.get(e, ZERO) for e in monomials]
-
     found: list[PencilDecomposition] = []
     for triple in _net_partitions(arr.r, points):
         prods = tuple(reduce(mul, (forms[i] for i in c), HomForm.constant(1)) for c in triple)
-        lam = _dependence([coeff_row(f) for f in prods])
-        if lam is None or not all(lam):
+        kernel = nullspace([[f.coeffs.get(e, ZERO) for f in prods] for e in monomials], 3)
+        if len(kernel) != 1 or not all(kernel[0]):
             continue  # rank 3, a proportional pair, or a vanishing coefficient
+        lam = kernel[0]
         inv = lam[0].inverse()
         lam = tuple(l * inv for l in lam)
         combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])
@@ -189,43 +191,6 @@ def _net_partitions(r: int, points: tuple[IncidencePoint, ...]) -> Iterator[tupl
                 colour[d] = -1
 
     yield from search(0)
-
-
-def _dependence(rows: list[list[EisensteinNumber]]) -> list[EisensteinNumber] | None:
-    """The dependence vector of exactly-rank-2 coefficient rows, else None.
-
-    Each monomial position gives one linear equation on (l1, l2, l3); the
-    equations are absorbed into an echelon basis with an early exit once the
-    rank reaches 3, which is the overwhelmingly common case in the search.
-    """
-    basis: list[list[EisensteinNumber]] = []
-    pivots: list[int] = []
-    for m in range(len(rows[0])):
-        vec = [rows[0][m], rows[1][m], rows[2][m]]
-        for bv, p in zip(basis, pivots):
-            factor = vec[p]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, bv)]
-        piv = next((i for i in range(3) if vec[i]), None)
-        if piv is None:
-            continue
-        inv = vec[piv].inverse()
-        basis.append([v * inv for v in vec])
-        pivots.append(piv)
-        if len(basis) == 3:
-            return None  # rank 3: the three products are independent
-    if len(basis) != 2:
-        return None  # rank <= 1: two products proportional
-    # finish the reduction of the two equations and read off the kernel vector
-    factor = basis[0][pivots[1]]
-    if factor:
-        basis[0] = [a - factor * b for a, b in zip(basis[0], basis[1])]
-    free = next(i for i in range(3) if i not in pivots)
-    lam: list[EisensteinNumber] = [ZERO, ZERO, ZERO]
-    lam[free] = EisensteinNumber(1)
-    for bv, p in zip(basis, pivots):
-        lam[p] = -bv[free]
-    return lam
 
 
 def is_composed_of_reduced_pencil(arr: Arrangement) -> bool:

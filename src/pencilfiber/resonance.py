@@ -7,6 +7,12 @@ a with sum zero are probed through the wedge map b -> class of
 sum_{i<j} (a_i b_j - a_j b_i) e_i e_j; a lies in the resonance variety iff
 the kernel of that map is at least 2-dimensional (it always contains a).
 
+Every answer is an exact rank from ``linalg.rank``.  With R the relation
+rows, vectors V span a subspace of the quotient of dimension
+rank(R with V appended) - rank(R).  So the wedge map by a has kernel
+dimension r minus that dimension for V = (a ^ e_l for each line l), and
+a ^ b vanishes in the quotient iff appending it leaves rank(R) unchanged.
+
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
 and a pencil decomposition (R1, R2, R3) spans chi_R1 - chi_R2,
@@ -15,31 +21,27 @@ chi_R2 - chi_R3 ("global").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ONE, ZERO, EisensteinNumber
-from .linalg import Matrix, Vector, rank, reduce_mod_rowspace, rref
+from .linalg import Matrix, Vector, rank
 from .pencils import PencilDecomposition
 
 
 @dataclass
 class OSDegree2:
-    """Exterior square with triple-point relations, kept in reduced form."""
+    """Exterior square with triple-point relations and the rank they span."""
 
     r: int
     pair_index: dict[tuple[int, int], int]
     relations: Matrix
-    rref_rows: Matrix = field(repr=False)
-    pivots: tuple[int, ...]
+    relation_rank: int
 
     @property
     def n_pairs(self) -> int:
         return len(self.pair_index)
-
-    @property
-    def relation_rank(self) -> int:
-        return len(self.pivots)
 
     @property
     def quotient_rank(self) -> int:
@@ -61,8 +63,7 @@ def build_os2(arr: Arrangement) -> OSDegree2:
         row[pair_index[(i, k)]] = -ONE
         row[pair_index[(j, k)]] = ONE
         relations.append(row)
-    reduced, pivots = rref(relations)
-    return OSDegree2(r, pair_index, relations, reduced, pivots)
+    return OSDegree2(r, pair_index, relations, rank(relations))
 
 
 def _check_weight(os: OSDegree2, a: Vector) -> list[EisensteinNumber]:
@@ -79,11 +80,11 @@ def raw_wedge(os: OSDegree2, a: Vector, b: Vector) -> Vector:
     return out
 
 
-def wedge(os: OSDegree2, a: Vector, b: Vector) -> Vector:
-    """Canonical representative of a ^ b in the quotient (zero iff the class is)."""
+def wedge_vanishes(os: OSDegree2, a: Vector, b: Vector) -> bool:
+    """True iff a ^ b is zero in the quotient, i.e. lies in the relation span."""
     a = _check_weight(os, a)
     b = _check_weight(os, b)
-    return reduce_mod_rowspace(raw_wedge(os, a, b), os.rref_rows, os.pivots)
+    return rank(os.relations + [raw_wedge(os, a, b)]) == os.relation_rank
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
@@ -99,8 +100,8 @@ def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
                 col[n] = a[i]
             elif i == l:
                 col[n] = -a[j]
-        columns.append(reduce_mod_rowspace(col, os.rref_rows, os.pivots))
-    return os.r - rank(columns)
+        columns.append(col)
+    return os.r - (rank(os.relations + columns) - os.relation_rank)
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Vector]) -> bool:
@@ -111,11 +112,7 @@ def component_isotropy_check(os: OSDegree2, basis: list[Vector]) -> bool:
             raise ValueError("basis vectors must have coordinate sum zero")
     if rank(vectors) != len(vectors):
         raise ValueError("basis vectors are linearly dependent")
-    for m in range(len(vectors)):
-        for n in range(m + 1, len(vectors)):
-            if any(wedge(os, vectors[m], vectors[n])):
-                return False
-    return True
+    return all(wedge_vanishes(os, u, v) for u, v in combinations(vectors, 2))
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Vector]:

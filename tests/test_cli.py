@@ -92,6 +92,20 @@ def test_analyze_rejects_inexact_coefficient(capsys, tmp_path, value):
     assert out == ""
 
 
+def test_analyze_rejects_lines_that_are_not_lists(capsys, tmp_path):
+    path = write_json(tmp_path / "strings.json", {"label": "strings", "lines": ["100", "010", "001"]})
+    code, out = run_cli(capsys, ["analyze", path])
+    assert code == 1
+    assert out == ""
+
+
+def test_resonance_vector_must_be_a_list(capsys, tmp_path):
+    path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
+    code, out = run_cli(capsys, ["resonance", path, "--vector", '{"1": 0, "-1": 0, "0": 0}'])
+    assert code == 1
+    assert out == ""
+
+
 def test_resonance_rejects_float_vector(capsys, tmp_path):
     path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
     code, out = run_cli(capsys, ["resonance", path, "--vector", "[0.5, -0.5, 0]"])
@@ -139,6 +153,29 @@ def test_catalan_verify_invalid(capsys, tmp_path):
     code, out = run_cli(capsys, ["catalan", "verify", path])
     assert code == 0
     assert json.loads(out) == {"valid": False}
+
+
+def _univariate_relation_with_string_coeffs():
+    # 1*1^3 + 1*1^3 - 2*1^3 = 0 would verify if the strings were read as lists
+    F = [{"coeffs": "1"}, {"coeffs": "1"}, {"coeffs": ["-2"]}]
+    return {"univariate": True, "F": F, "sol": [{"coeffs": ["1"]}] * 3}
+
+
+def _plane_relation_with_string_exponent():
+    from pencilfiber.catalan import base_solution
+
+    broken = base_solution(find_pencils(concurrent_triple())[0]).to_json()
+    term = broken["sol"][0]["terms"][0]
+    term["exp"] = "".join(str(e) for e in term["exp"])
+    return broken
+
+
+@pytest.mark.parametrize("build", [_univariate_relation_with_string_coeffs, _plane_relation_with_string_exponent])
+def test_catalan_verify_rejects_strings_for_lists(capsys, tmp_path, build):
+    path = write_json(tmp_path / "rel.json", build())
+    code, out = run_cli(capsys, ["catalan", "verify", path])
+    assert code == 1
+    assert out == ""
 
 
 def test_catalan_generate(capsys, tmp_path):

@@ -195,3 +195,12 @@ def test_pencil_json_roundtrip():
     assert again.classes == pencil.classes
     assert again.lambdas == pencil.lambdas
     assert all(a == b for a, b in zip(again.products, pencil.products))
+
+
+def test_pencil_json_requires_lists():
+    data = find_pencils(dual_hesse())[0].to_json()
+    as_strings = dict(data, classes=["".join(map(str, c)) for c in data["classes"]])
+    with pytest.raises(TypeError):
+        PencilDecomposition.from_json(as_strings)
+    with pytest.raises(TypeError):
+        PencilDecomposition.from_json(dict(data, lambdas="".join(data["lambdas"])))

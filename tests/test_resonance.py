@@ -15,7 +15,7 @@ from pencilfiber.resonance import (
     raw_wedge,
     resonance_kernel_dim,
     triple_point_basis,
-    wedge,
+    wedge_vanishes,
 )
 from pencilfiber.arrangement import intersection_points
 
@@ -68,30 +68,42 @@ def test_wedge_alternating():
     rng = random.Random(2)
     for _ in range(10):
         a = E(*[rng.randint(-3, 3) for _ in range(6)])
-        assert not any(wedge(os2, a, a))
+        assert wedge_vanishes(os2, a, a)
 
 
 def test_wedge_bilinear():
-    os2 = build_os2(braid())
+    """Vanishing of a ^ b is unchanged by b -> b + 2a and by swapping a and b,
+    as bilinearity and alternation require; probed on vanishing and
+    non-vanishing pairs."""
+    arr = braid()
+    os2 = build_os2(arr)
     rng = random.Random(3)
-    for _ in range(10):
-        a = E(*[rng.randint(-3, 3) for _ in range(6)])
-        b = E(*[rng.randint(-3, 3) for _ in range(6)])
-        c = E(*[rng.randint(-3, 3) for _ in range(6)])
-        b_plus_c = [x + y for x, y in zip(b, c)]
-        lhs = wedge(os2, a, b_plus_c)
-        rhs = [x + y for x, y in zip(wedge(os2, a, b), wedge(os2, a, c))]
-        assert lhs == rhs
+    local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+    seen = set()
+    for _ in range(12):
+        if rng.random() < 0.5:
+            u, v = rng.choice(local)
+            s, t = rng.randint(1, 3), rng.randint(-3, -1)
+            a = [s * x for x in u]
+            b = [x + t * y for x, y in zip(u, v)]
+        else:
+            a = E(*[rng.randint(-3, 3) for _ in range(6)])
+            b = E(*[rng.randint(-3, 3) for _ in range(6)])
+        b_plus_2a = [y + 2 * x for x, y in zip(a, b)]
+        vanishes = wedge_vanishes(os2, a, b)
+        assert vanishes == wedge_vanishes(os2, a, b_plus_2a) == wedge_vanishes(os2, b, a)
+        seen.add(vanishes)
+    assert seen == {True, False}
 
 
 def test_wedge_concurrent_relation_kills():
     os2 = build_os2(concurrent_triple())
-    assert not any(wedge(os2, E(1, -1, 0), E(0, 1, -1)))
+    assert wedge_vanishes(os2, E(1, -1, 0), E(0, 1, -1))
 
 
 def test_wedge_triangle_nonzero():
     os2 = build_os2(triangle())
-    assert any(wedge(os2, E(1, -1, 0), E(0, 1, -1)))
+    assert not wedge_vanishes(os2, E(1, -1, 0), E(0, 1, -1))
 
 
 def test_kernel_dims_against_oracle():
@@ -100,6 +112,21 @@ def test_kernel_dims_against_oracle():
     for a in (E(1, -1, 0), E("1", "w", "-1-w")):
         assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(os2, a) == 2
         assert resonance_kernel_dim(os2t, a) == _kernel_dim_oracle(os2t, a) == 1
+    rng = random.Random(17)
+    for arr in (braid(), dual_hesse()):
+        os2 = build_os2(arr)
+        probes = [generic_member(pencil_basis(p, arr.r)) for p in find_pencils(arr)]
+        triples = [pt for pt in intersection_points(arr) if pt.multiplicity == 3]
+        probes += [generic_member(triple_point_basis(pt, arr.r)) for pt in triples[:2]]
+        for n in range(6):  # seeded sum-zero weights, the odd ones with w-parts
+            vals = [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2) if n % 2 else 0) for _ in range(arr.r - 1)]
+            probes.append(vals + [-sum(vals, ZERO)])
+        dims = []
+        for a in probes:
+            if any(a):
+                dims.append(resonance_kernel_dim(os2, a))
+                assert dims[-1] == _kernel_dim_oracle(os2, a)
+        assert min(dims) == 1 and max(dims) >= 2
 
 
 def test_kernel_dim_rejects_zero_vector():
@@ -154,6 +181,20 @@ def test_pencil_components_isotropic():
 def test_triangle_candidate_fails_isotropy():
     os2 = build_os2(triangle())
     assert not component_isotropy_check(os2, [E(1, -1, 0), E(0, 1, -1)])
+
+
+def test_isotropy_checks_every_pair():
+    # (u, v) is a local component of braid, so only the later pairs with w fail
+    arr = braid()
+    os2 = build_os2(arr)
+    pt = next(pt for pt in intersection_points(arr) if pt.multiplicity == 3)
+    u, v = triple_point_basis(pt, arr.r)
+    w = [ZERO] * arr.r
+    free = [l for l in range(arr.r) if l not in pt.lines]
+    w[pt.lines[0]], w[free[0]] = EisensteinNumber(1), EisensteinNumber(-1)
+    assert component_isotropy_check(os2, [u, v])
+    assert not wedge_vanishes(os2, u, w) and not wedge_vanishes(os2, v, w)
+    assert not component_isotropy_check(os2, [u, v, w])
 
 
 def test_isotropy_rejects_bad_bases():
