@@ -2,8 +2,9 @@
 """Run the consistency crosscheck over the shipped corpus and print the table.
 
 Exit status follows the CLI contract: 0 when every arrangement satisfies
-(s > 0) <=> (composed of a reduced pencil) and all equal-type pairs agree,
-3 otherwise.
+(s > 0) <=> (composed of a reduced pencil), has isotropic resonance
+components, has s == beta3 <= 2 and (3^beta3 - 1)/2 pencils, and all
+equal-type pairs agree; 3 otherwise.
 """
 
 import pathlib

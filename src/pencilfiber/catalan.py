@@ -66,7 +66,9 @@ class QuasiToricRelation:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuasiToricRelation":
-        univariate = bool(data["univariate"])
+        univariate = data["univariate"]
+        if not isinstance(univariate, bool):
+            raise TypeError(f"univariate must be a JSON bool, not {type(univariate).__name__}")
         kind = UniPoly if univariate else HomForm
         return cls(
             tuple(kind.from_json(p) for p in data["F"]),

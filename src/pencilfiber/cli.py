@@ -39,7 +39,7 @@ from .catalan import (
 from .eisenstein import EisensteinNumber, ParseError, json_list
 from .forms import UniPoly
 from .milnor import milnor_report
-from .pencils import PencilDecomposition, find_pencils
+from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
     OSDegree2,
     build_os2,
@@ -257,6 +257,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
                 "label": payload["label"],
                 "r": payload["r"],
                 "s": payload["milnor"]["s"],
+                "beta3": beta3(arr),
                 "pencil_count": payload["pencil_count"],
                 "resonance_pencil_components": len(resonance["pencil_components"]),
                 "pencil_eigenvalue_consistent": payload["pencil_eigenvalue_consistent"],
@@ -276,6 +277,12 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             failures.append({"file": row["file"], "check": "component_isotropy"})
         if row["resonance_pencil_components"] != row["pencil_count"]:
             failures.append({"file": row["file"], "check": "pencil_component_census"})
+        if row["s"] != row["beta3"]:
+            failures.append({"file": row["file"], "check": "s_equals_beta3"})
+        if row["beta3"] > 2:
+            failures.append({"file": row["file"], "check": "beta3_at_most_2"})
+        if row["pencil_count"] != (3 ** row["beta3"] - 1) // 2:
+            failures.append({"file": row["file"], "check": "pencil_count_equals_beta3_formula"})
     pairs_checked = 0
     for i, a in enumerate(names):
         for b in names[i + 1 :]:

@@ -238,6 +238,16 @@ def json_list(value: object, what: str) -> list:
     return value
 
 
+def json_int(value: object, what: str) -> int:
+    """``value`` itself if it is a JSON integer; TypeError for anything else.
+
+    ``int`` would truncate 1.9 to 1 and read true as 1.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
 def integer_pairs(row: list[EisensteinNumber]) -> list[tuple[int, int]]:
     """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w].
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .eisenstein import ONE, ZERO, EisensteinNumber, json_list
+from .eisenstein import ONE, ZERO, EisensteinNumber, json_int, json_list
 
 Exponent = tuple[int, int, int]
 
@@ -174,8 +174,11 @@ class HomForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomForm":
-        terms = json_list(data["terms"], "terms")
-        return cls(int(data["degree"]), {tuple(json_list(t["exp"], "exp")): EisensteinNumber.of(t["c"]) for t in terms})
+        coeffs = {
+            tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp")): EisensteinNumber.of(t["c"])
+            for t in json_list(data["terms"], "terms")
+        }
+        return cls(json_int(data["degree"], "degree"), coeffs)
 
 
 X = HomForm.monomial((1, 0, 0))

@@ -1,11 +1,12 @@
-"""Dense exact linear algebra over Q(w): echelon forms, rank, null spaces.
+"""Dense exact linear algebra over Q(w) and F3: echelon forms, rank, null spaces.
 
-Matrices are lists of rows of EisensteinNumber.  This is the one module
-that eliminates: callers ask for a rank or a null space and never reduce
-rows themselves.  Rank is computed by fraction-free (Bareiss) elimination
-on integer pairs in Z[w]; reduced row echelon forms, null spaces and
-inverses by Gaussian elimination over Q(w).  Both search for a nonzero
-pivot and are exact, so results are certificates, not estimates.
+Matrices are lists of rows of EisensteinNumber, or of Python ints for the
+F3 null space.  This is the one module that eliminates: callers ask for a
+rank or a null space and never reduce rows themselves.  Rank is computed by
+fraction-free (Bareiss) elimination on integer pairs in Z[w]; reduced row
+echelon forms, null spaces and inverses by Gaussian elimination over Q(w);
+null spaces mod 3 by Gauss-Jordan elimination on residues.  All search for
+a nonzero pivot and are exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
@@ -102,6 +103,37 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
         vec[free] = ONE
         for row, piv in zip(reduced, pivots):
             vec[piv] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of {x in F3^ncols : rows @ x = 0 mod 3}, one vector per free column.
+
+    Entries are ints, read mod 3; the basis entries are in {0, 1, 2}.
+    """
+    m = [[v % 3 for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot_row = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[top], m[pivot_row] = m[pivot_row], m[top]
+        inv = m[top][col]  # 1 and 2 are their own inverses mod 3
+        m[top] = [v * inv % 3 for v in m[top]]
+        for i, row in enumerate(m):
+            if i != top and row[col]:
+                m[i] = [(a - row[col] * b) % 3 for a, b in zip(row, m[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, piv in zip(m, pivots):
+            vec[piv] = -row[free] % 3
         basis.append(vec)
     return basis
 

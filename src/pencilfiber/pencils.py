@@ -7,22 +7,22 @@ nonzero.  Equal class sizes are forced (a linear dependence needs equal
 degrees) and the products are automatically reduced because the lines are
 pairwise distinct.
 
-The search reads candidates off the incidence data, following Falk and
-Yuzvinsky ("Multinets, resonance varieties, and pencils of plane curves",
-Compositio Math. 2007): the pencils of a line arrangement are its 3-nets.
-If a in one class and b in another meet at p, then F1(p) = F2(p) = 0 in
-the dependence forces F3(p) = 0, so with multiplicities <= 3 the point p
-is a triple point with exactly one line from each class.  Hence the two
-lines of a double point share a class, and every triple point lies inside
-one class or meets all three.  Lines are merged into components by those
-rules, and the components are 3-coloured by backtracking with k lines per
-colour.  For every surviving partition the dependences (l1, l2, l3) are the
-null space (``linalg.nullspace``) of the coefficient matrix, one row per
-monomial of degree k; the partition is a pencil iff that null space is one
-vector with no zero entry.  The colouring leaves only a handful of
-candidates, so each gets the full null space with no early exit.  Each
-accepted dependence is re-verified by polynomial multiplication before
-being returned.
+The candidates are read off one linear system over F3.  The pencils of a
+line arrangement are its 3-nets (Falk and Yuzvinsky, "Multinets, resonance
+varieties, and pencils of plane curves", Compositio Math. 2007): if a in one
+class and b in another meet at p, the dependence forces F3(p) = 0, so with
+multiplicities <= 3 the point p is a triple point with one line from each
+class.  With tau_i in F3 the class label of line i, this says tau_i = tau_j
+at each double point {i, j} and tau_i + tau_j + tau_k = 0 at each triple
+point {i, j, k}.  Those are the mod-3 cocycles of Papadima and Suciu ("The
+Milnor fibration of a hyperplane arrangement: from modular resonance to
+algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
+and beta_3, their dimension modulo sigma, is at most 2, so the kernel
+(``linalg.nullspace_f3``) spans at most 27 vectors; each one whose level
+sets are three classes of k lines is a candidate.  A candidate is a pencil
+iff the null space (``linalg.nullspace``) of its coefficient matrix, one row
+per monomial of degree k, is one vector (l1, l2, l3) with no zero entry.
+Each accepted dependence is re-verified by polynomial multiplication.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from operator import mul
-from typing import Iterator
 
-from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import ZERO, EisensteinNumber, json_list
+from .arrangement import Arrangement, require_multiplicities_ok
+from .eisenstein import ZERO, EisensteinNumber, json_int, json_list
 from .forms import HomForm
-from .linalg import nullspace
+from .linalg import nullspace, nullspace_f3
 from .milnor import monomial_exponents
 
 
@@ -69,7 +69,9 @@ class PencilDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PencilDecomposition":
-        classes = tuple(tuple(int(i) for i in json_list(c, "a class")) for c in json_list(data["classes"], "classes"))
+        classes = tuple(
+            tuple(json_int(i, "a line index") for i in json_list(c, "a class")) for c in json_list(data["classes"], "classes")
+        )
         lambdas = tuple(EisensteinNumber.of(l) for l in json_list(data["lambdas"], "lambdas"))
         products = tuple(HomForm.from_json(f) for f in json_list(data["products"], "products"))
         if len(classes) != 3 or len(lambdas) != 3 or len(products) != 3:
@@ -79,14 +81,11 @@ class PencilDecomposition:
 
 def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     """All pencil decompositions, in canonical class order."""
-    points = require_multiplicities_ok(arr)
-    if arr.r % 3 != 0:
-        return []
     k = arr.r // 3
     monomials = monomial_exponents(k)
     forms = [line.form for line in arr.lines]
     found: list[PencilDecomposition] = []
-    for triple in _net_partitions(arr.r, points):
+    for triple in _cocycle_partitions(arr):
         prods = tuple(reduce(mul, (forms[i] for i in c), HomForm.constant(1)) for c in triple)
         kernel = nullspace([[f.coeffs.get(e, ZERO) for f in prods] for e in monomials], 3)
         if len(kernel) != 1 or not all(kernel[0]):
@@ -98,99 +97,42 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
         if not combo.is_zero:
             raise AssertionError("dependence failed exact re-verification")
         found.append(PencilDecomposition(triple, lam, prods))
-    found.sort(key=lambda p: p.classes)
     return found
 
 
-def _net_partitions(r: int, points: tuple[IncidencePoint, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every partition of range(r) into three classes of r/3 lines that obeys
-    the 3-net rules: both lines of a double point share a class, and each
-    triple point is monochrome or rainbow.  Classes are sorted by least line.
-    """
-    k = r // 3
-    parent = list(range(r))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for pt in points:
+def _cocycles(arr: Arrangement) -> list[list[int]]:
+    """F3 basis of the tau with tau_i = tau_j at each double point {i, j} and
+    tau_i + tau_j + tau_k = 0 at each triple point {i, j, k}."""
+    rows = []
+    for pt in require_multiplicities_ok(arr):
+        row = [0] * arr.r
+        for i in pt.lines:
+            row[i] = 1
         if pt.multiplicity == 2:
-            parent[find(pt.lines[0])] = find(pt.lines[1])
-    triples = [pt.lines for pt in points if pt.multiplicity == 3]
-    merged = True
-    while merged:  # two lines of a triple point in one class pull in the third
-        merged = False
-        for t in triples:
-            roots = {find(v) for v in t}
-            if len(roots) == 2:
-                a, b = roots
-                parent[a] = b
-                merged = True
+            row[pt.lines[1]] = -1
+        rows.append(row)
+    return nullspace_f3(rows, arr.r)
 
-    by_root: dict[int, list[int]] = {}
-    for v in range(r):
-        by_root.setdefault(find(v), []).append(v)
-    members = list(by_root.values())  # components in order of their least line
-    number = {root: c for c, root in enumerate(by_root)}
-    if any(len(m) > k for m in members):
-        return
-    n = len(members)
-    watch: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t in triples:
-        a, b, c = (number[find(v)] for v in t)
-        if a != b:  # a rainbow candidate: three distinct components
-            watch[a].append((b, c))
-            watch[b].append((a, c))
-            watch[c].append((a, b))
-    colour = [-1] * n
-    load = [0, 0, 0]
 
-    def assign(c: int, col: int, trail: list[int]) -> bool:
-        """Colour c and everything the triple points force; False on a clash."""
-        todo = [(c, col)]
-        while todo:
-            c, col = todo.pop()
-            if colour[c] >= 0:
-                if colour[c] != col:
-                    return False
-                continue
-            colour[c] = col
-            trail.append(c)
-            load[col] += len(members[c])
-            if load[col] > k:
-                return False
-            for x, y in watch[c]:
-                cx, cy = colour[x], colour[y]
-                if cx >= 0 and cy >= 0:
-                    if len({cx, cy, col}) == 2:
-                        return False
-                elif cx >= 0 or cy >= 0:
-                    known, other = (cx, y) if cx >= 0 else (cy, x)
-                    todo.append((other, col if known == col else 3 - col - known))
-        return True
+def beta3(arr: Arrangement) -> int:
+    """Dimension over F3 of the cocycles modulo sigma = (1, ..., 1); at most 2."""
+    return len(_cocycles(arr)) - 1
 
-    def search(c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        while c < n and colour[c] >= 0:
-            c += 1
-        if c == n:  # all loads are k, since none exceeds k and they sum to r
-            classes = [[], [], []]
-            for comp, col in zip(members, colour):
-                classes[col] += comp
-            yield tuple(sorted(tuple(sorted(cl)) for cl in classes))
-            return
-        # colours in use are 0..max; one fresh colour stands for all unused ones
-        for col in range(min(max(colour) + 2, 3)):
-            trail: list[int] = []
-            if assign(c, col, trail):
-                yield from search(c + 1)
-            for d in trail:
-                load[colour[d]] -= len(members[d])
-                colour[d] = -1
 
-    yield from search(0)
+def _cocycle_partitions(arr: Arrangement) -> list[tuple[tuple[int, ...], ...]]:
+    """The level sets of the cocycles that are three classes of r/3 lines.
+
+    These are the partitions that obey the 3-net rules, sorted by least line.
+    """
+    k = arr.r // 3
+    basis = _cocycles(arr)
+    found = set()
+    for coeffs in product(range(3), repeat=len(basis)):
+        tau = [sum(map(mul, coeffs, column)) % 3 for column in zip(*basis)]
+        classes = tuple(tuple(i for i, t in enumerate(tau) if t == v) for v in range(3))
+        if all(len(c) == k for c in classes):
+            found.add(tuple(sorted(classes)))
+    return sorted(found)
 
 
 def is_composed_of_reduced_pencil(arr: Arrangement) -> bool:

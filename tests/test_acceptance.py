@@ -231,6 +231,7 @@ def test_criterion_09_resonance_components(corpus_dir):
 
 
 def test_criterion_10_invariance(corpus_dir):
+    start = time.monotonic()
     rng = random.Random(777)
     corpus = _load_corpus(corpus_dir)
     for name, arr in sorted(corpus.items()):
@@ -254,4 +255,9 @@ def test_criterion_10_invariance(corpus_dir):
             assert milnor_report(variant).s == reference_s, name
             assert len(find_pencils(variant)) == reference_count, name
             assert combinatorial_type(variant) == reference_type, name
-    _passed(10, "s, pencil count and combinatorial type invariant under 5 transforms + 5 reorders per fixture")
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0
+    _passed(
+        10,
+        f"s, pencil count and combinatorial type invariant under 5 transforms + 5 reorders per fixture ({elapsed:.2f}s)",
+    )

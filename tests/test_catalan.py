@@ -357,3 +357,10 @@ def test_relation_json_roundtrip():
     assert again.univariate
     assert all(a == b for a, b in zip(again.F, rel.F))
     assert all(a == b for a, b in zip(again.sol, rel.sol))
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_relation_json_requires_a_bool_flag(flag):
+    data = dict(root_difference_relation().to_json(), univariate=flag)
+    with pytest.raises(TypeError):
+        QuasiToricRelation.from_json(data)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pencilfiber import cli
 from pencilfiber.cli import main
 from pencilfiber.fixtures import concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
 from pencilfiber.pencils import find_pencils
@@ -178,6 +179,40 @@ def test_catalan_verify_rejects_strings_for_lists(capsys, tmp_path, build):
     assert out == ""
 
 
+def _univariate_relation_labelled_false():
+    # a relation that verifies as univariate, so reading "false" as true would pass it
+    one = ["1"]
+    F = [{"coeffs": one}, {"coeffs": one}, {"coeffs": ["-2"]}]
+    return {"univariate": "false", "F": F, "sol": [{"coeffs": one}] * 3}
+
+
+def _plane_relation_with_float_exponent():
+    from pencilfiber.catalan import base_solution
+
+    broken = base_solution(find_pencils(concurrent_triple())[0]).to_json()
+    term = broken["sol"][0]["terms"][0]
+    term["exp"] = [float(e) for e in term["exp"]]
+    return broken
+
+
+@pytest.mark.parametrize("build", [_univariate_relation_labelled_false, _plane_relation_with_float_exponent])
+def test_catalan_verify_rejects_non_bool_and_non_integer_fields(capsys, tmp_path, build):
+    path = write_json(tmp_path / "rel.json", build())
+    code, out = run_cli(capsys, ["catalan", "verify", path])
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("index", [0.5, 0.0])
+def test_catalan_generate_rejects_non_integer_class_index(capsys, tmp_path, index):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["classes"][0] = [index]
+    path = write_json(tmp_path / "pencil.json", data)
+    code, out = run_cli(capsys, ["catalan", "generate", path])
+    assert code == 1
+    assert out == ""
+
+
 def test_catalan_generate(capsys, tmp_path):
     pencil = find_pencils(concurrent_triple())[0]
     path = write_json(tmp_path / "pencil.json", pencil.to_json())
@@ -268,3 +303,21 @@ def test_crosscheck_shipped_corpus(capsys, corpus_dir):
     assert payload["all_consistent"] is True
     assert len(payload["rows"]) >= 10
     assert payload["equal_type_pairs_checked"] >= 3
+    assert all(row["beta3"] == row["s"] for row in payload["rows"])
+
+
+def test_crosscheck_names_each_beta3_check(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    monkeypatch.setattr(cli, "beta3", lambda arr: 3)
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["rows"][0]["beta3"] == 3
+    assert payload["all_consistent"] is False
+    assert [f["check"] for f in payload["failures"]] == [
+        "s_equals_beta3",
+        "beta3_at_most_2",
+        "pencil_count_equals_beta3_formula",
+    ]

@@ -11,6 +11,7 @@ from pencilfiber.eisenstein import (
     EisensteinNumber,
     ParseError,
     integer_pairs,
+    json_int,
     parse_eisenstein,
 )
 
@@ -137,3 +138,10 @@ def test_of_accepts_exact_values():
     assert EisensteinNumber.of(3) == EisensteinNumber(3)
     assert EisensteinNumber.of(Fraction(1, 2)) == EisensteinNumber(Fraction(1, 2))
     assert EisensteinNumber.of("1/2-w") == EisensteinNumber(Fraction(1, 2), -1)
+
+
+def test_json_int_accepts_only_integers():
+    assert json_int(-3, "x") == -3
+    for value in (1.0, 0.5, True, "1", None, [1]):
+        with pytest.raises(TypeError):
+            json_int(value, "x")

@@ -240,3 +240,18 @@ def test_homform_json_roundtrip():
 def test_unipoly_json_roundtrip():
     p = UniPoly([1, OMEGA, Fraction(-2, 7)])
     assert UniPoly.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"degree": 1.9, "terms": [{"exp": [1.5, 0, 0.4], "c": "1"}]},
+        {"degree": 1, "terms": [{"exp": [1.0, 0, 0], "c": "1"}]},
+        {"degree": 1.0, "terms": [{"exp": [1, 0, 0], "c": "1"}]},
+        {"degree": True, "terms": [{"exp": [1, 0, 0], "c": "1"}]},
+        {"degree": 1, "terms": [{"exp": [True, 0, 0], "c": "1"}]},
+    ],
+)
+def test_homform_json_requires_integer_degree_and_exponents(data):
+    with pytest.raises(TypeError):
+        HomForm.from_json(data)

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from pencilfiber.eisenstein import ZERO, EisensteinNumber
-from pencilfiber.linalg import mat_inverse, mat_mul, identity_matrix, nullspace, rank, rref
+from pencilfiber.linalg import mat_inverse, mat_mul, identity_matrix, nullspace, nullspace_f3, rank, rref
 
 small_eis = st.builds(
     EisensteinNumber,
@@ -132,3 +132,37 @@ def test_rref_pivots_are_clean():
         for i2 in range(len(reduced)):
             if i2 != i:
                 assert reduced[i2][piv] == ZERO
+
+
+@st.composite
+def f3_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=6))
+    entries = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(f3_systems())
+def test_nullspace_f3_spans_exactly_the_solutions(system):
+    rows, n = system
+    # brute force over F3^n: the solution set has 3^(n - rank) elements
+    solutions = {
+        x for x in product(range(3), repeat=n) if all(sum(a * b for a, b in zip(row, x)) % 3 == 0 for row in rows)
+    }
+    basis = nullspace_f3(rows, n)
+    assert all(len(vec) == n and set(vec) <= {0, 1, 2} for vec in basis)
+    span = {
+        tuple(sum(c * vec[i] for c, vec in zip(coeffs, basis)) % 3 for i in range(n))
+        for coeffs in product(range(3), repeat=len(basis))
+    }
+    assert span == solutions
+    assert 3 ** len(basis) == len(solutions)  # the basis is independent: dimension n - rank
+
+
+def test_nullspace_f3_examples():
+    assert nullspace_f3([], 2) == [[1, 0], [0, 1]]
+    assert nullspace_f3([[1, 1, 1]], 3) == [[2, 1, 0], [2, 0, 1]]
+    assert nullspace_f3([[1, -1, 0], [0, 1, -1]], 3) == [[1, 1, 1]]
+    assert nullspace_f3([[3, 6, -9]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

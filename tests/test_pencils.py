@@ -1,9 +1,10 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
-from pencilfiber.arrangement import MultiplicityError, intersection_points, proj_transform
+from pencilfiber.arrangement import Arrangement, MultiplicityError, intersection_points, proj_transform
 from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
@@ -18,9 +19,10 @@ from pencilfiber.fixtures import (
     triangle,
 )
 from pencilfiber.forms import HomForm
-from pencilfiber.milnor import monomial_exponents
+from pencilfiber.milnor import monomial_exponents, superabundance
 from pencilfiber.pencils import (
     PencilDecomposition,
+    beta3,
     find_pencils,
     is_composed_of_reduced_pencil,
     pencil_count,
@@ -204,3 +206,32 @@ def test_pencil_json_requires_lists():
         PencilDecomposition.from_json(as_strings)
     with pytest.raises(TypeError):
         PencilDecomposition.from_json(dict(data, lambdas="".join(data["lambdas"])))
+
+
+@pytest.mark.parametrize("index", [0.5, 0.0, True])
+def test_pencil_json_requires_integer_indices(index):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    with pytest.raises(TypeError):
+        PencilDecomposition.from_json(dict(data, classes=[[index], [1], [2]]))
+
+
+def test_beta3_examples():
+    assert [beta3(b()) for b in (triangle, generic_six, near_pencil_six)] == [0, 0, 0]
+    assert [beta3(b()) for b in (concurrent_triple, braid, ceva_two)] == [1, 1, 1]
+    assert beta3(dual_hesse()) == 2
+    with pytest.raises(MultiplicityError):
+        beta3(four_concurrent())
+
+
+def test_beta3_is_superabundance_and_counts_pencils(corpus_dir):
+    """beta3 from incidence alone against s from coordinates, and the
+    pencil count (3^beta3 - 1)/2, on the corpus and every sub-arrangement
+    of dual_hesse."""
+    arrangements = [Arrangement.from_json(json.loads(path.read_text())) for path in sorted(corpus_dir.glob("*.json"))]
+    hesse = dual_hesse()
+    arrangements += [hesse.reordered(subset) for n in range(1, 10) for subset in combinations(range(9), n)]
+    assert len(arrangements) >= 12 + 511
+    for arr in arrangements:
+        b = beta3(arr)
+        assert b == superabundance(arr), arr.label
+        assert pencil_count(arr) == (3**b - 1) // 2, arr.label
