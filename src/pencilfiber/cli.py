@@ -111,7 +111,7 @@ def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2
         )
     return {
         "quotient_rank": os2.quotient_rank,
-        "relation_count": len(os2.relations),
+        "relation_count": os2.relation_rank,  # the triple-point relations are independent
         "local_components": local,
         "pencil_components": global_components,
     }

@@ -37,7 +37,10 @@ class HomForm:
             raise ValueError("degree must be nonnegative")
         table: dict[Exponent, EisensteinNumber] = {}
         for exp, c in (coeffs or {}).items():
-            exp = (int(exp[0]), int(exp[1]), int(exp[2]))
+            e0, e1, e2 = exp
+            if type(e0) is not int or type(e1) is not int or type(e2) is not int:
+                raise TypeError(f"exponent {exp} must hold three non-bool ints")  # int() would truncate 1.5
+            exp = (e0, e1, e2)
             if min(exp) < 0 or sum(exp) != degree:
                 raise ValueError(f"exponent {exp} does not have degree {degree}")
             value = EisensteinNumber.of(c)

@@ -4,14 +4,21 @@ The degree-2 algebra of the cone is the exterior square on one generator
 per line modulo one relation e_i e_j - e_i e_k + e_j e_k for each triple
 point with lines i < j < k (double points impose nothing).  Weight vectors
 a with sum zero are probed through the wedge map b -> class of
-sum_{i<j} (a_i b_j - a_j b_i) e_i e_j; a lies in the resonance variety iff
-the kernel of that map is at least 2-dimensional (it always contains a).
+sum_{i<j} w_ij e_i e_j with w_ij = a_i b_j - a_j b_i; a lies in the
+resonance variety iff the kernel of that map is at least 2-dimensional (it
+always contains a).
 
-Every answer is an exact rank from ``linalg.rank``.  With R the relation
-rows, vectors V span a subspace of the quotient of dimension
-rank(R with V appended) - rank(R).  So the wedge map by a has kernel
-dimension r minus that dimension for V = (a ^ e_l for each line l), and
-a ^ b vanishes in the quotient iff appending it leaves rank(R) unchanged.
+Every pair of lines meets at exactly one incidence point, so the quotient
+splits over the points (Brieskorn's lemma, Orlik and Terao 1992, ch. 3):
+A^2 is the direct sum of the A^2_p, spanned by the pairs of lines through p.
+At a double point {i, j} the summand is free on e_i e_j, so the class
+vanishes iff w_ij = 0; at a triple point {i < j < k} the one relation
+spans it, so the class vanishes iff w_ik = -w_ij and w_jk = w_ij.  Hence
+a ^ b = 0 is a list of exact comparisons, and the kernel of the wedge map
+by a is the null space of an r-column matrix with one row per double point
+and two per triple point, whose rank comes from ``linalg.rank``.  The
+premise, that the points' pairs cover every pair of lines once, is checked
+when the quotient is built.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ONE, ZERO, EisensteinNumber
@@ -32,16 +40,22 @@ from .pencils import PencilDecomposition
 
 @dataclass
 class OSDegree2:
-    """Exterior square with triple-point relations and the rank they span."""
+    """Degree-2 quotient as the sum of one summand per incidence point.
+
+    ``points`` holds the sorted line tuples of the points; each triple point
+    carries one relation, and the relations have disjoint supports.
+    """
 
     r: int
-    pair_index: dict[tuple[int, int], int]
-    relations: Matrix
-    relation_rank: int
+    points: tuple[tuple[int, ...], ...]
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pair_index)
+        return self.r * (self.r - 1) // 2
+
+    @property
+    def relation_rank(self) -> int:
+        return sum(1 for p in self.points if len(p) == 3)
 
     @property
     def quotient_rank(self) -> int:
@@ -49,21 +63,11 @@ class OSDegree2:
 
 
 def build_os2(arr: Arrangement) -> OSDegree2:
-    points = require_multiplicities_ok(arr)
-    r = arr.r
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    pair_index = {p: n for n, p in enumerate(pairs)}
-    relations: Matrix = []
-    for pt in points:
-        if pt.multiplicity != 3:
-            continue
-        i, j, k = pt.lines
-        row = [ZERO] * len(pairs)
-        row[pair_index[(i, j)]] = ONE
-        row[pair_index[(i, k)]] = -ONE
-        row[pair_index[(j, k)]] = ONE
-        relations.append(row)
-    return OSDegree2(r, pair_index, relations, rank(relations))
+    points = tuple(pt.lines for pt in require_multiplicities_ok(arr))
+    pairs = sorted(pair for p in points for pair in combinations(p, 2))
+    if pairs != list(combinations(range(arr.r), 2)):
+        raise AssertionError("the incidence points do not cover each pair of lines exactly once")
+    return OSDegree2(arr.r, points)
 
 
 def _check_weight(os: OSDegree2, a: Vector) -> list[EisensteinNumber]:
@@ -73,18 +77,25 @@ def _check_weight(os: OSDegree2, a: Vector) -> list[EisensteinNumber]:
     return vec
 
 
-def raw_wedge(os: OSDegree2, a: Vector, b: Vector) -> Vector:
-    out = [ZERO] * os.n_pairs
-    for (i, j), n in os.pair_index.items():
-        out[n] = a[i] * b[j] - a[j] * b[i]
-    return out
+def _local_conditions(os: OSDegree2, a: list[EisensteinNumber]) -> Iterator[tuple[tuple[int, EisensteinNumber], ...]]:
+    """The linear forms in b, as (line, coefficient) pairs, whose joint
+    vanishing is a ^ b = 0: w_ij at a double point {i, j}, and w_ij + w_ik
+    and w_jk - w_ij at a triple point {i < j < k}."""
+    for p in os.points:
+        i, j = p[0], p[1]
+        if len(p) == 2:
+            yield ((i, -a[j]), (j, a[i]))
+        else:
+            k = p[2]
+            yield ((i, -a[j] - a[k]), (j, a[i]), (k, a[i]))
+            yield ((i, a[j]), (j, -a[k] - a[i]), (k, a[j]))
 
 
 def wedge_vanishes(os: OSDegree2, a: Vector, b: Vector) -> bool:
-    """True iff a ^ b is zero in the quotient, i.e. lies in the relation span."""
+    """True iff a ^ b is zero in the quotient, checked point by point."""
     a = _check_weight(os, a)
     b = _check_weight(os, b)
-    return rank(os.relations + [raw_wedge(os, a, b)]) == os.relation_rank
+    return not any(sum((c * b[l] for l, c in cond), ZERO) for cond in _local_conditions(os, a))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
@@ -92,16 +103,14 @@ def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
     a = _check_weight(os, a)
     if not any(a):
         raise ValueError("the zero weight vector is not probed")
-    columns: Matrix = []
-    for l in range(os.r):
-        col = [ZERO] * os.n_pairs
-        for (i, j), n in os.pair_index.items():
-            if j == l:
-                col[n] = a[i]
-            elif i == l:
-                col[n] = -a[j]
-        columns.append(col)
-    return os.r - (rank(os.relations + columns) - os.relation_rank)
+    rows: Matrix = []
+    for cond in _local_conditions(os, a):
+        if any(c for _, c in cond):
+            row = [ZERO] * os.r
+            for l, c in cond:
+                row[l] = c
+            rows.append(row)
+    return os.r - rank(rows)
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Vector]) -> bool:

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pencilfiber
 from pencilfiber import cli
 from pencilfiber.cli import main
 from pencilfiber.fixtures import concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
@@ -22,6 +27,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_entry_point(argv):
+    """``python -m pencilfiber`` in a fresh interpreter, so ``run()`` sets the exit code."""
+    src = str(pathlib.Path(pencilfiber.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "pencilfiber", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def test_analyze_dual_hesse(capsys, dual_hesse_file):
@@ -53,6 +67,10 @@ def test_analyze_multiplicity_violation(capsys, tmp_path):
 def test_analyze_missing_file(capsys, tmp_path):
     code, _ = run_cli(capsys, ["analyze", str(tmp_path / "nope.json")])
     assert code == 1
+    proc = run_entry_point(["analyze", str(tmp_path / "nope.json")])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "nope.json" in json.loads(proc.stderr)["error"]
 
 
 def test_analyze_malformed_json(capsys, tmp_path):
@@ -304,6 +322,8 @@ def test_crosscheck_shipped_corpus(capsys, corpus_dir):
     assert len(payload["rows"]) >= 10
     assert payload["equal_type_pairs_checked"] >= 3
     assert all(row["beta3"] == row["s"] for row in payload["rows"])
+    proc = run_entry_point(["crosscheck", str(corpus_dir)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_crosscheck_names_each_beta3_check(capsys, tmp_path, monkeypatch):

@@ -255,3 +255,17 @@ def test_unipoly_json_roundtrip():
 def test_homform_json_requires_integer_degree_and_exponents(data):
     with pytest.raises(TypeError):
         HomForm.from_json(data)
+
+
+@pytest.mark.parametrize("exp", [(1.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (Fraction(1), 0, 0)])
+def test_homform_requires_int_exponents_in_code(exp):
+    # int(...) would read 1.5 and True as 1 and give the form x
+    with pytest.raises(TypeError):
+        HomForm(1, {exp: 1})
+
+
+@pytest.mark.parametrize("exp", [[1, 0], [1, 0, 0, 7]])
+def test_homform_json_requires_three_exponents(exp):
+    # an exponent has exactly three entries: no IndexError, no dropped fourth entry
+    with pytest.raises(ValueError):
+        HomForm.from_json({"degree": 1, "terms": [{"exp": exp, "c": "1"}]})

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from pencilfiber.eisenstein import ZERO, EisensteinNumber
-from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse, generic_six, triangle
+from pencilfiber.arrangement import Arrangement, IncidencePoint, intersection_points
+from pencilfiber.eisenstein import ONE, ZERO, EisensteinNumber
+from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse, generic_six, near_pencil_six, triangle
 from pencilfiber.linalg import rref
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
@@ -12,55 +14,141 @@ from pencilfiber.resonance import (
     component_isotropy_check,
     generic_member,
     pencil_basis,
-    raw_wedge,
     resonance_kernel_dim,
     triple_point_basis,
     wedge_vanishes,
 )
-from pencilfiber.arrangement import intersection_points
 
 
 def E(*values):
     return [EisensteinNumber.of(v) for v in values]
 
 
-def _kernel_dim_oracle(os, a):
+# The oracle works on the whole exterior square: C(r, 2)-wide vectors modulo
+# the dense relation rows, with ranks from Gaussian RREF.  It shares no code
+# with the point-by-point path in ``resonance``.
+
+
+def _pairs(r):
+    return list(combinations(range(r), 2))
+
+
+def _dense_relations(arr):
+    """One row e_ij - e_ik + e_jk per triple point {i < j < k}."""
+    index = {pair: n for n, pair in enumerate(_pairs(arr.r))}
+    rows = []
+    for pt in intersection_points(arr):
+        if pt.multiplicity == 3:
+            i, j, k = pt.lines
+            row = [ZERO] * len(index)
+            row[index[i, j]], row[index[i, k]], row[index[j, k]] = ONE, -ONE, ONE
+            rows.append(row)
+    return rows
+
+
+def raw_wedge(r, a, b):
+    return [a[i] * b[j] - a[j] * b[i] for i, j in _pairs(r)]
+
+
+def _wedge_oracle(relations, r, a, b):
+    """a ^ b vanishes iff appending it to the relations keeps their rank."""
+    return len(rref(relations + [raw_wedge(r, a, b)])[1]) == len(rref(relations)[1])
+
+
+def _kernel_dim_oracle(relations, r, a):
     """Independent kernel dimension: for each standard basis vector compute the
     raw wedge column, then count solutions of 'column combination lies in the
     relation row span' by an augmented-rank computation."""
     cols = []
-    for l in range(os.r):
-        b = [ZERO] * os.r
-        b[l] = EisensteinNumber(1)
-        cols.append(raw_wedge(os, a, b))
+    for l in range(r):
+        b = [ZERO] * r
+        b[l] = ONE
+        cols.append(raw_wedge(r, a, b))
     # solutions b with raw_wedge(a, b) = sum_j c_j * relation_j, i.e. the
     # nullspace of [columns | -relations^T] projected to the b block
-    npairs = os.n_pairs
-    nrel = len(os.relations)
+    nrel = len(relations)
     rows = []
-    for m in range(npairs):
-        row = [cols[l][m] for l in range(os.r)]
-        row += [-os.relations[j][m] for j in range(nrel)]
+    for m in range(len(_pairs(r))):
+        row = [cols[l][m] for l in range(r)]
+        row += [-relations[j][m] for j in range(nrel)]
         rows.append(row)
-    # ranks by Gaussian RREF, not by the elimination behind linalg.rank
-    total_nullity = (os.r + nrel) - len(rref(rows)[1])
-    relation_nullity = nrel - len(rref(os.relations)[1]) if nrel else 0
+    total_nullity = (r + nrel) - len(rref(rows)[1])
+    relation_nullity = nrel - len(rref(relations)[1]) if nrel else 0
     return total_nullity - relation_nullity
+
+
+def _oracle_sample():
+    """The named fixtures plus a seeded sample of dual_hesse sub-arrangements."""
+    hesse = dual_hesse()
+    rng = random.Random(71)
+    subs = []
+    for n in range(8):
+        keep = sorted(rng.sample(range(hesse.r), 4 + n % 5))
+        subs.append(Arrangement([hesse.lines[i] for i in keep], f"dual_hesse{keep}"))
+    return [braid(), hesse, near_pencil_six(), generic_six(), triangle()] + subs
+
+
+def _component_bases(arr):
+    """Two local components (when there are triple points) and every pencil component."""
+    local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+    return local[:2] + [pencil_basis(p, arr.r) for p in find_pencils(arr)]
+
+
+def _random_weight(rng, r):
+    return [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(r)]
 
 
 def test_build_os2_counts():
     os_triangle = build_os2(triangle())
-    assert len(os_triangle.relations) == 0
+    assert os_triangle.relation_rank == 0
     assert os_triangle.quotient_rank == 3
 
     os_concurrent = build_os2(concurrent_triple())
-    assert len(os_concurrent.relations) == 1
+    assert os_concurrent.relation_rank == 1
     assert os_concurrent.quotient_rank == 2
 
     os_hesse = build_os2(dual_hesse())
-    assert len(os_hesse.relations) == 12
     assert os_hesse.relation_rank == 12
     assert os_hesse.quotient_rank == 36 - 12
+
+    for arr in _oracle_sample():
+        os2 = build_os2(arr)
+        relations = _dense_relations(arr)
+        assert os2.n_pairs == len(_pairs(arr.r))
+        assert os2.relation_rank == len(rref(relations)[1]) == len(relations)
+
+
+def test_build_os2_requires_each_pair_at_one_point():
+    # two triple points sharing the pair {0, 1}; their C(3, 2) + C(3, 2) = 6
+    # pairs equal C(4, 2), but {2, 3} is never covered
+    arr = Arrangement(braid().lines[:4], "corrupt")
+    p, q = (pt.point for pt in intersection_points(arr)[:2])
+    arr._points = (IncidencePoint(p, (0, 1, 2)), IncidencePoint(q, (0, 1, 3)))
+    with pytest.raises(AssertionError):
+        build_os2(arr)
+
+
+def test_wedge_vanishes_against_oracle():
+    """Point-by-point vanishing equals the dense rank test, on component pairs,
+    their multiples and shears, and random pairs with w-parts."""
+    rng = random.Random(29)
+    seen = set()
+    for arr in _oracle_sample():
+        os2 = build_os2(arr)
+        relations = _dense_relations(arr)
+        pairs = []
+        for u, v in _component_bases(arr):
+            pairs += [(u, v), (v, u), (u, [x + 2 * y for x, y in zip(u, v)])]
+        a = _random_weight(rng, arr.r)
+        lam = EisensteinNumber(rng.randint(1, 3), rng.randint(-2, 2))
+        pairs.append((a, [lam * x for x in a]))
+        pairs += [(_random_weight(rng, arr.r), _random_weight(rng, arr.r)) for _ in range(3)]
+        for a, b in pairs:
+            vanishes = wedge_vanishes(os2, a, b)
+            assert vanishes == _wedge_oracle(relations, arr.r, a, b), arr.label
+            assert vanishes == wedge_vanishes(os2, a, [y + 2 * x for x, y in zip(a, b)])
+            seen.add(vanishes)
+    assert seen == {True, False}
 
 
 def test_wedge_alternating():
@@ -109,24 +197,28 @@ def test_wedge_triangle_nonzero():
 def test_kernel_dims_against_oracle():
     os2 = build_os2(concurrent_triple())
     os2t = build_os2(triangle())
+    relations = _dense_relations(concurrent_triple())
     for a in (E(1, -1, 0), E("1", "w", "-1-w")):
-        assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(os2, a) == 2
-        assert resonance_kernel_dim(os2t, a) == _kernel_dim_oracle(os2t, a) == 1
+        assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(relations, 3, a) == 2
+        assert resonance_kernel_dim(os2t, a) == _kernel_dim_oracle([], 3, a) == 1
     rng = random.Random(17)
-    for arr in (braid(), dual_hesse()):
+    all_dims = set()
+    for arr in _oracle_sample():
         os2 = build_os2(arr)
-        probes = [generic_member(pencil_basis(p, arr.r)) for p in find_pencils(arr)]
-        triples = [pt for pt in intersection_points(arr) if pt.multiplicity == 3]
-        probes += [generic_member(triple_point_basis(pt, arr.r)) for pt in triples[:2]]
-        for n in range(6):  # seeded sum-zero weights, the odd ones with w-parts
+        relations = _dense_relations(arr)
+        probes = [generic_member(basis) for basis in _component_bases(arr)]
+        for n in range(4):  # seeded sum-zero weights, the odd ones with w-parts
             vals = [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2) if n % 2 else 0) for _ in range(arr.r - 1)]
             probes.append(vals + [-sum(vals, ZERO)])
         dims = []
         for a in probes:
             if any(a):
                 dims.append(resonance_kernel_dim(os2, a))
-                assert dims[-1] == _kernel_dim_oracle(os2, a)
-        assert min(dims) == 1 and max(dims) >= 2
+                assert dims[-1] == _kernel_dim_oracle(relations, arr.r, a), arr.label
+        all_dims.update(dims)
+        if arr.label in ("braid", "dual_hesse"):
+            assert min(dims) == 1 and max(dims) >= 2
+    assert {1, 2} <= all_dims
 
 
 def test_kernel_dim_rejects_zero_vector():
