@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .eisenstein import ZERO, EisensteinNumber, json_list
+from .eisenstein import EisensteinNumber, json_list
 from .forms import HomForm
-from .linalg import Matrix, mat_inverse
+from .linalg import Matrix, cross
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -138,10 +138,7 @@ def normalize_point(p: Point) -> Point:
 
 def line_intersection(l1: Line, l2: Line) -> Point:
     """Cross product of coefficient triples, normalized."""
-    a1, b1, c1 = l1.coeffs
-    a2, b2, c2 = l2.coeffs
-    p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-    return normalize_point(p)
+    return normalize_point(cross(l1.coeffs, l2.coeffs))
 
 
 @dataclass(frozen=True)
@@ -280,12 +277,21 @@ def combinatorial_type(arr: Arrangement) -> CombinatorialType:
 
 
 def proj_transform(arr: Arrangement, matrix: Matrix) -> Arrangement:
-    """Compose every line with the inverse matrix action on forms."""
-    m = [[EisensteinNumber.of(v) for v in row] for row in matrix]
-    inv = mat_inverse(m)  # raises ValueError when singular
-    new_lines = []
-    for line in arr.lines:
-        a = line.coeffs
-        coeffs = [sum((a[i] * inv[i][j] for i in range(3)), ZERO) for j in range(3)]
-        new_lines.append(Line(*coeffs))
-    return Arrangement(new_lines, arr.label)
+    """The image of every line under the point map p -> M p.
+
+    A line a goes to a * M^-1, which ``Line`` normalisation makes a * adj(M).
+    The columns of adj(M) are the cross products of pairs of rows of M, and
+    the first row's dot product with the first column is det(M).  A matrix
+    that is not 3x3 or has det(M) = 0 raises ValueError.
+    """
+    if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
+        raise ValueError("a projective transform is a 3x3 matrix")
+    r0, r1, r2 = ([EisensteinNumber.of(v) for v in row] for row in matrix)
+    columns = (cross(r1, r2), cross(r2, r0), cross(r0, r1))
+    if not _dot(r0, columns[0]):
+        raise ValueError("matrix is singular")
+    return Arrangement([Line(*(_dot(line.coeffs, col) for col in columns)) for line in arr.lines], arr.label)
+
+
+def _dot(u: Sequence[EisensteinNumber], v: Sequence[EisensteinNumber]) -> EisensteinNumber:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber
+from .eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber, json_list
 from .forms import HomForm, UniPoly, root_multiplicity, squarefree_cube_split, uni_gcd
 from .pencils import PencilDecomposition
 
@@ -70,11 +70,11 @@ class QuasiToricRelation:
         if not isinstance(univariate, bool):
             raise TypeError(f"univariate must be a JSON bool, not {type(univariate).__name__}")
         kind = UniPoly if univariate else HomForm
-        return cls(
-            tuple(kind.from_json(p) for p in data["F"]),
-            tuple(kind.from_json(p) for p in data["sol"]),
-            univariate,
-        )
+        F = json_list(data["F"], "F")
+        sol = json_list(data["sol"], "sol")
+        if len(F) != 3 or len(sol) != 3:
+            raise ValueError("a relation has three coefficients F and three solutions sol")
+        return cls(tuple(map(kind.from_json, F)), tuple(map(kind.from_json, sol)), univariate)
 
 
 def _terms(rel: QuasiToricRelation) -> list[Poly]:
@@ -209,10 +209,6 @@ def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiTor
         last_degree = degree
         out.append(rel)
     return out
-
-
-def _one_like(p: Poly) -> Poly:
-    return UniPoly.one() if isinstance(p, UniPoly) else HomForm.constant(1)
 
 
 def _compose(p: UniPoly, num: Poly, den: Poly) -> Poly:

@@ -342,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except ParseError as exc:
+    except (InputError, ParseError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -1,50 +1,22 @@
-"""Dense exact linear algebra over Q(w) and F3: echelon forms, rank, null spaces.
+"""Dense exact linear algebra over Q(w) and F3: rank, cross products, null spaces mod 3.
 
 Matrices are lists of rows of EisensteinNumber, or of Python ints for the
-F3 null space.  This is the one module that eliminates: callers ask for a
-rank or a null space and never reduce rows themselves.  Rank is computed by
-fraction-free (Bareiss) elimination on integer pairs in Z[w]; reduced row
-echelon forms, null spaces and inverses by Gaussian elimination over Q(w);
-null spaces mod 3 by Gauss-Jordan elimination on residues.  All search for
-a nonzero pivot and are exact, so results are certificates, not estimates.
+F3 null space.  ``rank`` is the one eliminator over Q(w): fraction-free
+(Bareiss) elimination on integer pairs in Z[w].  Questions that live in
+3-space need no elimination: the kernel of a rank-2 matrix with three
+columns, and the adjugate of a 3x3 matrix, are cross products of its rows.
+Null spaces mod 3 come from Gauss-Jordan elimination on residues.  All of it
+is exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
 
-from .eisenstein import ONE, ZERO, EisensteinNumber, integer_pairs
+from typing import Sequence
+
+from .eisenstein import EisensteinNumber, integer_pairs
 
 Matrix = list[list[EisensteinNumber]]
-Vector = list[EisensteinNumber]
-
-
-def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns of a copy of ``rows``."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], ()
-    ncols = len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    return m[:rank], tuple(pivots)
+Vector = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
 
 def rank(rows: Matrix) -> int:
@@ -87,26 +59,6 @@ def rank(rows: Matrix) -> int:
     return found
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of {x : rows @ x = 0}, one vector per free column."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, piv in zip(reduced, pivots):
-            vec[piv] = -row[free]
-        basis.append(vec)
-    return basis
-
-
 def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {x in F3^ncols : rows @ x = 0 mod 3}, one vector per free column.
 
@@ -138,21 +90,6 @@ def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; ValueError when singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    augmented = [list(row) + ident for row, ident in zip(m, identity_matrix(n))]
-    reduced, pivots = rref(augmented)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+def cross(u: Sequence[EisensteinNumber], v: Sequence[EisensteinNumber]) -> Vector:
+    """u x v: orthogonal to u and v under the bilinear dot product, zero iff they are proportional."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])

@@ -20,9 +20,11 @@ algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
 and beta_3, their dimension modulo sigma, is at most 2, so the kernel
 (``linalg.nullspace_f3``) spans at most 27 vectors; each one whose level
 sets are three classes of k lines is a candidate.  A candidate is a pencil
-iff the null space (``linalg.nullspace``) of its coefficient matrix, one row
-per monomial of degree k, is one vector (l1, l2, l3) with no zero entry.
-Each accepted dependence is re-verified by polynomial multiplication.
+iff its coefficient matrix, one row per monomial of degree k and one column
+per class, has rank 2 (``linalg.rank``) and its kernel vector (l1, l2, l3)
+has no zero entry.  With three columns that kernel needs no elimination: it
+is the cross product of two rows that are not proportional.  Each accepted
+dependence is re-verified by polynomial multiplication.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -39,7 +41,7 @@ from operator import mul
 from .arrangement import Arrangement, require_multiplicities_ok
 from .eisenstein import ZERO, EisensteinNumber, json_int, json_list
 from .forms import HomForm
-from .linalg import nullspace, nullspace_f3
+from .linalg import cross, nullspace_f3, rank
 from .milnor import monomial_exponents
 
 
@@ -76,6 +78,8 @@ class PencilDecomposition:
         products = tuple(HomForm.from_json(f) for f in json_list(data["products"], "products"))
         if len(classes) != 3 or len(lambdas) != 3 or len(products) != 3:
             raise ValueError("a pencil has three classes, lambdas and products")
+        if not all(lambdas):
+            raise ValueError("every lambda of a pencil is nonzero")
         return cls(classes, lambdas, products)
 
 
@@ -87,10 +91,13 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = tuple(reduce(mul, (forms[i] for i in c), HomForm.constant(1)) for c in triple)
-        kernel = nullspace([[f.coeffs.get(e, ZERO) for f in prods] for e in monomials], 3)
-        if len(kernel) != 1 or not all(kernel[0]):
-            continue  # rank 3, a proportional pair, or a vanishing coefficient
-        lam = kernel[0]
+        rows = [[f.coeffs.get(e, ZERO) for f in prods] for e in monomials]
+        if rank(rows) != 2:
+            continue  # independent, or all three proportional
+        first = next(row for row in rows if any(row))
+        lam = next(v for v in (cross(first, row) for row in rows) if any(v))
+        if not all(lam):
+            continue  # a zero coefficient: two products are proportional
         inv = lam[0].inverse()
         lam = tuple(l * inv for l in lam)
         combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])

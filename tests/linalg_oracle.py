@@ -1,0 +1,62 @@
+"""Gauss-Jordan elimination over Q(w): the tests' reference for ranks and null spaces.
+
+The package answers rank questions by Bareiss elimination over Z[w] and
+3-space questions by cross products.  The tests check those answers against
+this textbook reduction, which shares no code with them.
+"""
+
+from pencilfiber.eisenstein import ONE, ZERO
+
+
+def rref(rows):
+    """Reduced row echelon form and pivot columns of a copy of ``rows``."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], ()
+    ncols = len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = m[rank][col].inverse()
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return m[:rank], tuple(pivots)
+
+
+def nullspace(rows, ncols=None):
+    """Basis of {x : rows @ x = 0}, one vector per free column."""
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    reduced, pivots = rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row, piv in zip(reduced, pivots):
+            vec[piv] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))] for i in range(len(a))]

@@ -9,6 +9,7 @@ import json
 import random
 import time
 
+from linalg_oracle import nullspace
 from pencilfiber.arrangement import (
     combinatorial_type,
     intersection_points,
@@ -25,7 +26,6 @@ from pencilfiber.catalan import (
 from pencilfiber.eisenstein import OMEGA, OMEGA2, ZERO, EisensteinNumber
 from pencilfiber.fixtures import concurrent_triple, triangle
 from pencilfiber.forms import HomForm, UniPoly
-from pencilfiber.linalg import nullspace
 from pencilfiber.milnor import milnor_report
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (

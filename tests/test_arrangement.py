@@ -136,6 +136,27 @@ def test_proj_transform_rejects_singular():
         proj_transform(triangle(), [[1, 0, 0], [2, 0, 0], [0, 0, 1]])
 
 
+def test_proj_transform_moves_lines_with_their_points():
+    # a line through p goes to a line through M p, for generic M and every incidence
+    rng = random.Random(31)
+    for arr in (braid(), dual_hesse()):
+        points = intersection_points(arr)
+        for _ in range(4):
+            m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+            try:
+                image = proj_transform(arr, m)
+            except ValueError:
+                continue
+            for pt in points:
+                moved = [sum((m[i][j] * pt.point[j] for j in range(3)), EisensteinNumber(0)) for i in range(3)]
+                for index in pt.lines:
+                    assert not image.lines[index].eval_at(moved)
+    # det = 0 with nonzero rows, and shapes that are not 3x3
+    for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            proj_transform(triangle(), m)
+
+
 def test_proj_transform_preserves_multiplicity_profile():
     rng = random.Random(23)
     arr = dual_hesse()

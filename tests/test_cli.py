@@ -221,6 +221,38 @@ def test_catalan_verify_rejects_non_bool_and_non_integer_fields(capsys, tmp_path
     assert out == ""
 
 
+@pytest.mark.parametrize("n_F, n_sol", [(2, 3), (3, 4), (3, 2)])
+def test_catalan_verify_requires_three_coefficients_and_solutions(capsys, tmp_path, n_F, n_sol):
+    # 1*1^3 - 1*1^3 = 0 would verify if the lists were zipped to the shorter length
+    F = [{"coeffs": ["1"]}, {"coeffs": ["-1"]}, {"coeffs": ["0"]}, {"coeffs": ["0"]}][:n_F]
+    rel = {"univariate": True, "F": F, "sol": [{"coeffs": ["1"]}] * n_sol}
+    path = write_json(tmp_path / "rel.json", rel)
+    code, out = run_cli(capsys, ["catalan", "verify", path])
+    assert code == 1
+    assert out == ""
+
+
+def test_catalan_descend_requires_three_coefficients_and_solutions(capsys, tmp_path):
+    from pencilfiber.forms import UniPoly
+
+    one, t = UniPoly.one(), UniPoly.t()
+    rel = {"univariate": True, "F": [one.to_json(), one.to_json()], "sol": [one.to_json(), t.to_json()]}
+    path = write_json(tmp_path / "descend.json", {"relation": rel, "known_factors": [(one + t).to_json()]})
+    code, out = run_cli(capsys, ["catalan", "descend", path])
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("lambdas", [["0", "0", "0"], ["1", "0", "-1"]])
+def test_catalan_generate_rejects_zero_lambda(capsys, tmp_path, lambdas):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["lambdas"] = lambdas
+    path = write_json(tmp_path / "pencil.json", data)
+    code, out = run_cli(capsys, ["catalan", "generate", path])
+    assert code == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("index", [0.5, 0.0])
 def test_catalan_generate_rejects_non_integer_class_index(capsys, tmp_path, index):
     data = find_pencils(concurrent_triple())[0].to_json()

@@ -3,10 +3,9 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
+from linalg_oracle import mat_mul, nullspace, rref
 from pencilfiber.eisenstein import ZERO, EisensteinNumber
-from pencilfiber.linalg import mat_inverse, mat_mul, identity_matrix, nullspace, nullspace_f3, rank, rref
+from pencilfiber.linalg import cross, nullspace_f3, rank
 
 small_eis = st.builds(
     EisensteinNumber,
@@ -108,15 +107,41 @@ def test_nullspace_annihilates(m):
             assert sum((a * b for a, b in zip(row, vec)), ZERO) == ZERO
 
 
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+@st.composite
+def vector_pairs(draw):
+    """(u, v) with v independent of u, a multiple of u, or zero."""
+    u = draw(st.lists(small_eis, min_size=3, max_size=3))
+    v = draw(
+        st.one_of(
+            st.lists(small_eis, min_size=3, max_size=3),
+            small_eis.map(lambda c: [c * x for x in u]),
+        )
+    )
+    return u, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_pairs())
+def test_cross_is_orthogonal_and_detects_rank(pair):
+    u, v = pair
+    c = cross(u, v)
+    assert _dot(c, u) == ZERO and _dot(c, v) == ZERO
+    assert any(c) == (rank([u, v]) == 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(3, 3))
 def test_inverse_or_singular(m):
-    if _det(m):
-        inv = mat_inverse(m)
-        assert mat_mul(m, inv) == identity_matrix(3)
-    else:
-        with pytest.raises(ValueError):
-            mat_inverse(m)
+    # the cross products of row pairs are the columns of adj(m): m adj(m) = det(m) I
+    adj_columns = [cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])]
+    adj = [[col[i] for col in adj_columns] for i in range(3)]
+    det = _det(m)
+    assert mat_mul(m, adj) == [[det if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert bool(det) == (rank(m) == 3)
 
 
 def test_rref_pivots_are_clean():

@@ -4,10 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from linalg_oracle import rref
 from pencilfiber.arrangement import Arrangement, IncidencePoint, intersection_points
 from pencilfiber.eisenstein import ONE, ZERO, EisensteinNumber
 from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse, generic_six, near_pencil_six, triangle
-from pencilfiber.linalg import rref
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
     build_os2,
