@@ -11,8 +11,12 @@ points; double points are determined by r and those.  The canonical form is
 exact at every size: colour refinement plus individualization (McKay and
 Piperno, "Practical graph isomorphism II", 2014) over the lines through
 triple points, keeping the least relabelled encoding over all discrete
-leaves of the search tree.  Like every other invariant here it requires
-multiplicities <= 3.
+leaves of the search tree.  The search prunes by the automorphisms it
+finds: it jumps back from a leaf whose code equals the first leaf's, and
+skips a child in the orbit of a searched sibling under the automorphisms
+that fix the node.  Both skip only subtrees whose leaf codes are images of
+codes already seen, so the least code is the one the full tree gives.
+Like every other invariant here it requires multiplicities <= 3.
 
 Arrangement JSON: {"label": "...", "lines": [["<eis>", "<eis>", "<eis>"], ...]}
 """
@@ -122,7 +126,10 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Arrangement":
-        return cls([Line.from_json(entry) for entry in json_list(data["lines"], "lines")], str(data.get("label", "")))
+        label = data.get("label", "")
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a JSON string, not {type(label).__name__}")
+        return cls([Line.from_json(entry) for entry in json_list(data["lines"], "lines")], label)
 
     def __repr__(self) -> str:
         return f"Arrangement({self.label!r}, r={self.r})"
@@ -243,6 +250,17 @@ def _canonical_encoding(triples: list[tuple[int, int, int]]) -> tuple[tuple[int,
     Search tree: refine, then branch by individualizing each vertex of the
     first non-singleton cell.  Every discrete leaf is a relabelling chosen
     by incidence alone, so the minimum over all leaves is canonical.
+
+    The search is depth first and prunes by the automorphisms it finds.  A
+    leaf whose code equals the first leaf's gives the automorphism
+    g(v) = first^-1(colour(v)), which fixes every vertex individualized above
+    the deepest node the two paths share and maps this leaf's branch there
+    onto the first leaf's, already searched; so the search jumps back to
+    that node.  At every node a child is skipped when it lies in the orbit
+    of a searched sibling under the found automorphisms that fix the node's
+    individualized vertices.  Refinement commutes with automorphisms, so a
+    skipped subtree's leaf codes are the codes of a searched one: the
+    minimum, and so the type, is the same as over the whole tree.
     """
     index = {v: n for n, v in enumerate(sorted({v for t in triples for v in t}))}
     triples = [tuple(index[v] for v in t) for t in triples]
@@ -251,21 +269,60 @@ def _canonical_encoding(triples: list[tuple[int, int, int]]) -> tuple[tuple[int,
         incident[a].append((b, c))
         incident[b].append((a, c))
         incident[c].append((a, b))
+    automorphisms: list[list[int]] = []
+    first_code, first_path, first_vertex = None, [], []
     best = None
-    stack = [[0] * len(index)]
-    while stack:
-        colour = _refine(stack.pop(), incident)
+    # one frame per node on the current path: its colouring, the cell it
+    # branches on, the children not yet tried and those searched; the last
+    # searched child is the one on the path
+    frames: list[tuple[list[int], int, list[int], list[int]]] = []
+    colour = [0] * len(index)
+    while True:
+        colour = _refine(colour, incident)
         target = min((c for c, n in Counter(colour).items() if n > 1), default=None)
-        if target is None:
+        if target is not None:
+            frames.append((colour, target, [v for v, c in enumerate(colour) if c == target], []))
+        else:
             code = tuple(sorted(tuple(sorted(colour[v] for v in t)) for t in triples))
-            if best is None or code < best:
+            path = [frame[3][-1] for frame in frames]
+            if first_code is None:
+                first_code = best = code
+                first_path = path
+                first_vertex = sorted(range(len(colour)), key=colour.__getitem__)
+            elif code == first_code:
+                automorphisms.append([first_vertex[c] for c in colour])
+                shared = next(k for k, (u, v) in enumerate(zip(path, first_path)) if u != v)
+                del frames[shared + 1 :]
+            elif code < best:
                 best = code
-            continue
-        for v, c in enumerate(colour):
-            if c == target:
+        while frames:
+            node, target, untried, searched = frames[-1]
+            fixed = [frame[3][-1] for frame in frames[:-1]]
+            orbit = _orbit(searched, [g for g in automorphisms if all(g[v] == v for v in fixed)])
+            while untried and untried[0] in orbit:
+                untried.pop(0)
+            if untried:
+                v = untried.pop(0)
+                searched.append(v)
                 # v keeps the front of its cell; the rest of the cell follows it
-                stack.append([2 * d + (d == target and u != v) for u, d in enumerate(colour)])
-    return best
+                colour = [2 * d + (d == target and u != v) for u, d in enumerate(node)]
+                break
+            frames.pop()
+        else:
+            return best
+
+
+def _orbit(seeds: list[int], maps: list[list[int]]) -> set[int]:
+    """The union of the orbits of ``seeds`` under the group the maps generate."""
+    orbit = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        v = frontier.pop()
+        for g in maps:
+            if g[v] not in orbit:
+                orbit.add(g[v])
+                frontier.append(g[v])
+    return orbit
 
 
 def combinatorial_type(arr: Arrangement) -> CombinatorialType:

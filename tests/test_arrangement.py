@@ -1,8 +1,14 @@
+import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from canonical_oracle import canonical_encoding
+from pencilfiber import arrangement
 from pencilfiber.arrangement import (
     Arrangement,
     Line,
@@ -217,3 +223,83 @@ def test_combinatorial_type_is_exact_beyond_ten_lines():
             rng.shuffle(order)
             assert combinatorial_type(arr.reordered(order)) == reference
         assert combinatorial_type(proj_transform(arr, matrix)) == reference
+
+
+def _triples(arr):
+    return [pt.lines for pt in intersection_points(arr) if pt.multiplicity == 3]
+
+
+def test_pruned_search_matches_unpruned_oracle(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.json")):
+        triples = _triples(Arrangement.from_json(json.loads(path.read_text())))
+        assert arrangement._canonical_encoding(triples) == canonical_encoding(triples), path.name
+    # every sub-arrangement of dual_hesse keeps the triple points of its lines
+    triples = _triples(dual_hesse())
+    for k in range(1, 10):
+        for lines in combinations(range(9), k):
+            sub = [t for t in triples if set(t) <= set(lines)]
+            assert arrangement._canonical_encoding(sub) == canonical_encoding(sub), lines
+    # the cube and the Moebius ladder side by side: refinement leaves all 24
+    # edges in one cell that is not an orbit, so skipping a child that is not
+    # an image of a searched one loses the least code
+    union = _edge_triples(CUBE_EDGES) + [tuple(12 + e for e in t) for t in _edge_triples(MOEBIUS_EDGES)]
+    reference = canonical_encoding(union)
+    rng = random.Random(7)
+    for _ in range(5):
+        relabel = list(range(24))
+        rng.shuffle(relabel)
+        assert arrangement._canonical_encoding([tuple(relabel[e] for e in t) for t in union]) == reference
+
+
+def _edge_triples(edges):
+    """One triple per vertex of a cubic graph: the indices of its three edges."""
+    return [tuple(k for k, edge in enumerate(edges) if v in edge) for v in range(8)]
+
+
+@st.composite
+def relabelled_partial_linear_spaces(draw):
+    """Triples on at most 10 points, any two points in at most one triple, and a relabelling."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    candidates = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True), max_size=25))
+    triples, covered = [], set()
+    for t in candidates:
+        pairs = set(combinations(sorted(t), 2))
+        if not pairs & covered:
+            covered |= pairs
+            triples.append(tuple(t))
+    return triples, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_partial_linear_spaces())
+def test_canonical_encoding_is_a_relabelling_invariant(space):
+    triples, relabel = space
+    code = arrangement._canonical_encoding(triples)
+    assert arrangement._canonical_encoding([tuple(relabel[v] for v in t) for t in triples]) == code
+    assert code == canonical_encoding(triples)
+
+
+# The points of PG(3, 2) are the nonzero vectors of F_2^4, and {a, b, a + b}
+# are its 35 lines: a triple system with 20160 automorphisms.
+PG32_TRIPLES = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(1, 16) if a != b})
+
+
+def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
+    calls = []
+    refine = arrangement._refine
+
+    def counted(colour, incident):
+        calls.append(1)
+        return refine(colour, incident)
+
+    monkeypatch.setattr(arrangement, "_refine", counted)
+    arrangement._canonical_encoding(_triples(dual_hesse()))
+    assert len(calls) <= 32  # the unpruned search refines 514 times, one leaf per automorphism
+    rng = random.Random(3)
+    calls.clear()
+    reference = arrangement._canonical_encoding(PG32_TRIPLES)
+    assert len(calls) <= 64
+    for _ in range(3):
+        relabel = list(range(16))
+        rng.shuffle(relabel)
+        assert arrangement._canonical_encoding([tuple(relabel[v] for v in t) for t in PG32_TRIPLES]) == reference

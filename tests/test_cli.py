@@ -118,6 +118,33 @@ def test_analyze_rejects_lines_that_are_not_lists(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("label", [["x"], None, 7, {"x": 1}])
+def test_analyze_rejects_label_that_is_not_a_string(capsys, tmp_path, label):
+    path = write_json(tmp_path / "labelled.json", dict(concurrent_triple().to_json(), label=label))
+    code, out = run_cli(capsys, ["analyze", path])
+    assert code == 1
+    assert out == ""
+
+
+def test_crosscheck_records_label_that_is_not_a_string(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    write_json(corpus / "listed.json", dict(concurrent_triple().to_json(), label=["x"]))
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["file"] for row in rows] == ["concurrent.json", "listed.json"]
+    assert "label must be a JSON string" in rows[1]["error"]
+
+
+def test_analyze_label_may_be_absent(capsys, tmp_path):
+    path = write_json(tmp_path / "unlabelled.json", {"lines": concurrent_triple().to_json()["lines"]})
+    code, out = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert json.loads(out)["label"] == ""
+
+
 def test_resonance_vector_must_be_a_list(capsys, tmp_path):
     path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
     code, out = run_cli(capsys, ["resonance", path, "--vector", '{"1": 0, "-1": 0, "0": 0}'])
