@@ -2,9 +2,11 @@
 
 Lines are coefficient triples (a, b, c) of a*x + b*y + c*z, normalized so
 the first nonzero coefficient is 1; an arrangement is an ordered list of
-pairwise distinct lines.  Intersection data is grouped by exact projective
-coordinates, so two points are equal iff their normalized triples agree
-field-by-field.
+pairwise distinct lines.  Intersection points are found over Z[w]: each
+line is scaled to an integer triple, the point of two lines is their cross
+product, and a third line passes through it iff their dot product is exactly
+zero.  Points are grouped by these incidence tests, not by hashing
+coordinates; each is then normalized once, lead coordinate 1, for output.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -25,9 +27,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .eisenstein import EisensteinNumber, json_list
+from .eisenstein import EisensteinNumber, Pair, integer_pairs, json_list, pair_cross, pair_dot, pair_mul
 from .forms import HomForm
 from .linalg import Matrix, cross
 
@@ -126,6 +130,8 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Arrangement":
+        if not isinstance(data, dict):
+            raise TypeError(f"an arrangement must be a JSON object, not {type(data).__name__}")
         label = data.get("label", "")
         if not isinstance(label, str):
             raise TypeError(f"label must be a JSON string, not {type(label).__name__}")
@@ -133,19 +139,6 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({self.label!r}, r={self.r})"
-
-
-def normalize_point(p: Point) -> Point:
-    lead = next((v for v in p if v), None)
-    if lead is None:
-        raise ValueError("cannot normalize the zero triple")
-    inv = lead.inverse()
-    return tuple(v * inv for v in p)
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    """Cross product of coefficient triples, normalized."""
-    return normalize_point(cross(l1.coeffs, l2.coeffs))
 
 
 @dataclass(frozen=True)
@@ -171,19 +164,41 @@ class IncidencePoint:
 def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
     """All pairwise intersections, grouped exactly into incidence points.
 
+    Each line is scaled once to a Z[w] triple.  For each pair (i, j) of lines
+    not yet on a common point, P = l_i x l_j, and the lines through P are i, j
+    and every k > j with l_k . P = 0; a k < j through P would have put (i, j)
+    on an earlier point.  P is normalized once, so its lead coordinate is 1.
     Computed once per arrangement and kept on it.
     """
     if arr._points is None:
-        groups: dict[Point, set[int]] = {}
-        n = arr.r
+        lines = [integer_pairs(line.coeffs) for line in arr.lines]
+        n = len(lines)
+        covered = [[False] * n for _ in range(n)]
+        points = []
         for i in range(n):
             for j in range(i + 1, n):
-                p = line_intersection(arr.lines[i], arr.lines[j])
-                groups.setdefault(p, set()).update((i, j))
-        points = [IncidencePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
+                if covered[i][j]:
+                    continue
+                p = pair_cross(lines[i], lines[j])
+                through = [i, j] + [k for k in range(j + 1, n) if pair_dot(lines[k], p) == (0, 0)]
+                for a, b in combinations(through, 2):
+                    covered[a][b] = True
+                points.append(IncidencePoint(_normalized(p), tuple(through)))
         points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
         arr._points = tuple(points)
     return arr._points
+
+
+def _normalized(p: tuple[Pair, Pair, Pair]) -> Point:
+    """The point of Q(w) P^2 with Z[w] representative p, scaled so its lead coordinate is 1.
+
+    Dividing by the lead a + b*w is multiplying by its conjugate (a - b) - b*w
+    and dividing by its norm a^2 - a*b + b^2.
+    """
+    a, b = next(v for v in p if v != (0, 0))
+    norm = a * a - a * b + b * b
+    scaled = [pair_mul(v, (a - b, -b)) for v in p]
+    return tuple(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)) for x, y in scaled)
 
 
 def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:

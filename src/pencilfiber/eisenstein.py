@@ -14,6 +14,10 @@ payload, is
 i.e. an optional rational part followed by an optional signed w-term whose
 coefficient omits "1*".  Rationals are always in lowest terms with a
 positive denominator, so ``parse_eisenstein(str(x)) == x``.
+
+Where only a line, a point or a rank matters, a row can be scaled into
+Z[w] and held as integer pairs (a, b) meaning a + b*w; ``pair_mul``,
+``pair_cross`` and ``pair_dot`` then compute without fractions.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from typing import Sequence
 
 _RAT = _re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -248,7 +253,11 @@ def json_int(value: object, what: str) -> int:
     return value
 
 
-def integer_pairs(row: list[EisensteinNumber]) -> list[tuple[int, int]]:
+# An element a + b*w of Z[w], stored as the integer pair (a, b).
+Pair = tuple[int, int]
+
+
+def integer_pairs(row: Sequence[EisensteinNumber]) -> list[Pair]:
     """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w].
 
     The scale is a nonzero rational, so the row spans the same line and any
@@ -258,6 +267,28 @@ def integer_pairs(row: list[EisensteinNumber]) -> list[tuple[int, int]]:
     return [
         (x.re.numerator * (scale // x.re.denominator), x.wc.numerator * (scale // x.wc.denominator)) for x in row
     ]
+
+
+def pair_mul(u: Pair, v: Pair) -> Pair:
+    """(a + b*w)(c + d*w) in Z[w], with w^2 = -1 - w."""
+    a, b = u
+    c, d = v
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def pair_cross(u: Sequence[Pair], v: Sequence[Pair]) -> tuple[Pair, Pair, Pair]:
+    """u x v for triples over Z[w]; zero iff u and v are proportional."""
+    out = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        p, q = pair_mul(u[i], v[j]), pair_mul(u[j], v[i])
+        out.append((p[0] - q[0], p[1] - q[1]))
+    return tuple(out)
+
+
+def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
+    """The bilinear dot product u0*v0 + u1*v1 + u2*v2 of two triples over Z[w]."""
+    p, q, r = pair_mul(u[0], v[0]), pair_mul(u[1], v[1]), pair_mul(u[2], v[2])
+    return (p[0] + q[0] + r[0], p[1] + q[1] + r[1])
 
 
 ZERO = EisensteinNumber(0)

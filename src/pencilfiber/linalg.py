@@ -1,33 +1,39 @@
 """Dense exact linear algebra over Q(w) and F3: rank, cross products, null spaces mod 3.
 
 Matrices are lists of rows of EisensteinNumber, or of Python ints for the
-F3 null space.  ``rank`` is the one eliminator over Q(w): fraction-free
-(Bareiss) elimination on integer pairs in Z[w].  Questions that live in
-3-space need no elimination: the kernel of a rank-2 matrix with three
-columns, and the adjugate of a 3x3 matrix, are cross products of its rows.
-Null spaces mod 3 come from Gauss-Jordan elimination on residues.  All of it
-is exact, so results are certificates, not estimates.
+F3 null space.  ``rank`` is the one eliminator over Q(w): it scales each row
+to integer pairs in Z[w] and hands them to ``rank_pairs``, fraction-free
+(Bareiss) elimination, which callers holding Z[w] rows call directly.
+Questions that live in 3-space need no elimination: the kernel of a rank-2
+matrix with three columns, and the adjugate of a 3x3 matrix, are cross
+products of its rows.  Null spaces mod 3 come from Gauss-Jordan elimination
+on residues.  All of it is exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .eisenstein import EisensteinNumber, integer_pairs
+from .eisenstein import EisensteinNumber, Pair, integer_pairs
 
 Matrix = list[list[EisensteinNumber]]
 Vector = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
 
 def rank(rows: Matrix) -> int:
+    """Rank over Q(w): each row scaled to integer pairs, then ``rank_pairs``."""
+    return rank_pairs([integer_pairs(row) for row in rows])
+
+
+def rank_pairs(rows: list[list[Pair]]) -> int:
     """Rank by Bareiss fraction-free elimination over Z[w] (Math. Comp. 1968).
 
-    Each row is scaled to integer pairs (a, b) = a + b*w.  With pivot P and
-    previous pivot q, an entry below P becomes (M[i][j]*P - M[i][k]*M[k][j]) / q.
+    Entries are integer pairs (a, b) = a + b*w.  With pivot P and previous
+    pivot q, an entry below P becomes (M[i][j]*P - M[i][k]*M[k][j]) / q.
     Sylvester's identity makes that division exact in Z[w]; a nonzero
     remainder raises AssertionError, so the rank stays a certificate.
     """
-    rest = [integer_pairs(row) for row in rows]  # unused rows, unprocessed columns
+    rest = list(rows)  # unused rows, unprocessed columns
     c, d = 1, 0  # previous pivot c + d*w
     found = 0
     while rest and rest[0]:

@@ -3,7 +3,9 @@
 For r lines with only double and triple points, the superabundance s is the
 failure of the triple points to impose independent conditions on curves of
 degree 2r/3 - 3: s = |S| - rank of the evaluation matrix of all such
-monomials at the triple points, computed exactly over Q(w).  When r is not
+monomials at the triple points.  Each point is evaluated at a Z[w]
+representative, its coordinates scaled by the lcm of their denominators, so
+the matrix and its Bareiss rank stay exact and in Z[w].  When r is not
 divisible by 3 the cube-root eigenvalues cannot occur and s is reported
 as 0.
 
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import EisensteinNumber
+from .eisenstein import Pair, integer_pairs, pair_mul
 from .forms import Exponent
-from .linalg import rank
+from .linalg import rank_pairs
 
 
 def monomial_exponents(degree: int) -> list[Exponent]:
@@ -35,12 +37,23 @@ def monomial_exponents(degree: int) -> list[Exponent]:
     return out
 
 
-def _evaluation_matrix(points: list[IncidencePoint], degree: int) -> list[list[EisensteinNumber]]:
+def _evaluation_matrix(points: list[IncidencePoint], degree: int) -> list[list[Pair]]:
+    """Rows of monomial values at a Z[w] representative of each point.
+
+    Scaling a point by a nonzero scalar scales its row by that scalar to the
+    power ``degree``, so the rank does not depend on the representative.
+    """
     monomials = monomial_exponents(degree)
     rows = []
     for pt in points:
-        x, y, z = pt.point
-        rows.append([x**i * y**j * z**k for (i, j, k) in monomials])
+        powers = []
+        for coord in integer_pairs(pt.point):
+            column = [(1, 0)]
+            for _ in range(degree):
+                column.append(pair_mul(column[-1], coord))
+            powers.append(column)
+        x, y, z = powers
+        rows.append([pair_mul(pair_mul(x[i], y[j]), z[k]) for (i, j, k) in monomials])
     return rows
 
 
@@ -54,7 +67,7 @@ def superabundance(arr: Arrangement) -> int:
     degree = 2 * r // 3 - 3
     if degree < 0 or not triple:
         return len(triple) if degree < 0 else 0
-    return len(triple) - rank(_evaluation_matrix(triple, degree))
+    return len(triple) - rank_pairs(_evaluation_matrix(triple, degree))
 
 
 def char_poly_exponents(arr: Arrangement) -> tuple[int, int]:

@@ -1,0 +1,47 @@
+"""Q(w) incidence points and evaluation matrices: the tests' reference for both.
+
+The package finds incidence points by exact tests over Z[w] and evaluates
+monomials at Z[w] representatives of the triple points.  The tests check
+those answers against this normalise-and-group code over Q(w), which shares
+no code with them beyond ``EisensteinNumber`` and the result types.
+"""
+
+from pencilfiber.arrangement import IncidencePoint
+from pencilfiber.linalg import cross
+from pencilfiber.milnor import monomial_exponents
+
+
+def normalize_point(p):
+    lead = next((v for v in p if v), None)
+    if lead is None:
+        raise ValueError("cannot normalize the zero triple")
+    inv = lead.inverse()
+    return tuple(v * inv for v in p)
+
+
+def line_intersection(l1, l2):
+    """Cross product of coefficient triples, normalized."""
+    return normalize_point(cross(l1.coeffs, l2.coeffs))
+
+
+def intersection_points(arr):
+    """All pairwise intersections, grouped by their normalized triples."""
+    groups = {}
+    n = arr.r
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = line_intersection(arr.lines[i], arr.lines[j])
+            groups.setdefault(p, set()).update((i, j))
+    points = [IncidencePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
+    points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
+    return tuple(points)
+
+
+def evaluation_matrix(points, degree):
+    """Rows of the degree-``degree`` monomials evaluated at the normalized points."""
+    monomials = monomial_exponents(degree)
+    rows = []
+    for pt in points:
+        x, y, z = pt.point
+        rows.append([x**i * y**j * z**k for (i, j, k) in monomials])
+    return rows

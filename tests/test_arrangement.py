@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incidence_oracle
 from canonical_oracle import canonical_encoding
 from pencilfiber import arrangement
 from pencilfiber.arrangement import (
@@ -87,6 +88,17 @@ def test_points_do_not_depend_on_line_order():
     original = {p.point for p in intersection_points(arr)}
     permuted = {p.point for p in intersection_points(shuffled)}
     assert original == permuted
+
+
+def test_intersection_points_match_qw_oracle(incidence_inputs):
+    for arr in incidence_inputs:
+        expected = incidence_oracle.intersection_points(arr)
+        assert intersection_points(arr) == expected, arr.label
+        violation = validate_multiplicities(arr)
+        if violation is not None:
+            reference = next(pt for pt in expected if pt.multiplicity > 3)
+            assert json.dumps(violation.to_json()) == json.dumps(reference.to_json())
+    assert sum(validate_multiplicities(arr) is not None for arr in incidence_inputs) == 7
 
 
 def test_validate_multiplicities():

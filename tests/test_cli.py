@@ -145,6 +145,31 @@ def test_analyze_label_may_be_absent(capsys, tmp_path):
     assert json.loads(out)["label"] == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "pencils", "resonance"])
+@pytest.mark.parametrize("payload", [[], "x"])
+def test_arrangement_must_be_a_json_object(capsys, tmp_path, command, payload):
+    path = write_json(tmp_path / "not_an_object.json", payload)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "must be a JSON object" in json.loads(captured.err)["error"]
+
+
+def test_crosscheck_records_arrangement_that_is_not_an_object(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    write_json(corpus / "list.json", [])
+    write_json(corpus / "string.json", "x")
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["file"] for row in rows] == ["concurrent.json", "list.json", "string.json"]
+    assert "error" not in rows[0]
+    assert all("must be a JSON object" in row["error"] for row in rows[1:])
+
+
 def test_resonance_vector_must_be_a_list(capsys, tmp_path):
     path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
     code, out = run_cli(capsys, ["resonance", path, "--vector", '{"1": 0, "-1": 0, "0": 0}'])

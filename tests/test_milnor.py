@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pencilfiber.arrangement import MultiplicityError, proj_transform
+import incidence_oracle
+from pencilfiber import milnor
+from pencilfiber.arrangement import IncidencePoint, MultiplicityError, proj_transform
+from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
     concurrent_triple,
@@ -20,6 +25,7 @@ from pencilfiber.milnor import (
     monomial_exponents,
     superabundance,
 )
+from pencilfiber.linalg import rank, rank_pairs
 
 
 def _fraction_rank(rows):
@@ -154,3 +160,50 @@ def test_superabundance_invariance():
             except ValueError:
                 continue
             assert superabundance(image) == s
+
+
+def _oracle_s(r, points):
+    """|T| - rank of the Q(w) evaluation matrix at the normalized triple points T."""
+    triple = [pt for pt in points if pt.multiplicity == 3]
+    degree = 2 * r // 3 - 3
+    if r % 3 or not triple:
+        return 0
+    if degree < 0:
+        return len(triple)
+    return len(triple) - rank(incidence_oracle.evaluation_matrix(triple, degree))
+
+
+def test_superabundance_matches_qw_oracle(incidence_inputs):
+    checked = 0
+    for arr in incidence_inputs:
+        points = incidence_oracle.intersection_points(arr)
+        if any(pt.multiplicity > 3 for pt in points):
+            continue
+        assert superabundance(arr) == _oracle_s(arr.r, points), arr.label
+        checked += 1
+    assert checked == len(incidence_inputs) - 7
+
+
+_big = st.integers(-(10**12), 10**12)
+_denominator = st.integers(1, 10**12)
+_qw = st.builds(
+    lambda a, p, b, q: EisensteinNumber(Fraction(a, p), Fraction(b, q)), _big, _denominator, _big, _denominator
+)
+
+
+@st.composite
+def points_with_scaled_copies(draw):
+    """Nonzero Q(w) triples with large denominators, some repeated under a nonzero scalar."""
+    points = draw(st.lists(st.tuples(_qw, _qw, _qw).filter(any), min_size=1, max_size=6))
+    for index in draw(st.lists(st.integers(0, len(points) - 1), max_size=3)):
+        scale = draw(_qw.filter(bool))
+        points.append(tuple(scale * v for v in points[index]))
+    return [IncidencePoint(p, (0, 1, 2)) for p in points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(points_with_scaled_copies(), st.integers(0, 3))
+def test_evaluation_rank_at_zw_representatives(points, degree):
+    # a representative scales each row by a nonzero scalar to the power degree
+    expected = rank(incidence_oracle.evaluation_matrix(points, degree))
+    assert rank_pairs(milnor._evaluation_matrix(points, degree)) == expected
