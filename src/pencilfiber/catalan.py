@@ -1,8 +1,9 @@
 """Cube relations F1*f^3 + F2*g^3 + F3*h^3 = 0 over Q(w)[t] and Q(w)[x,y,z].
 
 A relation is the data (F1, F2, F3, f, g, h) with the identity holding
-exactly.  Everything returned from this module re-verifies its identity by
-multiplication before being handed back.
+exactly.  Every relation returned from this module is verified once, by
+multiplication, before being handed back; in doubling, the terms that
+verify one relation are the coefficients of the next step.
 
 Two relations with the same coefficients up to one scalar are identified
 when their solutions differ by scalars (lf, lg, lh) with lf/lh and lg/lh
@@ -78,27 +79,16 @@ class QuasiToricRelation:
 
 
 def _terms(rel: QuasiToricRelation) -> list[Poly]:
-    return [F * s**3 for F, s in zip(rel.F, rel.sol)]
+    # s * s * s: ``**`` would multiply from the constant 1
+    return [F * (s * s * s) for F, s in zip(rel.F, rel.sol)]
 
 
 def verify_relation(rel: QuasiToricRelation) -> bool:
     """Exact check of F1 f^3 + F2 g^3 + F3 h^3 = 0."""
-    terms = _terms(rel)
-    if rel.univariate:
-        total = UniPoly.zero()
-        for term in terms:
-            total = total + term
-        return total.is_zero
-    # homogeneous case: nonzero terms must cancel degree by degree
-    by_degree: dict[int, HomForm] = {}
-    for term in terms:
-        if term.is_zero:
-            continue
-        if term.degree in by_degree:
-            by_degree[term.degree] = by_degree[term.degree] + term
-        else:
-            by_degree[term.degree] = term
-    return all(v.is_zero for v in by_degree.values())
+    terms = [t for t in _terms(rel) if not t.is_zero]
+    if not rel.univariate and len({t.degree for t in terms}) > 1:
+        return False  # nonzero forms of different degrees cannot cancel
+    return not terms or sum(terms[1:], terms[0]).is_zero
 
 
 def _proportionality(p: Poly, q: Poly) -> EisensteinNumber | None | str:
@@ -120,10 +110,12 @@ def _proportionality(p: Poly, q: Poly) -> EisensteinNumber | None | str:
 
 
 def relations_equivalent(r1: QuasiToricRelation, r2: QuasiToricRelation) -> bool:
-    """Identify relations that differ by the curve-model scalar ambiguity."""
-    for rel in (r1, r2):
-        if not verify_relation(rel):
-            raise ValueError("equivalence is only defined for verified relations")
+    """Identify relations that differ by the curve-model scalar ambiguity.
+
+    Only a True answer verifies r1 (ValueError if it fails): equivalence
+    scales every term F_i s_i^3 of r2 by the one scalar c * lh^3, so r2 then
+    verifies too.  An unverified relation may be answered False.
+    """
     if r1.univariate != r2.univariate:
         return False
     common: EisensteinNumber | None = None
@@ -149,13 +141,14 @@ def relations_equivalent(r1: QuasiToricRelation, r2: QuasiToricRelation) -> bool
         elif lg != "any":
             base = lg / (zeta * zeta)
         else:
-            return True
-        if lf != "any" and lf != zeta * base:
-            continue
-        if lg != "any" and lg != zeta * zeta * base:
-            continue
-        return True
-    return False
+            break
+        if (lf == "any" or lf == zeta * base) and (lg == "any" or lg == zeta * zeta * base):
+            break
+    else:
+        return False
+    if not verify_relation(r1):
+        raise ValueError("equivalence is only defined for verified relations")
+    return True
 
 
 def base_solution(pencil: PencilDecomposition) -> QuasiToricRelation:
@@ -168,17 +161,19 @@ def base_solution(pencil: PencilDecomposition) -> QuasiToricRelation:
     return rel
 
 
-def doubling_step(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
-    """Solution (f', g', h') of the cube relation for coefficients G1, G2, G3
-    with G1 + G2 = G3; homogeneous duplication on the curve c^3 = s(1-s)."""
+def _double(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
+    """The doubling formula and its precondition G1 + G2 = G3 (ValueError)."""
     G1, G2, G3 = G
     if not (G1 + G2 - G3).is_zero:
         raise ValueError("doubling needs G1 + G2 = G3 exactly")
-    f2 = -(G2 + G3)
-    g2 = G1 + G3
-    h2 = G1 * 2 - G3
-    check = G1 * f2**3 + G2 * g2**3 + G3 * h2**3
-    if not check.is_zero:
+    return -(G2 + G3), G1 + G3, G1 * 2 - G3
+
+
+def doubling_step(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
+    """Solution (f', g', h') of the cube relation for coefficients G1, G2, G3
+    with G1 + G2 = G3; homogeneous duplication on the curve c^3 = s(1-s)."""
+    f2, g2, h2 = _double(G)
+    if not verify_relation(QuasiToricRelation(tuple(G), (f2, g2, h2), isinstance(f2, UniPoly))):
         raise AssertionError("doubling identity failed")
     return f2, g2, h2
 
@@ -186,29 +181,31 @@ def doubling_step(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
 def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiToricRelation]:
     """``steps`` successive doublings of the base solution of a pencil.
 
-    Every output verifies, solution degrees strictly increase, and
-    consecutive outputs are pairwise non-equivalent.
+    Solution degrees strictly increase, and consecutive outputs are pairwise
+    non-equivalent.  Each output is verified once: the sum of its terms is the
+    next doubling's precondition, and the terms seed that doubling.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    P1, P2, P3 = pencil.scaled_products()  # P1 + P2 + P3 = 0
     one = HomForm.constant(1)
-    f, g, h = one, one, one
+    rel = QuasiToricRelation(pencil.scaled_products(), (one, one, one), univariate=False)
+    T1, T2, T3 = rel.F  # the terms of the base solution
     out: list[QuasiToricRelation] = []
-    last_degree = 0
-    for _ in range(steps):
-        H = (P1 * f**3, P2 * g**3, -(P3 * h**3))  # H1 + H2 = H3
-        f2, g2, h2 = doubling_step(H)
-        f, g, h = f * f2, g * g2, -(h * h2)
-        rel = QuasiToricRelation((P1, P2, P3), (f, g, h), univariate=False)
-        if not verify_relation(rel):
-            raise AssertionError("generated relation failed verification")
-        degree = max(p.degree for p in (f, g, h))
-        if out and degree <= last_degree:
+    while True:
+        try:
+            f2, g2, h2 = _double((T1, T2, -T3))  # G1 + G2 - G3 = T1 + T2 + T3
+        except ValueError:
+            if not out:
+                raise
+            raise AssertionError("generated relation failed verification") from None
+        if len(out) == steps:
+            return out
+        f, g, h = rel.sol
+        rel = QuasiToricRelation(rel.F, (f * f2, g * g2, -(h * h2)), univariate=False)
+        if out and max(p.degree for p in rel.sol) <= max(p.degree for p in out[-1].sol):
             raise AssertionError("solution degrees must strictly increase")
-        last_degree = degree
         out.append(rel)
-    return out
+        T1, T2, T3 = _terms(rel)
 
 
 def _compose(p: UniPoly, num: Poly, den: Poly) -> Poly:

@@ -209,7 +209,7 @@ def cmd_catalan(args: argparse.Namespace) -> int:
     # descend
     try:
         rel = QuasiToricRelation.from_json(data["relation"])
-        factors = [UniPoly.from_json(p) for p in data["known_factors"]]
+        factors = [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.path} is not a valid descent instance: {exc}") from exc
     try:

@@ -1,5 +1,6 @@
 import pytest
 
+from pencilfiber import catalan
 from pencilfiber.catalan import (
     DescentObstruction,
     MWPointCoords,
@@ -13,7 +14,7 @@ from pencilfiber.catalan import (
     verify_relation,
 )
 from pencilfiber.eisenstein import OMEGA, OMEGA2, EisensteinNumber
-from pencilfiber.fixtures import concurrent_triple, dual_hesse
+from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse
 from pencilfiber.forms import HomForm, UniPoly
 from pencilfiber.pencils import find_pencils
 
@@ -126,6 +127,13 @@ def test_equivalence_requires_verified_inputs():
     bad = QuasiToricRelation((one, one, one), (one, one, one), univariate=False)
     with pytest.raises(ValueError):
         relations_equivalent(bad, bad)
+    # a True answer verifies: an unverified relation against its own w-scaling
+    with pytest.raises(ValueError):
+        relations_equivalent(bad, _scaled_solution(bad, OMEGA, OMEGA, OMEGA))
+    # a False answer needs no verification
+    good = QuasiToricRelation((X, Y, -(X + Y)), (one, one, one), univariate=False)
+    assert verify_relation(good)
+    assert not relations_equivalent(bad, good)
 
 
 # --- base solutions from pencils ----------------------------------------------
@@ -217,6 +225,48 @@ def test_generate_outputs_pairwise_inequivalent():
     for i in range(len(relations)):
         for j in range(i + 1, len(relations)):
             assert not relations_equivalent(relations[i], relations[j])
+
+
+def reference_generate(pencil, steps):
+    """Doubling with the cubes rebuilt at every step, the public
+    ``doubling_step`` and a separate ``verify_relation`` of each output."""
+    P1, P2, P3 = pencil.scaled_products()
+    one = HomForm.constant(1)
+    f, g, h = one, one, one
+    out = []
+    for _ in range(steps):
+        H = (P1 * f**3, P2 * g**3, -(P3 * h**3))
+        f2, g2, h2 = doubling_step(H)
+        f, g, h = f * f2, g * g2, -(h * h2)
+        rel = QuasiToricRelation((P1, P2, P3), (f, g, h), univariate=False)
+        assert verify_relation(rel)
+        out.append(rel)
+    return out
+
+
+@pytest.mark.parametrize("fixture, steps", [(concurrent_triple, 3), (braid, 2)])
+def test_generate_matches_reference_doubling(fixture, steps):
+    pencil = find_pencils(fixture())[0]
+    expected = reference_generate(pencil, steps)
+    for n in range(1, steps + 1):
+        relations = generate_solutions(pencil, n)
+        assert [rel.F for rel in relations] == [rel.F for rel in expected[:n]]
+        assert [rel.sol for rel in relations] == [rel.sol for rel in expected[:n]]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_generate_verifies_every_relation(monkeypatch, steps):
+    # h' off by a constant factor breaks each relation; none may be returned
+    double = catalan._double
+
+    def wrong_h(G):
+        f2, g2, h2 = double(G)
+        return f2, g2, h2 * 2
+
+    monkeypatch.setattr(catalan, "_double", wrong_h)
+    pencil = find_pencils(concurrent_triple())[0]
+    with pytest.raises(AssertionError):
+        generate_solutions(pencil, steps)
 
 
 def test_generate_rejects_zero_steps():

@@ -363,6 +363,32 @@ def test_catalan_descend_obstruction(capsys, tmp_path):
     assert json.loads(out)["error"] == "descent_obstruction"
 
 
+@pytest.mark.parametrize("known_factors", [{}, ""])
+def test_catalan_descend_requires_a_list_of_known_factors(capsys, tmp_path, known_factors):
+    # an object or a string is not "no factors": it is not a valid instance
+    from pencilfiber.forms import UniPoly
+
+    one, t = UniPoly.one(), UniPoly.t()
+    rel = {
+        "univariate": True,
+        "F": [one.to_json(), one.to_json(), (-(one + t**3)).to_json()],
+        "sol": [one.to_json(), t.to_json(), one.to_json()],
+    }
+    path = write_json(tmp_path / "descend.json", {"relation": rel, "known_factors": known_factors})
+    code, out = run_cli(capsys, ["catalan", "descend", path])
+    assert code == 1
+    assert out == ""
+
+
+def test_catalan_generate_needs_pencil_members_summing_to_zero(capsys, tmp_path):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["lambdas"] = ["1", "1", "1"]
+    path = write_json(tmp_path / "pencil.json", data)
+    code, out = run_cli(capsys, ["catalan", "generate", path])
+    assert code == 2
+    assert json.loads(out) == {"error": "domain_error", "detail": "doubling needs G1 + G2 = G3 exactly"}
+
+
 def test_crosscheck_on_small_corpus(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
