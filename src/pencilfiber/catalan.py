@@ -79,8 +79,7 @@ class QuasiToricRelation:
 
 
 def _terms(rel: QuasiToricRelation) -> list[Poly]:
-    # s * s * s: ``**`` would multiply from the constant 1
-    return [F * (s * s * s) for F, s in zip(rel.F, rel.sol)]
+    return [F * s**3 for F, s in zip(rel.F, rel.sol)]
 
 
 def verify_relation(rel: QuasiToricRelation) -> bool:
@@ -213,11 +212,21 @@ def _compose(p: UniPoly, num: Poly, den: Poly) -> Poly:
     if p.is_zero:
         return num * 0 if isinstance(num, UniPoly) else HomForm.zero(0)
     d = p.degree
+    nums, dens = _powers(num, d), _powers(den, d)
     total = None
     for j, c in enumerate(p.coeffs):
-        term = num**j * den ** (d - j) * c
+        # nums[0] and dens[0] are the constant one: multiply only when both factors are not
+        term = (nums[j] * dens[d - j] if 0 < j < d else nums[d] if j else dens[d]) * c
         total = term if total is None else total + term
     return total
+
+
+def _powers(base: Poly, d: int) -> list[Poly]:
+    """[base**0, base, ..., base**d], each power one product from the one before."""
+    out = [base**0, base]
+    for _ in range(d - 1):
+        out.append(out[-1] * base)
+    return out[: d + 1]
 
 
 def pullback_solution(rel: QuasiToricRelation, num: Poly, den: Poly) -> QuasiToricRelation:

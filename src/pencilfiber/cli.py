@@ -20,10 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 from .arrangement import (
     Arrangement,
+    CombinatorialType,
     combinatorial_type,
     intersection_points,
     point_census,
@@ -38,6 +41,7 @@ from .catalan import (
 )
 from .eisenstein import EisensteinNumber, ParseError, json_list
 from .forms import UniPoly
+from .linalg import Vector
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
@@ -86,34 +90,26 @@ def _violation_payload(violation) -> dict:
     return {"error": "multiplicity_violation", "point": violation.to_json()}
 
 
-def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
-    local = []
+def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> Iterator[tuple[str, dict, list[Vector]]]:
+    """Each candidate component as (payload key, its JSON entry, its basis):
+    one per triple point, then one per pencil."""
     for pt in intersection_points(arr):
-        if pt.multiplicity != 3:
-            continue
-        basis = triple_point_basis(pt, arr.r)
-        local.append(
-            {
-                "lines": list(pt.lines),
-                "isotropic": component_isotropy_check(os2, basis),
-                "kernel_dim": resonance_kernel_dim(os2, generic_member(basis)),
-            }
-        )
-    global_components = []
+        if pt.multiplicity == 3:
+            yield "local_components", {"lines": list(pt.lines)}, triple_point_basis(pt, arr.r)
     for pencil in pencils:
-        basis = pencil_basis(pencil, arr.r)
-        global_components.append(
-            {
-                "classes": [list(c) for c in pencil.classes],
-                "isotropic": component_isotropy_check(os2, basis),
-                "kernel_dim": resonance_kernel_dim(os2, generic_member(basis)),
-            }
-        )
+        yield "pencil_components", {"classes": [list(c) for c in pencil.classes]}, pencil_basis(pencil, arr.r)
+
+
+def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
+    components: dict[str, list[dict]] = {"local_components": [], "pencil_components": []}
+    for key, entry, basis in _candidate_bases(arr, pencils):
+        entry["isotropic"] = component_isotropy_check(os2, basis)
+        entry["kernel_dim"] = resonance_kernel_dim(os2, generic_member(basis))
+        components[key].append(entry)
     return {
         "quotient_rank": os2.quotient_rank,
         "relation_count": os2.relation_rank,  # the triple-point relations are independent
-        "local_components": local,
-        "pencil_components": global_components,
+        **components,
     }
 
 
@@ -231,12 +227,15 @@ def cmd_catalan(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    """One row per file, from s, the pencils and the isotropy of each
+    candidate component; the kernel dimensions ``analyze`` prints are not
+    computed, since isotropy of a basis already puts both basis vectors in
+    the kernel of its generic member."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")
     rows = []
-    analyses: dict[str, dict] = {}
-    types: dict[str, object] = {}
+    typed: list[tuple[dict, CombinatorialType]] = []
     for path in sorted(directory.glob("*.json")):
         try:
             arr = _load_arrangement(str(path))
@@ -244,30 +243,27 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             if violation is not None:
                 rows.append({"file": path.name, "error": "multiplicity_violation", "point": violation.to_json()})
                 continue
-            payload = _analysis_payload(arr)
+            s = milnor_report(arr).s
+            pencils = find_pencils(arr)
+            os2 = build_os2(arr)
+            checked = [(key, component_isotropy_check(os2, basis)) for key, _, basis in _candidate_bases(arr, pencils)]
         except (InputError, ValueError) as exc:
             rows.append({"file": path.name, "error": str(exc)})
             continue
-        analyses[path.name] = payload
-        types[path.name] = combinatorial_type(arr)
-        resonance = payload["resonance"]
-        rows.append(
-            {
-                "file": path.name,
-                "label": payload["label"],
-                "r": payload["r"],
-                "s": payload["milnor"]["s"],
-                "beta3": beta3(arr),
-                "pencil_count": payload["pencil_count"],
-                "resonance_pencil_components": len(resonance["pencil_components"]),
-                "pencil_eigenvalue_consistent": payload["pencil_eigenvalue_consistent"],
-                "isotropy_all_ok": all(
-                    c["isotropic"] for c in resonance["local_components"] + resonance["pencil_components"]
-                ),
-            }
-        )
+        row = {
+            "file": path.name,
+            "label": arr.label,
+            "r": arr.r,
+            "s": s,
+            "beta3": beta3(arr),
+            "pencil_count": len(pencils),
+            "resonance_pencil_components": sum(key == "pencil_components" for key, _ in checked),
+            "pencil_eigenvalue_consistent": (s > 0) == bool(pencils),
+            "isotropy_all_ok": all(ok for _, ok in checked),
+        }
+        rows.append(row)
+        typed.append((row, combinatorial_type(arr)))
     failures = []
-    names = sorted(analyses)
     for row in rows:
         if "error" in row:
             continue
@@ -284,15 +280,15 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         if row["pencil_count"] != (3 ** row["beta3"] - 1) // 2:
             failures.append({"file": row["file"], "check": "pencil_count_equals_beta3_formula"})
     pairs_checked = 0
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if types[a] != types[b]:
-                continue
-            pairs_checked += 1
-            if analyses[a]["milnor"]["s"] != analyses[b]["milnor"]["s"]:
-                failures.append({"files": [a, b], "check": "equal_type_equal_s"})
-            if analyses[a]["pencil_count"] != analyses[b]["pencil_count"]:
-                failures.append({"files": [a, b], "check": "equal_type_equal_pencil_count"})
+    for (a, type_a), (b, type_b) in combinations(typed, 2):
+        if type_a != type_b:
+            continue
+        pairs_checked += 1
+        files = [a["file"], b["file"]]
+        if a["s"] != b["s"]:
+            failures.append({"files": files, "check": "equal_type_equal_s"})
+        if a["pencil_count"] != b["pencil_count"]:
+            failures.append({"files": files, "check": "equal_type_equal_pencil_count"})
     _emit(
         {
             "rows": rows,

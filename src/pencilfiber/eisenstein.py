@@ -27,7 +27,8 @@ import re as _re
 from fractions import Fraction
 from typing import Sequence
 
-_RAT = _re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: ``\d`` would also match other scripts' decimal digits.
+_RAT = _re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class ParseError(ValueError):

@@ -128,8 +128,10 @@ class HomForm:
     def __pow__(self, exponent: int) -> "HomForm":
         if exponent < 0:
             raise ValueError("negative power of a form")
-        result = HomForm.constant(1)
-        for _ in range(exponent):
+        if exponent == 0:
+            return HomForm.constant(1)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -287,8 +289,10 @@ class UniPoly:
     def __pow__(self, exponent: int) -> "UniPoly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
-        for _ in range(exponent):
+        if exponent == 0:
+            return UniPoly.one()
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 

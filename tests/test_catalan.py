@@ -414,3 +414,27 @@ def test_relation_json_requires_a_bool_flag(flag):
     data = dict(root_difference_relation().to_json(), univariate=flag)
     with pytest.raises(TypeError):
         QuasiToricRelation.from_json(data)
+
+
+def test_pullback_multiplies_each_power_once(monkeypatch):
+    # powers of num and den are built once per substitution, each from the one before
+    products = []
+    multiply = HomForm.__mul__
+
+    def counting(self, other):
+        if isinstance(other, HomForm):
+            products.append((self.degree, other.degree))
+        return multiply(self, other)
+
+    monkeypatch.setattr(HomForm, "__mul__", counting)
+    plane = pullback_solution(root_difference_relation(), X, HomForm.monomial((0, 0, 1)))
+    monkeypatch.undo()
+    assert verify_relation(plane)
+    assert len(products) <= 36
+    assert all(a and b for a, b in products)  # no product by a constant form
+
+
+def test_zeroth_power_is_the_constant_one():
+    assert X**0 == HomForm.constant(1) and (X**0).degree == 0
+    assert T**0 == ONE_P
+    assert X**1 == X and T**3 == T * T * T

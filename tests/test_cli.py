@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -8,9 +10,17 @@ import pytest
 
 import pencilfiber
 from pencilfiber import cli
+from pencilfiber.arrangement import (
+    Arrangement,
+    combinatorial_type,
+    intersection_points,
+    proj_transform,
+    validate_multiplicities,
+)
 from pencilfiber.cli import main
+from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.fixtures import concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
-from pencilfiber.pencils import find_pencils
+from pencilfiber.pencils import beta3, find_pencils
 
 
 def write_json(path, payload):
@@ -451,3 +461,155 @@ def test_crosscheck_names_each_beta3_check(capsys, tmp_path, monkeypatch):
         "beta3_at_most_2",
         "pencil_count_equals_beta3_formula",
     ]
+
+
+@pytest.mark.parametrize("value", ["\u0661", "\uff11/\uff12", "\u0663*w"])
+def test_analyze_rejects_digits_that_are_not_ascii(capsys, tmp_path, value):
+    lines = [[value, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    path = write_json(tmp_path / "digits.json", {"label": "digits", "lines": lines})
+    code, out = run_cli(capsys, ["analyze", path])
+    assert code == 1
+    assert out == ""
+
+
+# --- crosscheck against the full analysis ------------------------------------------
+
+
+def _crosscheck_oracle(directory):
+    """crosscheck's stdout derived from the full ``analyze`` payload of each file."""
+    rows, analyses, types = [], {}, {}
+    for path in sorted(directory.glob("*.json")):
+        try:
+            arr = cli._load_arrangement(str(path))
+            violation = validate_multiplicities(arr)
+            if violation is not None:
+                rows.append({"file": path.name, "error": "multiplicity_violation", "point": violation.to_json()})
+                continue
+            payload = cli._analysis_payload(arr)
+        except (cli.InputError, ValueError) as exc:
+            rows.append({"file": path.name, "error": str(exc)})
+            continue
+        analyses[path.name] = payload
+        types[path.name] = combinatorial_type(arr)
+        resonance = payload["resonance"]
+        components = resonance["local_components"] + resonance["pencil_components"]
+        rows.append(
+            {
+                "file": path.name,
+                "label": payload["label"],
+                "r": payload["r"],
+                "s": payload["milnor"]["s"],
+                "beta3": beta3(arr),
+                "pencil_count": payload["pencil_count"],
+                "resonance_pencil_components": len(resonance["pencil_components"]),
+                "pencil_eigenvalue_consistent": payload["pencil_eigenvalue_consistent"],
+                "isotropy_all_ok": all(c["isotropic"] for c in components),
+            }
+        )
+    failures = []
+    for row in rows:
+        if "error" in row:
+            continue
+        checks = [
+            ("eigenvalue_vs_pencil", row["pencil_eigenvalue_consistent"]),
+            ("component_isotropy", row["isotropy_all_ok"]),
+            ("pencil_component_census", row["resonance_pencil_components"] == row["pencil_count"]),
+            ("s_equals_beta3", row["s"] == row["beta3"]),
+            ("beta3_at_most_2", row["beta3"] <= 2),
+            ("pencil_count_equals_beta3_formula", row["pencil_count"] == (3 ** row["beta3"] - 1) // 2),
+        ]
+        failures += [{"file": row["file"], "check": check} for check, ok in checks if not ok]
+    names = sorted(analyses)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if types[a] == types[b]]
+    for a, b in pairs:
+        if analyses[a]["milnor"]["s"] != analyses[b]["milnor"]["s"]:
+            failures.append({"files": [a, b], "check": "equal_type_equal_s"})
+        if analyses[a]["pencil_count"] != analyses[b]["pencil_count"]:
+            failures.append({"files": [a, b], "check": "equal_type_equal_pencil_count"})
+    payload = {"rows": rows, "equal_type_pairs_checked": len(pairs), "failures": failures, "all_consistent": not failures}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def moved_corpus(corpus_dir, tmp_path_factory):
+    """Every corpus file with its lines permuted and moved by a seeded projective transform."""
+    rng = random.Random(12)
+    moved = tmp_path_factory.mktemp("moved")
+    for path in sorted(corpus_dir.glob("*.json")):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        order = list(range(arr.r))
+        rng.shuffle(order)
+        while True:
+            matrix = [[EisensteinNumber(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(3)] for _ in range(3)]
+            try:
+                image = proj_transform(arr.reordered(order), matrix)
+            except ValueError:  # singular
+                continue
+            break
+        write_json(moved / path.name, image.to_json())
+    return moved
+
+
+@pytest.mark.parametrize("which", ["shipped", "moved", "perturbed"])
+def test_crosscheck_matches_the_full_analysis(capsys, corpus_dir, moved_corpus, monkeypatch, which):
+    directory = moved_corpus if which == "moved" else corpus_dir
+    if which == "perturbed":
+        # s one higher on braid_pgl and one pencil fewer on dual_hesse_pgl make
+        # per-file and equal-type pair checks fail, so failures are compared too
+        report, pencils = cli.milnor_report, cli.find_pencils
+
+        def bumped_report(arr):
+            out = report(arr)
+            return dataclasses.replace(out, s=out.s + (arr.label == "braid_pgl"))
+
+        def fewer_pencils(arr):
+            return pencils(arr)[: -1 if arr.label == "dual_hesse_pgl" else None]
+
+        monkeypatch.setattr(cli, "milnor_report", bumped_report)
+        monkeypatch.setattr(cli, "find_pencils", fewer_pencils)
+    code, out = run_cli(capsys, ["crosscheck", str(directory)])
+    assert out == _crosscheck_oracle(directory)
+    checks = {f["check"] for f in json.loads(out)["failures"]}
+    if which == "perturbed":
+        assert code == 3 and {"equal_type_equal_s", "equal_type_equal_pencil_count"} <= checks
+    else:
+        assert code == 0 and not checks
+
+
+def test_crosscheck_fails_each_file_with_a_component_that_is_not_isotropic(capsys, corpus_dir, monkeypatch):
+    with_component, candidates = set(), 0
+    for path in corpus_dir.glob("*.json"):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        count = sum(pt.multiplicity == 3 for pt in intersection_points(arr)) + len(find_pencils(arr))
+        if count:
+            with_component.add(path.name)
+        candidates += count
+    checked = []
+
+    def not_isotropic(os2, basis):
+        checked.append(basis)
+        return False
+
+    monkeypatch.setattr(cli, "component_isotropy_check", not_isotropic)
+    code, out = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+    assert code == 3
+    named = {f["file"] for f in json.loads(out)["failures"] if f["check"] == "component_isotropy"}
+    assert named == with_component
+    assert 0 < len(with_component) < len(list(corpus_dir.glob("*.json")))
+    assert len(checked) == candidates  # every triple point and every pencil
+
+
+class KernelDimCalled(Exception):
+    pass
+
+
+def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_file, monkeypatch):
+    _, expected = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+
+    def refuse(os2, a):
+        raise KernelDimCalled
+
+    monkeypatch.setattr(cli, "resonance_kernel_dim", refuse)
+    assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
+    with pytest.raises(KernelDimCalled):
+        main(["analyze", dual_hesse_file])

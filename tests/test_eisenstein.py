@@ -84,7 +84,11 @@ def test_parse_examples(text, re_, wc):
     assert value.re == re_ and value.wc == wc
 
 
-@pytest.mark.parametrize("text,pos", [("1/2+", 4), ("x", 0), ("1//2", 1), ("3/0", 0), ("1+2", 3), ("w3", 1)])
+# "\u0661" and "\uff11/\uff12" are an Arabic-Indic 1 and a fullwidth 1/2: decimal digits that are not ASCII
+@pytest.mark.parametrize(
+    "text,pos",
+    [("1/2+", 4), ("x", 0), ("1//2", 1), ("3/0", 0), ("1+2", 3), ("w3", 1), ("\u0661", 0), ("\uff11/\uff12", 0)],
+)
 def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(ParseError) as err:
         parse_eisenstein(text)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -323,3 +324,23 @@ def test_generic_arrangement_kernel_is_trivial():
         if not any(a):
             continue
         assert resonance_kernel_dim(os2, a) == 1
+
+
+def test_isotropic_basis_puts_the_generic_member_in_resonance(corpus_dir):
+    # a = u + 2v gives a ^ u = 2 v ^ u and a ^ v = u ^ v, so an isotropic
+    # basis leaves two independent vectors in the kernel of a; crosscheck
+    # relies on this to skip the kernel dimensions analyze prints
+    checked = 0
+    for path in sorted(corpus_dir.glob("*.json")):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        os2 = build_os2(arr)
+        local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+        for basis in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)]:
+            if not component_isotropy_check(os2, basis):
+                continue
+            u, v = basis
+            a = generic_member(basis)
+            assert wedge_vanishes(os2, a, u) and wedge_vanishes(os2, a, v)
+            assert resonance_kernel_dim(os2, a) >= 2
+            checked += 1
+    assert checked == 50  # 38 triple points and 12 pencils over the corpus
