@@ -41,7 +41,7 @@ from .catalan import (
 )
 from .eisenstein import EisensteinNumber, ParseError, json_list
 from .forms import UniPoly
-from .linalg import Vector
+from .linalg import Vector, rank
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
@@ -226,6 +226,16 @@ def cmd_catalan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _distinct_planes(bases: list[list[Vector]]) -> int:
+    """How many distinct planes the two-vector bases span: a basis counts
+    unless, stacked with one counted before, it still has rank 2."""
+    counted: list[list[Vector]] = []
+    for basis in bases:
+        if all(rank(basis + other) > 2 for other in counted):
+            counted.append(basis)
+    return len(counted)
+
+
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
     candidate component; the kernel dimensions ``analyze`` prints are not
@@ -246,7 +256,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             s = milnor_report(arr).s
             pencils = find_pencils(arr)
             os2 = build_os2(arr)
-            checked = [(key, component_isotropy_check(os2, basis)) for key, _, basis in _candidate_bases(arr, pencils)]
+            candidates = [(key, basis) for key, _, basis in _candidate_bases(arr, pencils)]
+            isotropic = [component_isotropy_check(os2, basis) for _, basis in candidates]
+            planes = _distinct_planes([basis for key, basis in candidates if key == "pencil_components"])
         except (InputError, ValueError) as exc:
             rows.append({"file": path.name, "error": str(exc)})
             continue
@@ -257,9 +269,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             "s": s,
             "beta3": beta3(arr),
             "pencil_count": len(pencils),
-            "resonance_pencil_components": sum(key == "pencil_components" for key, _ in checked),
+            "resonance_pencil_components": planes,
             "pencil_eigenvalue_consistent": (s > 0) == bool(pencils),
-            "isotropy_all_ok": all(ok for _, ok in checked),
+            "isotropy_all_ok": all(isotropic),
         }
         rows.append(row)
         typed.append((row, combinatorial_type(arr)))

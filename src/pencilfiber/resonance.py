@@ -20,6 +20,11 @@ and two per triple point, whose rank comes from ``linalg.rank``.  The
 premise, that the points' pairs cover every pair of lines once, is checked
 when the quotient is built.
 
+w_ij is zero unless lines i and j both lie in the support
+{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` compares only at the
+points that carry two support lines: one point for a local basis, every
+point for a pencil basis.
+
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
 and a pencil decomposition (R1, R2, R3) spans chi_R1 - chi_R2,
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ONE, ZERO, EisensteinNumber
@@ -77,11 +82,13 @@ def _check_weight(os: OSDegree2, a: Vector) -> list[EisensteinNumber]:
     return vec
 
 
-def _local_conditions(os: OSDegree2, a: list[EisensteinNumber]) -> Iterator[tuple[tuple[int, EisensteinNumber], ...]]:
+def _local_conditions(
+    points: Iterable[tuple[int, ...]], a: list[EisensteinNumber]
+) -> Iterator[tuple[tuple[int, EisensteinNumber], ...]]:
     """The linear forms in b, as (line, coefficient) pairs, whose joint
-    vanishing is a ^ b = 0: w_ij at a double point {i, j}, and w_ij + w_ik
-    and w_jk - w_ij at a triple point {i < j < k}."""
-    for p in os.points:
+    vanishing at the given points is a ^ b = 0 there: w_ij at a double point
+    {i, j}, and w_ij + w_ik and w_jk - w_ij at a triple point {i < j < k}."""
+    for p in points:
         i, j = p[0], p[1]
         if len(p) == 2:
             yield ((i, -a[j]), (j, a[i]))
@@ -92,10 +99,17 @@ def _local_conditions(os: OSDegree2, a: list[EisensteinNumber]) -> Iterator[tupl
 
 
 def wedge_vanishes(os: OSDegree2, a: Vector, b: Vector) -> bool:
-    """True iff a ^ b is zero in the quotient, checked point by point."""
+    """True iff a ^ b is zero in the quotient, checked only at the points
+    that carry two lines of the support of a and b.
+
+    w_ij is zero unless lines i and j both lie in the support, so a point
+    with at most one support line imposes nothing.
+    """
     a = _check_weight(os, a)
     b = _check_weight(os, b)
-    return not any(sum((c * b[l] for l, c in cond), ZERO) for cond in _local_conditions(os, a))
+    support = [bool(x) or bool(y) for x, y in zip(a, b)]
+    points = (p for p in os.points if sum(support[l] for l in p) >= 2)
+    return not any(sum((c * b[l] for l, c in cond), ZERO) for cond in _local_conditions(points, a))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
@@ -104,7 +118,7 @@ def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
     if not any(a):
         raise ValueError("the zero weight vector is not probed")
     rows: Matrix = []
-    for cond in _local_conditions(os, a):
+    for cond in _local_conditions(os.points, a):
         if any(c for _, c in cond):
             row = [ZERO] * os.r
             for l, c in cond:

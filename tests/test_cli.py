@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import pencilfiber
+from linalg_oracle import rref
 from pencilfiber import cli
 from pencilfiber.arrangement import (
     Arrangement,
@@ -463,6 +465,32 @@ def test_crosscheck_names_each_beta3_check(capsys, tmp_path, monkeypatch):
     ]
 
 
+def test_crosscheck_counts_a_repeated_pencil_component_once(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    pencils = cli.find_pencils
+
+    def repeated(arr):
+        (pencil,) = pencils(arr)
+        order = (1, 2, 0)
+        moved = dataclasses.replace(
+            pencil,
+            classes=tuple(pencil.classes[i] for i in order),
+            lambdas=tuple(pencil.lambdas[i] for i in order),
+            products=tuple(pencil.products[i] for i in order),
+        )
+        return [pencil, moved]
+
+    monkeypatch.setattr(cli, "find_pencils", repeated)
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 3
+    assert out == _crosscheck_oracle(corpus)
+    payload = json.loads(out)
+    assert (payload["rows"][0]["pencil_count"], payload["rows"][0]["resonance_pencil_components"]) == (2, 1)
+    assert "pencil_component_census" in [f["check"] for f in payload["failures"]]
+
+
 @pytest.mark.parametrize("value", ["\u0661", "\uff11/\uff12", "\u0663*w"])
 def test_analyze_rejects_digits_that_are_not_ascii(capsys, tmp_path, value):
     lines = [[value, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -473,6 +501,17 @@ def test_analyze_rejects_digits_that_are_not_ascii(capsys, tmp_path, value):
 
 
 # --- crosscheck against the full analysis ------------------------------------------
+
+
+def _distinct_pencil_planes(r, components):
+    """How many distinct planes the pencil components span; a plane is
+    named by the RREF of any basis of it."""
+    planes = set()
+    for component in components:
+        chi = [[int(l in cls) for l in range(r)] for cls in component["classes"]]
+        basis = [[EisensteinNumber(x - y) for x, y in zip(chi[n], chi[n + 1])] for n in (0, 1)]
+        planes.add(tuple(map(tuple, rref(basis)[0])))
+    return len(planes)
 
 
 def _crosscheck_oracle(directory):
@@ -501,7 +540,7 @@ def _crosscheck_oracle(directory):
                 "s": payload["milnor"]["s"],
                 "beta3": beta3(arr),
                 "pencil_count": payload["pencil_count"],
-                "resonance_pencil_components": len(resonance["pencil_components"]),
+                "resonance_pencil_components": _distinct_pencil_planes(arr.r, resonance["pencil_components"]),
                 "pencil_eigenvalue_consistent": payload["pencil_eigenvalue_consistent"],
                 "isotropy_all_ok": all(c["isotropic"] for c in components),
             }
@@ -613,3 +652,44 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
     assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
     with pytest.raises(KernelDimCalled):
         main(["analyze", dual_hesse_file])
+
+
+# --- the stdout contract ----------------------------------------------------------
+
+# sha256 of the stdout of each command, computed by running it in-process on
+# the shipped corpus; any change to these bytes is a change of wire format.
+STDOUT_SHA256 = {
+    ("analyze", "braid.json"): "c42589e4d8b6b0ceea491d21c875e0ef63fa66ea2a1f30048f6ca10b1c90b164",
+    ("resonance", "braid.json"): "4e019011de90efcd51bf94690d7c77cd9f51af40aa4ba5d899060f7cfeefb78c",
+    ("analyze", "braid_pgl.json"): "b7225affaec0a1516f328648e7bd3fc6e4ac3da096f44b2630fb95d018b697c5",
+    ("resonance", "braid_pgl.json"): "75dfc37bbeb5c77c54d7c142be30dfb419a13bb01519ebea1d57f3dc1820edd4",
+    ("analyze", "ceva_2.json"): "d5e359690d410bf51aa7f1189eec14b0646f7c6983064f1eba5d35fd02e98493",
+    ("resonance", "ceva_2.json"): "15a887ba9f32775dbe2b8976d9b7f8fd41e2e836dd2604eed72a4a8f8ebeb22d",
+    ("analyze", "concurrent_triple.json"): "dbd1b41e3152fd0af980fdc23b395ac378ea120dfc28dca2b72390bb3f870f1f",
+    ("resonance", "concurrent_triple.json"): "9e4e0c14fe58b41e47a25acf2d94e7edc953344fa70b79ba37bcc5b163aeb51c",
+    ("analyze", "dual_hesse.json"): "c44847cef02bdf2caafbaac263bfde7d4963b828cd6a55af2ede9139ffabc672",
+    ("resonance", "dual_hesse.json"): "96c6034b09b16427224c0588216fec716349074f19811405198df67674e04994",
+    ("analyze", "dual_hesse_pgl.json"): "570540c4e4bc279852aab92639113450d6ed480a8ee859c80ac5fc6f80fd496e",
+    ("resonance", "dual_hesse_pgl.json"): "cc33d43520979f77de3777573a5f9f402cc6e484b56d2bed5bb1256d4ae59000",
+    ("analyze", "generic_6.json"): "dcca4d4edcd0a60d8ab6d3f860f3e3db9a32388b621b7cc950d9fb8574bcb626",
+    ("resonance", "generic_6.json"): "2be17a87646a9a32f549fa844b3993631da6c8c3a4a66ef5f74bccee3be479fc",
+    ("analyze", "generic_9.json"): "c60ec2eea31e31b3c01a6df714fa59abd597a52d70f00787c85031d8ee637c5a",
+    ("resonance", "generic_9.json"): "2dced42d0d9a596e22703665713568b2a9ae0a72cab2024b40c4283e2feed70f",
+    ("analyze", "near_pencil_6.json"): "63669548ad4bda35ccb819ccb89efcac5e157b63d46de2df7de12362787a2f49",
+    ("resonance", "near_pencil_6.json"): "ba1db5e8609725d797e8d4d3bf764b251b70c77f6bbbbdc141a08eb35c7ed296",
+    ("analyze", "seeded_generic_12.json"): "958a991ef1aa2fccd61f36aaee0b1a8f8d617e84902508bda7f72eb18618012e",
+    ("resonance", "seeded_generic_12.json"): "94d9e14fdaffec7bd7471b013c2a49ac96909a548c41ec8ccd7b8cb969990b83",
+    ("analyze", "seeded_generic_7.json"): "875e2e1c9b3208f5f8d273e5a062953bf89448fbb57fb48d4e684e1e6e2af2a1",
+    ("resonance", "seeded_generic_7.json"): "e62d41568d39546384224ed83f1a605cab52a01b2bae23f278da02d7c3cef3e0",
+    ("analyze", "triangle.json"): "b6455db5285c0ea9d81b643dfdf7e06101e9fafa2355eae04817f1b07c830ad6",
+    ("resonance", "triangle.json"): "568ece28512e8919c13ae0c3a4fde4c099cb189de0dbc0f7f390e58c69ea3a10",
+    ("crosscheck", "corpus"): "29a092a131edc62bcff76a1d8abfe779053f8e2c43468549f4687a5e8347ec95",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(STDOUT_SHA256))
+def test_stdout_bytes_are_pinned(capsys, corpus_dir, command, name):
+    path = corpus_dir if command == "crosscheck" else corpus_dir / name
+    code, out = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, name]

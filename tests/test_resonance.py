@@ -7,7 +7,7 @@ import pytest
 
 from linalg_oracle import rref
 from pencilfiber.arrangement import Arrangement, IncidencePoint, intersection_points
-from pencilfiber.eisenstein import ONE, ZERO, EisensteinNumber
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber
 from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse, generic_six, near_pencil_six, triangle
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
@@ -129,11 +129,66 @@ def test_build_os2_requires_each_pair_at_one_point():
         build_os2(arr)
 
 
+def _sparse_pairs(rng, arr):
+    """Weights on 2 to 4 lines whose wedge is decided at a point carrying
+    exactly two support lines.
+
+    x e_i ^ y e_j for two lines of a double or triple point is nonzero there
+    and nowhere else.  A local component (u, v) at a triple point T, with
+    c e_l added to v for a line l off T, has a ^ b = c (e_i - e_j) ^ e_l for
+    u = e_i - e_j: T still vanishes, and the wedge is nonzero only at the
+    points of i, l and of j, l, which carry two support lines each, and a
+    carries just one of them.  Scalars include pure w-multiples, whose wedge
+    lies wholly in the w-part, and a multiple of each pair, which vanishes.
+    """
+    scalars = [ONE, EisensteinNumber(-2), OMEGA, EisensteinNumber(0, -3), EisensteinNumber(1, 2)]
+    points = intersection_points(arr)
+    doubles = [pt for pt in points if pt.multiplicity == 2]
+    triples = [pt for pt in points if pt.multiplicity == 3]
+    pairs = []
+    for pt in rng.sample(doubles, min(2, len(doubles))) + rng.sample(triples, min(2, len(triples))):
+        i, j = rng.sample(pt.lines, 2)
+        a, b = [ZERO] * arr.r, [ZERO] * arr.r
+        a[i], b[j] = rng.choice(scalars), rng.choice(scalars)
+        c = rng.choice(scalars)
+        pairs += [(a, b), ([x + y for x, y in zip(a, b)], [c * (x + y) for x, y in zip(a, b)])]
+        off = [l for l in range(arr.r) if l not in pt.lines]
+        if pt.multiplicity == 3 and off:
+            u, v = triple_point_basis(pt, arr.r)
+            v[rng.choice(off)] = rng.choice(scalars)
+            pairs.append((u, v))
+    return pairs
+
+
+def _fractional_weight(rng, r):
+    """Entries whose rational parts have denominators up to 6 and w-parts fifths."""
+    return [
+        EisensteinNumber(Fraction(rng.randint(-3, 3), rng.randint(1, 6)), Fraction(rng.randint(-2, 2), 5))
+        for _ in range(r)
+    ]
+
+
+def _fractional_pairs(rng, arr):
+    """Weights with denominators: scaled and sheared component bases, a
+    multiple of a random weight, and random pairs."""
+    pairs = []
+    for u, v in _component_bases(arr):
+        s, t = Fraction(rng.randint(1, 5), rng.randint(2, 7)), Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        pairs.append(([s * x for x in u], [t * y + EisensteinNumber(0, s) * x for x, y in zip(u, v)]))
+    a = _fractional_weight(rng, arr.r)
+    lam = EisensteinNumber(Fraction(rng.randint(1, 3), rng.randint(2, 5)), Fraction(1, 3))
+    pairs.append((a, [lam * x for x in a]))
+    pairs += [(_fractional_weight(rng, arr.r), _fractional_weight(rng, arr.r)) for _ in range(2)]
+    return pairs
+
+
 def test_wedge_vanishes_against_oracle():
     """Point-by-point vanishing equals the dense rank test, on component pairs,
-    their multiples and shears, and random pairs with w-parts."""
+    their multiples and shears, random pairs with w-parts, sparse weights
+    decided at a point with two support lines, and weights with denominators."""
     rng = random.Random(29)
-    seen = set()
+    sparse_rng, fractional_rng = random.Random(43), random.Random(47)
+    seen = {"dense": set(), "sparse": set(), "fractional": set()}
     for arr in _oracle_sample():
         os2 = build_os2(arr)
         relations = _dense_relations(arr)
@@ -144,12 +199,15 @@ def test_wedge_vanishes_against_oracle():
         lam = EisensteinNumber(rng.randint(1, 3), rng.randint(-2, 2))
         pairs.append((a, [lam * x for x in a]))
         pairs += [(_random_weight(rng, arr.r), _random_weight(rng, arr.r)) for _ in range(3)]
-        for a, b in pairs:
-            vanishes = wedge_vanishes(os2, a, b)
-            assert vanishes == _wedge_oracle(relations, arr.r, a, b), arr.label
-            assert vanishes == wedge_vanishes(os2, a, [y + 2 * x for x, y in zip(a, b)])
-            seen.add(vanishes)
-    assert seen == {True, False}
+        kinds = [("dense", pairs), ("sparse", _sparse_pairs(sparse_rng, arr))]
+        kinds.append(("fractional", _fractional_pairs(fractional_rng, arr)))
+        for kind, drawn in kinds:
+            for a, b in drawn:
+                vanishes = wedge_vanishes(os2, a, b)
+                assert vanishes == _wedge_oracle(relations, arr.r, a, b), (kind, arr.label)
+                assert vanishes == wedge_vanishes(os2, a, [y + 2 * x for x, y in zip(a, b)])
+                seen[kind].add(vanishes)
+    assert all(values == {True, False} for values in seen.values()), seen
 
 
 def test_wedge_alternating():
