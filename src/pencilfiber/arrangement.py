@@ -71,10 +71,6 @@ class Line:
     def form(self) -> HomForm:
         return HomForm.linear(*self.coeffs)
 
-    def eval_at(self, point: Point) -> EisensteinNumber:
-        a, b, c = self.coeffs
-        return a * point[0] + b * point[1] + c * point[2]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
             return NotImplemented
@@ -208,15 +204,8 @@ def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
     return census
 
 
-def validate_multiplicities(arr: Arrangement) -> IncidencePoint | None:
-    """None when every point has multiplicity <= 3, else a violating point."""
-    for pt in intersection_points(arr):
-        if pt.multiplicity > 3:
-            return pt
-    return None
-
-
 def require_multiplicities_ok(arr: Arrangement) -> tuple[IncidencePoint, ...]:
+    """The intersection points; MultiplicityError at the first one on more than three lines."""
     points = intersection_points(arr)
     for pt in points:
         if pt.multiplicity > 3:

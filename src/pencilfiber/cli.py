@@ -13,6 +13,13 @@ deterministic: sorted keys, canonical polynomial strings, no timestamps):
 
 Exit codes: 0 success, 1 input error, 2 domain validation failure,
 3 consistency failure in crosscheck.
+
+Every input file goes through ``_parse_file``: a file that cannot be read,
+is not UTF-8, nests too deeply or is not JSON, and one its ``from_json``
+parser rejects, is an input error.  ``_load_arrangement`` then applies the
+one multiplicity gate, ``require_multiplicities_ok``; ``main`` turns its
+``MultiplicityError`` into the ``multiplicity_violation`` payload and
+``crosscheck`` into that file's row.
 """
 
 from __future__ import annotations
@@ -22,15 +29,17 @@ import json
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .arrangement import (
     Arrangement,
     CombinatorialType,
+    IncidencePoint,
+    MultiplicityError,
     combinatorial_type,
     intersection_points,
     point_census,
-    validate_multiplicities,
+    require_multiplicities_ok,
 )
 from .catalan import (
     DescentObstruction,
@@ -59,6 +68,8 @@ EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_INCONSISTENT = 3
 
+T = TypeVar("T")
+
 
 class InputError(Exception):
     pass
@@ -69,25 +80,39 @@ def _emit(payload: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in the file; unreadable, non-UTF-8 or over-nested input is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_arrangement(path: str) -> Arrangement:
+def _parse_file(path: str, parse: Callable[[dict], T], what: str) -> T:
+    """``parse`` applied to the file's JSON; a parser's rejection is an InputError."""
     data = _load_json(path)
     try:
-        return Arrangement.from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a valid arrangement: {exc}") from exc
+        raise InputError(f"{path} is not a valid {what}: {exc}") from exc
 
 
-def _violation_payload(violation) -> dict:
-    return {"error": "multiplicity_violation", "point": violation.to_json()}
+def _load_arrangement(path: str) -> Arrangement:
+    """The arrangement in the file; MultiplicityError when a point has more than three lines."""
+    arr = _parse_file(path, Arrangement.from_json, "arrangement")
+    require_multiplicities_ok(arr)
+    return arr
+
+
+def _violation_payload(point: IncidencePoint) -> dict:
+    return {"error": "multiplicity_violation", "point": point.to_json()}
+
+
+def _descent_instance(data: dict) -> tuple[QuasiToricRelation, list[UniPoly]]:
+    rel = QuasiToricRelation.from_json(data["relation"])
+    return rel, [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
 
 
 def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> Iterator[tuple[str, dict, list[Vector]]]:
@@ -131,37 +156,25 @@ def _analysis_payload(arr: Arrangement) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     arr = _load_arrangement(args.path)
-    violation = validate_multiplicities(arr)
-    if violation is not None:
-        _emit(_violation_payload(violation))
-        return EXIT_DOMAIN
     _emit(_analysis_payload(arr))
     return EXIT_OK
 
 
 def cmd_pencils(args: argparse.Namespace) -> int:
     arr = _load_arrangement(args.path)
-    violation = validate_multiplicities(arr)
-    if violation is not None:
-        _emit(_violation_payload(violation))
-        return EXIT_DOMAIN
     _emit({"label": arr.label, "pencils": [p.to_json() for p in find_pencils(arr)]})
     return EXIT_OK
 
 
 def cmd_resonance(args: argparse.Namespace) -> int:
     arr = _load_arrangement(args.path)
-    violation = validate_multiplicities(arr)
-    if violation is not None:
-        _emit(_violation_payload(violation))
-        return EXIT_DOMAIN
     pencils = find_pencils(arr)
     os2 = build_os2(arr)
     payload = _resonance_payload(arr, pencils, os2)
     if args.vector is not None:
         try:
             vec = [EisensteinNumber.of(v) for v in json_list(json.loads(args.vector), "--vector")]
-        except (TypeError, ValueError, ParseError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"--vector is not a list of field elements: {exc}") from exc
         if len(vec) != arr.r:
             raise InputError(f"--vector must have length {arr.r}")
@@ -178,19 +191,12 @@ def cmd_resonance(args: argparse.Namespace) -> int:
 
 
 def cmd_catalan(args: argparse.Namespace) -> int:
-    data = _load_json(args.path)
     if args.action == "verify":
-        try:
-            rel = QuasiToricRelation.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{args.path} is not a valid relation: {exc}") from exc
+        rel = _parse_file(args.path, QuasiToricRelation.from_json, "relation")
         _emit({"valid": verify_relation(rel)})
         return EXIT_OK
     if args.action == "generate":
-        try:
-            pencil = PencilDecomposition.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{args.path} is not a valid pencil: {exc}") from exc
+        pencil = _parse_file(args.path, PencilDecomposition.from_json, "pencil")
         if args.steps < 1:
             raise InputError("--steps must be at least 1")
         relations = generate_solutions(pencil, args.steps)
@@ -202,12 +208,7 @@ def cmd_catalan(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK
-    # descend
-    try:
-        rel = QuasiToricRelation.from_json(data["relation"])
-        factors = [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.path} is not a valid descent instance: {exc}") from exc
+    rel, factors = _parse_file(args.path, _descent_instance, "descent instance")
     try:
         descended = descend_step(rel, factors)
     except DescentObstruction as exc:
@@ -249,16 +250,15 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     for path in sorted(directory.glob("*.json")):
         try:
             arr = _load_arrangement(str(path))
-            violation = validate_multiplicities(arr)
-            if violation is not None:
-                rows.append({"file": path.name, "error": "multiplicity_violation", "point": violation.to_json()})
-                continue
             s = milnor_report(arr).s
             pencils = find_pencils(arr)
             os2 = build_os2(arr)
             candidates = [(key, basis) for key, _, basis in _candidate_bases(arr, pencils)]
             isotropic = [component_isotropy_check(os2, basis) for _, basis in candidates]
             planes = _distinct_planes([basis for key, basis in candidates if key == "pencil_components"])
+        except MultiplicityError as exc:
+            rows.append({"file": path.name, **_violation_payload(exc.point)})
+            continue
         except (InputError, ValueError) as exc:
             rows.append({"file": path.name, "error": str(exc)})
             continue
@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ParseError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except MultiplicityError as exc:
+        _emit(_violation_payload(exc.point))
+        return EXIT_DOMAIN
     except ValueError as exc:
         # domain-level rejections (degenerate relations or pencils, ...)
         _emit({"error": "domain_error", "detail": str(exc)})

@@ -141,13 +141,6 @@ class HomForm:
             return HomForm.zero(self.degree)
         return HomForm(self.degree, {e: c * s for e, c in self.coeffs.items()})
 
-    def eval_at(self, point: tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]) -> EisensteinNumber:
-        x, y, z = (EisensteinNumber.of(v) for v in point)
-        total = ZERO
-        for (i, j, k), c in self.coeffs.items():
-            total = total + c * x**i * y**j * z**k
-        return total
-
     def terms_sorted(self) -> list[tuple[Exponent, EisensteinNumber]]:
         return sorted(self.coeffs.items(), key=lambda item: item[0], reverse=True)
 
@@ -321,13 +314,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly(c * i for i, c in enumerate(self.coeffs) if i)
-
-    def eval_at(self, value: EisensteinNumber | int | str) -> EisensteinNumber:
-        v = EisensteinNumber.of(value)
-        total = ZERO
-        for c in reversed(self.coeffs):
-            total = total * v + c
-        return total
 
     def __str__(self) -> str:
         if self.is_zero:

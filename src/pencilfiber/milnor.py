@@ -5,10 +5,13 @@ failure of the triple points to impose independent conditions on curves of
 degree 2r/3 - 3: s = |S| - rank of the evaluation matrix of all such
 monomials at the triple points.  Each point is evaluated at a Z[w]
 representative, its coordinates scaled by the lcm of their denominators, so
-the matrix and its Bareiss rank stay exact and in Z[w].  When r is not
-divisible by 3 the cube-root eigenvalues cannot occur and s is reported
-as 0.
+the matrix and its Bareiss rank stay exact and in Z[w].  For r = 3 the
+degree is negative, the matrix has no columns and s = |S|; with no triple
+points it has no rows and s = 0.  When r is not divisible by 3 the
+cube-root eigenvalues cannot occur and s is reported as 0.
 
+``milnor_report`` is the one source of every invariant derived from s,
+the characteristic polynomial included (``MilnorReport.char_poly``).
 Two bookkeeping conventions coexist for the eigenvalue-1 part and both are
 reported: the characteristic polynomial is printed with exponent r - 2,
 while the first Betti number of the fiber uses multiplicity r - 1, which is
@@ -64,16 +67,7 @@ def superabundance(arr: Arrangement) -> int:
     if r % 3 != 0:
         return 0
     triple = [pt for pt in points if pt.multiplicity == 3]
-    degree = 2 * r // 3 - 3
-    if degree < 0 or not triple:
-        return len(triple) if degree < 0 else 0
-    return len(triple) - rank_pairs(_evaluation_matrix(triple, degree))
-
-
-def char_poly_exponents(arr: Arrangement) -> tuple[int, int]:
-    """Exponents (of t-1, of t^2+t+1) in the monodromy characteristic polynomial."""
-    s = superabundance(arr)
-    return arr.r - 2, s
+    return len(triple) - rank_pairs(_evaluation_matrix(triple, 2 * r // 3 - 3))
 
 
 def char_poly_string(exp_t1: int, exp_cyc: int) -> str:
@@ -83,10 +77,6 @@ def char_poly_string(exp_t1: int, exp_cyc: int) -> str:
     if exp_cyc:
         parts.append(f"(t^2+t+1)^{exp_cyc}")
     return "*".join(parts) if parts else "1"
-
-
-def monodromy_char_poly(arr: Arrangement) -> str:
-    return char_poly_string(*char_poly_exponents(arr))
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,6 @@ class MilnorReport:
 def milnor_report(arr: Arrangement) -> MilnorReport:
     s = superabundance(arr)
     r = arr.r
-    eigen_w = s if r % 3 == 0 else 0
     return MilnorReport(
         r=r,
         s=s,
@@ -142,7 +131,7 @@ def milnor_report(arr: Arrangement) -> MilnorReport:
         char_cyclotomic_exponent=s,
         b1_milnor_fiber=(r - 1) + 2 * s,
         eigenspace_dim_1=r - 1,
-        eigenspace_dim_w=eigen_w,
-        eigenspace_dim_w2=eigen_w,
+        eigenspace_dim_w=s,
+        eigenspace_dim_w2=s,
         mw_rank=2 * s,
     )

@@ -19,12 +19,15 @@ Milnor fibration of a hyperplane arrangement: from modular resonance to
 algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
 and beta_3, their dimension modulo sigma, is at most 2, so the kernel
 (``linalg.nullspace_f3``) spans at most 27 vectors; each one whose level
-sets are three classes of k lines is a candidate.  A candidate is a pencil
-iff its coefficient matrix, one row per monomial of degree k and one column
-per class, has rank 2 (``linalg.rank``) and its kernel vector (l1, l2, l3)
-has no zero entry.  With three columns that kernel needs no elimination: it
+sets are three classes of k lines is a candidate, and its class products
+are ``forms.product_of_linear_forms``.  A candidate is a pencil iff its
+coefficient matrix, one row per monomial of degree k and one column per
+class, has rank 2 (``linalg.rank``) and its kernel vector (l1, l2, l3) has
+no zero entry.  With three columns that kernel needs no elimination: it
 is the cross product of two rows that are not proportional.  Each accepted
-dependence is re-verified by polynomial multiplication.
+dependence is re-verified by polynomial multiplication.  ``find_pencils``
+is the one answer: whether an arrangement is composed of a reduced pencil
+is its truth value, and the number of pencils its length.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -34,13 +37,12 @@ Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from operator import mul
 
 from .arrangement import Arrangement, require_multiplicities_ok
 from .eisenstein import ZERO, EisensteinNumber, json_int, json_list
-from .forms import HomForm
+from .forms import HomForm, product_of_linear_forms
 from .linalg import cross, nullspace_f3, rank
 from .milnor import monomial_exponents
 
@@ -90,7 +92,7 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     forms = [line.form for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
-        prods = tuple(reduce(mul, (forms[i] for i in c), HomForm.constant(1)) for c in triple)
+        prods = tuple(product_of_linear_forms(forms[i] for i in c) for c in triple)
         rows = [[f.coeffs.get(e, ZERO) for f in prods] for e in monomials]
         if rank(rows) != 2:
             continue  # independent, or all three proportional
@@ -140,11 +142,3 @@ def _cocycle_partitions(arr: Arrangement) -> list[tuple[tuple[int, ...], ...]]:
         if all(len(c) == k for c in classes):
             found.add(tuple(sorted(classes)))
     return sorted(found)
-
-
-def is_composed_of_reduced_pencil(arr: Arrangement) -> bool:
-    return bool(find_pencils(arr))
-
-
-def pencil_count(arr: Arrangement) -> int:
-    return len(find_pencils(arr))

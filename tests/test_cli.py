@@ -14,10 +14,10 @@ from linalg_oracle import rref
 from pencilfiber import cli
 from pencilfiber.arrangement import (
     Arrangement,
+    MultiplicityError,
     combinatorial_type,
     intersection_points,
     proj_transform,
-    validate_multiplicities,
 )
 from pencilfiber.cli import main
 from pencilfiber.eisenstein import EisensteinNumber
@@ -67,13 +67,87 @@ def test_analyze_is_deterministic(capsys, dual_hesse_file):
     assert first == second
 
 
-def test_analyze_multiplicity_violation(capsys, tmp_path):
-    path = write_json(tmp_path / "bad.json", four_concurrent().to_json())
-    code, out = run_cli(capsys, ["analyze", path])
+# stdout of analyze, pencils and resonance on four_concurrent, byte for byte
+FOUR_CONCURRENT_VIOLATION = """{
+  "error": "multiplicity_violation",
+  "point": {
+    "lines": [
+      0,
+      1,
+      2,
+      3
+    ],
+    "multiplicity": 4,
+    "point": [
+      "0",
+      "0",
+      "1"
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "pencils", "resonance"])
+def test_analyze_multiplicity_violation(capsys, tmp_path, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = write_json(corpus / "bad.json", four_concurrent().to_json())
+    code, out = run_cli(capsys, [command, path])
     assert code == 2
+    assert out == FOUR_CONCURRENT_VIOLATION
     payload = json.loads(out)
     assert payload["error"] == "multiplicity_violation"
     assert payload["point"]["multiplicity"] == 4
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"file": "bad.json", **payload}]
+
+
+NOT_UTF8 = b'{"label": "x\xff", "lines": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}'
+OVER_NESTED = "[" * 100000
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, OVER_NESTED.encode()], ids=["not_utf8", "over_nested"])
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_json(corpus / "concurrent.json", concurrent_triple().to_json())
+    (corpus / "hostile.json").write_bytes(content)
+    code = main(["analyze", str(corpus / "hostile.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "hostile.json is not valid JSON" in json.loads(captured.err)["error"]
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["file"] for row in rows] == ["concurrent.json", "hostile.json"]
+    assert "error" not in rows[0]
+    assert "hostile.json is not valid JSON" in rows[1]["error"]
+
+
+def test_resonance_rejects_over_nested_vector(capsys, tmp_path):
+    path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
+    code, out = run_cli(capsys, ["resonance", path, "--vector", "[" * 5000])
+    assert code == 1
+    assert out == ""
+
+
+def test_hostile_json_exits_without_a_traceback(tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(NOT_UTF8)
+    proc = run_entry_point(["analyze", str(path)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "not valid JSON" in json.loads(proc.stderr)["error"]
+    path.write_text(OVER_NESTED)
+    proc = run_entry_point(["analyze", str(path)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "not valid JSON" in json.loads(proc.stderr)["error"]
+    vector = str(write_json(tmp_path / "concurrent.json", concurrent_triple().to_json()))
+    proc = run_entry_point(["resonance", vector, "--vector", "[" * 5000])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "--vector" in json.loads(proc.stderr)["error"]
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -520,11 +594,10 @@ def _crosscheck_oracle(directory):
     for path in sorted(directory.glob("*.json")):
         try:
             arr = cli._load_arrangement(str(path))
-            violation = validate_multiplicities(arr)
-            if violation is not None:
-                rows.append({"file": path.name, "error": "multiplicity_violation", "point": violation.to_json()})
-                continue
             payload = cli._analysis_payload(arr)
+        except MultiplicityError as exc:
+            rows.append({"file": path.name, "error": "multiplicity_violation", "point": exc.point.to_json()})
+            continue
         except (cli.InputError, ValueError) as exc:
             rows.append({"file": path.name, "error": str(exc)})
             continue

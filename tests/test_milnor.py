@@ -21,7 +21,6 @@ from pencilfiber.fixtures import (
 from pencilfiber.milnor import (
     char_poly_string,
     milnor_report,
-    monodromy_char_poly,
     monomial_exponents,
     superabundance,
 )
@@ -91,9 +90,9 @@ def test_multiplicity_violation_propagates():
 
 
 def test_char_poly_strings():
-    assert monodromy_char_poly(dual_hesse()) == "(t-1)^7*(t^2+t+1)^2"
-    assert monodromy_char_poly(triangle()) == "(t-1)^1"
-    assert monodromy_char_poly(braid()) == "(t-1)^4*(t^2+t+1)^1"
+    assert milnor_report(dual_hesse()).char_poly == "(t-1)^7*(t^2+t+1)^2"
+    assert milnor_report(triangle()).char_poly == "(t-1)^1"
+    assert milnor_report(braid()).char_poly == "(t-1)^4*(t^2+t+1)^1"
     assert char_poly_string(0, 0) == "1"
 
 

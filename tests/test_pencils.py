@@ -20,13 +20,7 @@ from pencilfiber.fixtures import (
 )
 from pencilfiber.forms import HomForm
 from pencilfiber.milnor import monomial_exponents, superabundance
-from pencilfiber.pencils import (
-    PencilDecomposition,
-    beta3,
-    find_pencils,
-    is_composed_of_reduced_pencil,
-    pencil_count,
-)
+from pencilfiber.pencils import PencilDecomposition, beta3, find_pencils
 
 
 def _det3(m):
@@ -105,7 +99,7 @@ def test_generic_nine_has_no_pencils():
 
 
 def test_triangle_has_no_pencil():
-    assert pencil_count(triangle()) == 0
+    assert len(find_pencils(triangle())) == 0
 
 
 def test_concurrent_triple_pencil():
@@ -168,9 +162,9 @@ def test_search_agrees_with_exhaustive_oracle():
 
 
 def test_is_composed_examples():
-    assert is_composed_of_reduced_pencil(dual_hesse())
-    assert is_composed_of_reduced_pencil(concurrent_triple())
-    assert not is_composed_of_reduced_pencil(generic_nine())
+    assert bool(find_pencils(dual_hesse()))
+    assert bool(find_pencils(concurrent_triple()))
+    assert not bool(find_pencils(generic_nine()))
 
 
 def test_invariance_under_relabeling_and_transform():
@@ -234,4 +228,4 @@ def test_beta3_is_superabundance_and_counts_pencils(corpus_dir):
     for arr in arrangements:
         b = beta3(arr)
         assert b == superabundance(arr), arr.label
-        assert pencil_count(arr) == (3**b - 1) // 2, arr.label
+        assert len(find_pencils(arr)) == (3**b - 1) // 2, arr.label
