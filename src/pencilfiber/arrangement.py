@@ -2,11 +2,12 @@
 
 Lines are coefficient triples (a, b, c) of a*x + b*y + c*z, normalized so
 the first nonzero coefficient is 1; an arrangement is an ordered list of
-pairwise distinct lines.  Intersection points are found over Z[w]: each
-line is scaled to an integer triple, the point of two lines is their cross
-product, and a third line passes through it iff their dot product is exactly
-zero.  Points are grouped by these incidence tests, not by hashing
-coordinates; each is then normalized once, lead coordinate 1, for output.
+pairwise distinct lines.  All projective work is over Z[w]: each line is
+scaled to an integer triple (``eisenstein.integer_pairs``), the point of two
+lines is their cross product, and a third line passes through it iff their
+dot product is exactly zero.  Points are grouped by these incidence tests,
+not by hashing coordinates; each is then normalized once, lead coordinate 1,
+by ``eisenstein.normalized``, the same rule that normalizes a line.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -27,13 +28,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .eisenstein import EisensteinNumber, Pair, integer_pairs, json_list, pair_cross, pair_dot, pair_mul
+from .eisenstein import EisensteinNumber, integer_pairs, json_list, json_object, normalized, pair_cross, pair_dot
 from .forms import HomForm
-from .linalg import Matrix, cross
+from .linalg import Matrix
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -61,11 +61,9 @@ class Line:
         c: EisensteinNumber | int | str,
     ) -> None:
         coeffs = (EisensteinNumber.of(a), EisensteinNumber.of(b), EisensteinNumber.of(c))
-        lead = next((v for v in coeffs if v), None)
-        if lead is None:
+        if not any(coeffs):
             raise ValueError("a line needs a nonzero coefficient")
-        inv = lead.inverse()
-        self.coeffs = tuple(v * inv for v in coeffs)
+        self.coeffs = normalized(integer_pairs(coeffs))
 
     @property
     def form(self) -> HomForm:
@@ -126,9 +124,7 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Arrangement":
-        if not isinstance(data, dict):
-            raise TypeError(f"an arrangement must be a JSON object, not {type(data).__name__}")
-        label = data.get("label", "")
+        label = json_object(data, "an arrangement").get("label", "")
         if not isinstance(label, str):
             raise TypeError(f"label must be a JSON string, not {type(label).__name__}")
         return cls([Line.from_json(entry) for entry in json_list(data["lines"], "lines")], label)
@@ -179,22 +175,10 @@ def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
                 through = [i, j] + [k for k in range(j + 1, n) if pair_dot(lines[k], p) == (0, 0)]
                 for a, b in combinations(through, 2):
                     covered[a][b] = True
-                points.append(IncidencePoint(_normalized(p), tuple(through)))
+                points.append(IncidencePoint(normalized(p), tuple(through)))
         points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
         arr._points = tuple(points)
     return arr._points
-
-
-def _normalized(p: tuple[Pair, Pair, Pair]) -> Point:
-    """The point of Q(w) P^2 with Z[w] representative p, scaled so its lead coordinate is 1.
-
-    Dividing by the lead a + b*w is multiplying by its conjugate (a - b) - b*w
-    and dividing by its norm a^2 - a*b + b^2.
-    """
-    a, b = next(v for v in p if v != (0, 0))
-    norm = a * a - a * b + b * b
-    scaled = [pair_mul(v, (a - b, -b)) for v in p]
-    return tuple(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)) for x, y in scaled)
 
 
 def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
@@ -338,21 +322,22 @@ def combinatorial_type(arr: Arrangement) -> CombinatorialType:
 
 
 def proj_transform(arr: Arrangement, matrix: Matrix) -> Arrangement:
-    """The image of every line under the point map p -> M p.
+    """The image of every line under the point map p -> M p, computed over Z[w].
 
     A line a goes to a * M^-1, which ``Line`` normalisation makes a * adj(M).
-    The columns of adj(M) are the cross products of pairs of rows of M, and
-    the first row's dot product with the first column is det(M).  A matrix
-    that is not 3x3 or has det(M) = 0 raises ValueError.
+    The nine entries of M are scaled into Z[w] by one common factor, which
+    scales the map only as a whole; a factor per row would change it.  The
+    columns of adj(M) are the cross products of pairs of rows of M, and the
+    first row's dot product with the first column is det(M).  A matrix that
+    is not 3x3 or has det(M) = 0 raises ValueError.
     """
     if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
         raise ValueError("a projective transform is a 3x3 matrix")
-    r0, r1, r2 = ([EisensteinNumber.of(v) for v in row] for row in matrix)
-    columns = (cross(r1, r2), cross(r2, r0), cross(r0, r1))
-    if not _dot(r0, columns[0]):
+    entries = integer_pairs([EisensteinNumber.of(v) for row in matrix for v in row])
+    r0, r1, r2 = entries[0:3], entries[3:6], entries[6:9]
+    columns = (pair_cross(r1, r2), pair_cross(r2, r0), pair_cross(r0, r1))
+    if pair_dot(r0, columns[0]) == (0, 0):
         raise ValueError("matrix is singular")
-    return Arrangement([Line(*(_dot(line.coeffs, col) for col in columns)) for line in arr.lines], arr.label)
-
-
-def _dot(u: Sequence[EisensteinNumber], v: Sequence[EisensteinNumber]) -> EisensteinNumber:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    lines = (integer_pairs(line.coeffs) for line in arr.lines)
+    images = ([EisensteinNumber(*pair_dot(a, col)) for col in columns] for a in lines)
+    return Arrangement([Line(*image) for image in images], arr.label)

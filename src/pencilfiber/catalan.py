@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber, json_list
+from .eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber, json_list, json_object
 from .forms import HomForm, UniPoly, root_multiplicity, squarefree_cube_split, uni_gcd
 from .pencils import PencilDecomposition
 
@@ -67,7 +67,7 @@ class QuasiToricRelation:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuasiToricRelation":
-        univariate = data["univariate"]
+        univariate = json_object(data, "a relation")["univariate"]
         if not isinstance(univariate, bool):
             raise TypeError(f"univariate must be a JSON bool, not {type(univariate).__name__}")
         kind = UniPoly if univariate else HomForm

@@ -12,7 +12,7 @@ deterministic: sorted keys, canonical polynomial strings, no timestamps):
     pencilfiber crosscheck <directory>
 
 Exit codes: 0 success, 1 input error, 2 domain validation failure,
-3 consistency failure in crosscheck.
+3 consistency failure in crosscheck.  Usage errors are input errors too.
 
 Every input file goes through ``_parse_file``: a file that cannot be read,
 is not UTF-8, nests too deeply or is not JSON, and one its ``from_json``
@@ -29,7 +29,7 @@ import json
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .arrangement import (
     Arrangement,
@@ -48,13 +48,14 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, ParseError, json_list
+from .eisenstein import EisensteinNumber, ParseError, json_list, json_object
 from .forms import UniPoly
-from .linalg import Vector, rank
+from .linalg import rank
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
     OSDegree2,
+    Weights,
     build_os2,
     component_isotropy_check,
     generic_member,
@@ -73,6 +74,13 @@ T = TypeVar("T")
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError on a usage error; ``add_subparsers`` gives subcommands this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _emit(payload: dict) -> None:
@@ -95,7 +103,9 @@ def _parse_file(path: str, parse: Callable[[dict], T], what: str) -> T:
     data = _load_json(path)
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"{path} is not a valid {what}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a valid {what}: {exc}") from exc
 
 
@@ -111,11 +121,11 @@ def _violation_payload(point: IncidencePoint) -> dict:
 
 
 def _descent_instance(data: dict) -> tuple[QuasiToricRelation, list[UniPoly]]:
-    rel = QuasiToricRelation.from_json(data["relation"])
+    rel = QuasiToricRelation.from_json(json_object(data, "a descent instance")["relation"])
     return rel, [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
 
 
-def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> Iterator[tuple[str, dict, list[Vector]]]:
+def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> Iterator[tuple[str, dict, list[Weights]]]:
     """Each candidate component as (payload key, its JSON entry, its basis):
     one per triple point, then one per pencil."""
     for pt in intersection_points(arr):
@@ -227,10 +237,10 @@ def cmd_catalan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _distinct_planes(bases: list[list[Vector]]) -> int:
+def _distinct_planes(bases: list[list[Weights]]) -> int:
     """How many distinct planes the two-vector bases span: a basis counts
     unless, stacked with one counted before, it still has rank 2."""
-    counted: list[list[Vector]] = []
+    counted: list[list[Weights]] = []
     for basis in bases:
         if all(rank(basis + other) > 2 for other in counted):
             counted.append(basis)
@@ -313,7 +323,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pencilfiber",
         description="Exact arrangement invariants and cube Catalan equations over Q(w).",
     )
@@ -346,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ParseError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -18,6 +18,8 @@ positive denominator, so ``parse_eisenstein(str(x)) == x``.
 Where only a line, a point or a rank matters, a row can be scaled into
 Z[w] and held as integer pairs (a, b) meaning a + b*w; ``pair_mul``,
 ``pair_cross`` and ``pair_dot`` then compute without fractions.
+``normalized`` is the way back: it turns a Z[w] triple into the Q(w) triple
+of the same projective point whose first nonzero entry is 1.
 """
 
 from __future__ import annotations
@@ -244,6 +246,13 @@ def json_list(value: object, what: str) -> list:
     return value
 
 
+def json_object(value: object, what: str) -> dict:
+    """``value`` itself if it is a JSON object; TypeError for anything else."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def json_int(value: object, what: str) -> int:
     """``value`` itself if it is a JSON integer; TypeError for anything else.
 
@@ -290,6 +299,18 @@ def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
     """The bilinear dot product u0*v0 + u1*v1 + u2*v2 of two triples over Z[w]."""
     p, q, r = pair_mul(u[0], v[0]), pair_mul(u[1], v[1]), pair_mul(u[2], v[2])
     return (p[0] + q[0] + r[0], p[1] + q[1] + r[1])
+
+
+def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
+    """The Q(w) triple proportional to the nonzero Z[w] triple p whose first nonzero entry is 1.
+
+    Dividing by the lead a + b*w is multiplying by its conjugate (a - b) - b*w
+    and dividing by its norm a^2 - a*b + b^2.
+    """
+    a, b = next(v for v in p if v != (0, 0))
+    norm = a * a - a * b + b * b
+    scaled = [pair_mul(v, (a - b, -b)) for v in p]
+    return tuple(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)) for x, y in scaled)
 
 
 ZERO = EisensteinNumber(0)

@@ -19,10 +19,9 @@ JSON wire formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .eisenstein import ONE, ZERO, EisensteinNumber, json_int, json_list
+from .eisenstein import ONE, ZERO, EisensteinNumber, json_int, json_list, json_object
 
 Exponent = tuple[int, int, int]
 
@@ -172,9 +171,10 @@ class HomForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomForm":
+        terms = [json_object(t, "a term") for t in json_list(json_object(data, "a form")["terms"], "terms")]
         coeffs = {
             tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp")): EisensteinNumber.of(t["c"])
-            for t in json_list(data["terms"], "terms")
+            for t in terms
         }
         return cls(json_int(data["degree"], "degree"), coeffs)
 
@@ -338,7 +338,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "UniPoly":
-        return cls(json_list(data["coeffs"], "coeffs"))
+        return cls(json_list(json_object(data, "a polynomial")["coeffs"], "coeffs"))
 
 
 def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
@@ -351,20 +351,9 @@ def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
     return result
 
 
-@dataclass(frozen=True)
-class LineChart:
-    """Fixed affine parametrization of a projective line.
-
-    ``coords`` sends the affine parameter t to a point of the line;
-    ``infinity`` is the one point of the line missed by the chart.
-    """
-
-    coords: tuple[UniPoly, UniPoly, UniPoly]
-    infinity: tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
-
-
-def line_parametrization(line: HomForm) -> LineChart:
-    """Chart of the line a*x + b*y + c*z = 0, solving for z, then y, then x."""
+def line_parametrization(line: HomForm) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Fixed chart of the line a*x + b*y + c*z = 0: the coordinates of its
+    point at the affine parameter t, solving for z, then y, then x."""
     if line.degree != 1 or line.is_zero:
         raise ValueError("expected a nonzero linear form")
     a = line.coeffs.get((1, 0, 0), ZERO)
@@ -373,21 +362,15 @@ def line_parametrization(line: HomForm) -> LineChart:
     t = UniPoly.t()
     one = UniPoly.one()
     if c:
-        coords = (t, one, UniPoly((-b / c, -a / c)))
-        infinity = (ONE, ZERO, -a / c)
-    elif b:
-        coords = (t, UniPoly((ZERO, -a / b)), one)
-        infinity = (ONE, -a / b, ZERO)
-    else:
-        coords = (UniPoly.zero(), t, one)
-        infinity = (ZERO, ONE, ZERO)
-    return LineChart(coords, infinity)
+        return (t, one, UniPoly((-b / c, -a / c)))
+    if b:
+        return (t, UniPoly((ZERO, -a / b)), one)
+    return (UniPoly.zero(), t, one)
 
 
 def restrict_to_line(p: HomForm, line: HomForm) -> UniPoly:
     """Substitute the line's fixed chart into p, giving a polynomial in t."""
-    chart = line_parametrization(line)
-    px, py, pz = chart.coords
+    px, py, pz = line_parametrization(line)
     total = UniPoly.zero()
     for (i, j, k), coeff in p.coeffs.items():
         total = total + coeff * (px**i * py**j * pz**k)

@@ -1,23 +1,20 @@
-"""Dense exact linear algebra over Q(w) and F3: rank, cross products, null spaces mod 3.
+"""Dense exact linear algebra: rank over Z[w] and null spaces mod 3.
 
 Matrices are lists of rows of EisensteinNumber, or of Python ints for the
 F3 null space.  ``rank`` is the one eliminator over Q(w): it scales each row
 to integer pairs in Z[w] and hands them to ``rank_pairs``, fraction-free
 (Bareiss) elimination, which callers holding Z[w] rows call directly.
-Questions that live in 3-space need no elimination: the kernel of a rank-2
-matrix with three columns, and the adjugate of a 3x3 matrix, are cross
-products of its rows.  Null spaces mod 3 come from Gauss-Jordan elimination
-on residues.  All of it is exact, so results are certificates, not estimates.
+Questions that live in 3-space need no elimination and are not asked here:
+they are cross and dot products of Z[w] triples (``eisenstein.pair_cross``,
+``pair_dot``).  Null spaces mod 3 come from Gauss-Jordan elimination on
+residues.  All of it is exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .eisenstein import EisensteinNumber, Pair, integer_pairs
 
 Matrix = list[list[EisensteinNumber]]
-Vector = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
 
 def rank(rows: Matrix) -> int:
@@ -94,8 +91,3 @@ def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:
             vec[piv] = -row[free] % 3
         basis.append(vec)
     return basis
-
-
-def cross(u: Sequence[EisensteinNumber], v: Sequence[EisensteinNumber]) -> Vector:
-    """u x v: orthogonal to u and v under the bilinear dot product, zero iff they are proportional."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])

@@ -22,10 +22,12 @@ and beta_3, their dimension modulo sigma, is at most 2, so the kernel
 sets are three classes of k lines is a candidate, and its class products
 are ``forms.product_of_linear_forms``.  A candidate is a pencil iff its
 coefficient matrix, one row per monomial of degree k and one column per
-class, has rank 2 (``linalg.rank``) and its kernel vector (l1, l2, l3) has
-no zero entry.  With three columns that kernel needs no elimination: it
-is the cross product of two rows that are not proportional.  Each accepted
-dependence is re-verified by polynomial multiplication.  ``find_pencils``
+class, has rank 2 and its kernel vector (l1, l2, l3) has no zero entry.
+Each row is scaled into Z[w] (``eisenstein.integer_pairs``), so the rank
+is ``linalg.rank_pairs`` and, with three columns, the kernel needs no
+elimination: it is the cross product ``pair_cross`` of two rows that are
+not proportional, scaled by ``eisenstein.normalized`` so that l1 = 1.
+Each accepted dependence is re-verified by polynomial multiplication.  ``find_pencils``
 is the one answer: whether an arrangement is composed of a reduced pencil
 is its truth value, and the number of pencils its length.
 
@@ -41,9 +43,9 @@ from itertools import product
 from operator import mul
 
 from .arrangement import Arrangement, require_multiplicities_ok
-from .eisenstein import ZERO, EisensteinNumber, json_int, json_list
+from .eisenstein import ZERO, EisensteinNumber, integer_pairs, json_int, json_list, json_object, normalized, pair_cross
 from .forms import HomForm, product_of_linear_forms
-from .linalg import cross, nullspace_f3, rank
+from .linalg import nullspace_f3, rank_pairs
 from .milnor import monomial_exponents
 
 
@@ -73,6 +75,7 @@ class PencilDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "PencilDecomposition":
+        json_object(data, "a pencil")
         classes = tuple(
             tuple(json_int(i, "a line index") for i in json_list(c, "a class")) for c in json_list(data["classes"], "classes")
         )
@@ -93,15 +96,15 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = tuple(product_of_linear_forms(forms[i] for i in c) for c in triple)
-        rows = [[f.coeffs.get(e, ZERO) for f in prods] for e in monomials]
-        if rank(rows) != 2:
+        rows = [integer_pairs([f.coeffs.get(e, ZERO) for f in prods]) for e in monomials]
+        if rank_pairs(rows) != 2:
             continue  # independent, or all three proportional
-        first = next(row for row in rows if any(row))
-        lam = next(v for v in (cross(first, row) for row in rows) if any(v))
-        if not all(lam):
+        # a pair is a tuple, so it is truthy even when it is zero
+        first = next(row for row in rows if any(v != (0, 0) for v in row))
+        lam = next(c for c in (pair_cross(first, row) for row in rows) if any(v != (0, 0) for v in c))
+        if (0, 0) in lam:
             continue  # a zero coefficient: two products are proportional
-        inv = lam[0].inverse()
-        lam = tuple(l * inv for l in lam)
+        lam = normalized(lam)
         combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])
         if not combo.is_zero:
             raise AssertionError("dependence failed exact re-verification")

@@ -35,12 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ONE, ZERO, EisensteinNumber
-from .linalg import Matrix, Vector, rank
+from .linalg import Matrix, rank
 from .pencils import PencilDecomposition
+
+Weights = Sequence[EisensteinNumber]  # a weight vector: one entry per line
 
 
 @dataclass
@@ -75,7 +77,7 @@ def build_os2(arr: Arrangement) -> OSDegree2:
     return OSDegree2(arr.r, points)
 
 
-def _check_weight(os: OSDegree2, a: Vector) -> list[EisensteinNumber]:
+def _check_weight(os: OSDegree2, a: Weights) -> list[EisensteinNumber]:
     vec = [EisensteinNumber.of(v) for v in a]
     if len(vec) != os.r:
         raise ValueError(f"weight vector must have length {os.r}")
@@ -98,7 +100,7 @@ def _local_conditions(
             yield ((i, a[j]), (j, -a[k] - a[i]), (k, a[j]))
 
 
-def wedge_vanishes(os: OSDegree2, a: Vector, b: Vector) -> bool:
+def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     """True iff a ^ b is zero in the quotient, checked only at the points
     that carry two lines of the support of a and b.
 
@@ -112,7 +114,7 @@ def wedge_vanishes(os: OSDegree2, a: Vector, b: Vector) -> bool:
     return not any(sum((c * b[l] for l, c in cond), ZERO) for cond in _local_conditions(points, a))
 
 
-def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
+def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant."""
     a = _check_weight(os, a)
     if not any(a):
@@ -127,7 +129,7 @@ def resonance_kernel_dim(os: OSDegree2, a: Vector) -> int:
     return os.r - rank(rows)
 
 
-def component_isotropy_check(os: OSDegree2, basis: list[Vector]) -> bool:
+def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
     """True iff all pairwise wedges of an independent sum-zero basis vanish."""
     vectors = [_check_weight(os, v) for v in basis]
     for v in vectors:
@@ -138,7 +140,7 @@ def component_isotropy_check(os: OSDegree2, basis: list[Vector]) -> bool:
     return all(wedge_vanishes(os, u, v) for u, v in combinations(vectors, 2))
 
 
-def triple_point_basis(point: IncidencePoint, r: int) -> list[Vector]:
+def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:
     """Local candidate component at a triple point."""
     if point.multiplicity != 3:
         raise ValueError("local components come from triple points")
@@ -150,7 +152,7 @@ def triple_point_basis(point: IncidencePoint, r: int) -> list[Vector]:
     return [u, v]
 
 
-def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Vector]:
+def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
     """Global candidate component spanned by class-indicator differences."""
     chi = []
     for cls in pencil.classes:
@@ -163,7 +165,7 @@ def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Vector]:
     return [u, v]
 
 
-def generic_member(basis: list[Vector]) -> Vector:
+def generic_member(basis: list[Weights]) -> Weights:
     """A fixed nonzero combination u + 2 v used for spot checks."""
     u, v = basis
     return [a + EisensteinNumber(2) * b for a, b in zip(u, v)]

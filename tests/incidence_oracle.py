@@ -6,8 +6,8 @@ those answers against this normalise-and-group code over Q(w), which shares
 no code with them beyond ``EisensteinNumber`` and the result types.
 """
 
+from linalg_oracle import cross
 from pencilfiber.arrangement import IncidencePoint
-from pencilfiber.linalg import cross
 from pencilfiber.milnor import monomial_exponents
 
 

@@ -1,8 +1,9 @@
-"""Gauss-Jordan elimination over Q(w): the tests' reference for ranks and null spaces.
+"""Gauss-Jordan elimination and cross products over Q(w): the tests' reference.
 
 The package answers rank questions by Bareiss elimination over Z[w] and
-3-space questions by cross products.  The tests check those answers against
-this textbook reduction, which shares no code with them.
+3-space questions by cross and dot products of Z[w] triples.  The tests
+check those answers against this textbook reduction and the cross product
+over Q(w), which share no code with them.
 """
 
 from pencilfiber.eisenstein import ONE, ZERO
@@ -56,6 +57,11 @@ def nullspace(rows, ncols=None):
             vec[piv] = -row[free]
         basis.append(vec)
     return basis
+
+
+def cross(u, v):
+    """u x v over Q(w): orthogonal to u and v, zero iff they are proportional."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def mat_mul(a, b):

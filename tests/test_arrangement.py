@@ -20,7 +20,7 @@ from pencilfiber.arrangement import (
     proj_transform,
     require_multiplicities_ok,
 )
-from pencilfiber.eisenstein import EisensteinNumber
+from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, normalized, pair_dot
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
@@ -41,6 +41,23 @@ def test_line_normalization():
     assert Line(2, 4, 6) == Line(1, 2, 3)
     with pytest.raises(ValueError):
         Line(0, 0, 0)
+
+
+qw_entries = st.builds(
+    EisensteinNumber,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(qw_entries, min_size=3, max_size=3).filter(any))
+def test_normalized_matches_qw_oracle(triple):
+    # the one normaliser, from a Z[w] triple and through Line, against division by the lead in Q(w)
+    expected = incidence_oracle.normalize_point(triple)
+    assert normalized(integer_pairs(triple)) == expected
+    assert Line(*triple).coeffs == expected
+    assert expected[next(i for i, v in enumerate(triple) if v)] == 1
 
 
 def test_proportional_lines_rejected():
@@ -163,20 +180,29 @@ def test_proj_transform_rejects_singular():
 
 
 def test_proj_transform_moves_lines_with_their_points():
-    # a line through p goes to a line through M p, for generic M and every incidence
-    rng = random.Random(31)
+    # a line through p goes to a line through M p, for generic M and every incidence; the
+    # Q(w) matrices have w-parts and unequal row denominators, so the map is M, not M scaled per row
+    rng, qw_rng = random.Random(31), random.Random(37)
     for arr in (braid(), dual_hesse()):
         points = intersection_points(arr)
         for _ in range(4):
             m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-            try:
-                image = proj_transform(arr, m)
-            except ValueError:
-                continue
-            for pt in points:
-                moved = [sum((m[i][j] * pt.point[j] for j in range(3)), EisensteinNumber(0)) for i in range(3)]
-                for index in pt.lines:
-                    assert not arrangement._dot(image.lines[index].coeffs, moved)
+            qw_m = [
+                [
+                    EisensteinNumber(qw_rng.randint(-6, 6), qw_rng.randint(-6, 6)) / qw_rng.randint(1, 9)
+                    for _ in range(3)
+                ]
+                for _ in range(3)
+            ]
+            for matrix in (m, qw_m):
+                try:
+                    image = proj_transform(arr, matrix)
+                except ValueError:
+                    continue
+                for pt in points:
+                    moved = [sum((matrix[i][j] * pt.point[j] for j in range(3)), EisensteinNumber(0)) for i in range(3)]
+                    for index in pt.lines:
+                        assert pair_dot(integer_pairs(image.lines[index].coeffs), integer_pairs(moved)) == (0, 0)
     # det = 0 with nonzero rows, and shapes that are not 3x3
     for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
         with pytest.raises(ValueError):

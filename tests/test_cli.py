@@ -166,6 +166,61 @@ def test_analyze_malformed_json(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalan", "generate", "x.json", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["catalan", "frobnicate", "x.json"], "argument action: invalid choice: 'frobnicate'"),
+        (["frobnicate", "x.json"], "argument command: invalid choice: 'frobnicate'"),
+        (["analyze"], "the following arguments are required: path"),
+        (["catalan", "verify"], "the following arguments are required: path"),
+        ([], "the following arguments are required: command"),
+        (["analyze", "x.json", "y.json"], "unrecognized arguments: y.json"),
+    ],
+    ids=["bad_steps", "unknown_action", "unknown_command", "missing_path", "missing_catalan_path", "no_command", "extra"],
+)
+def test_usage_error_is_an_input_error(argv, message):
+    # an input error like any other: exit 1, no stdout, one JSON line on stderr
+    proc = run_entry_point(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["catalan", "--help"]])
+def test_help_exits_zero(argv):
+    proc = run_entry_point(argv)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: pencilfiber")
+
+
+def _relation_of(univariate, poly):
+    return {"univariate": univariate, "F": [poly] * 3, "sol": [poly] * 3}
+
+
+@pytest.mark.parametrize(
+    "command, what, payload, message",
+    [
+        ("verify", "relation", {"F": [[]], "sol": []}, "missing key 'univariate'"),
+        ("verify", "relation", [], "a relation must be a JSON object, not list"),
+        ("verify", "relation", _relation_of(True, []), "a polynomial must be a JSON object, not list"),
+        ("verify", "relation", _relation_of(False, []), "a form must be a JSON object, not list"),
+        ("verify", "relation", _relation_of(False, {"degree": 0, "terms": [[]]}), "a term must be a JSON object, not list"),
+        ("descend", "descent instance", {"relation": [], "known_factors": []}, "a relation must be a JSON object, not list"),
+        ("descend", "descent instance", [], "a descent instance must be a JSON object, not list"),
+        ("descend", "descent instance", {"relation": _relation_of(True, {"coeffs": ["1"]})}, "missing key 'known_factors'"),
+        ("generate", "pencil", [], "a pencil must be a JSON object, not list"),
+        ("generate", "pencil", {"classes": []}, "missing key 'lambdas'"),
+    ],
+)
+def test_catalan_loader_names_what_is_wrong(capsys, tmp_path, command, what, payload, message):
+    path = write_json(tmp_path / "input.json", payload)
+    code = main(["catalan", command, path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": f"{path} is not a valid {what}: {message}"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "pencils", "resonance"])
 def test_empty_arrangement_is_an_input_error(capsys, tmp_path, command):
     path = write_json(tmp_path / "empty.json", {"label": "empty", "lines": []})

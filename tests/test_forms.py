@@ -127,8 +127,8 @@ def test_restrict_defining_form_is_zero():
 
 
 def test_restrict_cubic_to_z_zero():
-    chart = line_parametrization(HomForm.linear(0, 0, 1))
-    assert [str(c) for c in chart.coords] == ["(1)*t", "(1)", "0"]
+    coords = line_parametrization(HomForm.linear(0, 0, 1))
+    assert [str(c) for c in coords] == ["(1)*t", "(1)", "0"]
     restricted = restrict_to_line(X**3 - Y**3, HomForm.linear(0, 0, 1))
     assert restricted == T**3 - ONE_P
 

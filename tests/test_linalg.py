@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_oracle import mat_mul, nullspace, rref
-from pencilfiber.eisenstein import ZERO, EisensteinNumber
-from pencilfiber.linalg import cross, nullspace_f3, rank
+from pencilfiber.eisenstein import ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
+from pencilfiber.linalg import nullspace_f3, rank
 
 small_eis = st.builds(
     EisensteinNumber,
@@ -107,10 +107,6 @@ def test_nullspace_annihilates(m):
             assert sum((a * b for a, b in zip(row, vec)), ZERO) == ZERO
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 @st.composite
 def vector_pairs(draw):
     """(u, v) with v independent of u, a multiple of u, or zero."""
@@ -127,20 +123,22 @@ def vector_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(vector_pairs())
 def test_cross_is_orthogonal_and_detects_rank(pair):
-    u, v = pair
-    c = cross(u, v)
-    assert _dot(c, u) == ZERO and _dot(c, v) == ZERO
-    assert any(c) == (rank([u, v]) == 2)
+    u, v = (integer_pairs(x) for x in pair)
+    c = pair_cross(u, v)
+    assert pair_dot(c, u) == (0, 0) and pair_dot(c, v) == (0, 0)
+    assert any(x != (0, 0) for x in c) == (rank(list(pair)) == 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(3, 3))
 def test_inverse_or_singular(m):
-    # the cross products of row pairs are the columns of adj(m): m adj(m) = det(m) I
-    adj_columns = [cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])]
-    adj = [[col[i] for col in adj_columns] for i in range(3)]
-    det = _det(m)
-    assert mat_mul(m, adj) == [[det if i == j else ZERO for j in range(3)] for i in range(3)]
+    # the cross products of row pairs are the columns of adj(m): m adj(m) = det(m) I,
+    # here for m with each row scaled into Z[w], whose rank is that of m
+    rows = [integer_pairs(row) for row in m]
+    adj_columns = [pair_cross(rows[1], rows[2]), pair_cross(rows[2], rows[0]), pair_cross(rows[0], rows[1])]
+    det = _det([[EisensteinNumber(*x) for x in row] for row in rows])
+    product = [[EisensteinNumber(*pair_dot(row, col)) for col in adj_columns] for row in rows]
+    assert product == [[det if i == j else ZERO for j in range(3)] for i in range(3)]
     assert bool(det) == (rank(m) == 3)
 
 
