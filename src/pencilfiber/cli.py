@@ -88,13 +88,16 @@ def _emit(payload: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
-    """The JSON value in the file; unreadable, non-UTF-8 or over-nested input is an InputError."""
+    """The JSON value in the file; unreadable, non-UTF-8, over-nested or otherwise unparsable input is an InputError.
+
+    ``ValueError`` covers the decode errors and an integer literal too long to convert.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -15,9 +15,10 @@ i.e. an optional rational part followed by an optional signed w-term whose
 coefficient omits "1*".  Rationals are always in lowest terms with a
 positive denominator, so ``parse_eisenstein(str(x)) == x``.
 
-Where only a line, a point or a rank matters, a row can be scaled into
-Z[w] and held as integer pairs (a, b) meaning a + b*w; ``pair_mul``,
-``pair_cross`` and ``pair_dot`` then compute without fractions.
+Where only a line, a point, a rank or whether a wedge vanishes matters, a
+row can be scaled into Z[w] and held as integer pairs (a, b) meaning
+a + b*w; ``pair_mul``, ``pair_cross`` and ``pair_dot`` then compute without
+fractions.
 ``normalized`` is the way back: it turns a Z[w] triple into the Q(w) triple
 of the same projective point whose first nonzero entry is 1.
 """

@@ -25,6 +25,13 @@ w_ij is zero unless lines i and j both lie in the support
 points that carry two support lines: one point for a local basis, every
 point for a pencil basis.
 
+Isotropy is decided over Z[w]: each weight vector is scaled once by the lcm
+of its denominators (``eisenstein.integer_pairs``), and the comparisons
+above are made on integer pairs.  The scale is a positive integer, so it
+changes no answer: a coordinate sum is zero, a basis is independent and a
+wedge vanishes exactly when the same holds before scaling, because
+(s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
+
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
 and a pencil decomposition (R1, R2, R3) spans chi_R1 - chi_R2,
@@ -38,8 +45,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import ONE, ZERO, EisensteinNumber
-from .linalg import Matrix, rank
+from .eisenstein import ONE, ZERO, EisensteinNumber, Pair, integer_pairs, pair_mul
+from .linalg import Matrix, rank, rank_pairs
 from .pencils import PencilDecomposition
 
 Weights = Sequence[EisensteinNumber]  # a weight vector: one entry per line
@@ -100,18 +107,40 @@ def _local_conditions(
             yield ((i, a[j]), (j, -a[k] - a[i]), (k, a[j]))
 
 
+def _w(a: list[Pair], b: list[Pair], i: int, j: int) -> Pair:
+    """w_ij = a_i b_j - a_j b_i in Z[w]."""
+    p, q = pair_mul(a[i], b[j]), pair_mul(a[j], b[i])
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair]) -> bool:
+    """a ^ b = 0 for Z[w] weights, compared at the points with two support lines."""
+    support = [x != (0, 0) or y != (0, 0) for x, y in zip(a, b)]
+    for p in os.points:
+        if sum(support[l] for l in p) < 2:
+            continue
+        i, j = p[0], p[1]
+        if len(p) == 2:
+            if pair_mul(a[i], b[j]) != pair_mul(a[j], b[i]):
+                return False
+            continue
+        k = p[2]
+        w_ij = _w(a, b, i, j)
+        if _w(a, b, i, k) != (-w_ij[0], -w_ij[1]) or _w(a, b, j, k) != w_ij:
+            return False
+    return True
+
+
 def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     """True iff a ^ b is zero in the quotient, checked only at the points
     that carry two lines of the support of a and b.
 
     w_ij is zero unless lines i and j both lie in the support, so a point
-    with at most one support line imposes nothing.
+    with at most one support line imposes nothing.  a and b are each scaled
+    once into Z[w]; a nonzero scale multiplies the wedge by a nonzero
+    scalar, so whether it vanishes does not change.
     """
-    a = _check_weight(os, a)
-    b = _check_weight(os, b)
-    support = [bool(x) or bool(y) for x, y in zip(a, b)]
-    points = (p for p in os.points if sum(support[l] for l in p) >= 2)
-    return not any(sum((c * b[l] for l, c in cond), ZERO) for cond in _local_conditions(points, a))
+    return _wedge_vanishes(os, integer_pairs(_check_weight(os, a)), integer_pairs(_check_weight(os, b)))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
@@ -130,14 +159,19 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
-    """True iff all pairwise wedges of an independent sum-zero basis vanish."""
-    vectors = [_check_weight(os, v) for v in basis]
+    """True iff all pairwise wedges of an independent sum-zero basis vanish.
+
+    Each vector is scaled once into Z[w]; a positive integer scale keeps its
+    coordinate sum zero or nonzero, the basis independent or dependent, and
+    every wedge vanishing or not.
+    """
+    vectors = [integer_pairs(_check_weight(os, v)) for v in basis]
     for v in vectors:
-        if sum(v, ZERO):
+        if sum(x for x, _ in v) or sum(y for _, y in v):
             raise ValueError("basis vectors must have coordinate sum zero")
-    if rank(vectors) != len(vectors):
+    if rank_pairs(vectors) != len(vectors):
         raise ValueError("basis vectors are linearly dependent")
-    return all(wedge_vanishes(os, u, v) for u, v in combinations(vectors, 2))
+    return all(_wedge_vanishes(os, u, v) for u, v in combinations(vectors, 2))
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:

@@ -127,6 +127,27 @@ def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
     assert "hostile.json is not valid JSON" in rows[1]["error"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["pencils"], ["resonance"], ["catalan", "verify"]], ids=lambda argv: " ".join(argv)
+)
+def test_oversized_json_integer_is_an_input_error(capsys, tmp_path, argv):
+    # json.load raises a plain ValueError for an integer literal past the
+    # int-string conversion limit, not a JSONDecodeError
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "huge.json").write_text('{"lines": [[' + "1" * 5000 + ', 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    code = main([*argv, str(corpus / "huge.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert len(captured.err.splitlines()) == 1
+    assert "huge.json is not valid JSON" in json.loads(captured.err)["error"]
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["file"] == "huge.json"
+    assert "huge.json is not valid JSON" in row["error"]
+
+
 def test_resonance_rejects_over_nested_vector(capsys, tmp_path):
     path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
     code, out = run_cli(capsys, ["resonance", path, "--vector", "[" * 5000])
@@ -786,6 +807,9 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
 
 # sha256 of the stdout of each command, computed by running it in-process on
 # the shipped corpus; any change to these bytes is a change of wire format.
+# A key is (command and options, file): the file is a corpus file, the corpus
+# directory, or pencil.json, the first pencil of concurrent_triple.
+README_PROBE = '["1","-1","0","0","1","-1"]'
 STDOUT_SHA256 = {
     ("analyze", "braid.json"): "c42589e4d8b6b0ceea491d21c875e0ef63fa66ea2a1f30048f6ca10b1c90b164",
     ("resonance", "braid.json"): "4e019011de90efcd51bf94690d7c77cd9f51af40aa4ba5d899060f7cfeefb78c",
@@ -812,12 +836,31 @@ STDOUT_SHA256 = {
     ("analyze", "triangle.json"): "b6455db5285c0ea9d81b643dfdf7e06101e9fafa2355eae04817f1b07c830ad6",
     ("resonance", "triangle.json"): "568ece28512e8919c13ae0c3a4fde4c099cb189de0dbc0f7f390e58c69ea3a10",
     ("crosscheck", "corpus"): "29a092a131edc62bcff76a1d8abfe779053f8e2c43468549f4687a5e8347ec95",
+    ("pencils", "braid.json"): "9fb27313a350fd7e566ffeefde8b9ac600ec47730c983d89bc0bed324a5cd141",
+    ("pencils", "braid_pgl.json"): "ac7ccac64c36608acb04a53976a358a09eae2865ef3c3d62d2e61ebe938de5e5",
+    ("pencils", "ceva_2.json"): "5bd14073427a145e2749d487622fa03a2c46ccb1879a421ad8659a8d230201f3",
+    ("pencils", "concurrent_triple.json"): "68bcd6debcaf7c09c1eafacc3f327ce1a73d13106d079c9366ffd4f0e4f6bdaa",
+    ("pencils", "dual_hesse.json"): "477ea3dda1c11c59d0ca1adda2b529282395cdf20701b038f8bb2c5602e78979",
+    ("pencils", "dual_hesse_pgl.json"): "8ab4e703e9964e7927206e431f4710f53313e5752105c719f12b137048a5ebb6",
+    ("pencils", "generic_6.json"): "996fb57570a706f569a3bde704f41556718fe84734f15e9129acc9d65c22871b",
+    ("pencils", "generic_9.json"): "6d3d7edbfb1e7330d93eff97f02811f56d1670d88172d9a94300552b9faee43b",
+    ("pencils", "near_pencil_6.json"): "75ce6f38308e649250ba0a536ffe5978711cff590da6b93fbb18d2c14198a5d8",
+    ("pencils", "seeded_generic_12.json"): "b10b17bafd320f245c66f891863793c1254d5f0ed23db8049e42a38f10518736",
+    ("pencils", "seeded_generic_7.json"): "8a0fe8f93d5b5a613a0ade57fda6be77280b6f524d5662da9f358a1d7b7b147a",
+    ("pencils", "triangle.json"): "449bc2c3a530fd19b24ac0d22da10549d17560d4743f66114e6329b72688e789",
+    ("catalan generate --steps 3", "pencil.json"): "91cff2a8eb8608262852a01e15fd4fbff4f0a7e92b447acfc80c3c907aaf835c",
+    ("resonance --vector " + README_PROBE, "braid.json"): "977d26ca93dc5165c62bc53994e6b99cb8f223f51b3756b290a4e487d49edc14",
 }
 
 
 @pytest.mark.parametrize("command, name", sorted(STDOUT_SHA256))
-def test_stdout_bytes_are_pinned(capsys, corpus_dir, command, name):
-    path = corpus_dir if command == "crosscheck" else corpus_dir / name
-    code, out = run_cli(capsys, [command, str(path)])
+def test_stdout_bytes_are_pinned(capsys, corpus_dir, tmp_path, command, name):
+    if name == "corpus":
+        path = corpus_dir
+    elif name == "pencil.json":
+        path = write_json(tmp_path / name, find_pencils(concurrent_triple())[0].to_json())
+    else:
+        path = corpus_dir / name
+    code, out = run_cli(capsys, [*command.split(), str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, name]

@@ -350,10 +350,17 @@ def test_isotropy_checks_every_pair():
 
 def test_isotropy_rejects_bad_bases():
     os2 = build_os2(triangle())
-    with pytest.raises(ValueError):
-        component_isotropy_check(os2, [E(1, -1, 0), E(2, -2, 0)])  # dependent
-    with pytest.raises(ValueError):
-        component_isotropy_check(os2, [E(1, 1, 0), E(0, 1, -1)])  # sum nonzero
+    with pytest.raises(ValueError, match="linearly dependent"):
+        component_isotropy_check(os2, [E(1, -1, 0), E(2, -2, 0)])
+    with pytest.raises(ValueError, match="coordinate sum zero"):
+        component_isotropy_check(os2, [E(1, 1, 0), E(0, 1, -1)])
+    # the sum is w: its rational part is zero
+    with pytest.raises(ValueError, match="coordinate sum zero"):
+        component_isotropy_check(os2, [E("1", "-1+w", "0"), E(0, 1, -1)])
+    u = E(1, -1, 0)
+    s = EisensteinNumber(Fraction(1, 2), 1)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        component_isotropy_check(os2, [u, [s * x for x in u]])
 
 
 def test_kernel_dim_invariant_under_relabeling():
@@ -402,3 +409,28 @@ def test_isotropic_basis_puts_the_generic_member_in_resonance(corpus_dir):
             assert resonance_kernel_dim(os2, a) >= 2
             checked += 1
     assert checked == 50  # 38 triple points and 12 pencils over the corpus
+
+
+def _nonzero_scalar(rng):
+    """A Q(w) scalar with nonzero rational and w-parts, both with denominators."""
+    re = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(2, 7))
+    wc = Fraction(rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(2, 7))
+    return EisensteinNumber(re, wc)
+
+
+def test_isotropy_is_unchanged_by_scaling_the_basis(corpus_dir):
+    """[s u, t v] is isotropic iff [u, v] is, for the corpus candidate bases and
+    for pairs taken from two different local components, which all fail."""
+    rng = random.Random(53)
+    seen = set()
+    for path in sorted(corpus_dir.glob("*.json")):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        os2 = build_os2(arr)
+        local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+        mixed = [[first[0], second[1]] for first, second in zip(local, local[1:])]
+        for u, v in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)] + mixed:
+            isotropic = component_isotropy_check(os2, [u, v])
+            s, t = _nonzero_scalar(rng), _nonzero_scalar(rng)
+            assert component_isotropy_check(os2, [[s * x for x in u], [t * y for y in v]]) == isotropic, arr.label
+            seen.add(isotropic)
+    assert seen == {True, False}
