@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .eisenstein import EisensteinNumber, integer_pairs, json_list, json_object, normalized, pair_cross, pair_dot
 from .forms import HomForm
-from .linalg import Matrix
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -321,7 +320,7 @@ def combinatorial_type(arr: Arrangement) -> CombinatorialType:
     return CombinatorialType(arr.r, census, _canonical_encoding(triples))
 
 
-def proj_transform(arr: Arrangement, matrix: Matrix) -> Arrangement:
+def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]]) -> Arrangement:
     """The image of every line under the point map p -> M p, computed over Z[w].
 
     A line a goes to a * M^-1, which ``Line`` normalisation makes a * adj(M).

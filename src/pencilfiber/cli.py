@@ -48,9 +48,9 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, ParseError, json_list, json_object
+from .eisenstein import EisensteinNumber, Pair, ParseError, integer_pairs, json_list, json_object
 from .forms import UniPoly
-from .linalg import rank
+from .linalg import rank_pairs
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
@@ -243,10 +243,11 @@ def cmd_catalan(args: argparse.Namespace) -> int:
 def _distinct_planes(bases: list[list[Weights]]) -> int:
     """How many distinct planes the two-vector bases span: a basis counts
     unless, stacked with one counted before, it still has rank 2."""
-    counted: list[list[Weights]] = []
+    counted: list[list[list[Pair]]] = []
     for basis in bases:
-        if all(rank(basis + other) > 2 for other in counted):
-            counted.append(basis)
+        rows = [integer_pairs(v) for v in basis]
+        if all(rank_pairs(rows + other) > 2 for other in counted):
+            counted.append(rows)
     return len(counted)
 
 

@@ -1,25 +1,19 @@
 """Dense exact linear algebra: rank over Z[w] and null spaces mod 3.
 
-Matrices are lists of rows of EisensteinNumber, or of Python ints for the
-F3 null space.  ``rank`` is the one eliminator over Q(w): it scales each row
-to integer pairs in Z[w] and hands them to ``rank_pairs``, fraction-free
-(Bareiss) elimination, which callers holding Z[w] rows call directly.
-Questions that live in 3-space need no elimination and are not asked here:
-they are cross and dot products of Z[w] triples (``eisenstein.pair_cross``,
-``pair_dot``).  Null spaces mod 3 come from Gauss-Jordan elimination on
-residues.  All of it is exact, so results are certificates, not estimates.
+Matrices are lists of rows of integer pairs (a, b) meaning a + b*w, or of
+Python ints for the F3 null space.  ``rank_pairs``, fraction-free (Bareiss)
+elimination over Z[w], is the one eliminator; callers holding Q(w) rows
+scale each row with ``eisenstein.integer_pairs`` first, which keeps the
+rank.  Questions that live in 3-space need no elimination and are not asked
+here: they are cross and dot products of Z[w] triples
+(``eisenstein.pair_cross``, ``pair_dot``).  Null spaces mod 3 come from
+Gauss-Jordan elimination on residues.  All of it is exact, so results are
+certificates, not estimates.
 """
 
 from __future__ import annotations
 
-from .eisenstein import EisensteinNumber, Pair, integer_pairs
-
-Matrix = list[list[EisensteinNumber]]
-
-
-def rank(rows: Matrix) -> int:
-    """Rank over Q(w): each row scaled to integer pairs, then ``rank_pairs``."""
-    return rank_pairs([integer_pairs(row) for row in rows])
+from .eisenstein import Pair
 
 
 def rank_pairs(rows: list[list[Pair]]) -> int:

@@ -13,10 +13,11 @@ cube-root eigenvalues cannot occur and s is reported as 0.
 ``milnor_report`` is the one source of every invariant derived from s,
 the characteristic polynomial included (``MilnorReport.char_poly``).
 Two bookkeeping conventions coexist for the eigenvalue-1 part and both are
-reported: the characteristic polynomial is printed with exponent r - 2,
-while the first Betti number of the fiber uses multiplicity r - 1, which is
-what independent Euler-characteristic counts give on small cases (e.g. the
-6-line braid arrangement has b1 = 7 = 5 + 2).  See MilnorReport.
+reported: the characteristic polynomial is printed with exponent r - 2
+(0 for r <= 2, where it is 1), while the first Betti number of the fiber
+uses multiplicity r - 1, which is what independent Euler-characteristic
+counts give on small cases (e.g. the 6-line braid arrangement has
+b1 = 7 = 5 + 2).  See MilnorReport.
 """
 
 from __future__ import annotations
@@ -81,22 +82,41 @@ def char_poly_string(exp_t1: int, exp_cyc: int) -> str:
 
 @dataclass(frozen=True)
 class MilnorReport:
-    """Summary of the monodromy action on first cohomology.
+    """Summary of the monodromy action on first cohomology; every field
+    but r and s is a function of them.
 
     ``char_t1_exponent`` repeats the classical Alexander-polynomial
-    normalization r - 2; ``b1_milnor_fiber`` uses eigenvalue-1 multiplicity
-    r - 1 (the two conventions differ by one and both are surfaced).
+    normalization r - 2, which is 0 for r <= 2, where that polynomial is 1;
+    ``b1_milnor_fiber`` uses eigenvalue-1 multiplicity r - 1 (the two
+    conventions differ by one and both are surfaced).
     """
 
     r: int
     s: int
-    char_t1_exponent: int
-    char_cyclotomic_exponent: int
-    b1_milnor_fiber: int
-    eigenspace_dim_1: int
-    eigenspace_dim_w: int
-    eigenspace_dim_w2: int
-    mw_rank: int
+
+    @property
+    def char_t1_exponent(self) -> int:
+        return max(self.r - 2, 0)
+
+    @property
+    def b1_milnor_fiber(self) -> int:
+        return (self.r - 1) + 2 * self.s
+
+    @property
+    def eigenspace_dim_1(self) -> int:
+        return self.r - 1
+
+    @property
+    def eigenspace_dim_w(self) -> int:
+        return self.s
+
+    # the w^2-eigenspace is the conjugate of the w-eigenspace, and each
+    # contributes one factor t^2 + t + 1 per dimension
+    eigenspace_dim_w2 = char_cyclotomic_exponent = eigenspace_dim_w
+
+    @property
+    def mw_rank(self) -> int:
+        return 2 * self.s
 
     @property
     def char_poly(self) -> str:
@@ -122,16 +142,4 @@ class MilnorReport:
 
 
 def milnor_report(arr: Arrangement) -> MilnorReport:
-    s = superabundance(arr)
-    r = arr.r
-    return MilnorReport(
-        r=r,
-        s=s,
-        char_t1_exponent=r - 2,
-        char_cyclotomic_exponent=s,
-        b1_milnor_fiber=(r - 1) + 2 * s,
-        eigenspace_dim_1=r - 1,
-        eigenspace_dim_w=s,
-        eigenspace_dim_w2=s,
-        mw_rank=2 * s,
-    )
+    return MilnorReport(arr.r, superabundance(arr))

@@ -13,24 +13,25 @@ splits over the points (Brieskorn's lemma, Orlik and Terao 1992, ch. 3):
 A^2 is the direct sum of the A^2_p, spanned by the pairs of lines through p.
 At a double point {i, j} the summand is free on e_i e_j, so the class
 vanishes iff w_ij = 0; at a triple point {i < j < k} the one relation
-spans it, so the class vanishes iff w_ik = -w_ij and w_jk = w_ij.  Hence
-a ^ b = 0 is a list of exact comparisons, and the kernel of the wedge map
-by a is the null space of an r-column matrix with one row per double point
-and two per triple point, whose rank comes from ``linalg.rank``.  The
-premise, that the points' pairs cover every pair of lines once, is checked
-when the quotient is built.
+spans it, so the class vanishes iff w_ij + w_ik = 0 and w_jk - w_ij = 0.
+These local conditions are stated once, as linear forms in b with Z[w]
+coefficients, and answer both questions: a ^ b = 0 iff every form vanishes
+at b, and the kernel of the wedge map by a is their null space, an r-column
+matrix with one row per double point and two per triple point whose rank
+comes from ``linalg.rank_pairs``.  The premise, that the points' pairs
+cover every pair of lines once, is checked when the quotient is built.
 
 w_ij is zero unless lines i and j both lie in the support
-{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` compares only at the
-points that carry two support lines: one point for a local basis, every
-point for a pencil basis.
+{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` evaluates the forms only
+at the points that carry two support lines: one point for a local basis,
+every point for a pencil basis.
 
-Isotropy is decided over Z[w]: each weight vector is scaled once by the lcm
-of its denominators (``eisenstein.integer_pairs``), and the comparisons
-above are made on integer pairs.  The scale is a positive integer, so it
-changes no answer: a coordinate sum is zero, a basis is independent and a
-wedge vanishes exactly when the same holds before scaling, because
-(s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
+Each weight vector is scaled once into Z[w], by the lcm of its denominators
+(``eisenstein.integer_pairs``).  The scale is a positive integer, so it
+changes no answer: a coordinate sum is zero, a basis is independent, a
+wedge vanishes and a wedge kernel has its dimension exactly when the same
+holds before scaling, because (s a) ^ (t b) = s t (a ^ b) for nonzero
+scalars s and t.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
 from .eisenstein import ONE, ZERO, EisensteinNumber, Pair, integer_pairs, pair_mul
-from .linalg import Matrix, rank, rank_pairs
+from .linalg import rank_pairs
 from .pencils import PencilDecomposition
 
 Weights = Sequence[EisensteinNumber]  # a weight vector: one entry per line
@@ -92,41 +93,32 @@ def _check_weight(os: OSDegree2, a: Weights) -> list[EisensteinNumber]:
 
 
 def _local_conditions(
-    points: Iterable[tuple[int, ...]], a: list[EisensteinNumber]
-) -> Iterator[tuple[tuple[int, EisensteinNumber], ...]]:
-    """The linear forms in b, as (line, coefficient) pairs, whose joint
+    points: Iterable[tuple[int, ...]], a: list[Pair]
+) -> Iterator[tuple[tuple[int, Pair], ...]]:
+    """The linear forms in b, as (line, Z[w] coefficient) terms, whose joint
     vanishing at the given points is a ^ b = 0 there: w_ij at a double point
     {i, j}, and w_ij + w_ik and w_jk - w_ij at a triple point {i < j < k}."""
     for p in points:
         i, j = p[0], p[1]
         if len(p) == 2:
-            yield ((i, -a[j]), (j, a[i]))
+            yield ((i, (-a[j][0], -a[j][1])), (j, a[i]))
         else:
             k = p[2]
-            yield ((i, -a[j] - a[k]), (j, a[i]), (k, a[i]))
-            yield ((i, a[j]), (j, -a[k] - a[i]), (k, a[j]))
-
-
-def _w(a: list[Pair], b: list[Pair], i: int, j: int) -> Pair:
-    """w_ij = a_i b_j - a_j b_i in Z[w]."""
-    p, q = pair_mul(a[i], b[j]), pair_mul(a[j], b[i])
-    return (p[0] - q[0], p[1] - q[1])
+            yield ((i, (-a[j][0] - a[k][0], -a[j][1] - a[k][1])), (j, a[i]), (k, a[i]))
+            yield ((i, a[j]), (j, (-a[k][0] - a[i][0], -a[k][1] - a[i][1])), (k, a[j]))
 
 
 def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair]) -> bool:
-    """a ^ b = 0 for Z[w] weights, compared at the points with two support lines."""
+    """a ^ b = 0 for Z[w] weights: every condition of a, at the points with
+    two support lines, vanishes at b."""
     support = [x != (0, 0) or y != (0, 0) for x, y in zip(a, b)]
-    for p in os.points:
-        if sum(support[l] for l in p) < 2:
-            continue
-        i, j = p[0], p[1]
-        if len(p) == 2:
-            if pair_mul(a[i], b[j]) != pair_mul(a[j], b[i]):
-                return False
-            continue
-        k = p[2]
-        w_ij = _w(a, b, i, j)
-        if _w(a, b, i, k) != (-w_ij[0], -w_ij[1]) or _w(a, b, j, k) != w_ij:
+    points = (p for p in os.points if sum(support[l] for l in p) >= 2)
+    for cond in _local_conditions(points, a):
+        x = y = 0
+        for l, c in cond:
+            p, q = pair_mul(c, b[l])
+            x, y = x + p, y + q
+        if x or y:
             return False
     return True
 
@@ -144,18 +136,22 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
-    """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant."""
-    a = _check_weight(os, a)
-    if not any(a):
+    """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant.
+
+    a is scaled once into Z[w], which leaves the kernel unchanged, and the
+    nonzero conditions at every point are the rows of a ``rank_pairs`` call.
+    """
+    vec = _check_weight(os, a)
+    if not any(vec):
         raise ValueError("the zero weight vector is not probed")
-    rows: Matrix = []
-    for cond in _local_conditions(os.points, a):
-        if any(c for _, c in cond):
-            row = [ZERO] * os.r
+    rows = []
+    for cond in _local_conditions(os.points, integer_pairs(vec)):
+        if any(c != (0, 0) for _, c in cond):
+            row = [(0, 0)] * os.r
             for l, c in cond:
                 row[l] = c
             rows.append(row)
-    return os.r - rank(rows)
+    return os.r - rank_pairs(rows)
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:

@@ -3,10 +3,18 @@
 The package answers rank questions by Bareiss elimination over Z[w] and
 3-space questions by cross and dot products of Z[w] triples.  The tests
 check those answers against this textbook reduction and the cross product
-over Q(w), which share no code with them.
+over Q(w), which share no code with them.  ``package_rank`` is the one
+exception: it is the package's rank of Q(w) rows, for tests that compare it
+with the reference.
 """
 
-from pencilfiber.eisenstein import ONE, ZERO
+from pencilfiber.eisenstein import ONE, ZERO, integer_pairs
+from pencilfiber.linalg import rank_pairs
+
+
+def package_rank(rows):
+    """Each Q(w) row scaled into Z[w] by ``integer_pairs``, then ``rank_pairs``."""
+    return rank_pairs([integer_pairs(row) for row in rows])
 
 
 def rref(rows):

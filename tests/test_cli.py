@@ -61,6 +61,16 @@ def test_analyze_dual_hesse(capsys, dual_hesse_file):
     assert report["milnor"]["char_poly"] == "(t-1)^7*(t^2+t+1)^2"
 
 
+@pytest.mark.parametrize("lines", [[["1", "0", "0"]], [["1", "0", "0"], ["0", "1", "0"]]])
+def test_analyze_one_or_two_lines_has_alexander_polynomial_one(capsys, tmp_path, lines):
+    # r - 2 would print (t-1)^-1 for one line; the exponent is max(r - 2, 0)
+    code, out = run_cli(capsys, ["analyze", write_json(tmp_path / "few.json", {"lines": lines})])
+    assert code == 0
+    milnor = json.loads(out)["milnor"]
+    assert milnor["char_poly"] == "1"
+    assert milnor["char_poly_exponents"] == {"t-1": 0, "t^2+t+1": 0}
+
+
 def test_analyze_is_deterministic(capsys, dual_hesse_file):
     _, first = run_cli(capsys, ["analyze", dual_hesse_file])
     _, second = run_cli(capsys, ["analyze", dual_hesse_file])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incidence_oracle
+from linalg_oracle import package_rank
 from pencilfiber import milnor
 from pencilfiber.arrangement import IncidencePoint, MultiplicityError, proj_transform
 from pencilfiber.eisenstein import EisensteinNumber
@@ -24,7 +25,7 @@ from pencilfiber.milnor import (
     monomial_exponents,
     superabundance,
 )
-from pencilfiber.linalg import rank, rank_pairs
+from pencilfiber.linalg import rank_pairs
 
 
 def _fraction_rank(rows):
@@ -169,7 +170,7 @@ def _oracle_s(r, points):
         return 0
     if degree < 0:
         return len(triple)
-    return len(triple) - rank(incidence_oracle.evaluation_matrix(triple, degree))
+    return len(triple) - package_rank(incidence_oracle.evaluation_matrix(triple, degree))
 
 
 def test_superabundance_matches_qw_oracle(incidence_inputs):
@@ -204,5 +205,5 @@ def points_with_scaled_copies(draw):
 @given(points_with_scaled_copies(), st.integers(0, 3))
 def test_evaluation_rank_at_zw_representatives(points, degree):
     # a representative scales each row by a nonzero scalar to the power degree
-    expected = rank(incidence_oracle.evaluation_matrix(points, degree))
+    expected = package_rank(incidence_oracle.evaluation_matrix(points, degree))
     assert rank_pairs(milnor._evaluation_matrix(points, degree)) == expected

@@ -261,6 +261,7 @@ def test_kernel_dims_against_oracle():
         assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(relations, 3, a) == 2
         assert resonance_kernel_dim(os2t, a) == _kernel_dim_oracle([], 3, a) == 1
     rng = random.Random(17)
+    fractional_rng, scalar_rng = random.Random(53), random.Random(59)
     all_dims = set()
     for arr in _oracle_sample():
         os2 = build_os2(arr)
@@ -269,11 +270,18 @@ def test_kernel_dims_against_oracle():
         for n in range(4):  # seeded sum-zero weights, the odd ones with w-parts
             vals = [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2) if n % 2 else 0) for _ in range(arr.r - 1)]
             probes.append(vals + [-sum(vals, ZERO)])
+        probes += [_fractional_weight(fractional_rng, arr.r) for _ in range(2)]
         dims = []
         for a in probes:
             if any(a):
                 dims.append(resonance_kernel_dim(os2, a))
                 assert dims[-1] == _kernel_dim_oracle(relations, arr.r, a), arr.label
+                # a nonzero scalar with a w-part and denominators keeps the kernel
+                c = EisensteinNumber(
+                    Fraction(scalar_rng.randint(-5, 5), scalar_rng.randint(2, 7)),
+                    Fraction(scalar_rng.choice((-1, 1)) * scalar_rng.randint(1, 4), scalar_rng.randint(2, 7)),
+                )
+                assert resonance_kernel_dim(os2, [c * x for x in a]) == dims[-1], arr.label
         all_dims.update(dims)
         if arr.label in ("braid", "dual_hesse"):
             assert min(dims) == 1 and max(dims) >= 2
