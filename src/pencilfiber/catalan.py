@@ -22,6 +22,10 @@ known linear factors, the three factors f + g, f + w g, f + w^2 g split as
 (scalar) * (known factors) * (cube), and the cube roots solve a new cube
 relation with coefficients of smaller total content.
 
+HomForm and UniPoly share one arithmetic interface, so nothing here
+branches on the kind of polynomial except ``pullback_solution``, whose
+numerator's kind decides whether the result lives on a line or the plane.
+
 Relation JSON: {"univariate": bool, "F": [poly, poly, poly],
                 "sol": [poly, poly, poly]}  with the forms encodings.
 """
@@ -96,16 +100,10 @@ def _proportionality(p: Poly, q: Poly) -> EisensteinNumber | None | str:
         return "any"
     if p.is_zero or q.is_zero:
         return None
-    if isinstance(p, UniPoly):
-        if p.degree != q.degree:
-            return None
-        c = p.leading() / q.leading()
-        return c if p == q * c else None
-    if p.degree != q.degree or p.coeffs.keys() != q.coeffs.keys():
+    if p.degree != q.degree:
         return None
-    exp = next(iter(q.coeffs))
-    c = p.coeffs[exp] / q.coeffs[exp]
-    return c if p == q.scale(c) else None
+    c = p.leading() / q.leading()
+    return c if p == q * c else None
 
 
 def relations_equivalent(r1: QuasiToricRelation, r2: QuasiToricRelation) -> bool:
@@ -168,15 +166,6 @@ def _double(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
     return -(G2 + G3), G1 + G3, G1 * 2 - G3
 
 
-def doubling_step(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
-    """Solution (f', g', h') of the cube relation for coefficients G1, G2, G3
-    with G1 + G2 = G3; homogeneous duplication on the curve c^3 = s(1-s)."""
-    f2, g2, h2 = _double(G)
-    if not verify_relation(QuasiToricRelation(tuple(G), (f2, g2, h2), isinstance(f2, UniPoly))):
-        raise AssertionError("doubling identity failed")
-    return f2, g2, h2
-
-
 def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiToricRelation]:
     """``steps`` successive doublings of the base solution of a pencil.
 
@@ -210,7 +199,7 @@ def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiTor
 def _compose(p: UniPoly, num: Poly, den: Poly) -> Poly:
     """p(num/den) * den^deg(p), the homogeneous clearing of one substitution."""
     if p.is_zero:
-        return num * 0 if isinstance(num, UniPoly) else HomForm.zero(0)
+        return num * 0
     d = p.degree
     nums, dens = _powers(num, d), _powers(den, d)
     total = None
@@ -338,29 +327,3 @@ def descend_step(rel: QuasiToricRelation, known_factors: Sequence[UniPoly]) -> Q
     if not (new_top < h.degree or new_top <= 0):
         raise AssertionError("descent did not decrease the solution degree")
     return out
-
-
-@dataclass(frozen=True)
-class MWPointCoords:
-    """Coordinates (a, b) with a + b = 1 of the curve point behind a relation.
-
-    Stored as numerator/denominator pairs over the common denominator
-    F3 h^3, so validity is the cross-multiplied identity.
-    """
-
-    a_num: Poly
-    b_num: Poly
-    den: Poly
-
-    def is_valid(self) -> bool:
-        total = self.a_num + self.b_num - self.den
-        return total.is_zero
-
-    @classmethod
-    def from_relation(cls, rel: QuasiToricRelation) -> "MWPointCoords":
-        F1, F2, F3 = rel.F
-        f, g, h = rel.sol
-        den = F3 * h**3
-        if den.is_zero:
-            raise ValueError("relation has F3 * h^3 = 0")
-        return cls(-(F1 * f**3), -(F2 * g**3), den)

@@ -245,7 +245,7 @@ def _distinct_planes(bases: list[list[Weights]]) -> int:
     unless, stacked with one counted before, it still has rank 2."""
     counted: list[list[list[Pair]]] = []
     for basis in bases:
-        rows = [integer_pairs(v) for v in basis]
+        rows = [integer_pairs([EisensteinNumber.of(x) for x in v]) for v in basis]
         if all(rank_pairs(rows + other) > 2 for other in counted):
             counted.append(rows)
     return len(counted)

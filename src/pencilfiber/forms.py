@@ -6,10 +6,11 @@ declared degree and no zero coefficients kept; the zero form keeps its
 declared degree with an empty table.  A UniPoly stores coefficients lowest
 degree first with a nonzero leading coefficient, ``[]`` being zero.
 
-Restriction of a form to a line uses one fixed affine chart per line (solve
-for z when possible, else y, else x), so restrictions are reproducible;
-every predicate taken downstream (divisibility, multiplicities, vanishing)
-does not depend on that choice.
+Both kinds share one interface through ``_Polynomial``: ``is_zero``,
+``-``, ``+``, ``*`` (by a polynomial of the same kind or by a scalar),
+``**``, ``==`` and ``str``.  The base class owns what does not depend on
+storage; each kind keeps its own table, product loop, equality, division
+and wire format.
 
 JSON wire formats:
 
@@ -19,14 +20,55 @@ JSON wire formats:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .eisenstein import ONE, ZERO, EisensteinNumber, json_int, json_list, json_object
 
 Exponent = tuple[int, int, int]
 
 
-class HomForm:
+class _Polynomial:
+    """The arithmetic of HomForm and UniPoly that does not depend on storage.
+
+    A subclass holds ``coeffs``, empty exactly for zero, and defines
+    ``constant``, ``__neg__``, ``__add__``, ``__mul__`` (which also takes
+    scalars) and ``_terms``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other: object):
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int):
+        """Repeated squaring from the base; ``** 0`` is the constant one."""
+        if exponent < 0:
+            raise ValueError("negative power of a polynomial")
+        if exponent == 0:
+            return self.constant(ONE)
+        result = None
+        base = self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
+
+    def __str__(self) -> str:
+        chunks = [f"({c})*{mono}" if mono else f"({c})" for mono, c in self._terms()]
+        return " + ".join(chunks) or "0"
+
+
+class HomForm(_Polynomial):
     """Homogeneous form in x, y, z over Q(w)."""
 
     __slots__ = ("degree", "coeffs")
@@ -69,9 +111,11 @@ class HomForm:
     ) -> "HomForm":
         return cls(1, {(1, 0, 0): EisensteinNumber.of(a), (0, 1, 0): EisensteinNumber.of(b), (0, 0, 1): EisensteinNumber.of(c)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def leading(self) -> EisensteinNumber:
+        """The coefficient of the greatest exponent."""
+        if self.is_zero:
+            raise ValueError("zero form has no leading coefficient")
+        return self.coeffs[max(self.coeffs)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomForm):
@@ -101,9 +145,6 @@ class HomForm:
                 table.pop(e, None)
         return HomForm(self.degree, table)
 
-    def __sub__(self, other: "HomForm") -> "HomForm":
-        return self + (-other)
-
     def __mul__(self, other: object) -> "HomForm":
         if isinstance(other, HomForm):
             table: dict[Exponent, EisensteinNumber] = {}
@@ -119,46 +160,14 @@ class HomForm:
         scalar = EisensteinNumber._coerce(other)
         if scalar is None:
             return NotImplemented
-        return self.scale(scalar)
-
-    def __rmul__(self, other: object) -> "HomForm":
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "HomForm":
-        if exponent < 0:
-            raise ValueError("negative power of a form")
-        if exponent == 0:
-            return HomForm.constant(1)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
-
-    def scale(self, scalar: EisensteinNumber | int | str) -> "HomForm":
-        s = EisensteinNumber.of(scalar)
-        if not s:
-            return HomForm.zero(self.degree)
-        return HomForm(self.degree, {e: c * s for e, c in self.coeffs.items()})
+        return HomForm(self.degree, {e: c * scalar for e, c in self.coeffs.items()})
 
     def terms_sorted(self) -> list[tuple[Exponent, EisensteinNumber]]:
         return sorted(self.coeffs.items(), key=lambda item: item[0], reverse=True)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for (i, j, k), c in self.terms_sorted():
-            mono = "*".join(filter(None, [
-                f"x^{i}" if i else "",
-                f"y^{j}" if j else "",
-                f"z^{k}" if k else "",
-            ]))
-            coeff = str(c)
-            if mono:
-                chunks.append(f"({coeff})*{mono}")
-            else:
-                chunks.append(f"({coeff})")
-        return " + ".join(chunks)
+    def _terms(self) -> Iterator[tuple[str, EisensteinNumber]]:
+        for e, c in self.terms_sorted():
+            yield "*".join(f"{v}^{n}" for v, n in zip("xyz", e) if n), c
 
     def __repr__(self) -> str:
         return f"HomForm(degree={self.degree}, {str(self)!r})"
@@ -171,11 +180,15 @@ class HomForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomForm":
-        terms = [json_object(t, "a term") for t in json_list(json_object(data, "a form")["terms"], "terms")]
-        coeffs = {
-            tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp")): EisensteinNumber.of(t["c"])
-            for t in terms
-        }
+        coeffs: dict[Exponent, EisensteinNumber] = {}
+        for t in json_list(json_object(data, "a form")["terms"], "terms"):
+            t = json_object(t, "a term")
+            exp = tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp"))
+            if len(exp) != 3:
+                raise ValueError(f"exp must have three entries, not {len(exp)}")
+            if exp in coeffs:
+                raise ValueError(f"exponent {exp} is listed twice")
+            coeffs[exp] = EisensteinNumber.of(t["c"])
         return cls(json_int(data["degree"], "degree"), coeffs)
 
 
@@ -184,7 +197,7 @@ Y = HomForm.monomial((0, 1, 0))
 Z = HomForm.monomial((0, 0, 1))
 
 
-class UniPoly:
+class UniPoly(_Polynomial):
     """Univariate polynomial in t over Q(w), coefficients lowest degree first."""
 
     __slots__ = ("coeffs",)
@@ -210,10 +223,6 @@ class UniPoly:
     @classmethod
     def t(cls) -> "UniPoly":
         return cls((ZERO, ONE))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def degree(self) -> int:
@@ -259,9 +268,6 @@ class UniPoly:
             out[i] = out[i] + c
         return UniPoly(out)
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other: object) -> "UniPoly":
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
@@ -275,19 +281,6 @@ class UniPoly:
         if scalar is None:
             return NotImplemented
         return UniPoly(c * scalar for c in self.coeffs)
-
-    def __rmul__(self, other: object) -> "UniPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        if exponent == 0:
-            return UniPoly.one()
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
@@ -315,20 +308,10 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(c * i for i, c in enumerate(self.coeffs) if i)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
+    def _terms(self) -> Iterator[tuple[str, EisensteinNumber]]:
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if mono:
-                chunks.append(f"({c})*{mono}")
-            else:
-                chunks.append(f"({c})")
-        return " + ".join(chunks)
+            if self.coeffs[i]:
+                yield "" if i == 0 else ("t" if i == 1 else f"t^{i}"), self.coeffs[i]
 
     def __repr__(self) -> str:
         return f"UniPoly({str(self)!r})"
@@ -349,32 +332,6 @@ def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
             raise ValueError("all factors must be nonzero linear forms")
         result = result * line
     return result
-
-
-def line_parametrization(line: HomForm) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Fixed chart of the line a*x + b*y + c*z = 0: the coordinates of its
-    point at the affine parameter t, solving for z, then y, then x."""
-    if line.degree != 1 or line.is_zero:
-        raise ValueError("expected a nonzero linear form")
-    a = line.coeffs.get((1, 0, 0), ZERO)
-    b = line.coeffs.get((0, 1, 0), ZERO)
-    c = line.coeffs.get((0, 0, 1), ZERO)
-    t = UniPoly.t()
-    one = UniPoly.one()
-    if c:
-        return (t, one, UniPoly((-b / c, -a / c)))
-    if b:
-        return (t, UniPoly((ZERO, -a / b)), one)
-    return (UniPoly.zero(), t, one)
-
-
-def restrict_to_line(p: HomForm, line: HomForm) -> UniPoly:
-    """Substitute the line's fixed chart into p, giving a polynomial in t."""
-    px, py, pz = line_parametrization(line)
-    total = UniPoly.zero()
-    for (i, j, k), coeff in p.coeffs.items():
-        total = total + coeff * (px**i * py**j * pz**k)
-    return total
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -64,7 +64,7 @@ class PencilDecomposition:
 
     def scaled_products(self) -> tuple[HomForm, HomForm, HomForm]:
         """The three members l_i * F_i, which sum to zero exactly."""
-        return tuple(f.scale(l) for l, f in zip(self.lambdas, self.products))
+        return tuple(f * l for l, f in zip(self.lambdas, self.products))
 
     def to_json(self) -> dict:
         return {
@@ -105,7 +105,7 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
         if (0, 0) in lam:
             continue  # a zero coefficient: two products are proportional
         lam = normalized(lam)
-        combo = prods[0].scale(lam[0]) + prods[1].scale(lam[1]) + prods[2].scale(lam[2])
+        combo = prods[0] * lam[0] + prods[1] * lam[1] + prods[2] * lam[2]
         if not combo.is_zero:
             raise AssertionError("dependence failed exact re-verification")
         found.append(PencilDecomposition(triple, lam, prods))

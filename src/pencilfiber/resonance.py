@@ -46,11 +46,11 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import ONE, ZERO, EisensteinNumber, Pair, integer_pairs, pair_mul
+from .eisenstein import EisensteinNumber, Pair, integer_pairs, pair_mul
 from .linalg import rank_pairs
 from .pencils import PencilDecomposition
 
-Weights = Sequence[EisensteinNumber]  # a weight vector: one entry per line
+Weights = Sequence[EisensteinNumber | int]  # a weight vector: one entry per line
 
 
 @dataclass
@@ -171,24 +171,24 @@ def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:
-    """Local candidate component at a triple point."""
+    """Local candidate component at a triple point, as integer vectors."""
     if point.multiplicity != 3:
         raise ValueError("local components come from triple points")
     i, j, k = point.lines
-    u = [ZERO] * r
-    v = [ZERO] * r
-    u[i], u[j] = ONE, -ONE
-    v[j], v[k] = ONE, -ONE
+    u = [0] * r
+    v = [0] * r
+    u[i], u[j] = 1, -1
+    v[j], v[k] = 1, -1
     return [u, v]
 
 
 def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
-    """Global candidate component spanned by class-indicator differences."""
+    """Global candidate component spanned by class-indicator differences, as integer vectors."""
     chi = []
     for cls in pencil.classes:
-        vec = [ZERO] * r
+        vec = [0] * r
         for i in cls:
-            vec[i] = ONE
+            vec[i] = 1
         chi.append(vec)
     u = [a - b for a, b in zip(chi[0], chi[1])]
     v = [a - b for a, b in zip(chi[1], chi[2])]
@@ -198,4 +198,4 @@ def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
 def generic_member(basis: list[Weights]) -> Weights:
     """A fixed nonzero combination u + 2 v used for spot checks."""
     u, v = basis
-    return [a + EisensteinNumber(2) * b for a, b in zip(u, v)]
+    return [a + 2 * b for a, b in zip(u, v)]

@@ -21,7 +21,7 @@ from pencilfiber.arrangement import (
 )
 from pencilfiber.cli import main
 from pencilfiber.eisenstein import EisensteinNumber
-from pencilfiber.fixtures import concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
+from pencilfiber.fixtures import braid, concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
 from pencilfiber.pencils import beta3, find_pencils
 
 
@@ -229,6 +229,24 @@ def _relation_of(univariate, poly):
     return {"univariate": univariate, "F": [poly] * 3, "sol": [poly] * 3}
 
 
+def _form(degree, *terms):
+    return {"degree": degree, "terms": [{"exp": exp, "c": c} for exp, c in terms]}
+
+
+def _relation_listing_an_exponent_twice():
+    # 5x + x - x + 0 is not zero; reading only the last x term, x - x + 0 is
+    one = _form(0, ([0, 0, 0], "1"))
+    F = [_form(1, ([1, 0, 0], "5"), ([1, 0, 0], "1")), _form(1, ([1, 0, 0], "-1")), _form(1)]
+    return {"univariate": False, "F": F, "sol": [one] * 3}
+
+
+def _pencil_listing_an_exponent_twice():
+    # x + y - (x + y) = 0 when only the last of the two x terms is read
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["products"][0] = _form(1, ([1, 0, 0], "7"), ([1, 0, 0], "1"))
+    return data
+
+
 @pytest.mark.parametrize(
     "command, what, payload, message",
     [
@@ -242,6 +260,10 @@ def _relation_of(univariate, poly):
         ("descend", "descent instance", {"relation": _relation_of(True, {"coeffs": ["1"]})}, "missing key 'known_factors'"),
         ("generate", "pencil", [], "a pencil must be a JSON object, not list"),
         ("generate", "pencil", {"classes": []}, "missing key 'lambdas'"),
+        ("verify", "relation", _relation_listing_an_exponent_twice(), "exponent (1, 0, 0) is listed twice"),
+        ("verify", "relation", _relation_of(False, _form(1, ([1, 0], "1"))), "exp must have three entries, not 2"),
+        ("verify", "relation", _relation_of(False, _form(1, ([1, 0, 0, 0], "1"))), "exp must have three entries, not 4"),
+        ("generate", "pencil", _pencil_listing_an_exponent_twice(), "exponent (1, 0, 0) is listed twice"),
     ],
 )
 def test_catalan_loader_names_what_is_wrong(capsys, tmp_path, command, what, payload, message):
@@ -813,12 +835,33 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
         main(["analyze", dual_hesse_file])
 
 
+class FieldArithmeticCalled(Exception):
+    pass
+
+
+def test_resonance_payload_does_no_field_arithmetic(corpus_dir, monkeypatch):
+    # the candidate bases and their generic members are integer vectors, and
+    # every probe scales them into Z[w]: no Q(w) product, sum or negation
+    def refuse(*args):
+        raise FieldArithmeticCalled
+
+    for path in sorted(corpus_dir.glob("*.json")):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        pencils = find_pencils(arr)
+        os2 = cli.build_os2(arr)
+        expected = cli._resonance_payload(arr, pencils, os2)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+            monkeypatch.setattr(EisensteinNumber, name, refuse)
+        assert cli._resonance_payload(arr, pencils, os2) == expected, path.name
+        monkeypatch.undo()
+
+
 # --- the stdout contract ----------------------------------------------------------
 
 # sha256 of the stdout of each command, computed by running it in-process on
 # the shipped corpus; any change to these bytes is a change of wire format.
 # A key is (command and options, file): the file is a corpus file, the corpus
-# directory, or pencil.json, the first pencil of concurrent_triple.
+# directory, or one of the inputs ``PINNED_INPUTS`` builds.
 README_PROBE = '["1","-1","0","0","1","-1"]'
 STDOUT_SHA256 = {
     ("analyze", "braid.json"): "c42589e4d8b6b0ceea491d21c875e0ef63fa66ea2a1f30048f6ca10b1c90b164",
@@ -859,7 +902,29 @@ STDOUT_SHA256 = {
     ("pencils", "seeded_generic_7.json"): "8a0fe8f93d5b5a613a0ade57fda6be77280b6f524d5662da9f358a1d7b7b147a",
     ("pencils", "triangle.json"): "449bc2c3a530fd19b24ac0d22da10549d17560d4743f66114e6329b72688e789",
     ("catalan generate --steps 3", "pencil.json"): "91cff2a8eb8608262852a01e15fd4fbff4f0a7e92b447acfc80c3c907aaf835c",
+    ("catalan generate --steps 2", "braid_pencil.json"): "8f3af9588177b698042fe61f8384c4dc7d0a31991cea2f6704f0138e5cb2a164",
+    ("catalan descend", "criterion_8.json"): "684a94fa267d863c348ba9413eaf5b8799be1def872fc8798433b3a1896b9b5c",
     ("resonance --vector " + README_PROBE, "braid.json"): "977d26ca93dc5165c62bc53994e6b99cb8f223f51b3756b290a4e487d49edc14",
+}
+
+
+def _criterion_8_descent():
+    """The descent instance of acceptance criterion 8: one doubling of the
+    solution (1, t, 1) of f^3 + g^3 = (1 + t^3) h^3, with the three linear
+    factors of 1 + t^3 known."""
+    from pencilfiber.eisenstein import OMEGA, OMEGA2
+    from pencilfiber.forms import UniPoly
+
+    t, one = UniPoly.t(), UniPoly.one()
+    sol = (-(t * (t**3 + UniPoly.constant(2))), t**3 * 2 + one, -(t**3 - one))
+    rel = {"univariate": True, "F": [one.to_json(), one.to_json(), (-(one + t**3)).to_json()], "sol": [p.to_json() for p in sol]}
+    return {"relation": rel, "known_factors": [(one + t * w).to_json() for w in (1, OMEGA, OMEGA2)]}
+
+
+PINNED_INPUTS = {
+    "pencil.json": lambda: find_pencils(concurrent_triple())[0].to_json(),
+    "braid_pencil.json": lambda: find_pencils(braid())[0].to_json(),
+    "criterion_8.json": _criterion_8_descent,
 }
 
 
@@ -867,8 +932,8 @@ STDOUT_SHA256 = {
 def test_stdout_bytes_are_pinned(capsys, corpus_dir, tmp_path, command, name):
     if name == "corpus":
         path = corpus_dir
-    elif name == "pencil.json":
-        path = write_json(tmp_path / name, find_pencils(concurrent_triple())[0].to_json())
+    elif name in PINNED_INPUTS:
+        path = write_json(tmp_path / name, PINNED_INPUTS[name]())
     else:
         path = corpus_dir / name
     code, out = run_cli(capsys, [*command.split(), str(path)])

@@ -8,9 +8,7 @@ from pencilfiber.eisenstein import OMEGA, OMEGA2, EisensteinNumber
 from pencilfiber.forms import (
     HomForm,
     UniPoly,
-    line_parametrization,
     product_of_linear_forms,
-    restrict_to_line,
     root_multiplicity,
     squarefree_cube_split,
     squarefree_decomposition,
@@ -112,33 +110,55 @@ def test_product_rejects_nonlinear():
         product_of_linear_forms([X**2])
 
 
-# --- restriction to a line --------------------------------------------------
+# --- the interface both kinds share -------------------------------------------
 
 
-def test_restrict_to_y_zero():
-    p = X**2 - Z**2
-    line = HomForm.linear(0, 1, 0)
-    assert restrict_to_line(p, line) == T**2 - ONE_P
+def test_str_lists_terms_from_the_highest():
+    assert str(X**2 * 3 - Y * Z * OMEGA) == "(3)*x^2 + (-w)*y^1*z^1"
+    assert str(HomForm.constant("1/2")) == "(1/2)"
+    assert str(T**3 * 2 - ONE_P) == "(2)*t^3 + (-1)"
+    assert str(T + T**2) == "(1)*t^2 + (1)*t"
+    assert str(HomForm.zero(2)) == str(UniPoly.zero()) == "0"
 
 
-def test_restrict_defining_form_is_zero():
-    line = HomForm.linear(1, 1, 0)
-    assert restrict_to_line(X + Y, line).is_zero
+@pytest.mark.parametrize("base, one", [(X + Y * 2 - Z, HomForm.constant(1)), (T * 2 - ONE_P, ONE_P)], ids=["form", "unipoly"])
+def test_power_matches_repeated_products(base, one):
+    expected = one
+    for n in range(7):
+        assert base**n == expected
+        expected = expected * base
+    with pytest.raises(ValueError):
+        base ** -1
 
 
-def test_restrict_cubic_to_z_zero():
-    coords = line_parametrization(HomForm.linear(0, 0, 1))
-    assert [str(c) for c in coords] == ["(1)*t", "(1)", "0"]
-    restricted = restrict_to_line(X**3 - Y**3, HomForm.linear(0, 0, 1))
-    assert restricted == T**3 - ONE_P
+def test_cube_costs_two_products(monkeypatch):
+    products = []
+    multiply = HomForm.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(HomForm, "__mul__", counting)
+    cube = (X + Y) ** 3
+    monkeypatch.undo()
+    assert len(products) == 2 and cube == (X + Y) * (X + Y) * (X + Y)
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_forms(), small_forms(), linear_forms())
-def test_restriction_is_multiplicative(p, q, line):
-    lhs = restrict_to_line(p * q, line)
-    rhs = restrict_to_line(p, line) * restrict_to_line(q, line)
-    assert lhs == rhs
+def test_scalar_product_from_either_side():
+    assert X * 2 == 2 * X == X + X
+    assert T * OMEGA == OMEGA * T == UniPoly((0, OMEGA))
+    assert (X * 0).is_zero and (X * 0).degree == 1
+    assert (T * 0).is_zero
+    with pytest.raises(TypeError):
+        X * "2"
+
+
+def test_form_leading_is_the_coefficient_of_the_greatest_exponent():
+    assert (Y * Z * OMEGA + X**2 * 3).leading() == 3
+    assert (Z**2 - Y * Z * 5).leading() == -5
+    with pytest.raises(ValueError):
+        HomForm.zero(2).leading()
 
 
 # --- univariate gcd ----------------------------------------------------------

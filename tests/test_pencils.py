@@ -115,7 +115,7 @@ def test_returned_identity_always_verifies():
         for pencil in find_pencils(builder()):
             total = None
             for lam, form in zip(pencil.lambdas, pencil.products):
-                term = form.scale(lam)
+                term = form * lam
                 total = term if total is None else total + term
             assert total.is_zero
             assert all(lam for lam in pencil.lambdas)
