@@ -48,7 +48,7 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, Pair, ParseError, integer_pairs, json_list, json_object
+from .eisenstein import EisensteinNumber, Pair, ParseError, json_list, json_object
 from .forms import UniPoly
 from .linalg import rank_pairs
 from .milnor import milnor_report
@@ -62,6 +62,7 @@ from .resonance import (
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
+    weight_pairs,
 )
 
 EXIT_OK = 0
@@ -245,7 +246,7 @@ def _distinct_planes(bases: list[list[Weights]]) -> int:
     unless, stacked with one counted before, it still has rank 2."""
     counted: list[list[list[Pair]]] = []
     for basis in bases:
-        rows = [integer_pairs([EisensteinNumber.of(x) for x in v]) for v in basis]
+        rows = [weight_pairs(v) for v in basis]
         if all(rank_pairs(rows + other) > 2 for other in counted):
             counted.append(rows)
     return len(counted)

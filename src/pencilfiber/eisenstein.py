@@ -268,13 +268,18 @@ def json_int(value: object, what: str) -> int:
 Pair = tuple[int, int]
 
 
+def integer_scale(row: Sequence[EisensteinNumber]) -> int:
+    """The lcm of the row's denominators: the least positive integer that scales it into Z[w]."""
+    return math.lcm(*(x.re.denominator for x in row), *(x.wc.denominator for x in row))
+
+
 def integer_pairs(row: Sequence[EisensteinNumber]) -> list[Pair]:
-    """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w].
+    """The row scaled by ``integer_scale``, as pairs (a, b) meaning a + b*w in Z[w].
 
     The scale is a nonzero rational, so the row spans the same line and any
     matrix built from such rows keeps its rank.
     """
-    scale = math.lcm(*(x.re.denominator for x in row), *(x.wc.denominator for x in row))
+    scale = integer_scale(row)
     return [
         (x.re.numerator * (scale // x.re.denominator), x.wc.numerator * (scale // x.wc.denominator)) for x in row
     ]

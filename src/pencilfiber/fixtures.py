@@ -67,7 +67,8 @@ def conic_dual_lines(params: list[Fraction | int], label: str) -> Arrangement:
     lines = [Line(1, a, a * a) for a in values]
     arr = Arrangement(lines, label)
     census = point_census(intersection_points(arr))
-    assert set(census) <= {2}, f"conic-dual construction produced {census}"
+    if not set(census) <= {2}:
+        raise AssertionError(f"conic-dual construction produced {census}")
     return arr
 
 
@@ -85,7 +86,8 @@ def near_pencil_six() -> Arrangement:
     lines += [Line(1, a, a * a) for a in (Fraction(1), Fraction(2), Fraction(3))]
     arr = Arrangement(lines, "near_pencil_6")
     census = point_census(intersection_points(arr))
-    assert census == {3: 1, 2: 12}, f"unexpected census {census}"
+    if census != {3: 1, 2: 12}:
+        raise AssertionError(f"unexpected census {census}")
     return arr
 
 

@@ -12,6 +12,12 @@ Both kinds share one interface through ``_Polynomial``: ``is_zero``,
 storage; each kind keeps its own table, product loop, equality, division
 and wire format.
 
+A product of linear forms is multiplied over Z[w]: ``linear_product_pairs``
+takes the lines as Z[w] triples and returns {exponent: (a, b)} with plain
+int arithmetic, and ``product_of_linear_forms`` is its Q(w) view, the
+integer product divided by the product of the lines' scales
+(``HomForm.from_pairs``).
+
 JSON wire formats:
 
     HomForm  {"degree": d, "terms": [{"exp": [i, j, k], "c": "<eis>"}, ...]}
@@ -20,9 +26,10 @@ JSON wire formats:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
-from .eisenstein import ONE, ZERO, EisensteinNumber, json_int, json_list, json_object
+from .eisenstein import ONE, ZERO, EisensteinNumber, Pair, integer_pairs, integer_scale, json_int, json_list, json_object
 
 Exponent = tuple[int, int, int]
 
@@ -110,6 +117,11 @@ class HomForm(_Polynomial):
         c: EisensteinNumber | int | str,
     ) -> "HomForm":
         return cls(1, {(1, 0, 0): EisensteinNumber.of(a), (0, 1, 0): EisensteinNumber.of(b), (0, 0, 1): EisensteinNumber.of(c)})
+
+    @classmethod
+    def from_pairs(cls, degree: int, table: dict[Exponent, Pair], denominator: int) -> "HomForm":
+        """The form whose coefficient at e is (a + b*w) / denominator, for each entry (a, b) = table[e] over Z[w]."""
+        return cls(degree, {e: EisensteinNumber(Fraction(a, denominator), Fraction(b, denominator)) for e, (a, b) in table.items()})
 
     def leading(self) -> EisensteinNumber:
         """The coefficient of the greatest exponent."""
@@ -324,14 +336,42 @@ class UniPoly(_Polynomial):
         return cls(json_list(json_object(data, "a polynomial")["coeffs"], "coeffs"))
 
 
+def linear_product_pairs(lines: Iterable[Sequence[Pair]]) -> dict[Exponent, Pair]:
+    """The product over Z[w] of the linear forms whose x, y, z coefficients
+    are the given Z[w] triples, as {exponent: (a, b)} with no zero entry;
+    the empty product is {(0, 0, 0): (1, 0)}.
+
+    Plain int arithmetic: the product (a + b*w)(c + d*w), with w^2 = -1 - w,
+    is written out in the loop.
+    """
+    table = {(0, 0, 0): (1, 0)}
+    for x, y, z in lines:
+        out: dict[Exponent, Pair] = {}
+        for (i, j, k), (a, b) in table.items():
+            for e, (c, d) in (((i + 1, j, k), x), ((i, j + 1, k), y), ((i, j, k + 1), z)):
+                if c or d:
+                    s, t = out.get(e, (0, 0))
+                    out[e] = (s + a * c - b * d, t + a * d + b * c - b * d)
+        table = {e: v for e, v in out.items() if v != (0, 0)}
+    return table
+
+
 def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
-    """Exact product of degree-1 forms; the empty product is the constant 1."""
-    result = HomForm.constant(1)
+    """Exact product of degree-1 forms; the empty product is the constant 1.
+
+    The Q(w) view of ``linear_product_pairs``: each line is scaled once into
+    Z[w] by ``integer_scale``, and the integer product is divided by the
+    product of those scales.
+    """
+    triples = []
+    denominator = 1
     for line in lines:
         if line.degree != 1 or line.is_zero:
             raise ValueError("all factors must be nonzero linear forms")
-        result = result * line
-    return result
+        coeffs = [line.coeffs.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        triples.append(integer_pairs(coeffs))
+        denominator *= integer_scale(coeffs)
+    return HomForm.from_pairs(len(triples), linear_product_pairs(triples), denominator)
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -19,17 +19,24 @@ Milnor fibration of a hyperplane arrangement: from modular resonance to
 algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
 and beta_3, their dimension modulo sigma, is at most 2, so the kernel
 (``linalg.nullspace_f3``) spans at most 27 vectors; each one whose level
-sets are three classes of k lines is a candidate, and its class products
-are ``forms.product_of_linear_forms``.  A candidate is a pencil iff its
-coefficient matrix, one row per monomial of degree k and one column per
-class, has rank 2 and its kernel vector (l1, l2, l3) has no zero entry.
-Each row is scaled into Z[w] (``eisenstein.integer_pairs``), so the rank
-is ``linalg.rank_pairs`` and, with three columns, the kernel needs no
-elimination: it is the cross product ``pair_cross`` of two rows that are
-not proportional, scaled by ``eisenstein.normalized`` so that l1 = 1.
-Each accepted dependence is re-verified by polynomial multiplication.  ``find_pencils``
-is the one answer: whether an arrangement is composed of a reduced pencil
-is its truth value, and the number of pencils its length.
+sets are three classes of k lines is a candidate.
+
+The search runs over Z[w].  Each line is scaled once to its Z[w] triple
+(``eisenstein.integer_pairs``, by ``integer_scale`` s), and each class
+product is multiplied out as integer pairs (``forms.linear_product_pairs``):
+G_i = c_i * F_i, with c_i the product of the scales s of the class's lines.
+A candidate is a pencil iff the coefficient matrix of G1, G2, G3, one row
+per monomial of degree k and one column per class, has rank 2
+(``linalg.rank_pairs``) and its kernel vector has no zero entry; scaling a
+column by the positive integer c_i changes neither.  With three columns the
+kernel needs no elimination: it is the cross product ``pair_cross`` of two
+rows that are not proportional.  Each accepted dependence is re-verified
+exactly, by a zero ``pair_dot`` with every monomial row.  Only then are the
+Q(w) objects built: F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector
+times (c1, c2, c3), scaled by ``eisenstein.normalized`` so that l1 = 1.  A
+rejected candidate builds no Q(w) object.  ``find_pencils`` is the one
+answer: whether an arrangement is composed of a reduced pencil is its truth
+value, and the number of pencils its length.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -38,13 +45,24 @@ Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
 from .arrangement import Arrangement, require_multiplicities_ok
-from .eisenstein import ZERO, EisensteinNumber, integer_pairs, json_int, json_list, json_object, normalized, pair_cross
-from .forms import HomForm, product_of_linear_forms
+from .eisenstein import (
+    EisensteinNumber,
+    integer_pairs,
+    integer_scale,
+    json_int,
+    json_list,
+    json_object,
+    normalized,
+    pair_cross,
+    pair_dot,
+)
+from .forms import HomForm, linear_product_pairs
 from .linalg import nullspace_f3, rank_pairs
 from .milnor import monomial_exponents
 
@@ -92,11 +110,12 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     """All pencil decompositions, in canonical class order."""
     k = arr.r // 3
     monomials = monomial_exponents(k)
-    forms = [line.form for line in arr.lines]
+    lines = [integer_pairs(line.coeffs) for line in arr.lines]
+    scales = [integer_scale(line.coeffs) for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
-        prods = tuple(product_of_linear_forms(forms[i] for i in c) for c in triple)
-        rows = [integer_pairs([f.coeffs.get(e, ZERO) for f in prods]) for e in monomials]
+        prods = [linear_product_pairs(lines[i] for i in c) for c in triple]
+        rows = [[p.get(e, (0, 0)) for p in prods] for e in monomials]
         if rank_pairs(rows) != 2:
             continue  # independent, or all three proportional
         # a pair is a tuple, so it is truthy even when it is zero
@@ -104,11 +123,13 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
         lam = next(c for c in (pair_cross(first, row) for row in rows) if any(v != (0, 0) for v in c))
         if (0, 0) in lam:
             continue  # a zero coefficient: two products are proportional
-        lam = normalized(lam)
-        combo = prods[0] * lam[0] + prods[1] * lam[1] + prods[2] * lam[2]
-        if not combo.is_zero:
+        if any(pair_dot(lam, row) != (0, 0) for row in rows):
             raise AssertionError("dependence failed exact re-verification")
-        found.append(PencilDecomposition(triple, lam, prods))
+        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to lam_i * c_i
+        denominators = [math.prod(scales[i] for i in c) for c in triple]
+        lambdas = normalized([(a * c, b * c) for (a, b), c in zip(lam, denominators)])
+        products = tuple(HomForm.from_pairs(k, p, c) for p, c in zip(prods, denominators))
+        found.append(PencilDecomposition(triple, lambdas, products))
     return found
 
 

@@ -26,12 +26,13 @@ w_ij is zero unless lines i and j both lie in the support
 at the points that carry two support lines: one point for a local basis,
 every point for a pencil basis.
 
-Each weight vector is scaled once into Z[w], by the lcm of its denominators
-(``eisenstein.integer_pairs``).  The scale is a positive integer, so it
-changes no answer: a coordinate sum is zero, a basis is independent, a
-wedge vanishes and a wedge kernel has its dimension exactly when the same
-holds before scaling, because (s a) ^ (t b) = s t (a ^ b) for nonzero
-scalars s and t.
+Each weight vector is scaled once into Z[w] (``weight_pairs``): a vector of
+ints has scale 1 and its entries become pairs directly, any other is scaled
+by the lcm of its denominators (``eisenstein.integer_pairs``).  The scale
+is a positive integer, so it changes no answer: a coordinate sum is zero, a
+basis is independent, a wedge vanishes and a wedge kernel has its dimension
+exactly when the same holds before scaling, because (s a) ^ (t b) =
+s t (a ^ b) for nonzero scalars s and t.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
@@ -85,8 +86,15 @@ def build_os2(arr: Arrangement) -> OSDegree2:
     return OSDegree2(arr.r, points)
 
 
-def _check_weight(os: OSDegree2, a: Weights) -> list[EisensteinNumber]:
-    vec = [EisensteinNumber.of(v) for v in a]
+def weight_pairs(a: Weights) -> list[Pair]:
+    """a scaled once into Z[w]; a vector of ints has scale 1, so each entry x is the pair (x, 0)."""
+    if all(type(v) is int for v in a):
+        return [(v, 0) for v in a]
+    return integer_pairs([EisensteinNumber.of(v) for v in a])
+
+
+def _check_weight(os: OSDegree2, a: Weights) -> list[Pair]:
+    vec = weight_pairs(a)
     if len(vec) != os.r:
         raise ValueError(f"weight vector must have length {os.r}")
     return vec
@@ -132,7 +140,7 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     once into Z[w]; a nonzero scale multiplies the wedge by a nonzero
     scalar, so whether it vanishes does not change.
     """
-    return _wedge_vanishes(os, integer_pairs(_check_weight(os, a)), integer_pairs(_check_weight(os, b)))
+    return _wedge_vanishes(os, _check_weight(os, a), _check_weight(os, b))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
@@ -142,10 +150,10 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     nonzero conditions at every point are the rows of a ``rank_pairs`` call.
     """
     vec = _check_weight(os, a)
-    if not any(vec):
+    if all(v == (0, 0) for v in vec):
         raise ValueError("the zero weight vector is not probed")
     rows = []
-    for cond in _local_conditions(os.points, integer_pairs(vec)):
+    for cond in _local_conditions(os.points, vec):
         if any(c != (0, 0) for _, c in cond):
             row = [(0, 0)] * os.r
             for l, c in cond:
@@ -161,7 +169,7 @@ def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
     coordinate sum zero or nonzero, the basis independent or dependent, and
     every wedge vanishing or not.
     """
-    vectors = [integer_pairs(_check_weight(os, v)) for v in basis]
+    vectors = [_check_weight(os, v) for v in basis]
     for v in vectors:
         if sum(x for x, _ in v) or sum(y for _, y in v):
             raise ValueError("basis vectors must have coordinate sum zero")

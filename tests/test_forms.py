@@ -105,6 +105,16 @@ def test_product_hand_expansion():
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(linear_forms(), max_size=4))
+def test_product_matches_repeated_products(lines):
+    # the integer product divided by the product of the line scales
+    expected = HomForm.constant(1)
+    for line in lines:
+        expected = expected * line
+    assert product_of_linear_forms(lines) == expected
+
+
 def test_product_rejects_nonlinear():
     with pytest.raises(ValueError):
         product_of_linear_forms([X**2])

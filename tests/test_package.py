@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -30,3 +31,13 @@ def test_import_loads_only_the_standard_library():
         name for name in loaded if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "pencilfiber"
     ]
     assert foreign == []
+
+
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements; every check in the package is an explicit raise
+    found = []
+    for path in sorted(pathlib.Path(pencilfiber.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

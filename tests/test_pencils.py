@@ -1,11 +1,13 @@
 import json
+import math
 import random
 from itertools import combinations
 
 import pytest
 
+from pencilfiber import pencils as pencils_module
 from pencilfiber.arrangement import Arrangement, MultiplicityError, intersection_points, proj_transform
-from pencilfiber.eisenstein import EisensteinNumber
+from pencilfiber.eisenstein import ZERO, EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
@@ -229,3 +231,102 @@ def test_beta3_is_superabundance_and_counts_pencils(corpus_dir):
         b = beta3(arr)
         assert b == superabundance(arr), arr.label
         assert len(find_pencils(arr)) == (3**b - 1) // 2, arr.label
+
+
+def _pgl_images(builders, count, seed):
+    """``count`` images of each arrangement under matrices whose entries have
+    w-parts and unequal denominators, each with its lines shuffled."""
+    rng = random.Random(seed)
+    images = []
+    for builder in builders:
+        arr = builder()
+        made = 0
+        while made < count:
+            m = [
+                [EisensteinNumber(rng.randint(-4, 4), rng.randint(-4, 4)) / rng.randint(1, 7) for _ in range(3)]
+                for _ in range(3)
+            ]
+            try:
+                image = proj_transform(arr, m)
+            except ValueError:
+                continue  # singular matrix
+            order = list(range(arr.r))
+            rng.shuffle(order)
+            images.append(image.reordered(order))
+            made += 1
+    return images
+
+
+class FieldArithmeticCalled(Exception):
+    pass
+
+
+def test_find_pencils_does_no_field_arithmetic(corpus_dir, monkeypatch):
+    # class products are multiplied as Z[w] pairs; the Q(w) products and
+    # lambdas of an accepted pencil are built, not computed
+    def refuse(*args):
+        raise FieldArithmeticCalled
+
+    arrangements = [Arrangement.from_json(json.loads(path.read_text())) for path in sorted(corpus_dir.glob("*.json"))]
+    arrangements += _pgl_images((dual_hesse, braid, ceva_two), 2, 31)
+    assert sum(len(find_pencils(arr)) for arr in arrangements) > len(arrangements)
+    for arr in arrangements:
+        expected = find_pencils(arr)
+        fresh = arr.reordered(range(arr.r))  # no cached incidence points
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+            monkeypatch.setattr(EisensteinNumber, name, refuse)
+        assert find_pencils(fresh) == expected, arr.label
+        monkeypatch.undo()
+
+
+def _qw_pencil_oracle(arr):
+    """Classes from the exhaustive search, products by ``HomForm.__mul__``, and
+    l2, l3 of the Q(w) identity F1 + l2*F2 + l3*F3 = 0 by Cramer's rule on two
+    monomials where F2 and F3 are independent."""
+    forms = [line.form for line in arr.lines]
+    found = []
+    for classes in sorted(_exhaustive_pencil_oracle(arr)):
+        prods = []
+        for cls in classes:
+            p = HomForm.constant(1)
+            for i in cls:
+                p = p * forms[i]
+            prods.append(p)
+        f1, f2, f3 = ([f.coeffs.get(e, ZERO) for e in monomial_exponents(len(classes[0]))] for f in prods)
+        for e, g in combinations(range(len(f1)), 2):
+            det = f2[e] * f3[g] - f3[e] * f2[g]
+            if det:
+                break
+        l2 = (f3[e] * f1[g] - f1[e] * f3[g]) / det
+        l3 = (f1[e] * f2[g] - f2[e] * f1[g]) / det
+        assert (prods[0] + prods[1] * l2 + prods[2] * l3).is_zero
+        found.append((classes, (EisensteinNumber(1), l2, l3), tuple(prods)))
+    return found
+
+
+def _denominator_lcm(coeffs):
+    return math.lcm(*(x.re.denominator for x in coeffs), *(x.wc.denominator for x in coeffs))
+
+
+def test_pencils_match_qw_product_oracle():
+    images = _pgl_images((concurrent_triple, braid, ceva_two), 2, 7) + _pgl_images((dual_hesse,), 1, 7)
+    unequal_scales = 0
+    for arr in images:
+        pencils = find_pencils(arr)
+        assert [(p.classes, p.lambdas, p.products) for p in pencils] == _qw_pencil_oracle(arr), arr.label
+        for p in pencils:
+            scales = [math.prod(_denominator_lcm(arr.lines[i].coeffs) for i in cls) for cls in p.classes]
+            unequal_scales += len(set(scales)) > 1
+    assert unequal_scales >= len(images)  # the per-class scales c_i differ
+
+
+def test_permuted_lambda_fails_reverification(monkeypatch):
+    cross = pencils_module.pair_cross
+
+    def permuted(u, v):
+        a, b, c = cross(u, v)
+        return (b, a, c)
+
+    monkeypatch.setattr(pencils_module, "pair_cross", permuted)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_pencils(dual_hesse())
