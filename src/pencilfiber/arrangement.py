@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .eisenstein import EisensteinNumber, integer_pairs, json_list, json_object, normalized, pair_cross, pair_dot
-from .forms import HomForm
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -63,10 +62,6 @@ class Line:
         if not any(coeffs):
             raise ValueError("a line needs a nonzero coefficient")
         self.coeffs = normalized(integer_pairs(coeffs))
-
-    @property
-    def form(self) -> HomForm:
-        return HomForm.linear(*self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):

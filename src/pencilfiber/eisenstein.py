@@ -49,8 +49,9 @@ class EisensteinNumber:
     __slots__ = ("re", "wc")
 
     def __init__(self, re: Fraction | int = 0, wc: Fraction | int = 0) -> None:
-        self.re = Fraction(re)
-        self.wc = Fraction(wc)
+        # a Fraction is immutable, so it is kept rather than copied
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.wc = wc if type(wc) is Fraction else Fraction(wc)
 
     @classmethod
     def of(cls, value: "EisensteinNumber | Fraction | int | str") -> "EisensteinNumber":

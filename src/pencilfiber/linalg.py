@@ -4,8 +4,12 @@ Matrices are lists of rows of integer pairs (a, b) meaning a + b*w, or of
 Python ints for the F3 null space.  ``rank_pairs``, fraction-free (Bareiss)
 elimination over Z[w], is the one eliminator; callers holding Q(w) rows
 scale each row with ``eisenstein.integer_pairs`` first, which keeps the
-rank.  Questions that live in 3-space need no elimination and are not asked
-here: they are cross and dot products of Z[w] triples
+rank.  Before it eliminates, it takes every row with a single nonzero entry
+as a pivot and deletes that entry's column, repeating while new such rows
+appear: such a pivot clears only its own column, so this is exact and costs
+no arithmetic.  Most rows of the resonance kernel's local conditions are of
+this kind.  Questions that live in 3-space need no elimination and are not
+asked here: they are cross and dot products of Z[w] triples
 (``eisenstein.pair_cross``, ``pair_dot``).  Null spaces mod 3 come from
 Gauss-Jordan elimination on residues.  All of it is exact, so results are
 certificates, not estimates.
@@ -23,10 +27,24 @@ def rank_pairs(rows: list[list[Pair]]) -> int:
     pivot q, an entry below P becomes (M[i][j]*P - M[i][k]*M[k][j]) / q.
     Sylvester's identity makes that division exact in Z[w]; a nonzero
     remainder raises AssertionError, so the rank stays a certificate.
+
+    Rows with one nonzero entry are taken as pivots first.  Eliminating with
+    such a row clears its column and changes no other entry, so the rank is
+    one per distinct column they occupy plus the rank of the other rows with
+    those columns deleted.  Deleting a column can leave another row with one
+    nonzero entry, so this repeats; zero rows are dropped.  Only the rows
+    left go through Bareiss, on the columns where some of them is nonzero,
+    and ``rows`` is not changed.
     """
-    rest = list(rows)  # unused rows, unprocessed columns
-    c, d = 1, 0  # previous pivot c + d*w
+    # each nonzero row with the set of its nonzero columns
+    live = [(row, cols) for row in rows if (cols := {j for j, v in enumerate(row) if v != (0, 0)})]
     found = 0
+    while singles := {j for _, cols in live if len(cols) == 1 for j in cols}:
+        found += len(singles)
+        live = [(row, left) for row, cols in live if (left := cols - singles)]
+    keep = sorted(set().union(*(cols for _, cols in live)))
+    rest = [[row[j] for j in keep] for row, _ in live]  # unused rows, unprocessed columns
+    c, d = 1, 0  # previous pivot c + d*w
     while rest and rest[0]:
         pivot_row = next((i for i, row in enumerate(rest) if row[0] != (0, 0)), None)
         if pivot_row is None:

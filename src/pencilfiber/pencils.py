@@ -103,6 +103,8 @@ class PencilDecomposition:
             raise ValueError("a pencil has three classes, lambdas and products")
         if not all(lambdas):
             raise ValueError("every lambda of a pencil is nonzero")
+        if any(p.is_zero for p in products):
+            raise ValueError("every product of a pencil is nonzero")
         return cls(classes, lambdas, products)
 
 

@@ -18,8 +18,15 @@ These local conditions are stated once, as linear forms in b with Z[w]
 coefficients, and answer both questions: a ^ b = 0 iff every form vanishes
 at b, and the kernel of the wedge map by a is their null space, an r-column
 matrix with one row per double point and two per triple point whose rank
-comes from ``linalg.rank_pairs``.  The premise, that the points' pairs
-cover every pair of lines once, is checked when the quotient is built.
+comes from ``linalg.rank_pairs``.  At a point where a has one support line,
+the conditions involve b at the point's other lines only: at a double point
+one row with one nonzero entry, at a triple point one such row and one that
+has a single entry left once ``rank_pairs`` deletes the first row's column.
+``rank_pairs`` takes these rows as pivots without elimination.  For a local
+candidate that is every point but its own triple point, so only points with
+two or more support lines reach the Bareiss loop.  The premise, that the
+points' pairs cover every pair of lines once, is checked when the quotient
+is built.
 
 w_ij is zero unless lines i and j both lie in the support
 {l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` evaluates the forms only

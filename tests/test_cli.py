@@ -499,6 +499,34 @@ def test_catalan_generate_rejects_zero_lambda(capsys, tmp_path, lambdas):
     assert out == ""
 
 
+def _pencil_with_zero_products(zeros, degree):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["lambdas"] = ["1", "1", "1"]
+    for i in zeros:
+        data["products"][i] = {"degree": degree, "terms": []}
+    return data
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        _pencil_with_zero_products([0, 1, 2], 0),
+        _pencil_with_zero_products([0, 1, 2], 1),
+        _pencil_with_zero_products([1], 1),
+    ],
+    ids=["all-zero-degree-0", "all-zero-degree-1", "one-zero"],
+)
+def test_pencil_with_a_zero_product_is_an_input_error(capsys, tmp_path, data, steps):
+    path = write_json(tmp_path / "pencil.json", data)
+    code = main(["catalan", "generate", path, "--steps", steps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "every product of a pencil is nonzero" in json.loads(line)["error"]
+
+
 @pytest.mark.parametrize("index", [0.5, 0.0])
 def test_catalan_generate_rejects_non_integer_class_index(capsys, tmp_path, index):
     data = find_pencils(concurrent_triple())[0].to_json()

@@ -46,6 +46,14 @@ def test_hash_agrees_with_equality():
     assert len({EisensteinNumber(Fraction(1, 2)), Fraction(1, 2), EisensteinNumber(Fraction(1, 2), 1)}) == 2
 
 
+@pytest.mark.parametrize("value", [0, -7, Fraction(3, 4), Fraction(-5), "2/6", "-1"])
+def test_components_are_exact_fractions(value):
+    for x in (EisensteinNumber(value), EisensteinNumber(value, value), EisensteinNumber(0, value)):
+        assert type(x.re) is Fraction and type(x.wc) is Fraction
+    x = EisensteinNumber(value, value)
+    assert x.re == x.wc == Fraction(value)
+
+
 def test_integer_pairs_scale_by_denominator_lcm():
     row = [EisensteinNumber(Fraction(1, 2), Fraction(-1, 3)), EisensteinNumber(0, 2), EisensteinNumber(Fraction(5, 4))]
     assert integer_pairs(row) == [(6, -4), (0, 24), (15, 0)]

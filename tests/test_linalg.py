@@ -1,11 +1,11 @@
 from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_oracle import mat_mul, nullspace, package_rank, rref
-from pencilfiber.eisenstein import ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
-from pencilfiber.linalg import nullspace_f3
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
+from pencilfiber.linalg import nullspace_f3, rank_pairs
 
 small_eis = st.builds(
     EisensteinNumber,
@@ -95,6 +95,50 @@ def test_rank_skips_pivotless_columns_and_later_pivot_rows():
     assert package_rank(m) == _rank_by_minors(m) == 2
     assert package_rank([]) == 0
     assert package_rank([[ZERO, ZERO]]) == 0
+
+
+nonzero_eis = small_eis.filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rows of the kinds ``rank_pairs`` takes as pivots before elimination,
+    shuffled among each other: one-entry rows, two of them sometimes on one
+    column; a chain whose k-th row has one entry left only once the columns
+    of the rows before it are deleted; zero rows; other sparse rows.  The
+    width may be 0."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = []
+    if n:
+        order = draw(st.permutations(range(n)))
+        for k in range(draw(st.integers(min_value=0, max_value=n))):
+            row = [ZERO] * n
+            row[order[k]] = draw(nonzero_eis)
+            for j in order[:k]:
+                if draw(st.booleans()):
+                    row[j] = draw(nonzero_eis)
+            rows.append(row)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            row = [ZERO] * n
+            row[draw(st.integers(min_value=0, max_value=n - 1))] = draw(nonzero_eis)
+            rows.append(row)
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            rows.append([draw(st.one_of(st.just(ZERO), nonzero_eis)) for _ in range(n)])
+    rows += [[ZERO] * n for _ in range(draw(st.integers(min_value=0 if rows else 1, max_value=2)))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example([[ONE, ZERO], [ONE, ONE], [ZERO, ONE]])  # a one-entry row whose column others need
+@example([[ONE, ZERO, ZERO], [ONE, OMEGA, ZERO], [ZERO, ONE, ONE]])  # a chain of length 3
+@example([[ZERO, 2 * OMEGA], [ZERO, -ONE], [ZERO, ZERO]])  # two one-entry rows on one column
+@example([[], []])
+def test_rank_peels_one_entry_rows(m):
+    rows = [integer_pairs(row) for row in m]
+    before = [list(row) for row in rows]
+    assert rank_pairs(rows) == _rank_by_minors(m) == len(rref(m)[1])
+    assert rows == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,7 +49,7 @@ def _exhaustive_pencil_oracle(arr):
     r = arr.r
     k = r // 3
     monomials = monomial_exponents(k)
-    forms = [line.form for line in arr.lines]
+    forms = [HomForm.linear(*line.coeffs) for line in arr.lines]
     accepted = set()
     indices = list(range(r))
     for class_a in combinations(indices[1:], k - 1):
@@ -283,7 +283,7 @@ def _qw_pencil_oracle(arr):
     """Classes from the exhaustive search, products by ``HomForm.__mul__``, and
     l2, l3 of the Q(w) identity F1 + l2*F2 + l3*F3 = 0 by Cramer's rule on two
     monomials where F2 and F3 are independent."""
-    forms = [line.form for line in arr.lines]
+    forms = [HomForm.linear(*line.coeffs) for line in arr.lines]
     found = []
     for classes in sorted(_exhaustive_pencil_oracle(arr)):
         prods = []
