@@ -1,14 +1,15 @@
 """Cube relations F1*f^3 + F2*g^3 + F3*h^3 = 0 over Q(w)[t] and Q(w)[x,y,z].
 
 A relation is the data (F1, F2, F3, f, g, h) with the identity holding
-exactly.  Every relation returned from this module is verified once, by
-multiplication, before being handed back; in doubling, the terms that
-verify one relation are the coefficients of the next step.
+exactly.  Every relation returned from this module is verified once before
+being handed back: the base solution (1, 1, 1) of a pencil by the sum of
+its members, every other relation by multiplication.  In doubling, the
+terms that verify one relation are the coefficients of the next step.
 
 Two relations with the same coefficients up to one scalar are identified
 when their solutions differ by scalars (lf, lg, lh) with lf/lh and lg/lh
-cube roots of unity and lf*lg = lh^2; that is exactly the ambiguity left by
-the curve model c^3 = s(1-s), whose points a = -F1 f^3 / (F3 h^3),
+cube roots of unity and lf*lg = lh^2 (a zero component on both sides leaves
+its ratio free); that is exactly the ambiguity left by the curve model c^3 = s(1-s), whose points a = -F1 f^3 / (F3 h^3),
 b = -F2 g^3 / (F3 h^3) satisfy a + b = 1.
 
 New solutions come from doubling: when G1 + G2 = G3,
@@ -18,9 +19,11 @@ New solutions come from doubling: when G1 + G2 = G3,
 satisfies G1 f'^3 + G2 g'^3 + G3 h'^3 = 0 identically, and iterating it on
 the scaled members of a pencil yields solutions of strictly growing degree.
 Descent runs the other way: for f^3 + g^3 + F3 h^3 = 0 with F3 a product of
-known linear factors, the three factors f + g, f + w g, f + w^2 g split as
-(scalar) * (known factors) * (cube), and the cube roots solve a new cube
-relation with coefficients of smaller total content.
+known linear factors, each of the three factors f + g, f + w g, f + w^2 g
+splits once as (cube) * (cube-free part), the cube-free part must be
+(scalar) * (known factors), and the cube roots solve a new cube relation
+with coefficients of smaller total content.  Pullback substitutes t = num/den
+into a univariate relation and clears denominators by Horner's rule.
 
 HomForm and UniPoly share one arithmetic interface, so nothing here
 branches on the kind of polynomial except ``pullback_solution``, whose
@@ -33,9 +36,10 @@ Relation JSON: {"univariate": bool, "F": [poly, poly, poly],
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Union
 
-from .eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber, json_list, json_object
+from .eisenstein import OMEGA, OMEGA2, ONE, EisensteinNumber, json_list, json_object
 from .forms import HomForm, UniPoly, root_multiplicity, squarefree_cube_split, uni_gcd
 from .pencils import PencilDecomposition
 
@@ -109,39 +113,27 @@ def _proportionality(p: Poly, q: Poly) -> EisensteinNumber | None | str:
 def relations_equivalent(r1: QuasiToricRelation, r2: QuasiToricRelation) -> bool:
     """Identify relations that differ by the curve-model scalar ambiguity.
 
+    The coefficient ratios F_a / F_b other than "any" share one value.  The
+    solution ratios lf, lg, lh other than "any" differ pairwise by cube roots
+    of unity, and when all three are known, lf * lg = lh^2.
+
     Only a True answer verifies r1 (ValueError if it fails): equivalence
     scales every term F_i s_i^3 of r2 by the one scalar c * lh^3, so r2 then
     verifies too.  An unverified relation may be answered False.
     """
     if r1.univariate != r2.univariate:
         return False
-    common: EisensteinNumber | None = None
-    for Fa, Fb in zip(r1.F, r2.F):
-        ratio = _proportionality(Fa, Fb)
-        if ratio is None:
-            return False
-        if ratio == "any":
-            continue
-        if common is None:
-            common = ratio
-        elif common != ratio:
-            return False
-    lf, lg, lh = (_proportionality(sa, sb) for sa, sb in zip(r1.sol, r2.sol))
-    if None in (lf, lg, lh):
+    coeff_ratios = [_proportionality(Fa, Fb) for Fa, Fb in zip(r1.F, r2.F)]
+    sol_ratios = [_proportionality(sa, sb) for sa, sb in zip(r1.sol, r2.sol)]
+    if None in coeff_ratios or None in sol_ratios:
         return False
-    # need some cube root z with lf = z*lh and lg = z^2*lh ("any" adapts freely)
-    for zeta in MU3:
-        if lh != "any":
-            base = lh
-        elif lf != "any":
-            base = lf / zeta
-        elif lg != "any":
-            base = lg / (zeta * zeta)
-        else:
-            break
-        if (lf == "any" or lf == zeta * base) and (lg == "any" or lg == zeta * zeta * base):
-            break
-    else:
+    if len({r for r in coeff_ratios if r != "any"}) > 1:
+        return False
+    known = [r for r in sol_ratios if r != "any"]
+    if any((a / b) ** 3 != 1 for a, b in combinations(known, 2)):
+        return False
+    lf, lg, lh = sol_ratios
+    if len(known) == 3 and lf * lg != lh * lh:
         return False
     if not verify_relation(r1):
         raise ValueError("equivalence is only defined for verified relations")
@@ -149,13 +141,17 @@ def relations_equivalent(r1: QuasiToricRelation, r2: QuasiToricRelation) -> bool
 
 
 def base_solution(pencil: PencilDecomposition) -> QuasiToricRelation:
-    """The (1, 1, 1) solution carried by the scaled members of a pencil."""
-    members = pencil.scaled_products()
+    """The (1, 1, 1) solution carried by the scaled members of a pencil.
+
+    For that solution the relation is the sum of the members, so the check
+    needs no product; a pencil whose members do not sum to zero is bad input
+    (ValueError).
+    """
+    G1, G2, G3 = pencil.scaled_products()
+    if not (G1 + G2 + G3).is_zero:
+        raise ValueError("doubling needs G1 + G2 = G3 exactly")
     one = HomForm.constant(1)
-    rel = QuasiToricRelation(members, (one, one, one), univariate=False)
-    if not verify_relation(rel):
-        raise AssertionError("pencil members do not sum to zero")
-    return rel
+    return QuasiToricRelation((G1, G2, G3), (one, one, one), univariate=False)
 
 
 def _double(G: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
@@ -175,16 +171,13 @@ def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiTor
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    one = HomForm.constant(1)
-    rel = QuasiToricRelation(pencil.scaled_products(), (one, one, one), univariate=False)
+    rel = base_solution(pencil)
     T1, T2, T3 = rel.F  # the terms of the base solution
     out: list[QuasiToricRelation] = []
     while True:
         try:
             f2, g2, h2 = _double((T1, T2, -T3))  # G1 + G2 - G3 = T1 + T2 + T3
         except ValueError:
-            if not out:
-                raise
             raise AssertionError("generated relation failed verification") from None
         if len(out) == steps:
             return out
@@ -197,25 +190,19 @@ def generate_solutions(pencil: PencilDecomposition, steps: int) -> list[QuasiTor
 
 
 def _compose(p: UniPoly, num: Poly, den: Poly) -> Poly:
-    """p(num/den) * den^deg(p), the homogeneous clearing of one substitution."""
+    """p(num/den) * den^deg(p), the homogeneous clearing of one substitution.
+
+    Horner's rule in num: acc <- acc * num + c_j * den^(d-j) for j from d-1
+    down to 0, starting from the scalar c_d, each power of den one product
+    from the one before.  No product has a constant factor.
+    """
     if p.is_zero:
         return num * 0
-    d = p.degree
-    nums, dens = _powers(num, d), _powers(den, d)
-    total = None
-    for j, c in enumerate(p.coeffs):
-        # nums[0] and dens[0] are the constant one: multiply only when both factors are not
-        term = (nums[j] * dens[d - j] if 0 < j < d else nums[d] if j else dens[d]) * c
-        total = term if total is None else total + term
-    return total
-
-
-def _powers(base: Poly, d: int) -> list[Poly]:
-    """[base**0, base, ..., base**d], each power one product from the one before."""
-    out = [base**0, base]
-    for _ in range(d - 1):
-        out.append(out[-1] * base)
-    return out[: d + 1]
+    acc, power = p.leading(), ONE
+    for c in reversed(p.coeffs[:-1]):
+        power = den * power
+        acc = num * acc + power * c
+    return acc if p.degree else den**0 * acc
 
 
 def pullback_solution(rel: QuasiToricRelation, num: Poly, den: Poly) -> QuasiToricRelation:
@@ -255,9 +242,10 @@ def descend_step(rel: QuasiToricRelation, known_factors: Sequence[UniPoly]) -> Q
     """One descent of f^3 + g^3 + F3 h^3 = 0 along the factorization of F3.
 
     The products u1 = f + g, u2 = f + w g, u3 = f + w^2 g multiply to
-    -F3 h^3 and satisfy u1 + w u2 + w^2 u3 = 0.  Each u must split as
-    scalar * (known factors, multiplicity <= 2) * cube; the cube roots then
-    solve the returned relation, whose coefficients absorb the w-weights.
+    -F3 h^3 and satisfy u1 + w u2 + w^2 u3 = 0.  Each u splits once as
+    cube * (cube-free part); with the known factors stripped, that part must
+    be a scalar.  The cube roots then solve the returned relation, whose
+    coefficients absorb the w-weights.
     """
     if not rel.univariate:
         raise ValueError("descent runs over univariate relations")
@@ -302,17 +290,13 @@ def descend_step(rel: QuasiToricRelation, known_factors: Sequence[UniPoly]) -> Q
     for idx, (u_i, weight) in enumerate(zip(u, weights), start=1):
         if u_i.is_zero:
             raise DescentObstruction(idx, u_i, "degenerate zero factor")
+        cube_root, leftover = squarefree_cube_split(u_i)
         known_part = UniPoly.one()
-        cube_root = UniPoly.one()
-        stripped = u_i
         for ell in factors:
-            stripped, mult = root_multiplicity(stripped, ell)
-            known_part = known_part * ell ** (mult % 3)
-            cube_root = cube_root * ell ** (mult // 3)
-        extra_root, leftover = squarefree_cube_split(stripped)
+            leftover, mult = root_multiplicity(leftover, ell)
+            known_part = known_part * ell**mult
         if not leftover.is_constant:
             raise DescentObstruction(idx, leftover, "factor does not split as known * cube")
-        cube_root = cube_root * extra_root
         scalar = leftover.constant_value()
         rebuilt = known_part * cube_root**3 * scalar
         if rebuilt != u_i:

@@ -150,11 +150,7 @@ class HomForm(_Polynomial):
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         table = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = table.get(e, ZERO) + c
-            if s:
-                table[e] = s
-            else:
-                table.pop(e, None)
+            table[e] = table.get(e, ZERO) + c
         return HomForm(self.degree, table)
 
     def __mul__(self, other: object) -> "HomForm":
@@ -163,11 +159,7 @@ class HomForm(_Polynomial):
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
                     e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    s = table.get(e, ZERO) + c1 * c2
-                    if s:
-                        table[e] = s
-                    else:
-                        table.pop(e, None)
+                    table[e] = table.get(e, ZERO) + c1 * c2
             return HomForm(self.degree + other.degree, table)
         scalar = EisensteinNumber._coerce(other)
         if scalar is None:

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from pencilfiber import catalan
@@ -11,10 +14,11 @@ from pencilfiber.catalan import (
     relations_equivalent,
     verify_relation,
 )
-from pencilfiber.eisenstein import OMEGA, OMEGA2, EisensteinNumber
+from pencilfiber.arrangement import proj_transform
+from pencilfiber.eisenstein import MU3, OMEGA, OMEGA2, EisensteinNumber
 from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse
 from pencilfiber.forms import HomForm, UniPoly
-from pencilfiber.pencils import find_pencils
+from pencilfiber.pencils import PencilDecomposition, find_pencils
 
 T = UniPoly.t()
 ONE_P = UniPoly.one()
@@ -154,6 +158,13 @@ def test_dual_hesse_cubic_base_solution():
     assert rel.F == (x3 - y3, -(x3 - z3), y3 - z3)
 
 
+def test_base_solution_rejects_members_not_summing_to_zero():
+    data = find_pencils(concurrent_triple())[0].to_json()
+    data["lambdas"] = ["1", "1", "1"]
+    with pytest.raises(ValueError, match="doubling needs G1 \\+ G2 = G3 exactly"):
+        base_solution(PencilDecomposition.from_json(data))
+
+
 # --- doubling -------------------------------------------------------------------
 
 
@@ -241,18 +252,19 @@ def test_generate_outputs_pairwise_inequivalent():
             assert not relations_equivalent(relations[i], relations[j])
 
 
-def reference_generate(pencil, steps):
-    """Doubling with the cubes rebuilt at every step, ``reference_doubling``
-    and a separate ``verify_relation`` of each output."""
-    P1, P2, P3 = pencil.scaled_products()
-    one = HomForm.constant(1)
+def reference_generate(members, steps):
+    """Doubling from the solution (1, 1, 1) of three members that sum to
+    zero, with the cubes rebuilt at every step, ``reference_doubling`` and a
+    separate ``verify_relation`` of each output."""
+    P1, P2, P3 = members
+    one = P1**0
     f, g, h = one, one, one
     out = []
     for _ in range(steps):
         H = (P1 * f**3, P2 * g**3, -(P3 * h**3))
         f2, g2, h2 = reference_doubling(H)
         f, g, h = f * f2, g * g2, -(h * h2)
-        rel = QuasiToricRelation((P1, P2, P3), (f, g, h), univariate=False)
+        rel = QuasiToricRelation((P1, P2, P3), (f, g, h), univariate=isinstance(P1, UniPoly))
         assert verify_relation(rel)
         out.append(rel)
     return out
@@ -261,7 +273,7 @@ def reference_generate(pencil, steps):
 @pytest.mark.parametrize("fixture, steps", [(concurrent_triple, 3), (braid, 2)])
 def test_generate_matches_reference_doubling(fixture, steps):
     pencil = find_pencils(fixture())[0]
-    expected = reference_generate(pencil, steps)
+    expected = reference_generate(pencil.scaled_products(), steps)
     for n in range(1, steps + 1):
         relations = generate_solutions(pencil, n)
         assert [rel.F for rel in relations] == [rel.F for rel in expected[:n]]
@@ -287,6 +299,65 @@ def test_generate_rejects_zero_steps():
     pencil = find_pencils(concurrent_triple())[0]
     with pytest.raises(ValueError):
         generate_solutions(pencil, 0)
+
+
+def reference_equivalent(r1, r2):
+    """The equivalence rule as a search: the coefficient ratios other than
+    "any" agree, and some cube root z has lf = z*lh and lg = z^2*lh, where a
+    ratio that is "any" adapts freely."""
+    ratios = [catalan._proportionality(a, b) for a, b in zip(r1.F, r2.F)]
+    if None in ratios or len({r for r in ratios if r != "any"}) > 1:
+        return False
+    lf, lg, lh = (catalan._proportionality(a, b) for a, b in zip(r1.sol, r2.sol))
+    if None in (lf, lg, lh):
+        return False
+    for zeta in MU3:
+        if lh != "any":
+            base = lh
+        elif lf != "any":
+            base = lf / zeta
+        elif lg != "any":
+            base = lg / (zeta * zeta)
+        else:
+            return True
+        if (lf == "any" or lf == zeta * base) and (lg == "any" or lg == zeta * zeta * base):
+            return True
+    return False
+
+
+def relations_with_zero_components():
+    """Verified relations in which some coefficient or solution is zero, so
+    that a ratio against a rescaled copy is "any"."""
+    zero = UniPoly.zero()
+    cases = [
+        ((ONE_P, -ONE_P, T), (ONE_P, ONE_P, zero)),
+        ((T, -T, zero), (ONE_P, ONE_P, T)),
+        ((ONE_P, zero, -ONE_P), (T, zero, T)),
+        ((ONE_P, ONE_P, T), (zero, zero, zero)),
+    ]
+    out = [QuasiToricRelation(F, sol, univariate=True) for F, sol in cases]
+    assert all(verify_relation(rel) for rel in out)
+    return out
+
+
+def test_equivalence_matches_cube_root_search():
+    # the coefficient and solution rules are checked apart, the other side scaled by (1, 1, 1)
+    scalars = [EisensteinNumber(1), OMEGA, OMEGA2, EisensteinNumber(-1), EisensteinNumber(2), OMEGA * 2]
+    ones = (1, 1, 1)
+    scalings = [(cs, ones) for cs in product(scalars[::2], repeat=3)]
+    scalings += [(ones, ls) for ls in product(scalars, repeat=3)]
+    answers = set()
+    for rel in relations_with_zero_components():
+        for cs, ls in scalings:
+            other = QuasiToricRelation(
+                tuple(F * c for F, c in zip(rel.F, cs)),
+                tuple(s * l for s, l in zip(rel.sol, ls)),
+                univariate=True,
+            )
+            expected = reference_equivalent(rel, other)
+            assert relations_equivalent(rel, other) == expected, (rel.to_json(), cs, ls)
+            answers.add(expected)
+    assert answers == {True, False}
 
 
 # --- pullback ---------------------------------------------------------------------
@@ -327,6 +398,28 @@ def test_pullback_of_root_difference_relation():
     # every coefficient only involves x and z: lines through [0:1:0]
     for F in plane.F:
         assert all(e[1] == 0 for e in F.coeffs)
+
+
+def omega_image_of_concurrent_triple():
+    """A seeded PGL image of ``concurrent_triple`` whose matrix has w-parts."""
+    rng = random.Random(5)
+    matrix = [[EisensteinNumber(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(3)] for _ in range(3)]
+    assert sum(1 for row in matrix for v in row if v.wc) >= 3
+    return proj_transform(concurrent_triple(), matrix)
+
+
+@pytest.mark.parametrize(
+    "fixture, steps", [(concurrent_triple, 3), (braid, 2), (omega_image_of_concurrent_triple, 2)]
+)
+def test_generate_is_pullback_of_universal_relation(fixture, steps):
+    # U_n: n doublings of (1, 1, 1) on (t, 1, -(t + 1)); t = G1/G2 carries it to the pencil
+    universal = reference_generate((T, ONE_P, -(T + ONE_P)), steps)
+    pencil = find_pencils(fixture())[0]
+    G1, G2, _ = pencil.scaled_products()
+    for U, rel in zip(universal, generate_solutions(pencil, steps), strict=True):
+        pulled = pullback_solution(U, G1, G2)
+        assert pulled.F == rel.F
+        assert pulled.sol == rel.sol
 
 
 def test_pullback_degree_mismatch():
@@ -430,7 +523,7 @@ def test_pullback_multiplies_each_power_once(monkeypatch):
     plane = pullback_solution(root_difference_relation(), X, HomForm.monomial((0, 0, 1)))
     monkeypatch.undo()
     assert verify_relation(plane)
-    assert len(products) <= 36
+    assert len(products) <= 27  # Horner: 6 products per quartic coefficient, 3 per term in the check
     assert all(a and b for a, b in products)  # no product by a constant form
 
 
