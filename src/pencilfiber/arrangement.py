@@ -7,7 +7,14 @@ scaled to an integer triple (``eisenstein.integer_pairs``), the point of two
 lines is their cross product, and a third line passes through it iff their
 dot product is exactly zero.  Points are grouped by these incidence tests,
 not by hashing coordinates; each is then normalized once, lead coordinate 1,
-by ``eisenstein.normalized``, the same rule that normalizes a line.
+by ``eisenstein.normalized``, the same rule that normalizes a line.  A line
+keeps its Z[w] triple and scale from construction, so no layer scales it
+again.
+
+The incidence data is built once per arrangement and kept on it as one
+``Incidence`` record that every layer reads: the sorted points, the index of
+the points on each line, and, on first use, the F3 basis of the mod-3
+cocycles that ``pencils`` reads for beta_3 and the candidate partitions.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -31,7 +38,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .eisenstein import EisensteinNumber, integer_pairs, json_list, json_object, normalized, pair_cross, pair_dot
+from .eisenstein import (
+    EisensteinNumber,
+    integer_pairs,
+    integer_scale,
+    json_list,
+    json_object,
+    normalized,
+    pair_cross,
+    pair_dot,
+)
+from .linalg import nullspace_f3
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -48,9 +65,13 @@ class MultiplicityError(ValueError):
 
 
 class Line:
-    """A projective line, normalized so the first nonzero coefficient is 1."""
+    """A projective line, normalized so the first nonzero coefficient is 1.
 
-    __slots__ = ("coeffs",)
+    ``pairs`` is the normalized triple scaled into Z[w] by the positive
+    integer ``scale`` (``eisenstein.integer_pairs`` and ``integer_scale``).
+    """
+
+    __slots__ = ("coeffs", "pairs", "scale")
 
     def __init__(
         self,
@@ -62,6 +83,8 @@ class Line:
         if not any(coeffs):
             raise ValueError("a line needs a nonzero coefficient")
         self.coeffs = normalized(integer_pairs(coeffs))
+        self.pairs = tuple(integer_pairs(self.coeffs))
+        self.scale = integer_scale(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
@@ -87,14 +110,14 @@ class Line:
 class Arrangement:
     """Nonempty ordered list of pairwise distinct lines with a label."""
 
-    __slots__ = ("lines", "label", "_points")
+    __slots__ = ("lines", "label", "_incidence")
 
     def __init__(self, lines: Iterable[Line], label: str = "") -> None:
         self.lines = tuple(lines)
         if not self.lines:
             raise ValueError("an arrangement needs at least one line")
         self.label = label
-        self._points: tuple[IncidencePoint, ...] | None = None
+        self._incidence: Incidence | None = None
         seen: dict[Line, int] = {}
         for idx, line in enumerate(self.lines):
             if not isinstance(line, Line):
@@ -147,17 +170,57 @@ class IncidencePoint:
         }
 
 
-def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
-    """All pairwise intersections, grouped exactly into incidence points.
+class Incidence:
+    """The incidence data of an arrangement of r lines, read by every layer.
 
-    Each line is scaled once to a Z[w] triple.  For each pair (i, j) of lines
-    not yet on a common point, P = l_i x l_j, and the lines through P are i, j
-    and every k > j with l_k . P = 0; a k < j through P would have put (i, j)
-    on an earlier point.  P is normalized once, so its lead coordinate is 1.
-    Computed once per arrangement and kept on it.
+    ``points`` are the incidence points, ``on_line[l]`` the increasing
+    indices in ``points`` of the points on line l.  ``cocycles`` is built
+    on first use.
     """
-    if arr._points is None:
-        lines = [integer_pairs(line.coeffs) for line in arr.lines]
+
+    __slots__ = ("points", "on_line", "_cocycles")
+
+    def __init__(self, points: Iterable[IncidencePoint], r: int) -> None:
+        self.points = tuple(points)
+        on_line: list[list[int]] = [[] for _ in range(r)]
+        for n, pt in enumerate(self.points):
+            for l in pt.lines:
+                on_line[l].append(n)
+        self.on_line = tuple(tuple(ns) for ns in on_line)
+        self._cocycles: list[list[int]] | None = None
+
+    @property
+    def cocycles(self) -> list[list[int]]:
+        """F3 basis of the tau with tau_i = tau_j at each double point {i, j}
+        and tau_i + tau_j + tau_k = 0 at each triple point {i, j, k}.
+
+        The rows state these conditions only when every multiplicity is at
+        most 3, which callers check first.
+        """
+        if self._cocycles is None:
+            rows = []
+            for pt in self.points:
+                row = [0] * len(self.on_line)
+                for i in pt.lines:
+                    row[i] = 1
+                if pt.multiplicity == 2:
+                    row[pt.lines[1]] = -1
+                rows.append(row)
+            self._cocycles = nullspace_f3(rows, len(self.on_line))
+        return self._cocycles
+
+
+def incidence(arr: Arrangement) -> Incidence:
+    """The arrangement's incidence record, built on first use and kept on it.
+
+    Its points are all pairwise intersections, grouped exactly.  For each
+    pair (i, j) of lines not yet on a common point, P = l_i x l_j over Z[w],
+    and the lines through P are i, j and every k > j with l_k . P = 0; a
+    k < j through P would have put (i, j) on an earlier point.  P is
+    normalized once, so its lead coordinate is 1.
+    """
+    if arr._incidence is None:
+        lines = [line.pairs for line in arr.lines]
         n = len(lines)
         covered = [[False] * n for _ in range(n)]
         points = []
@@ -171,8 +234,14 @@ def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
                     covered[a][b] = True
                 points.append(IncidencePoint(normalized(p), tuple(through)))
         points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
-        arr._points = tuple(points)
-    return arr._points
+        arr._incidence = Incidence(points, n)
+    return arr._incidence
+
+
+def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
+    """All pairwise intersections, grouped exactly into incidence points: the
+    points of ``incidence(arr)``, computed once per arrangement."""
+    return incidence(arr).points
 
 
 def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
@@ -332,6 +401,5 @@ def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]
     columns = (pair_cross(r1, r2), pair_cross(r2, r0), pair_cross(r0, r1))
     if pair_dot(r0, columns[0]) == (0, 0):
         raise ValueError("matrix is singular")
-    lines = (integer_pairs(line.coeffs) for line in arr.lines)
-    images = ([EisensteinNumber(*pair_dot(a, col)) for col in columns] for a in lines)
+    images = ([EisensteinNumber(*pair_dot(line.pairs, col)) for col in columns] for line in arr.lines)
     return Arrangement([Line(*image) for image in images], arr.label)

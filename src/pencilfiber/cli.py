@@ -27,13 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .arrangement import (
     Arrangement,
-    CombinatorialType,
     IncidencePoint,
     MultiplicityError,
     combinatorial_type,
@@ -256,12 +256,14 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
     candidate component; the kernel dimensions ``analyze`` prints are not
     computed, since isotropy of a basis already puts both basis vectors in
-    the kernel of its generic member."""
+    the kernel of its generic member.  A combinatorial type includes r and
+    the point census, so types are computed only for the files whose
+    (r, census) another file shares; no other pair can have equal types."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")
     rows = []
-    typed: list[tuple[dict, CombinatorialType]] = []
+    loaded: list[tuple[dict, Arrangement, tuple]] = []
     for path in sorted(directory.glob("*.json")):
         try:
             arr = _load_arrangement(str(path))
@@ -289,7 +291,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             "isotropy_all_ok": all(isotropic),
         }
         rows.append(row)
-        typed.append((row, combinatorial_type(arr)))
+        loaded.append((row, arr, (arr.r, tuple(sorted(point_census(intersection_points(arr)).items())))))
+    shared = Counter(key for _, _, key in loaded)
+    typed = [(row, combinatorial_type(arr)) for row, arr, key in loaded if shared[key] > 1]
     failures = []
     for row in rows:
         if "error" in row:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 # ASCII digits only: ``\d`` would also match other scripts' decimal digits.
-_RAT = _re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# The groups are the signed numerator and the optional denominator.
+_RAT = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -183,8 +184,10 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
         m = _RAT.match(text, pos)
         if not m:
             return None, pos
+        num, den = m.groups()
         try:
-            return Fraction(m.group()), m.end()
+            # built from the matched digits, so they are not parsed a second time
+            return Fraction(int(num), int(den)) if den else Fraction(int(num)), m.end()
         except ZeroDivisionError:
             raise ParseError(text, pos, "zero denominator") from None
 
@@ -312,12 +315,22 @@ def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
     """The Q(w) triple proportional to the nonzero Z[w] triple p whose first nonzero entry is 1.
 
     Dividing by the lead a + b*w is multiplying by its conjugate (a - b) - b*w
-    and dividing by its norm a^2 - a*b + b^2.
+    and dividing by its norm a^2 - a*b + b^2.  The lead itself becomes ``ONE``
+    and a zero entry ``ZERO``, with no division.
     """
-    a, b = next(v for v in p if v != (0, 0))
+    lead = next(v for v in p if v != (0, 0))
+    a, b = lead
     norm = a * a - a * b + b * b
-    scaled = [pair_mul(v, (a - b, -b)) for v in p]
-    return tuple(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)) for x, y in scaled)
+    out = []
+    for v in p:
+        if v == lead:
+            out.append(ONE)
+        elif v == (0, 0):
+            out.append(ZERO)
+        else:
+            x, y = pair_mul(v, (a - b, -b))
+            out.append(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)))
+    return tuple(out)
 
 
 ZERO = EisensteinNumber(0)

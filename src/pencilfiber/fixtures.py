@@ -99,6 +99,17 @@ def seeded_generic(count: int, seed: int, label: str) -> Arrangement:
     return conic_dual_lines(params, label)
 
 
+def cuspidal_dual(m: int) -> Arrangement:
+    """The 2m + 1 lines Line(t, t^3, 1) for t = -m..m, a family that grows.
+
+    They are dual to the points (t, t^3, 1) of the cuspidal cubic y z^2 = x^3,
+    and three such points are collinear iff t1 + t2 + t3 = 0; so three of the
+    lines meet iff their parameters sum to zero, no four are concurrent, and
+    s = 0.  Not part of the corpus: at r = 61 it has 450 triple points.
+    """
+    return Arrangement([Line(t, t**3, 1) for t in range(-m, m + 1)], f"cuspidal_dual_{2 * m + 1}")
+
+
 STANDARD_MATRIX = [[2, 1, 0], [1, 1, 0], [0, 1, 1]]  # determinant 1
 
 

@@ -18,17 +18,20 @@ point {i, j, k}.  Those are the mod-3 cocycles of Papadima and Suciu ("The
 Milnor fibration of a hyperplane arrangement: from modular resonance to
 algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
 and beta_3, their dimension modulo sigma, is at most 2, so the kernel
-(``linalg.nullspace_f3``) spans at most 27 vectors; each one whose level
-sets are three classes of k lines is a candidate.
+spans at most 27 vectors; each one whose level sets are three classes of k
+lines is a candidate.  The kernel's basis is solved once per arrangement, on
+its incidence record (``arrangement.Incidence.cocycles``, by
+``linalg.nullspace_f3``), and ``beta3`` and the search both read it.
 
-The search runs over Z[w].  Each line is scaled once to its Z[w] triple
-(``eisenstein.integer_pairs``, by ``integer_scale`` s), and each class
-product is multiplied out as integer pairs (``forms.linear_product_pairs``):
-G_i = c_i * F_i, with c_i the product of the scales s of the class's lines.
-A candidate is a pencil iff the coefficient matrix of G1, G2, G3, one row
-per monomial of degree k and one column per class, has rank 2
-(``linalg.rank_pairs``) and its kernel vector has no zero entry; scaling a
-column by the positive integer c_i changes neither.  With three columns the
+The search runs over Z[w].  Each line carries its Z[w] triple, scaled from
+its normalized coefficients by the positive integer s (``Line.pairs`` and
+``Line.scale``), and each class product is multiplied out as integer pairs
+(``forms.linear_product_pairs``): G_i = c_i * F_i, with c_i the product of
+the scales s of the class's lines.  A candidate is a pencil iff the
+coefficient matrix of G1, G2, G3, one row per monomial of degree k and one
+column per class, has rank 2 (``linalg.rank_pairs``) and its kernel vector
+has no zero entry; scaling a column by the positive integer c_i changes
+neither.  With three columns the
 kernel needs no elimination: it is the cross product ``pair_cross`` of two
 rows that are not proportional.  Each accepted dependence is re-verified
 exactly, by a zero ``pair_dot`` with every monomial row.  Only then are the
@@ -50,11 +53,9 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
-from .arrangement import Arrangement, require_multiplicities_ok
+from .arrangement import Arrangement, incidence, require_multiplicities_ok
 from .eisenstein import (
     EisensteinNumber,
-    integer_pairs,
-    integer_scale,
     json_int,
     json_list,
     json_object,
@@ -63,7 +64,7 @@ from .eisenstein import (
     pair_dot,
 )
 from .forms import HomForm, linear_product_pairs
-from .linalg import nullspace_f3, rank_pairs
+from .linalg import rank_pairs
 from .milnor import monomial_exponents
 
 
@@ -112,8 +113,8 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     """All pencil decompositions, in canonical class order."""
     k = arr.r // 3
     monomials = monomial_exponents(k)
-    lines = [integer_pairs(line.coeffs) for line in arr.lines]
-    scales = [integer_scale(line.coeffs) for line in arr.lines]
+    lines = [line.pairs for line in arr.lines]
+    scales = [line.scale for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = [linear_product_pairs(lines[i] for i in c) for c in triple]
@@ -136,17 +137,10 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
 
 
 def _cocycles(arr: Arrangement) -> list[list[int]]:
-    """F3 basis of the tau with tau_i = tau_j at each double point {i, j} and
-    tau_i + tau_j + tau_k = 0 at each triple point {i, j, k}."""
-    rows = []
-    for pt in require_multiplicities_ok(arr):
-        row = [0] * arr.r
-        for i in pt.lines:
-            row[i] = 1
-        if pt.multiplicity == 2:
-            row[pt.lines[1]] = -1
-        rows.append(row)
-    return nullspace_f3(rows, arr.r)
+    """The F3 cocycle basis of the incidence record; MultiplicityError above
+    multiplicity 3, where its rows would not state the 3-net rules."""
+    require_multiplicities_ok(arr)
+    return incidence(arr).cocycles
 
 
 def beta3(arr: Arrangement) -> int:

@@ -28,10 +28,15 @@ two or more support lines reach the Bareiss loop.  The premise, that the
 points' pairs cover every pair of lines once, is checked when the quotient
 is built.
 
-w_ij is zero unless lines i and j both lie in the support
-{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` evaluates the forms only
-at the points that carry two support lines: one point for a local basis,
-every point for a pencil basis.
+The quotient keeps the line -> points index of the arrangement's incidence
+record (``arrangement.Incidence``), and both questions visit only the points
+it lists for the support lines.  The conditions of a are zero at a point
+with no line of a's support, so the kernel's rows come from the points on
+a's support lines: for a local candidate at most 3(r - 1) points, where r
+lines may meet in up to r(r - 1)/2.  w_ij is zero unless lines i and j both
+lie in the support {l : a_l != 0 or b_l != 0}, so ``wedge_vanishes``
+evaluates the forms only at the points the index lists for two or more
+support lines: one point for a local basis, every point for a pencil basis.
 
 Each weight vector is scaled once into Z[w] (``weight_pairs``): a vector of
 ints has scale 1 and its entries become pairs directly, any other is scaled
@@ -49,11 +54,12 @@ chi_R2 - chi_R3 ("global").
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
+from .arrangement import Arrangement, IncidencePoint, incidence, require_multiplicities_ok
 from .eisenstein import EisensteinNumber, Pair, integer_pairs, pair_mul
 from .linalg import rank_pairs
 from .pencils import PencilDecomposition
@@ -67,10 +73,12 @@ class OSDegree2:
 
     ``points`` holds the sorted line tuples of the points; each triple point
     carries one relation, and the relations have disjoint supports.
+    ``on_line[l]`` lists the indices in ``points`` of the points on line l.
     """
 
     r: int
     points: tuple[tuple[int, ...], ...]
+    on_line: tuple[tuple[int, ...], ...]
 
     @property
     def n_pairs(self) -> int:
@@ -86,11 +94,13 @@ class OSDegree2:
 
 
 def build_os2(arr: Arrangement) -> OSDegree2:
-    points = tuple(pt.lines for pt in require_multiplicities_ok(arr))
+    require_multiplicities_ok(arr)
+    record = incidence(arr)
+    points = tuple(pt.lines for pt in record.points)
     pairs = sorted(pair for p in points for pair in combinations(p, 2))
     if pairs != list(combinations(range(arr.r), 2)):
         raise AssertionError("the incidence points do not cover each pair of lines exactly once")
-    return OSDegree2(arr.r, points)
+    return OSDegree2(arr.r, points, record.on_line)
 
 
 def weight_pairs(a: Weights) -> list[Pair]:
@@ -125,9 +135,10 @@ def _local_conditions(
 
 def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair]) -> bool:
     """a ^ b = 0 for Z[w] weights: every condition of a, at the points with
-    two support lines, vanishes at b."""
-    support = [x != (0, 0) or y != (0, 0) for x, y in zip(a, b)]
-    points = (p for p in os.points if sum(support[l] for l in p) >= 2)
+    two support lines, vanishes at b.  A point is listed once for each of
+    its support lines, so those points are the ones listed twice or more."""
+    listed = Counter(n for l, (x, y) in enumerate(zip(a, b)) if x != (0, 0) or y != (0, 0) for n in os.on_line[l])
+    points = (os.points[n] for n, count in listed.items() if count >= 2)
     for cond in _local_conditions(points, a):
         x = y = 0
         for l, c in cond:
@@ -153,14 +164,18 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant.
 
-    a is scaled once into Z[w], which leaves the kernel unchanged, and the
-    nonzero conditions at every point are the rows of a ``rank_pairs`` call.
+    a is scaled once into Z[w], which leaves the kernel unchanged.  Only a
+    point on a line of a's support has a nonzero condition, so the nonzero
+    conditions at the points the index lists for those lines, in point
+    order, are the rows of a ``rank_pairs`` call.
     """
     vec = _check_weight(os, a)
-    if all(v == (0, 0) for v in vec):
+    support = [l for l, v in enumerate(vec) if v != (0, 0)]
+    if not support:
         raise ValueError("the zero weight vector is not probed")
+    visited = sorted({n for l in support for n in os.on_line[l]})
     rows = []
-    for cond in _local_conditions(os.points, vec):
+    for cond in _local_conditions((os.points[n] for n in visited), vec):
         if any(c != (0, 0) for _, c in cond):
             row = [(0, 0)] * os.r
             for l, c in cond:

@@ -15,17 +15,19 @@ from pencilfiber.arrangement import (
     Line,
     MultiplicityError,
     combinatorial_type,
+    incidence,
     intersection_points,
     point_census,
     proj_transform,
     require_multiplicities_ok,
 )
-from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, normalized, pair_dot
+from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, integer_scale, normalized, pair_dot
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
     concurrent_triple,
     conic_dual_lines,
+    cuspidal_dual,
     dual_hesse,
     dual_hesse_pgl,
     four_concurrent,
@@ -58,6 +60,18 @@ def test_normalized_matches_qw_oracle(triple):
     assert normalized(integer_pairs(triple)) == expected
     assert Line(*triple).coeffs == expected
     assert expected[next(i for i, v in enumerate(triple) if v)] == 1
+    # the line keeps its normalized triple scaled into Z[w]
+    assert Line(*triple).pairs == tuple(integer_pairs(expected))
+    assert Line(*triple).scale == integer_scale(expected)
+
+
+@pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), near_pencil_six(), cuspidal_dual(7)], ids=lambda a: a.label)
+def test_incidence_record_indexes_points_by_line(arr):
+    record = incidence(arr)
+    assert incidence(arr) is record and intersection_points(arr) is record.points
+    assert len(record.on_line) == arr.r
+    for line in range(arr.r):
+        assert record.on_line[line] == tuple(n for n, pt in enumerate(record.points) if line in pt.lines)
 
 
 def test_proportional_lines_rejected():

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,7 +22,14 @@ from pencilfiber.arrangement import (
 )
 from pencilfiber.cli import main
 from pencilfiber.eisenstein import EisensteinNumber
-from pencilfiber.fixtures import braid, concurrent_triple, conic_dual_lines, dual_hesse, four_concurrent
+from pencilfiber.fixtures import (
+    braid,
+    concurrent_triple,
+    conic_dual_lines,
+    cuspidal_dual,
+    dual_hesse,
+    four_concurrent,
+)
 from pencilfiber.pencils import beta3, find_pencils
 
 
@@ -179,6 +187,18 @@ def test_hostile_json_exits_without_a_traceback(tmp_path):
     proc = run_entry_point(["resonance", vector, "--vector", "[" * 5000])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "--vector" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("digits", ["9" * 5000, "1/" + "7" * 5000], ids=["numerator", "denominator"])
+def test_overlong_string_coefficient_exits_without_a_traceback(tmp_path, digits):
+    # past the int-string conversion limit the digits raise ValueError, which
+    # the arrangement parser reports like any other bad coefficient
+    lines = [[digits, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    path = write_json(tmp_path / "long.json", {"label": "long", "lines": lines})
+    proc = run_entry_point(["analyze", path])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "long.json is not a valid arrangement" in json.loads(proc.stderr)["error"]
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -658,6 +678,22 @@ def test_crosscheck_shipped_corpus(capsys, corpus_dir):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
+def test_crosscheck_types_only_files_that_share_r_and_census(capsys, corpus_dir, monkeypatch):
+    """A type includes r and the census, so only files sharing both are typed."""
+    typed = []
+    original = cli.combinatorial_type
+
+    def recording(arr):
+        typed.append(arr.label)
+        return original(arr)
+
+    monkeypatch.setattr(cli, "combinatorial_type", recording)
+    code, out = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+    assert code == 0
+    assert sorted(typed) == ["braid", "braid_pgl", "ceva_2", "dual_hesse", "dual_hesse_pgl"]
+    assert json.loads(out)["equal_type_pairs_checked"] == 4
+
+
 def test_crosscheck_names_each_beta3_check(capsys, tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -884,6 +920,24 @@ def test_resonance_payload_does_no_field_arithmetic(corpus_dir, monkeypatch):
         monkeypatch.undo()
 
 
+# --- scale ------------------------------------------------------------------------
+
+
+def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
+    """450 triple points: resonance visits each candidate's support lines only.
+    About 0.9 s on a shared 2-vCPU host (python 3.11); the gate leaves CI headroom."""
+    path = write_json(tmp_path / "cuspidal_dual_61.json", cuspidal_dual(30).to_json())
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(out)
+    assert report["point_census"] == {"3": 450, "2": 480}
+    assert (report["milnor"]["s"], report["pencil_count"]) == (0, 0)
+    assert len(report["resonance"]["local_components"]) == 450
+    assert elapsed < 4.0
+
+
 # --- the stdout contract ----------------------------------------------------------
 
 # sha256 of the stdout of each command, computed by running it in-process on
@@ -933,6 +987,7 @@ STDOUT_SHA256 = {
     ("catalan generate --steps 2", "braid_pencil.json"): "8f3af9588177b698042fe61f8384c4dc7d0a31991cea2f6704f0138e5cb2a164",
     ("catalan descend", "criterion_8.json"): "684a94fa267d863c348ba9413eaf5b8799be1def872fc8798433b3a1896b9b5c",
     ("resonance --vector " + README_PROBE, "braid.json"): "977d26ca93dc5165c62bc53994e6b99cb8f223f51b3756b290a4e487d49edc14",
+    ("analyze", "cuspidal_dual_41.json"): "75eb0c564d4da4d6ae6f4707f24e7fa3f5331dae87f62bdef47dfcbf16d99ec6",
 }
 
 
@@ -953,6 +1008,7 @@ PINNED_INPUTS = {
     "pencil.json": lambda: find_pencils(concurrent_triple())[0].to_json(),
     "braid_pencil.json": lambda: find_pencils(braid())[0].to_json(),
     "criterion_8.json": _criterion_8_descent,
+    "cuspidal_dual_41.json": lambda: cuspidal_dual(20).to_json(),
 }
 
 

@@ -92,10 +92,43 @@ def test_parse_examples(text, re_, wc):
     assert value.re == re_ and value.wc == wc
 
 
+# spellings ``str`` never prints but the parser accepts: an explicit plus, a
+# negative zero, leading zeros, a fraction not in lowest terms, and "w"
+# without its "*"; each component is a reduced Fraction
+@pytest.mark.parametrize(
+    "text,re_,wc",
+    [
+        ("+5", Fraction(5), Fraction(0)),
+        ("-0", Fraction(0), Fraction(0)),
+        ("007/014", Fraction(1, 2), Fraction(0)),
+        ("2/4*w", Fraction(0), Fraction(1, 2)),
+        ("1+2w", Fraction(1), Fraction(2)),
+        ("-3/6-4/8*w", Fraction(-1, 2), Fraction(-1, 2)),
+    ],
+)
+def test_parse_accepts_non_canonical_spellings(text, re_, wc):
+    value = parse_eisenstein(text)
+    assert (value.re, value.wc) == (re_, wc)
+    assert type(value.re) is type(value.wc) is Fraction
+    assert (value.re.denominator, value.wc.denominator) == (re_.denominator, wc.denominator)
+    assert parse_eisenstein(str(value)) == value
+
+
 # "\u0661" and "\uff11/\uff12" are an Arabic-Indic 1 and a fullwidth 1/2: decimal digits that are not ASCII
 @pytest.mark.parametrize(
     "text,pos",
-    [("1/2+", 4), ("x", 0), ("1//2", 1), ("3/0", 0), ("1+2", 3), ("w3", 1), ("\u0661", 0), ("\uff11/\uff12", 0)],
+    [
+        ("1/2+", 4),
+        ("x", 0),
+        ("1//2", 1),
+        ("3/0", 0),
+        ("1/0", 0),
+        ("2+1/0w", 2),
+        ("1+2", 3),
+        ("w3", 1),
+        ("\u0661", 0),
+        ("\uff11/\uff12", 0),
+    ],
 )
 def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(ParseError) as err:

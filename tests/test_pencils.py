@@ -1,10 +1,12 @@
 import json
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
+from pencilfiber import linalg
 from pencilfiber import pencils as pencils_module
 from pencilfiber.arrangement import Arrangement, MultiplicityError, intersection_points, proj_transform
 from pencilfiber.eisenstein import ZERO, EisensteinNumber
@@ -217,6 +219,24 @@ def test_beta3_examples():
     assert beta3(dual_hesse()) == 2
     with pytest.raises(MultiplicityError):
         beta3(four_concurrent())
+
+
+def test_cocycle_kernel_is_solved_once_per_arrangement(monkeypatch):
+    """find_pencils and beta3 read one F3 cocycle basis, kept on the arrangement."""
+    calls = []
+    original = linalg.nullspace_f3
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pencilfiber") and getattr(module, "nullspace_f3", None) is original:
+            monkeypatch.setattr(module, "nullspace_f3", counting)
+    arr = dual_hesse()
+    assert len(find_pencils(arr)) == 4
+    assert beta3(arr) == 2
+    assert len(calls) == 1
 
 
 def test_beta3_is_superabundance_and_counts_pencils(corpus_dir):

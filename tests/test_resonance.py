@@ -6,9 +6,19 @@ from itertools import combinations
 import pytest
 
 from linalg_oracle import rref
-from pencilfiber.arrangement import Arrangement, IncidencePoint, intersection_points
-from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber
-from pencilfiber.fixtures import braid, concurrent_triple, dual_hesse, generic_six, near_pencil_six, triangle
+from pencilfiber import resonance
+from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, pair_mul
+from pencilfiber.fixtures import (
+    braid,
+    concurrent_triple,
+    cuspidal_dual,
+    dual_hesse,
+    generic_six,
+    near_pencil_six,
+    triangle,
+)
+from pencilfiber.linalg import rank_pairs
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
     build_os2,
@@ -18,6 +28,7 @@ from pencilfiber.resonance import (
     resonance_kernel_dim,
     triple_point_basis,
     wedge_vanishes,
+    weight_pairs,
 )
 
 
@@ -124,7 +135,7 @@ def test_build_os2_requires_each_pair_at_one_point():
     # pairs equal C(4, 2), but {2, 3} is never covered
     arr = Arrangement(braid().lines[:4], "corrupt")
     p, q = (pt.point for pt in intersection_points(arr)[:2])
-    arr._points = (IncidencePoint(p, (0, 1, 2)), IncidencePoint(q, (0, 1, 3)))
+    arr._incidence = Incidence((IncidencePoint(p, (0, 1, 2)), IncidencePoint(q, (0, 1, 3))), arr.r)
     with pytest.raises(AssertionError):
         build_os2(arr)
 
@@ -442,3 +453,98 @@ def test_isotropy_is_unchanged_by_scaling_the_basis(corpus_dir):
             assert component_isotropy_check(os2, [[s * x for x in u], [t * y for y in v]]) == isotropic, arr.label
             seen.add(isotropic)
     assert seen == {True, False}
+
+
+# --- scale: the cuspidal duals against the all-points path ----------------------
+#
+# The index lets the kernel and the wedge visit only the points on support
+# lines.  The all-points versions below take the local conditions at every
+# point of the quotient, as the path without the index did.
+
+
+def _all_points_kernel_dim(os2, a):
+    rows = []
+    for cond in resonance._local_conditions(os2.points, weight_pairs(a)):
+        if any(c != (0, 0) for _, c in cond):
+            row = [(0, 0)] * os2.r
+            for l, c in cond:
+                row[l] = c
+            rows.append(row)
+    return os2.r - rank_pairs(rows)
+
+
+def _all_points_wedge(os2, a, b):
+    b = weight_pairs(b)
+    for cond in resonance._local_conditions(os2.points, weight_pairs(a)):
+        x = y = 0
+        for l, c in cond:
+            p, q = pair_mul(c, b[l])
+            x, y = x + p, y + q
+        if x or y:
+            return False
+    return True
+
+
+def _sum_zero_weight(rng, r, size):
+    """A nonzero weight with w-parts and coordinate sum zero on ``size`` random lines."""
+    while True:
+        first, *rest = rng.sample(range(r), size)
+        a = [ZERO] * r
+        for l in rest:
+            a[l] = EisensteinNumber(rng.randint(-4, 4), rng.randint(-3, 3))
+        a[first] = -sum(a, ZERO)
+        if any(a):
+            return a
+
+
+@pytest.mark.parametrize("m", [7, 12, 20], ids=lambda m: f"r={2 * m + 1}")
+def test_cuspidal_kernels_and_wedges_against_all_points(m):
+    """Every local generic member's kernel and every local basis's wedge, on
+    r = 15, 25 and 41 lines, plus seeded sum-zero weights on two to ten lines
+    and on all of them, equal the all-points answers."""
+    arr = cuspidal_dual(m)
+    os2 = build_os2(arr)
+    rng = random.Random(m)
+    bases = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+    seen = set()
+    for (u, v), (_, other) in zip(bases, bases[1:] + bases[:1]):
+        a = generic_member([u, v])
+        assert resonance_kernel_dim(os2, a) == _all_points_kernel_dim(os2, a)
+        for b in (v, other):
+            vanishes = wedge_vanishes(os2, u, b)
+            assert vanishes == _all_points_wedge(os2, u, b)
+            seen.add(vanishes)
+    for size in (2, 3, 4, 6, 10) * 4 + (arr.r,):
+        a, b = _sum_zero_weight(rng, arr.r, size), _sum_zero_weight(rng, arr.r, size)
+        assert resonance_kernel_dim(os2, a) == _all_points_kernel_dim(os2, a)
+        lam = EisensteinNumber(rng.randint(1, 3), rng.randint(-2, 2))
+        for b in (b, [lam * x for x in a]):
+            vanishes = wedge_vanishes(os2, a, b)
+            assert vanishes == _all_points_wedge(os2, a, b)
+            seen.add(vanishes)
+    assert seen == {True, False}
+
+
+def test_local_candidate_reads_only_points_on_its_support_lines(monkeypatch):
+    """On the 41 cuspidal lines, a local candidate's kernel and isotropy
+    check read the points on its three lines, 60 of the 420."""
+    arr = cuspidal_dual(20)
+    os2 = build_os2(arr)
+    read = []
+    conditions = resonance._local_conditions
+
+    def recording(points, a):
+        points = list(points)
+        read.extend(points)
+        return conditions(points, a)
+
+    monkeypatch.setattr(resonance, "_local_conditions", recording)
+    pt = next(pt for pt in intersection_points(arr) if pt.multiplicity == 3)
+    on_support = [p for p in os2.points if set(p) & set(pt.lines)]
+    assert (len(os2.points), len(on_support)) == (420, 60)
+    basis = triple_point_basis(pt, arr.r)
+    assert resonance_kernel_dim(os2, generic_member(basis)) == 2
+    assert read == on_support
+    read.clear()
+    assert component_isotropy_check(os2, basis)
+    assert read == [pt.lines]
