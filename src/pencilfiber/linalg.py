@@ -7,12 +7,13 @@ scale each row with ``eisenstein.integer_pairs`` first, which keeps the
 rank.  Before it eliminates, it takes every row with a single nonzero entry
 as a pivot and deletes that entry's column, repeating while new such rows
 appear: such a pivot clears only its own column, so this is exact and costs
-no arithmetic.  Most rows of the resonance kernel's local conditions are of
-this kind.  Questions that live in 3-space need no elimination and are not
-asked here: they are cross and dot products of Z[w] triples
-(``eisenstein.pair_cross``, ``pair_dot``).  Null spaces mod 3 come from
-Gauss-Jordan elimination on residues.  All of it is exact, so results are
-certificates, not estimates.
+no arithmetic.  The resonance kernel passes only its Sigma-rows, one per
+triple point where the weight sums to zero, in the few unknowns that its
+union-find leaves (``resonance``).  Questions that live in 3-space need no
+elimination and are not asked here: they are cross and dot products of
+Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).  Null spaces mod 3
+come from Gauss-Jordan elimination on residues.  All of it is exact, so
+results are certificates, not estimates.
 """
 
 from __future__ import annotations

@@ -110,7 +110,14 @@ class PencilDecomposition:
 
 
 def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
-    """All pencil decompositions, in canonical class order."""
+    """All pencil decompositions, in canonical class order.
+
+    Three classes of r/3 lines need 3 | r, so otherwise the answer is empty
+    and the cocycles are not solved; a multiplicity above 3 still raises.
+    """
+    if arr.r % 3:
+        require_multiplicities_ok(arr)
+        return []
     k = arr.r // 3
     monomials = monomial_exponents(k)
     lines = [line.pairs for line in arr.lines]

@@ -11,32 +11,37 @@ always contains a).
 Every pair of lines meets at exactly one incidence point, so the quotient
 splits over the points (Brieskorn's lemma, Orlik and Terao 1992, ch. 3):
 A^2 is the direct sum of the A^2_p, spanned by the pairs of lines through p.
-At a double point {i, j} the summand is free on e_i e_j, so the class
-vanishes iff w_ij = 0; at a triple point {i < j < k} the one relation
-spans it, so the class vanishes iff w_ij + w_ik = 0 and w_jk - w_ij = 0.
-These local conditions are stated once, as linear forms in b with Z[w]
-coefficients, and answer both questions: a ^ b = 0 iff every form vanishes
-at b, and the kernel of the wedge map by a is their null space, an r-column
-matrix with one row per double point and two per triple point whose rank
-comes from ``linalg.rank_pairs``.  At a point where a has one support line,
-the conditions involve b at the point's other lines only: at a double point
-one row with one nonzero entry, at a triple point one such row and one that
-has a single entry left once ``rank_pairs`` deletes the first row's column.
-``rank_pairs`` takes these rows as pivots without elimination.  For a local
-candidate that is every point but its own triple point, so only points with
-two or more support lines reach the Bareiss loop.  The premise, that the
-points' pairs cover every pair of lines once, is checked when the quotient
-is built.
+At a double point {i, j} the summand is free on e_i e_j; at a triple point
+{i < j < k} it is Lambda^2 of the point's three lines modulo the relation
+e_ij - e_ik + e_jk = (e_i - e_j) ^ (e_j - e_k), which spans Lambda^2 of the
+sum-zero plane.  So whether a ^ b vanishes at q depends only on the
+restrictions a|q and b|q, by one rule:
+
+- a|q = 0: nothing is imposed;
+- q is a Sigma-point, a triple point with a|q != 0 and sum a|q = 0: a ^ b
+  vanishes at q iff sum b|q = 0;
+- any other point: iff b|q is parallel to a|q.
+
+``resonance_kernel_dim`` solves the rule for b.  Parallelism forces b_l = 0
+at each line with a_l = 0 and joins the lines with a_l != 0 in a union-find,
+with b_l = a_l t_class; the Sigma-points leave one linear row each in the
+class unknowns and the unforced zero-weight lines, and the kernel dimension
+is the number of unknowns minus the ``linalg.rank_pairs`` of those rows.  A
+local candidate gives 3 unknowns and 1 row, so dimension 2; the generic
+member of a dual-Hesse pencil 3 class columns and 9 rows, one per triple
+point with a line in each class.  ``wedge_vanishes`` checks the rule for a
+given b.  The premise, that the points' pairs cover every pair of lines
+once, is checked when the quotient is built.
 
 The quotient keeps the line -> points index of the arrangement's incidence
 record (``arrangement.Incidence``), and both questions visit only the points
-it lists for the support lines.  The conditions of a are zero at a point
-with no line of a's support, so the kernel's rows come from the points on
-a's support lines: for a local candidate at most 3(r - 1) points, where r
-lines may meet in up to r(r - 1)/2.  w_ij is zero unless lines i and j both
-lie in the support {l : a_l != 0 or b_l != 0}, so ``wedge_vanishes``
-evaluates the forms only at the points the index lists for two or more
-support lines: one point for a local basis, every point for a pencil basis.
+it lists for the support lines.  a|q = 0 at a point with no line of a's
+support, so the kernel reads the points on a's support lines: for a local
+candidate at most 3(r - 1) points, where r lines may meet in up to
+r(r - 1)/2.  w_ij is zero unless lines i and j both lie in the support
+{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` applies the rule only at
+the points the index lists for two or more support lines: one point for a
+local basis, every point for a pencil basis.
 
 Each weight vector is scaled once into Z[w] (``weight_pairs``): a vector of
 ints has scale 1 and its entries become pairs directly, any other is scaled
@@ -117,34 +122,34 @@ def _check_weight(os: OSDegree2, a: Weights) -> list[Pair]:
     return vec
 
 
-def _local_conditions(
-    points: Iterable[tuple[int, ...]], a: list[Pair]
-) -> Iterator[tuple[tuple[int, Pair], ...]]:
-    """The linear forms in b, as (line, Z[w] coefficient) terms, whose joint
-    vanishing at the given points is a ^ b = 0 there: w_ij at a double point
-    {i, j}, and w_ij + w_ik and w_jk - w_ij at a triple point {i < j < k}."""
+def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Each given point q where a|q != 0, with True when q is a Sigma-point
+    (a triple point with sum a|q = 0): there a ^ b vanishes iff sum b|q = 0,
+    and at the others iff b|q is parallel to a|q."""
     for p in points:
-        i, j = p[0], p[1]
         if len(p) == 2:
-            yield ((i, (-a[j][0], -a[j][1])), (j, a[i]))
+            if a[p[0]] != (0, 0) or a[p[1]] != (0, 0):
+                yield p, False
         else:
-            k = p[2]
-            yield ((i, (-a[j][0] - a[k][0], -a[j][1] - a[k][1])), (j, a[i]), (k, a[i]))
-            yield ((i, a[j]), (j, (-a[k][0] - a[i][0], -a[k][1] - a[i][1])), (k, a[j]))
+            (x, y), (u, v), (s, t) = a[p[0]], a[p[1]], a[p[2]]
+            if x or y or u or v or s or t:
+                yield p, not (x + u + s or y + v + t)
 
 
 def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair]) -> bool:
-    """a ^ b = 0 for Z[w] weights: every condition of a, at the points with
-    two support lines, vanishes at b.  A point is listed once for each of
-    its support lines, so those points are the ones listed twice or more."""
+    """a ^ b = 0 for Z[w] weights: the rule of a holds for b at the points
+    with two support lines.  A point is listed once for each of its support
+    lines, so those points are the ones listed twice or more.  Parallelism
+    is checked by cross-multiplying against one line with a_l != 0."""
     listed = Counter(n for l, (x, y) in enumerate(zip(a, b)) if x != (0, 0) or y != (0, 0) for n in os.on_line[l])
     points = (os.points[n] for n, count in listed.items() if count >= 2)
-    for cond in _local_conditions(points, a):
-        x = y = 0
-        for l, c in cond:
-            p, q = pair_mul(c, b[l])
-            x, y = x + p, y + q
-        if x or y:
+    for p, sigma in _point_rules(points, a):
+        if sigma:
+            if sum(b[l][0] for l in p) or sum(b[l][1] for l in p):
+                return False
+            continue
+        lead = next(l for l in p if a[l] != (0, 0))
+        if any(pair_mul(a[lead], b[l]) != pair_mul(a[l], b[lead]) for l in p):
             return False
     return True
 
@@ -164,24 +169,56 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant.
 
-    a is scaled once into Z[w], which leaves the kernel unchanged.  Only a
-    point on a line of a's support has a nonzero condition, so the nonzero
-    conditions at the points the index lists for those lines, in point
-    order, are the rows of a ``rank_pairs`` call.
+    a is scaled once into Z[w], which leaves the kernel unchanged.  Only the
+    points the index lists for a's support lines have a|q != 0.  The unknowns
+    are one t per union-find class and one b_l per zero-weight line that
+    meets the support lines only at Sigma-points (any other point forces
+    b_l = 0); a Sigma-point's row adds a_l to the column of l's class and 1
+    to the column of each such line on it.
     """
     vec = _check_weight(os, a)
     support = [l for l, v in enumerate(vec) if v != (0, 0)]
     if not support:
         raise ValueError("the zero weight vector is not probed")
     visited = sorted({n for l in support for n in os.on_line[l]})
+    parent = list(range(os.r))  # a union-find over the support lines
+
+    def find(l: int) -> int:
+        while parent[l] != l:
+            parent[l] = l = parent[parent[l]]
+        return l
+
+    forced: set[int] = set()
+    sigma_points = []
+    for p, sigma in _point_rules((os.points[n] for n in visited), vec):
+        if sigma:
+            sigma_points.append(p)
+            continue
+        root = None
+        for l in p:
+            if vec[l] == (0, 0):
+                forced.add(l)
+            elif root is None:
+                root = find(l)
+            else:
+                parent[find(l)] = root
+    # one column per unknown: t at each class root, b_l at each unforced zero-weight line
+    keys = (find(l) if vec[l] != (0, 0) else l for l in range(os.r) if vec[l] != (0, 0) or l not in forced)
+    columns = {key: n for n, key in enumerate(dict.fromkeys(keys))}
     rows = []
-    for cond in _local_conditions((os.points[n] for n in visited), vec):
-        if any(c != (0, 0) for _, c in cond):
-            row = [(0, 0)] * os.r
-            for l, c in cond:
-                row[l] = c
-            rows.append(row)
-    return os.r - rank_pairs(rows)
+    for p in sigma_points:
+        row = [(0, 0)] * len(columns)
+        for l in p:
+            if vec[l] != (0, 0):
+                n, (x, y) = columns[find(l)], vec[l]
+            elif l not in forced:
+                n, (x, y) = columns[l], (1, 0)
+            else:
+                continue
+            u, v = row[n]
+            row[n] = (u + x, v + y)
+        rows.append(row)
+    return len(columns) - rank_pairs(rows)
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:

@@ -923,19 +923,37 @@ def test_resonance_payload_does_no_field_arithmetic(corpus_dir, monkeypatch):
 # --- scale ------------------------------------------------------------------------
 
 
-def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
-    """450 triple points: resonance visits each candidate's support lines only.
-    About 0.9 s on a shared 2-vCPU host (python 3.11); the gate leaves CI headroom."""
-    path = write_json(tmp_path / "cuspidal_dual_61.json", cuspidal_dual(30).to_json())
+def _timed_cuspidal_analyze(capsys, tmp_path, m):
+    """The analyze report of ``cuspidal_dual(m)`` and its in-process wall time."""
+    path = write_json(tmp_path / f"cuspidal_dual_{2 * m + 1}.json", cuspidal_dual(m).to_json())
     start = time.perf_counter()
     code, out = run_cli(capsys, ["analyze", path])
     elapsed = time.perf_counter() - start
     assert code == 0
     report = json.loads(out)
-    assert report["point_census"] == {"3": 450, "2": 480}
     assert (report["milnor"]["s"], report["pencil_count"]) == (0, 0)
+    return report, elapsed
+
+
+def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
+    """450 triple points: resonance visits each candidate's support lines only.
+    About 0.2 s on a shared 2-vCPU host (python 3.11); the gate leaves CI headroom."""
+    report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 30)
+    assert report["point_census"] == {"3": 450, "2": 480}
     assert len(report["resonance"]["local_components"]) == 450
-    assert elapsed < 4.0
+    assert elapsed < 2.0
+
+
+def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
+    """1013 triple points, each a local component whose kernel the union-find
+    decides with one Sigma-row.  About 0.4 s on a shared 2-vCPU host
+    (python 3.11); the gate leaves CI headroom."""
+    report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 45)
+    assert report["point_census"] == {"3": 1013, "2": 1056}
+    local = report["resonance"]["local_components"]
+    assert len(local) == 1013
+    assert {entry["kernel_dim"] for entry in local} == {2}
+    assert elapsed < 3.0
 
 
 # --- the stdout contract ----------------------------------------------------------
@@ -988,6 +1006,7 @@ STDOUT_SHA256 = {
     ("catalan descend", "criterion_8.json"): "684a94fa267d863c348ba9413eaf5b8799be1def872fc8798433b3a1896b9b5c",
     ("resonance --vector " + README_PROBE, "braid.json"): "977d26ca93dc5165c62bc53994e6b99cb8f223f51b3756b290a4e487d49edc14",
     ("analyze", "cuspidal_dual_41.json"): "75eb0c564d4da4d6ae6f4707f24e7fa3f5331dae87f62bdef47dfcbf16d99ec6",
+    ("analyze", "cuspidal_dual_91.json"): "f5bfb1287f25bd6ded753197f0cb9d7588ce6296b416b3b96f884402fda97a75",
 }
 
 
@@ -1009,6 +1028,7 @@ PINNED_INPUTS = {
     "braid_pencil.json": lambda: find_pencils(braid())[0].to_json(),
     "criterion_8.json": _criterion_8_descent,
     "cuspidal_dual_41.json": lambda: cuspidal_dual(20).to_json(),
+    "cuspidal_dual_91.json": lambda: cuspidal_dual(45).to_json(),
 }
 
 

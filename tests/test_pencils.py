@@ -6,15 +6,16 @@ from itertools import combinations
 
 import pytest
 
-from pencilfiber import linalg
+from pencilfiber import cli, linalg
 from pencilfiber import pencils as pencils_module
-from pencilfiber.arrangement import Arrangement, MultiplicityError, intersection_points, proj_transform
+from pencilfiber.arrangement import Arrangement, Line, MultiplicityError, intersection_points, proj_transform
 from pencilfiber.eisenstein import ZERO, EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
     concurrent_triple,
     conic_dual_lines,
+    cuspidal_dual,
     dual_hesse,
     four_concurrent,
     generic_nine,
@@ -132,6 +133,10 @@ def test_r_not_divisible_by_three_is_empty():
 def test_multiplicity_violation_propagates():
     with pytest.raises(MultiplicityError):
         find_pencils(four_concurrent())
+    # r = 7 has no pencil, but the quadruple point still raises
+    seven = Arrangement([*four_concurrent().lines, Line(1, 2, 5), Line(3, -1, 7), Line(2, 5, -3)], "seven")
+    with pytest.raises(MultiplicityError):
+        find_pencils(seven)
 
 
 def test_no_line_cap():
@@ -221,8 +226,8 @@ def test_beta3_examples():
         beta3(four_concurrent())
 
 
-def test_cocycle_kernel_is_solved_once_per_arrangement(monkeypatch):
-    """find_pencils and beta3 read one F3 cocycle basis, kept on the arrangement."""
+def _count_nullspace_f3(monkeypatch):
+    """The list of arguments of every later ``nullspace_f3`` call, in any module."""
     calls = []
     original = linalg.nullspace_f3
 
@@ -233,10 +238,27 @@ def test_cocycle_kernel_is_solved_once_per_arrangement(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("pencilfiber") and getattr(module, "nullspace_f3", None) is original:
             monkeypatch.setattr(module, "nullspace_f3", counting)
+    return calls
+
+
+def test_cocycle_kernel_is_solved_once_per_arrangement(monkeypatch):
+    """find_pencils and beta3 read one F3 cocycle basis, kept on the arrangement."""
+    calls = _count_nullspace_f3(monkeypatch)
     arr = dual_hesse()
     assert len(find_pencils(arr)) == 4
     assert beta3(arr) == 2
     assert len(calls) == 1
+
+
+def test_analyze_of_seven_lines_skips_the_cocycle_kernel(monkeypatch, capsys, tmp_path):
+    """Three classes of r/3 lines need 3 | r: analyze on r = 7 never solves the cocycles."""
+    calls = _count_nullspace_f3(monkeypatch)
+    path = tmp_path / "cuspidal_dual_7.json"
+    path.write_text(json.dumps(cuspidal_dual(3).to_json()))
+    assert cli.main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["r"], report["pencil_count"]) == (7, 0)
+    assert calls == []
 
 
 def test_beta3_is_superabundance_and_counts_pencils(corpus_dir):

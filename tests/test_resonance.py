@@ -299,6 +299,86 @@ def test_kernel_dims_against_oracle():
     assert {1, 2} <= all_dims
 
 
+def _rule_cases(arr, a):
+    """The cases of the per-point rule that the weight a meets, read from a
+    alone: a Sigma-point (a triple point where a is nonzero and sums to
+    zero) with a zero entry, two support lines joined at a double point, a
+    zero-weight line that meets the support only at Sigma-points, and
+    entries with w-parts or denominators."""
+    points = [pt.lines for pt in intersection_points(arr)]
+
+    def sigma(p):
+        return len(p) == 3 and any(a[l] for l in p) and not sum((a[l] for l in p), ZERO)
+
+    cases = set()
+    if any(sigma(p) and not all(a[l] for l in p) for p in points):
+        cases.add("sigma point with a zero entry")
+    if any(len(p) == 2 and all(a[l] for l in p) for p in points):
+        cases.add("class joined at a double point")
+    for m in range(arr.r):
+        if not a[m] and all(sigma(p) for p in points if m in p and any(a[l] for l in p)):
+            cases.add("zero line under Sigma-rows only")
+    if any(v.wc for v in a):
+        cases.add("w-part")
+    if any(v.re.denominator > 1 or v.wc.denominator > 1 for v in a):
+        cases.add("denominator")
+    return cases
+
+
+def test_kernel_rule_edge_cases_against_oracle():
+    """Weights built to meet each case of the rule, with w-parts and
+    denominators: x (e_i - e_j) at a triple point {i, j, k}, alone and with
+    a line added; x e_i + y e_j - (x + y) e_m at a double point {i, j}; x
+    times a pencil's class difference, whose third class is zero and meets
+    the other two only at Sigma-points; and sparse weights on two to four
+    lines.  Every kernel equals the dense oracle's."""
+    rng = random.Random(61)
+    seen = set()
+    hesse = dual_hesse()
+    keeps = ([0, 1, 2, 3, 4, 5, 6], [0, 2, 4, 5, 7, 8])
+    subs = [Arrangement([hesse.lines[i] for i in keep], f"dual_hesse{keep}") for keep in keeps]
+    for arr in [braid(), hesse, near_pencil_six(), *subs]:
+        os2 = build_os2(arr)
+        relations = _dense_relations(arr)
+        points = intersection_points(arr)
+        triples = [pt.lines for pt in points if pt.multiplicity == 3]
+        doubles = [pt.lines for pt in points if pt.multiplicity == 2]
+        probes = []
+        for i, j, k in rng.sample(triples, min(2, len(triples))):
+            a = [ZERO] * arr.r
+            x = _nonzero_scalar(rng)
+            a[i], a[j] = x, -x
+            probes.append(a)
+            b = list(a)
+            m = rng.choice([l for l in range(arr.r) if l not in (i, j, k)])
+            b[m] = _nonzero_scalar(rng)
+            probes.append(b)
+        for i, j in rng.sample(doubles, min(2, len(doubles))):
+            a = [ZERO] * arr.r
+            x, y = _nonzero_scalar(rng), _nonzero_scalar(rng)
+            a[i], a[j], a[rng.choice([l for l in range(arr.r) if l not in (i, j)])] = x, y, -(x + y)
+            probes.append(a)
+        for pencil in find_pencils(arr)[:2]:
+            x = _nonzero_scalar(rng)
+            probes.append([x * v for v in pencil_basis(pencil, arr.r)[0]])
+        for size in (2, 3, 4):
+            a = [ZERO] * arr.r
+            for l in rng.sample(range(arr.r), size):
+                a[l] = _nonzero_scalar(rng) if rng.random() < 0.5 else EisensteinNumber(rng.randint(-3, 3))
+            if any(a):
+                probes.append(a)
+        for a in probes:
+            assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(relations, arr.r, a), arr.label
+            seen |= _rule_cases(arr, a)
+    assert seen == {
+        "sigma point with a zero entry",
+        "class joined at a double point",
+        "zero line under Sigma-rows only",
+        "w-part",
+        "denominator",
+    }
+
+
 def test_kernel_dim_rejects_zero_vector():
     os2 = build_os2(triangle())
     with pytest.raises(ValueError):
@@ -458,13 +538,27 @@ def test_isotropy_is_unchanged_by_scaling_the_basis(corpus_dir):
 # --- scale: the cuspidal duals against the all-points path ----------------------
 #
 # The index lets the kernel and the wedge visit only the points on support
-# lines.  The all-points versions below take the local conditions at every
-# point of the quotient, as the path without the index did.
+# lines, and the rule decides each point from a|q.  The all-points versions
+# below state Brieskorn's local conditions as linear forms in b instead, at
+# every point of the quotient: w_ij at a double point {i, j}, and w_ij + w_ik
+# and w_jk - w_ij at a triple point {i < j < k}.
+
+
+def _local_conditions(points, a):
+    """Each condition as (line, Z[w] coefficient) terms of a linear form in b."""
+    for p in points:
+        i, j = p[0], p[1]
+        if len(p) == 2:
+            yield ((i, (-a[j][0], -a[j][1])), (j, a[i]))
+        else:
+            k = p[2]
+            yield ((i, (-a[j][0] - a[k][0], -a[j][1] - a[k][1])), (j, a[i]), (k, a[i]))
+            yield ((i, a[j]), (j, (-a[k][0] - a[i][0], -a[k][1] - a[i][1])), (k, a[j]))
 
 
 def _all_points_kernel_dim(os2, a):
     rows = []
-    for cond in resonance._local_conditions(os2.points, weight_pairs(a)):
+    for cond in _local_conditions(os2.points, weight_pairs(a)):
         if any(c != (0, 0) for _, c in cond):
             row = [(0, 0)] * os2.r
             for l, c in cond:
@@ -475,7 +569,7 @@ def _all_points_kernel_dim(os2, a):
 
 def _all_points_wedge(os2, a, b):
     b = weight_pairs(b)
-    for cond in resonance._local_conditions(os2.points, weight_pairs(a)):
+    for cond in _local_conditions(os2.points, weight_pairs(a)):
         x = y = 0
         for l, c in cond:
             p, q = pair_mul(c, b[l])
@@ -531,14 +625,14 @@ def test_local_candidate_reads_only_points_on_its_support_lines(monkeypatch):
     arr = cuspidal_dual(20)
     os2 = build_os2(arr)
     read = []
-    conditions = resonance._local_conditions
+    rules = resonance._point_rules
 
     def recording(points, a):
         points = list(points)
         read.extend(points)
-        return conditions(points, a)
+        return rules(points, a)
 
-    monkeypatch.setattr(resonance, "_local_conditions", recording)
+    monkeypatch.setattr(resonance, "_point_rules", recording)
     pt = next(pt for pt in intersection_points(arr) if pt.multiplicity == 3)
     on_support = [p for p in os2.points if set(p) & set(pt.lines)]
     assert (len(os2.points), len(on_support)) == (420, 60)
