@@ -1,20 +1,25 @@
 """Line arrangements in the complex projective plane over Q(w).
 
-Lines are coefficient triples (a, b, c) of a*x + b*y + c*z, normalized so
-the first nonzero coefficient is 1; an arrangement is an ordered list of
-pairwise distinct lines.  All projective work is over Z[w]: each line is
-scaled to an integer triple (``eisenstein.integer_pairs``), the point of two
-lines is their cross product, and a third line passes through it iff their
-dot product is exactly zero.  Points are grouped by these incidence tests,
-not by hashing coordinates; each is then normalized once, lead coordinate 1,
-by ``eisenstein.normalized``, the same rule that normalizes a line.  A line
-keeps its Z[w] triple and scale from construction, so no layer scales it
-again.
+Lines are coefficient triples (a, b, c) of a*x + b*y + c*z; an arrangement
+is an ordered list of pairwise distinct lines.  All projective work is over
+Z[w], and Q(w) appears only where a value is read.  A line goes from its
+coefficient text straight to its canonical Z[w] triple
+(``eisenstein.parse_parts``, ``canonical_pairs``: first nonzero coefficient
+a positive integer, integer content 1), and its Q(w) coefficients, first
+nonzero coefficient 1, are built on first read.  The point of two lines is
+their cross product, and a third line passes through it iff their dot
+product is exactly zero.  Points are grouped by these incidence tests, not
+by hashing coordinates; each keeps the canonical triple of its cross
+product, and its Q(w) coordinates, lead coordinate 1, are built on first
+read by ``eisenstein.normalized``, the same rule that gives a line's.  The
+points are sorted by the strings of those coordinates, which
+``eisenstein.normalized_strs`` prints from the integers.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
-the points on each line, and, on first use, the F3 basis of the mod-3
-cocycles that ``pencils`` reads for beta_3 and the candidate partitions.
+the points on each line, the first point on more than three lines, if any,
+and, on first use, the F3 basis of the mod-3 cocycles that ``pencils``
+reads for beta_3 and the candidate partitions.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -40,13 +45,17 @@ from typing import Iterable, Sequence
 
 from .eisenstein import (
     EisensteinNumber,
+    Pair,
+    canonical_pairs,
     integer_pairs,
-    integer_scale,
+    integer_parts,
     json_list,
     json_object,
     normalized,
+    normalized_strs,
     pair_cross,
     pair_dot,
+    parts_pairs,
 )
 from .linalg import nullspace_f3
 
@@ -65,13 +74,16 @@ class MultiplicityError(ValueError):
 
 
 class Line:
-    """A projective line, normalized so the first nonzero coefficient is 1.
+    """A projective line a*x + b*y + c*z.
 
-    ``pairs`` is the normalized triple scaled into Z[w] by the positive
-    integer ``scale`` (``eisenstein.integer_pairs`` and ``integer_scale``).
+    ``pairs`` is its canonical Z[w] triple (``eisenstein.canonical_pairs``):
+    the first nonzero coefficient is the positive integer ``scale`` and the
+    integer content is 1.  Equality and hashing read ``pairs``.  ``coeffs``,
+    the Q(w) triple whose first nonzero coefficient is 1, is pairs / scale,
+    built on first read; it equals ``eisenstein.normalized(pairs)``.
     """
 
-    __slots__ = ("coeffs", "pairs", "scale")
+    __slots__ = ("pairs", "scale", "_coeffs")
 
     def __init__(
         self,
@@ -79,20 +91,35 @@ class Line:
         b: EisensteinNumber | int | str,
         c: EisensteinNumber | int | str,
     ) -> None:
-        coeffs = (EisensteinNumber.of(a), EisensteinNumber.of(b), EisensteinNumber.of(c))
-        if not any(coeffs):
+        self._set(parts_pairs([integer_parts(a), integer_parts(b), integer_parts(c)]))
+
+    @classmethod
+    def from_pairs(cls, triple: Sequence[Pair]) -> "Line":
+        """The line with coefficients the Z[w] triple, up to scale."""
+        line = cls.__new__(cls)
+        line._set(triple)
+        return line
+
+    def _set(self, triple: Sequence[Pair]) -> None:
+        if all(v == (0, 0) for v in triple):
             raise ValueError("a line needs a nonzero coefficient")
-        self.coeffs = normalized(integer_pairs(coeffs))
-        self.pairs = tuple(integer_pairs(self.coeffs))
-        self.scale = integer_scale(self.coeffs)
+        self.pairs = canonical_pairs(triple)
+        self.scale = next(a for a, _ in self.pairs if a)
+        self._coeffs: Point | None = None
+
+    @property
+    def coeffs(self) -> Point:
+        if self._coeffs is None:
+            self._coeffs = normalized(self.pairs)
+        return self._coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.pairs)
 
     def __repr__(self) -> str:
         return f"Line({', '.join(str(c) for c in self.coeffs)})"
@@ -152,8 +179,37 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class IncidencePoint:
+    """A point and the increasing indices of the lines through it.
+
+    ``point`` is the Q(w) triple and ``pairs`` a Z[w] triple of the same
+    point.  ``incidence`` builds a point from its canonical triple
+    (``from_pairs``) and its ``point``, ``eisenstein.normalized(pairs)``, on
+    first read; a point built from its Q(w) triple gets ``pairs``,
+    ``integer_pairs(point)``, on first read.  Equality, hashing and the repr
+    read ``point``, as the dataclass defines them.
+    """
+
     point: Point
     lines: tuple[int, ...]
+
+    @classmethod
+    def from_pairs(cls, pairs: tuple[Pair, ...], lines: tuple[int, ...]) -> "IncidencePoint":
+        pt = cls.__new__(cls)
+        object.__setattr__(pt, "pairs", pairs)
+        object.__setattr__(pt, "lines", lines)
+        return pt
+
+    def __getattr__(self, name: str) -> object:
+        # reached only when the attribute is not set yet: build it from the other one
+        known = self.__dict__
+        if name == "point" and "pairs" in known:
+            value = normalized(known["pairs"])
+        elif name == "pairs" and "point" in known:
+            value = tuple(integer_pairs(known["point"]))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def multiplicity(self) -> int:
@@ -174,18 +230,22 @@ class Incidence:
     """The incidence data of an arrangement of r lines, read by every layer.
 
     ``points`` are the incidence points, ``on_line[l]`` the increasing
-    indices in ``points`` of the points on line l.  ``cocycles`` is built
+    indices in ``points`` of the points on line l, and ``violation`` the
+    first point on more than three lines, or None.  ``cocycles`` is built
     on first use.
     """
 
-    __slots__ = ("points", "on_line", "_cocycles")
+    __slots__ = ("points", "on_line", "violation", "_cocycles")
 
     def __init__(self, points: Iterable[IncidencePoint], r: int) -> None:
         self.points = tuple(points)
+        self.violation: IncidencePoint | None = None
         on_line: list[list[int]] = [[] for _ in range(r)]
         for n, pt in enumerate(self.points):
             for l in pt.lines:
                 on_line[l].append(n)
+            if self.violation is None and len(pt.lines) > 3:
+                self.violation = pt
         self.on_line = tuple(tuple(ns) for ns in on_line)
         self._cocycles: list[list[int]] | None = None
 
@@ -216,14 +276,16 @@ def incidence(arr: Arrangement) -> Incidence:
     Its points are all pairwise intersections, grouped exactly.  For each
     pair (i, j) of lines not yet on a common point, P = l_i x l_j over Z[w],
     and the lines through P are i, j and every k > j with l_k . P = 0; a
-    k < j through P would have put (i, j) on an earlier point.  P is
-    normalized once, so its lead coordinate is 1.
+    k < j through P would have put (i, j) on an earlier point.  Each point
+    keeps the canonical triple of P; the points are sorted by multiplicity,
+    highest first, then by the strings of their normalized coordinates,
+    which ``eisenstein.normalized_strs`` prints from the integers.
     """
     if arr._incidence is None:
         lines = [line.pairs for line in arr.lines]
         n = len(lines)
         covered = [[False] * n for _ in range(n)]
-        points = []
+        keyed = []
         for i in range(n):
             for j in range(i + 1, n):
                 if covered[i][j]:
@@ -232,9 +294,10 @@ def incidence(arr: Arrangement) -> Incidence:
                 through = [i, j] + [k for k in range(j + 1, n) if pair_dot(lines[k], p) == (0, 0)]
                 for a, b in combinations(through, 2):
                     covered[a][b] = True
-                points.append(IncidencePoint(normalized(p), tuple(through)))
-        points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
-        arr._incidence = Incidence(points, n)
+                c = canonical_pairs(p)
+                keyed.append(((-len(through), normalized_strs(c)), IncidencePoint.from_pairs(c, tuple(through))))
+        keyed.sort(key=lambda entry: entry[0])
+        arr._incidence = Incidence((pt for _, pt in keyed), n)
     return arr._incidence
 
 
@@ -252,12 +315,12 @@ def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
 
 
 def require_multiplicities_ok(arr: Arrangement) -> tuple[IncidencePoint, ...]:
-    """The intersection points; MultiplicityError at the first one on more than three lines."""
-    points = intersection_points(arr)
-    for pt in points:
-        if pt.multiplicity > 3:
-            raise MultiplicityError(pt)
-    return points
+    """The intersection points; MultiplicityError at the first one on more than
+    three lines, which the incidence record notes when it is built."""
+    record = incidence(arr)
+    if record.violation is not None:
+        raise MultiplicityError(record.violation)
+    return record.points
 
 
 @dataclass(frozen=True)
@@ -401,5 +464,4 @@ def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]
     columns = (pair_cross(r1, r2), pair_cross(r2, r0), pair_cross(r0, r1))
     if pair_dot(r0, columns[0]) == (0, 0):
         raise ValueError("matrix is singular")
-    images = ([EisensteinNumber(*pair_dot(line.pairs, col)) for col in columns] for line in arr.lines)
-    return Arrangement([Line(*image) for image in images], arr.label)
+    return Arrangement([Line.from_pairs([pair_dot(line.pairs, col) for col in columns]) for line in arr.lines], arr.label)

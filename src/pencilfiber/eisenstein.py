@@ -18,9 +18,15 @@ positive denominator, so ``parse_eisenstein(str(x)) == x``.
 Where only a line, a point, a rank or whether a wedge vanishes matters, a
 row can be scaled into Z[w] and held as integer pairs (a, b) meaning
 a + b*w; ``pair_mul``, ``pair_cross`` and ``pair_dot`` then compute without
-fractions.
-``normalized`` is the way back: it turns a Z[w] triple into the Q(w) triple
-of the same projective point whose first nonzero entry is 1.
+fractions.  ``parse_parts`` is the one grammar of the string form and
+yields integer numerators and denominators, so text reaches Z[w] without a
+Fraction (``integer_parts``, ``parts_pairs``); ``parse_eisenstein`` wraps
+the same parts in Fractions.  ``canonical_pairs`` is the normal form of a
+projective Z[w] triple: first nonzero entry a positive integer, integer
+content 1.  ``normalized`` is the way back: it turns a Z[w] triple into the
+Q(w) triple of the same projective point whose first nonzero entry is 1,
+and ``normalized_strs`` prints that triple from integers alone, by
+``format_parts``, the formatter ``EisensteinNumber.__str__`` uses.
 """
 
 from __future__ import annotations
@@ -28,11 +34,15 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 # ASCII digits only: ``\d`` would also match other scripts' decimal digits.
 # The groups are the signed numerator and the optional denominator.
 _RAT = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# re_num/re_den + (wc_num/wc_den)*w as the integers (re_num, re_den, wc_num, wc_den)
+Parts = tuple[int, int, int, int]
 
 
 class ParseError(ValueError):
@@ -156,46 +166,57 @@ class EisensteinNumber:
         return result
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.wc:
-            if self.wc == 1:
-                term = "w"
-            elif self.wc == -1:
-                term = "-w"
-            else:
-                term = f"{self.wc}*w"
-            if parts and not term.startswith("-"):
-                parts.append("+")
-            parts.append(term)
-        return "".join(parts)
+        re, wc = self.re, self.wc
+        return format_parts(re.numerator, re.denominator, wc.numerator, wc.denominator)
 
     def __repr__(self) -> str:
         return f"EisensteinNumber({self.re!r}, {self.wc!r})"
 
 
-def parse_eisenstein(text: str) -> EisensteinNumber:
-    """Parse the canonical string form; raises ParseError with a position."""
+def format_parts(re_num: int, re_den: int, wc_num: int, wc_den: int) -> str:
+    """The canonical string of re_num/re_den + (wc_num/wc_den)*w, each part
+    in lowest terms with a positive denominator."""
+    re = str(re_num) if re_den == 1 else f"{re_num}/{re_den}"
+    if not wc_num:
+        return re
+    if wc_den != 1:
+        term = f"{wc_num}/{wc_den}*w"
+    elif wc_num == 1:
+        term = "w"
+    elif wc_num == -1:
+        term = "-w"
+    else:
+        term = f"{wc_num}*w"
+    if not re_num:
+        return term
+    return re + term if term[0] == "-" else f"{re}+{term}"
 
-    def rational(pos: int) -> tuple[Fraction | None, int]:
+
+def parse_parts(text: str) -> Parts:
+    """The canonical string form read as integers (re_num, re_den, wc_num, wc_den):
+    each part as written, not reduced, with a positive denominator.
+
+    This is the one grammar: ``parse_eisenstein`` wraps its parts in
+    Fractions, and ``arrangement.Line`` scales them straight into Z[w].
+    Raises ParseError with a position.
+    """
+
+    def rational(pos: int) -> tuple[tuple[int, int] | None, int]:
         m = _RAT.match(text, pos)
         if not m:
             return None, pos
         num, den = m.groups()
-        try:
-            # built from the matched digits, so they are not parsed a second time
-            return Fraction(int(num), int(den)) if den else Fraction(int(num)), m.end()
-        except ZeroDivisionError:
-            raise ParseError(text, pos, "zero denominator") from None
+        # built from the matched digits, so they are not parsed a second time
+        value = (int(num), int(den) if den else 1)
+        if not value[1]:
+            raise ParseError(text, pos, "zero denominator")
+        return value, m.end()
 
     n = len(text)
     first, pos = rational(0)
     if first is not None:
         if pos == n:
-            return EisensteinNumber(first)
+            return (*first, 0, 1)
         ch = text[pos]
         if ch == "*":
             if text[pos + 1 : pos + 2] != "w":
@@ -203,18 +224,18 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
             pos += 2
             if pos != n:
                 raise ParseError(text, pos, "trailing characters")
-            return EisensteinNumber(0, first)
+            return (0, 1, *first)
         if ch == "w":
             pos += 1
             if pos != n:
                 raise ParseError(text, pos, "trailing characters")
-            return EisensteinNumber(0, first)
+            return (0, 1, *first)
         if ch in "+-":
             sign = 1 if ch == "+" else -1
             pos += 1
             coeff, after = rational(pos)
             if coeff is None:
-                coeff = Fraction(1)
+                coeff = (1, 1)
             else:
                 pos = after
             if pos < n and text[pos] == "*":
@@ -224,7 +245,7 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
             pos += 1
             if pos != n:
                 raise ParseError(text, pos, "trailing characters")
-            return EisensteinNumber(first, sign * coeff)
+            return (*first, sign * coeff[0], coeff[1])
         raise ParseError(text, pos, "unexpected character")
     # no leading rational: bare (possibly signed) w
     pos = 0
@@ -236,8 +257,14 @@ def parse_eisenstein(text: str) -> EisensteinNumber:
         pos += 1
         if pos != n:
             raise ParseError(text, pos, "trailing characters")
-        return EisensteinNumber(0, sign)
+        return (0, 1, sign, 1)
     raise ParseError(text, pos, "expected a rational or 'w'")
+
+
+def parse_eisenstein(text: str) -> EisensteinNumber:
+    """Parse the canonical string form; raises ParseError with a position."""
+    re_num, re_den, wc_num, wc_den = parse_parts(text)
+    return EisensteinNumber(Fraction(re_num, re_den), Fraction(wc_num, wc_den))
 
 
 def json_list(value: object, what: str) -> list:
@@ -297,18 +324,27 @@ def pair_mul(u: Pair, v: Pair) -> Pair:
 
 
 def pair_cross(u: Sequence[Pair], v: Sequence[Pair]) -> tuple[Pair, Pair, Pair]:
-    """u x v for triples over Z[w]; zero iff u and v are proportional."""
-    out = []
-    for i, j in ((1, 2), (2, 0), (0, 1)):
-        p, q = pair_mul(u[i], v[j]), pair_mul(u[j], v[i])
-        out.append((p[0] - q[0], p[1] - q[1]))
-    return tuple(out)
+    """u x v for triples over Z[w]; zero iff u and v are proportional.
+
+    Entry i is u_j v_k - u_k v_j for (i, j, k) a cyclic shift of (0, 1, 2),
+    with each product multiplied out as ``pair_mul`` does.
+    """
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, d0), (c1, d1), (c2, d2) = v
+    return (
+        (a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1, a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1),
+        (a2 * c0 - b2 * d0 - a0 * c2 + b0 * d2, a2 * d0 + b2 * c0 - b2 * d0 - a0 * d2 - b0 * c2 + b0 * d2),
+        (a0 * c1 - b0 * d1 - a1 * c0 + b1 * d0, a0 * d1 + b0 * c1 - b0 * d1 - a1 * d0 - b1 * c0 + b1 * d0),
+    )
 
 
 def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
-    """The bilinear dot product u0*v0 + u1*v1 + u2*v2 of two triples over Z[w]."""
-    p, q, r = pair_mul(u[0], v[0]), pair_mul(u[1], v[1]), pair_mul(u[2], v[2])
-    return (p[0] + q[0] + r[0], p[1] + q[1] + r[1])
+    """The bilinear dot product u0*v0 + u1*v1 + u2*v2 of two triples over Z[w],
+    with each product multiplied out as ``pair_mul`` does."""
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, d0), (c1, d1), (c2, d2) = v
+    bd = b0 * d0 + b1 * d1 + b2 * d2
+    return (a0 * c0 + a1 * c1 + a2 * c2 - bd, a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 - bd)
 
 
 def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
@@ -330,6 +366,54 @@ def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
         else:
             x, y = pair_mul(v, (a - b, -b))
             out.append(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)))
+    return tuple(out)
+
+
+def integer_parts(value: "EisensteinNumber | Fraction | int | str") -> Parts:
+    """The parts of ``EisensteinNumber.of(value)``; a string or an int builds no Fraction."""
+    if type(value) is str:
+        return parse_parts(value)
+    if type(value) is int:
+        return (value, 1, 0, 1)
+    x = EisensteinNumber.of(value)
+    return (x.re.numerator, x.re.denominator, x.wc.numerator, x.wc.denominator)
+
+
+def parts_pairs(row: Sequence[Parts]) -> list[Pair]:
+    """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w]."""
+    scale = math.lcm(*(p[1] for p in row), *(p[3] for p in row))
+    return [(a * (scale // b), c * (scale // d)) for a, b, c, d in row]
+
+
+def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, ...]:
+    """The Z[w] triple proportional to the nonzero triple p whose first nonzero
+    entry is a positive integer and whose integer content is 1.
+
+    It is ``integer_pairs(normalized(p))``, computed without fractions:
+    multiplying by the conjugate (a - b) - b*w of the lead a + b*w makes the
+    lead its norm a^2 - a*b + b^2 (a lead with b = 0 needs only its sign),
+    and dividing by the gcd of all the integers makes the content 1.  Two
+    triples are proportional iff their canonical triples are equal.
+    """
+    a, b = next(v for v in p if v != (0, 0))
+    if b:
+        ca, cb = a - b, -b
+        p = [(x * ca - y * cb, x * cb + y * ca - y * cb) for x, y in p]
+    elif a < 0:
+        p = [(-x, -y) for x, y in p]
+    g = math.gcd(*chain.from_iterable(p))
+    return tuple((x // g, y // g) for x, y in p)
+
+
+def normalized_strs(c: Sequence[Pair]) -> tuple[str, ...]:
+    """``tuple(str(x) for x in normalized(c))`` for a triple c from
+    ``canonical_pairs``, computed from integers: with lead the integer L,
+    each entry (x, y) is x/L + (y/L)*w."""
+    lead = next(x for x, _ in c if x)
+    out = []
+    for x, y in c:
+        gx, gy = math.gcd(x, lead), math.gcd(y, lead)
+        out.append(format_parts(x // gx, lead // gx, y // gy, lead // gy))
     return tuple(out)
 
 

@@ -11,9 +11,13 @@ no arithmetic.  The resonance kernel passes only its Sigma-rows, one per
 triple point where the weight sums to zero, in the few unknowns that its
 union-find leaves (``resonance``).  Questions that live in 3-space need no
 elimination and are not asked here: they are cross and dot products of
-Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).  Null spaces mod 3
-come from Gauss-Jordan elimination on residues.  All of it is exact, so
-results are certificates, not estimates.
+Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).  ``rank_mod_p``
+is Gaussian elimination over F_p for one prime p = 1 (mod 3), on the image
+of Z[w] rows under w -> ZETA, a cube root of unity mod p; it is a lower
+bound for the rank over Z[w], so it certifies full row rank and nothing
+else (``milnor.superabundance``).  Null spaces mod 3 come from Gauss-Jordan
+elimination on residues.  All of it is exact, so results are certificates,
+not estimates.
 """
 
 from __future__ import annotations
@@ -73,6 +77,42 @@ def rank_pairs(rows: list[list[Pair]]) -> int:
         c, d = pa, pb
         found += 1
     return found
+
+
+# A prime p = 1 (mod 3) below 2**30 and a root of z^2 + z + 1 mod p, so
+# w -> ZETA is a ring map from Z[w] onto F_p (ZETA = 2^((p - 1)/3) mod p).
+PRIME = 1073741719
+ZETA = 1055852462
+
+
+def residue(v: Pair) -> int:
+    """The image a + b*ZETA mod PRIME of a + b*w."""
+    return (v[0] + v[1] * ZETA) % PRIME
+
+
+def rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over F_p, p = PRIME, by Gaussian elimination on residues.
+
+    For the image of a Z[w] matrix under ``residue`` it is at most the rank
+    over Z[w]: a ring map sends a zero minor to zero, so a minor nonzero mod
+    p is nonzero over Z[w].  It can be lower only when p divides the norm of
+    every maximal nonzero minor.  Each row is reduced by the pivots found
+    before it, in order.  A pivot row is kept from its first nonzero column
+    on, scaled to 1 there, so a reduction changes only that part of a row;
+    ``rows`` is not changed.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = list(row)
+        for col, pivot in pivots:
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], pivot)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inverse = pow(row[lead], -1, PRIME)
+            pivots.append((lead, [x * inverse % PRIME for x in row[lead:]]))
+    return len(pivots)
 
 
 def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -3,12 +3,16 @@
 For r lines with only double and triple points, the superabundance s is the
 failure of the triple points to impose independent conditions on curves of
 degree 2r/3 - 3: s = |S| - rank of the evaluation matrix of all such
-monomials at the triple points.  Each point is evaluated at a Z[w]
-representative, its coordinates scaled by the lcm of their denominators, so
-the matrix and its Bareiss rank stay exact and in Z[w].  For r = 3 the
-degree is negative, the matrix has no columns and s = |S|; with no triple
-points it has no rows and s = 0.  When r is not divisible by 3 the
-cube-root eigenvalues cannot occur and s is reported as 0.
+monomials at the triple points.  Each point is evaluated at the Z[w] triple
+that the incidence record keeps for it, so the matrix and its Bareiss rank
+stay exact and in Z[w].  When there are no more triple points than
+monomials, the rank is first taken modulo a prime p = 1 (mod 3), with w
+sent to a cube root of unity mod p (``linalg.rank_mod_p``): that map is a
+ring homomorphism, so full row rank mod p is a nonzero maximal minor over
+Z[w] and s = 0 exactly, and only a lower rank mod p falls back to Bareiss.
+For r = 3 the degree is negative, the matrix has no columns and s = |S|;
+with no triple points it has no rows and s = 0.  When r is not divisible by
+3 the cube-root eigenvalues cannot occur and s is reported as 0.
 
 ``milnor_report`` is the one source of every invariant derived from s,
 the characteristic polynomial included (``MilnorReport.char_poly``).
@@ -23,11 +27,14 @@ b1 = 7 = 5 + 2).  See MilnorReport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 from .arrangement import Arrangement, IncidencePoint, require_multiplicities_ok
-from .eisenstein import Pair, integer_pairs, pair_mul
+from .eisenstein import Pair, pair_mul
 from .forms import Exponent
-from .linalg import rank_pairs
+from .linalg import PRIME, rank_mod_p, rank_pairs, residue
+
+T = TypeVar("T")
 
 
 def monomial_exponents(degree: int) -> list[Exponent]:
@@ -41,34 +48,56 @@ def monomial_exponents(degree: int) -> list[Exponent]:
     return out
 
 
+def _evaluation_rows(points: list[Sequence[T]], degree: int, one: T, mul: Callable[[T, T], T]) -> list[list[T]]:
+    """Rows of the degree-``degree`` monomials at each coordinate triple, in a
+    ring given by its one and its product."""
+    monomials = monomial_exponents(degree)
+    rows = []
+    for coords in points:
+        powers = []
+        for coord in coords:
+            column = [one]
+            for _ in range(degree):
+                column.append(mul(column[-1], coord))
+            powers.append(column)
+        x, y, z = powers
+        rows.append([mul(mul(x[i], y[j]), z[k]) for (i, j, k) in monomials])
+    return rows
+
+
 def _evaluation_matrix(points: list[IncidencePoint], degree: int) -> list[list[Pair]]:
-    """Rows of monomial values at a Z[w] representative of each point.
+    """Rows of monomial values at the Z[w] triple of each point.
 
     Scaling a point by a nonzero scalar scales its row by that scalar to the
     power ``degree``, so the rank does not depend on the representative.
     """
-    monomials = monomial_exponents(degree)
-    rows = []
-    for pt in points:
-        powers = []
-        for coord in integer_pairs(pt.point):
-            column = [(1, 0)]
-            for _ in range(degree):
-                column.append(pair_mul(column[-1], coord))
-            powers.append(column)
-        x, y, z = powers
-        rows.append([pair_mul(pair_mul(x[i], y[j]), z[k]) for (i, j, k) in monomials])
-    return rows
+    return _evaluation_rows([pt.pairs for pt in points], degree, (1, 0), pair_mul)
+
+
+def _evaluation_residues(points: list[IncidencePoint], degree: int) -> list[list[int]]:
+    """The image of ``_evaluation_matrix`` under w -> ZETA mod PRIME,
+    computed from the residues of the coordinates."""
+    coords = [[residue(v) for v in pt.pairs] for pt in points]
+    return _evaluation_rows(coords, degree, 1, lambda u, v: u * v % PRIME)
 
 
 def superabundance(arr: Arrangement) -> int:
-    """s = |triple points| - rank of the degree-(2r/3 - 3) evaluation matrix."""
+    """s = |triple points| - rank of the degree-(2r/3 - 3) evaluation matrix.
+
+    With no more triple points T than monomials, the rank mod PRIME is taken
+    first: rank T there is a nonzero T x T minor over Z[w], so s = 0
+    exactly.  Otherwise, or when the rank mod p is lower, the Bareiss rank
+    over Z[w] decides.
+    """
     points = require_multiplicities_ok(arr)
     r = arr.r
     if r % 3 != 0:
         return 0
     triple = [pt for pt in points if pt.multiplicity == 3]
-    return len(triple) - rank_pairs(_evaluation_matrix(triple, 2 * r // 3 - 3))
+    degree = 2 * r // 3 - 3
+    if len(triple) <= len(monomial_exponents(degree)) and rank_mod_p(_evaluation_residues(triple, degree)) == len(triple):
+        return 0
+    return len(triple) - rank_pairs(_evaluation_matrix(triple, degree))
 
 
 def char_poly_string(exp_t1: int, exp_cyc: int) -> str:

@@ -34,10 +34,14 @@ has no zero entry; scaling a column by the positive integer c_i changes
 neither.  With three columns the
 kernel needs no elimination: it is the cross product ``pair_cross`` of two
 rows that are not proportional.  Each accepted dependence is re-verified
-exactly, by a zero ``pair_dot`` with every monomial row.  Only then are the
-Q(w) objects built: F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector
-times (c1, c2, c3), scaled by ``eisenstein.normalized`` so that l1 = 1.  A
-rejected candidate builds no Q(w) object.  ``find_pencils`` is the one
+exactly, by a zero ``pair_dot`` with every monomial row.  An accepted
+pencil keeps G1, G2, G3, the scales and the kernel vector as its Z[w]
+certificate, and its Q(w) objects are built from it on the first read of
+``lambdas`` or ``products`` (also through ``scaled_products`` or
+``to_json``): F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector times
+(c1, c2, c3), scaled by ``eisenstein.normalized`` so that l1 = 1.  A
+rejected candidate, and a pencil that is only counted or whose classes are
+only read, builds no Q(w) object.  ``find_pencils`` is the one
 answer: whether an arrangement is composed of a reduced pencil is its truth
 value, and the number of pencils its length.
 
@@ -56,6 +60,7 @@ from operator import mul
 from .arrangement import Arrangement, incidence, require_multiplicities_ok
 from .eisenstein import (
     EisensteinNumber,
+    Pair,
     json_int,
     json_list,
     json_object,
@@ -63,7 +68,7 @@ from .eisenstein import (
     pair_cross,
     pair_dot,
 )
-from .forms import HomForm, linear_product_pairs
+from .forms import Exponent, HomForm, linear_product_pairs
 from .linalg import rank_pairs
 from .milnor import monomial_exponents
 
@@ -75,11 +80,43 @@ class PencilDecomposition:
     ``lambdas`` is normalized so the first class carries coefficient 1, and
     lambdas[0]*products[0] + lambdas[1]*products[1] + lambdas[2]*products[2]
     vanishes identically.
+
+    ``find_pencils`` builds a pencil from its Z[w] certificate
+    (``from_certificate``), and ``lambdas`` and ``products`` from that on
+    first read; equality, hashing, the repr and ``dataclasses.replace`` read
+    them as the dataclass defines them.
     """
 
     classes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     lambdas: tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
     products: tuple[HomForm, HomForm, HomForm]
+
+    @classmethod
+    def from_certificate(
+        cls,
+        classes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
+        products: list[dict[Exponent, Pair]],
+        scales: list[int],
+        kernel: tuple[Pair, Pair, Pair],
+    ) -> "PencilDecomposition":
+        """The pencil whose class products G_i, as Z[w] coefficient tables, are
+        c_i * F_i for the positive integer scales c_i, with sum kernel_i G_i = 0."""
+        pencil = cls.__new__(cls)
+        object.__setattr__(pencil, "classes", classes)
+        object.__setattr__(pencil, "_certificate", (products, scales, kernel))
+        return pencil
+
+    def __getattr__(self, name: str) -> object:
+        # reached only while lambdas and products are not built
+        certificate = self.__dict__.get("_certificate")
+        if certificate is None or name not in ("lambdas", "products"):
+            raise AttributeError(name)
+        products, scales, kernel = certificate
+        degree = len(self.classes[0])
+        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i
+        object.__setattr__(self, "lambdas", normalized([(a * c, b * c) for (a, b), c in zip(kernel, scales)]))
+        object.__setattr__(self, "products", tuple(HomForm.from_pairs(degree, p, c) for p, c in zip(products, scales)))
+        return self.__dict__[name]
 
     def scaled_products(self) -> tuple[HomForm, HomForm, HomForm]:
         """The three members l_i * F_i, which sum to zero exactly."""
@@ -121,7 +158,7 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     k = arr.r // 3
     monomials = monomial_exponents(k)
     lines = [line.pairs for line in arr.lines]
-    scales = [line.scale for line in arr.lines]
+    line_scales = [line.scale for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = [linear_product_pairs(lines[i] for i in c) for c in triple]
@@ -135,11 +172,8 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
             continue  # a zero coefficient: two products are proportional
         if any(pair_dot(lam, row) != (0, 0) for row in rows):
             raise AssertionError("dependence failed exact re-verification")
-        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to lam_i * c_i
-        denominators = [math.prod(scales[i] for i in c) for c in triple]
-        lambdas = normalized([(a * c, b * c) for (a, b), c in zip(lam, denominators)])
-        products = tuple(HomForm.from_pairs(k, p, c) for p, c in zip(prods, denominators))
-        found.append(PencilDecomposition(triple, lambdas, products))
+        scales = [math.prod(line_scales[i] for i in c) for c in triple]
+        found.append(PencilDecomposition.from_certificate(triple, prods, scales, lam))
     return found
 
 

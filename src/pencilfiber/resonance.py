@@ -43,13 +43,17 @@ r(r - 1)/2.  w_ij is zero unless lines i and j both lie in the support
 the points the index lists for two or more support lines: one point for a
 local basis, every point for a pencil basis.
 
-Each weight vector is scaled once into Z[w] (``weight_pairs``): a vector of
-ints has scale 1 and its entries become pairs directly, any other is scaled
-by the lcm of its denominators (``eisenstein.integer_pairs``).  The scale
-is a positive integer, so it changes no answer: a coordinate sum is zero, a
-basis is independent, a wedge vanishes and a wedge kernel has its dimension
-exactly when the same holds before scaling, because (s a) ^ (t b) =
-s t (a ^ b) for nonzero scalars s and t.
+Each weight vector is read once into a map from its support lines to
+their Z[w] pairs: a vector of ints has scale 1 and its nonzero entries
+become pairs directly, any other is scaled by the lcm of its denominators
+(``eisenstein.integer_pairs``).  Everything after that reads only the
+support: coordinate sums, the rank of a basis on its support columns, the
+wedge at the points carrying two support lines, and the kernel at the
+points on the support lines, which counts the zero-weight lines without
+listing them.  The scale is a positive integer, so it changes no answer: a
+coordinate sum is zero, a basis is independent, a wedge vanishes and a
+wedge kernel has its dimension exactly when the same holds before scaling,
+because (s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, incidence, require_multiplicities_ok
@@ -70,6 +74,7 @@ from .linalg import rank_pairs
 from .pencils import PencilDecomposition
 
 Weights = Sequence[EisensteinNumber | int]  # a weight vector: one entry per line
+_INT = frozenset({int})
 
 
 @dataclass
@@ -115,11 +120,29 @@ def weight_pairs(a: Weights) -> list[Pair]:
     return integer_pairs([EisensteinNumber.of(v) for v in a])
 
 
-def _check_weight(os: OSDegree2, a: Weights) -> list[Pair]:
-    vec = weight_pairs(a)
-    if len(vec) != os.r:
+def _weights(os: OSDegree2, a: Weights) -> tuple[list[Pair], list[int]]:
+    """a scaled once into Z[w], with its support, the increasing lines l
+    with a_l != 0.
+
+    A vector of ints has scale 1: its support is found without a Python
+    loop, and only the support entries are written, as pairs (x, 0), over a
+    list of (0, 0).  Zero entries have denominator 1, so the lcm of the
+    support's denominators is the scale ``weight_pairs`` takes over the
+    whole vector.
+    """
+    if len(a) != os.r:
         raise ValueError(f"weight vector must have length {os.r}")
-    return vec
+    vec = [(0, 0)] * os.r
+    if set(map(type, a)) == _INT:
+        support = list(compress(range(os.r), a))
+        for l in support:
+            vec[l] = (a[l], 0)
+        return vec, support
+    values = [EisensteinNumber.of(v) for v in a]
+    support = [l for l, v in enumerate(values) if v]
+    for l, pair in zip(support, integer_pairs([values[l] for l in support])):
+        vec[l] = pair
+    return vec, support
 
 
 def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[tuple[tuple[int, ...], bool]]:
@@ -136,12 +159,13 @@ def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[t
                 yield p, not (x + u + s or y + v + t)
 
 
-def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair]) -> bool:
-    """a ^ b = 0 for Z[w] weights: the rule of a holds for b at the points
-    with two support lines.  A point is listed once for each of its support
-    lines, so those points are the ones listed twice or more.  Parallelism
-    is checked by cross-multiplying against one line with a_l != 0."""
-    listed = Counter(n for l, (x, y) in enumerate(zip(a, b)) if x != (0, 0) or y != (0, 0) for n in os.on_line[l])
+def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair], support: Iterable[int]) -> bool:
+    """a ^ b = 0 for Z[w] weights with the given joint support: the rule of
+    a holds for b at the points with two support lines.  A point is listed
+    once for each of its support lines, so those points are the ones listed
+    twice or more.  Parallelism is checked by cross-multiplying against one
+    line with a_l != 0."""
+    listed = Counter(n for l in support for n in os.on_line[l])
     points = (os.points[n] for n, count in listed.items() if count >= 2)
     for p, sigma in _point_rules(points, a):
         if sigma:
@@ -163,7 +187,8 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     once into Z[w]; a nonzero scale multiplies the wedge by a nonzero
     scalar, so whether it vanishes does not change.
     """
-    return _wedge_vanishes(os, _check_weight(os, a), _check_weight(os, b))
+    (u, support_u), (v, support_v) = _weights(os, a), _weights(os, b)
+    return _wedge_vanishes(os, u, v, set(support_u).union(support_v))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
@@ -174,10 +199,11 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     are one t per union-find class and one b_l per zero-weight line that
     meets the support lines only at Sigma-points (any other point forces
     b_l = 0); a Sigma-point's row adds a_l to the column of l's class and 1
-    to the column of each such line on it.
+    to the column of each such line on it.  The zero-weight lines are
+    counted, not listed: one on no Sigma-point is an unknown with an empty
+    column, so it gets no column.
     """
-    vec = _check_weight(os, a)
-    support = [l for l, v in enumerate(vec) if v != (0, 0)]
+    vec, support = _weights(os, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
     visited = sorted({n for l in support for n in os.on_line[l]})
@@ -202,15 +228,20 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
                 root = find(l)
             else:
                 parent[find(l)] = root
-    # one column per unknown: t at each class root, b_l at each unforced zero-weight line
-    keys = (find(l) if vec[l] != (0, 0) else l for l in range(os.r) if vec[l] != (0, 0) or l not in forced)
-    columns = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    classes = {l: find(l) for l in support}
+    # one column per class root and per unforced zero-weight line on a Sigma-point
+    columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
+    unknowns = len(columns) + os.r - len(support) - len(forced)
+    for p in sigma_points:
+        for l in p:
+            if vec[l] == (0, 0) and l not in forced:
+                columns.setdefault(l, len(columns))
     rows = []
     for p in sigma_points:
         row = [(0, 0)] * len(columns)
         for l in p:
             if vec[l] != (0, 0):
-                n, (x, y) = columns[find(l)], vec[l]
+                n, (x, y) = columns[classes[l]], vec[l]
             elif l not in forced:
                 n, (x, y) = columns[l], (1, 0)
             else:
@@ -218,7 +249,7 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
             u, v = row[n]
             row[n] = (u + x, v + y)
         rows.append(row)
-    return len(columns) - rank_pairs(rows)
+    return unknowns - rank_pairs(rows)
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
@@ -226,15 +257,22 @@ def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
 
     Each vector is scaled once into Z[w]; a positive integer scale keeps its
     coordinate sum zero or nonzero, the basis independent or dependent, and
-    every wedge vanishing or not.
+    every wedge vanishing or not.  The sums, the rank and the wedges read
+    only the support S, the lines where some basis vector is nonzero: the
+    rank is taken on the columns of S, and each wedge is checked at the
+    points with two lines of S.  A point with fewer than two lines of its
+    own pair's support satisfies that pair's rule, so checking it there
+    changes nothing.
     """
-    vectors = [_check_weight(os, v) for v in basis]
-    for v in vectors:
-        if sum(x for x, _ in v) or sum(y for _, y in v):
+    weights = [_weights(os, v) for v in basis]
+    for vec, support in weights:
+        if sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support):
             raise ValueError("basis vectors must have coordinate sum zero")
-    if rank_pairs(vectors) != len(vectors):
+    support = sorted(set().union(*(support for _, support in weights)))
+    vectors = [vec for vec, _ in weights]
+    if rank_pairs([[vec[l] for l in support] for vec in vectors]) != len(vectors):
         raise ValueError("basis vectors are linearly dependent")
-    return all(_wedge_vanishes(os, u, v) for u, v in combinations(vectors, 2))
+    return all(_wedge_vanishes(os, u, v, support) for u, v in combinations(vectors, 2))
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:

@@ -21,7 +21,18 @@ from pencilfiber.arrangement import (
     proj_transform,
     require_multiplicities_ok,
 )
-from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, integer_scale, normalized, pair_dot
+from pencilfiber.eisenstein import (
+    EisensteinNumber,
+    ParseError,
+    canonical_pairs,
+    integer_pairs,
+    integer_scale,
+    normalized,
+    normalized_strs,
+    pair_dot,
+    parse_eisenstein,
+    parse_parts,
+)
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
@@ -63,6 +74,100 @@ def test_normalized_matches_qw_oracle(triple):
     # the line keeps its normalized triple scaled into Z[w]
     assert Line(*triple).pairs == tuple(integer_pairs(expected))
     assert Line(*triple).scale == integer_scale(expected)
+
+
+_digits = st.integers(0, 60).map(str)
+_signed = st.builds(lambda sign, n: sign + n, st.sampled_from(["", "+", "-"]), _digits)
+_rational = st.one_of(_signed, st.builds(lambda n, d: f"{n}/{d}", _signed, st.integers(1, 60).map(str)))
+_w_coeff = st.one_of(st.just(""), _digits, st.builds(lambda n, d: f"{n}/{d}", _digits, st.integers(1, 60).map(str)))
+# every form of the grammar, with parts not in lowest terms: "r", "r*w", "rw", "r+c*w", "r-cw", "+w", "-w"
+coefficient_text = st.one_of(
+    _rational,
+    st.builds(lambda r, star: f"{r}{star}w", _rational, st.sampled_from(["*", ""])),
+    st.builds(
+        lambda r, sign, c, star: f"{r}{sign}{c}{star if c else ''}w",
+        _rational,
+        st.sampled_from(["+", "-"]),
+        _w_coeff,
+        st.sampled_from(["*", ""]),
+    ),
+    st.sampled_from(["w", "+w", "-w"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficient_text, min_size=3, max_size=3))
+def test_line_from_text_equals_line_from_parsed_numbers(texts):
+    """The integer parse core takes text straight into Z[w]; the line is the
+    one built from the same strings parsed into Q(w)."""
+    numbers = [EisensteinNumber.of(t) for t in texts]
+    if not any(numbers):
+        for args in (texts, numbers):
+            with pytest.raises(ValueError, match="nonzero coefficient"):
+                Line(*args)
+        return
+    line, reference = Line(*texts), Line(*numbers)
+    assert (line.pairs, line.scale, line.coeffs) == (reference.pairs, reference.scale, reference.coeffs)
+    assert line.coeffs == incidence_oracle.normalize_point(numbers)
+
+
+@pytest.mark.parametrize("text, position", [("1/0", 0), ("2+1/0w", 2), ("9" * 5000, None)], ids=["1/0", "2+1/0w", "5000 digits"])
+def test_integer_parse_core_keeps_parse_errors(text, position):
+    """The same exception, message and position from the integer core, from
+    ``parse_eisenstein`` and from a line; past the int-string conversion
+    limit the digits raise a plain ValueError."""
+    raised = []
+    for parse in (parse_parts, parse_eisenstein, lambda t: Line(t, "1", "0")):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        raised.append((type(err.value), str(err.value), getattr(err.value, "position", None)))
+    assert raised[0] == raised[1] == raised[2]
+    assert raised[0][0] is (ValueError if position is None else ParseError)
+    assert raised[0][2] == position
+
+
+def test_integer_sort_key_prints_the_normalized_point():
+    """``normalized_strs`` of the canonical triple, the key ``incidence``
+    sorts by, is the printed normalized point, on seeded Z[w] triples whose
+    lead has a w-part or is negative."""
+    rng = random.Random(24)
+    w_leads = negative_leads = 0
+    for _ in range(3000):
+        p = [(rng.randint(-40, 40) * (rng.random() < 0.8), rng.randint(-40, 40) * (rng.random() < 0.5)) for _ in range(3)]
+        if all(v == (0, 0) for v in p):
+            continue
+        a, b = next(v for v in p if v != (0, 0))
+        w_leads += b != 0
+        negative_leads += b == 0 and a < 0
+        c = canonical_pairs(p)
+        assert c == tuple(integer_pairs(normalized(p)))
+        assert normalized_strs(c) == tuple(str(x) for x in normalized(p))
+    assert min(w_leads, negative_leads) > 300
+
+
+class _Unscannable(tuple):
+    def __iter__(self):
+        raise AssertionError("the points were scanned again")
+
+
+@pytest.mark.parametrize("make", [four_concurrent, dual_hesse], ids=["violation", "none"])
+def test_multiplicities_are_checked_once_per_arrangement(make):
+    """The record notes its first point on more than three lines when it is
+    built; every later check raises from that note, or passes, without
+    reading the points."""
+    arr = make()
+    record = incidence(arr)
+    expected = next((pt for pt in record.points if pt.multiplicity > 3), None)
+    assert record.violation is expected
+    record.points = _Unscannable(record.points)
+    for _ in range(3):
+        if expected is None:
+            assert require_multiplicities_ok(arr) is record.points
+            continue
+        with pytest.raises(MultiplicityError) as err:
+            require_multiplicities_ok(arr)
+        assert err.value.point is expected
+        assert err.value.point.to_json() == {"point": ["0", "0", "1"], "lines": [0, 1, 2, 3], "multiplicity": 4}
 
 
 @pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), near_pencil_six(), cuspidal_dual(7)], ids=lambda a: a.label)

@@ -12,7 +12,7 @@ import pytest
 
 import pencilfiber
 from linalg_oracle import rref
-from pencilfiber import cli
+from pencilfiber import cli, eisenstein
 from pencilfiber.arrangement import (
     Arrangement,
     MultiplicityError,
@@ -956,6 +956,19 @@ def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
     assert elapsed < 3.0
 
 
+@pytest.mark.parametrize("m, census", [(13, {"3": 85, "2": 96}), (16, {"3": 128, "2": 144})], ids=["r=27", "r=33"])
+def test_analyze_cuspidal_lines_with_3_dividing_r_within_its_gate(capsys, tmp_path, m, census):
+    """With 3 | r superabundance runs: 85 triple points against 136
+    monomials of degree 15 at r = 27, 128 against 210 of degree 19 at
+    r = 33.  Full row rank mod a prime certifies s = 0, where Bareiss over
+    Z[w] took 17 to 22 s at r = 27 and did not finish in 200 s at r = 33.
+    About 0.13 s and 0.33 s on a shared 2-vCPU host (python 3.11); the gate
+    leaves CI headroom."""
+    report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, m)
+    assert report["point_census"] == census
+    assert elapsed < 2.0
+
+
 # --- the stdout contract ----------------------------------------------------------
 
 # sha256 of the stdout of each command, computed by running it in-process on
@@ -1043,3 +1056,54 @@ def test_stdout_bytes_are_pinned(capsys, corpus_dir, tmp_path, command, name):
     code, out = run_cli(capsys, [*command.split(), str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, name]
+
+
+def test_crosscheck_builds_no_field_element(capsys, corpus_dir, monkeypatch):
+    """Lines, incidence points and pencils stay in Z[w] until printed, and
+    crosscheck prints none of them: its bytes come out with every
+    ``EisensteinNumber`` construction refused."""
+
+    def refuse(self, *args):
+        raise AssertionError("an EisensteinNumber was built")
+
+    monkeypatch.setattr(EisensteinNumber, "__init__", refuse)
+    code, out = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["crosscheck", "corpus"]
+
+
+def test_analyze_of_a_generic_arrangement_normalizes_nothing(capsys, corpus_dir, monkeypatch):
+    """seeded_generic_12 has no triple point and no pencil, so analyze reads
+    no incidence point, line or pencil in Q(w)."""
+    normalize = eisenstein.normalized
+
+    def refuse(p):
+        raise AssertionError("normalized was called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pencilfiber")]:
+        if getattr(module, "normalized", None) is normalize:
+            monkeypatch.setattr(module, "normalized", refuse)
+    code, out = run_cli(capsys, ["analyze", str(corpus_dir / "seeded_generic_12.json")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["analyze", "seeded_generic_12.json"]
+
+
+@pytest.mark.parametrize("text, position", [("1/0", 0), ("2+1/0w", 2), ("9" * 5000, None)], ids=["1/0", "2+1/0w", "5000 digits"])
+def test_bad_coefficient_text_is_an_input_error(capsys, tmp_path, text, position):
+    """The integer parse core reports a bad coefficient as before: exit 1,
+    nothing on stdout, one error line naming the position, and the file's
+    row in crosscheck."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = write_json(corpus / "bad.json", {"label": "bad", "lines": [[text, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+    code = main(["analyze", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    error = json.loads(captured.err)["error"]
+    assert "bad.json is not a valid arrangement" in error
+    if position is not None:
+        assert f"at position {position} in {text!r}" in error
+    code, out = run_cli(capsys, ["crosscheck", str(corpus)])
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["error"] == error

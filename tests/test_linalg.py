@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import combinations, product
 
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from linalg_oracle import mat_mul, nullspace, package_rank, rref
 from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
-from pencilfiber.linalg import nullspace_f3, rank_pairs
+from pencilfiber.linalg import PRIME, ZETA, nullspace_f3, rank_mod_p, rank_pairs, residue
 
 small_eis = st.builds(
     EisensteinNumber,
@@ -233,3 +235,56 @@ def test_nullspace_f3_examples():
     assert nullspace_f3([[1, 1, 1]], 3) == [[2, 1, 0], [2, 0, 1]]
     assert nullspace_f3([[1, -1, 0], [0, 1, -1]], 3) == [[1, 1, 1]]
     assert nullspace_f3([[3, 6, -9]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_zeta_is_a_primitive_cube_root_of_unity_mod_the_prime():
+    assert PRIME % 3 == 1 and PRIME < 2**30
+    assert all(PRIME % d for d in range(2, math.isqrt(PRIME) + 1))
+    assert ZETA != 1 and (ZETA * ZETA + ZETA + 1) % PRIME == 0
+
+
+def _random_pairs(rng, rows, cols, bound):
+    return [[(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _pair_product(a, b):
+    """A*B over Z[w], with pairs as entries."""
+    out = []
+    for row in a:
+        new = []
+        for col in zip(*b):
+            x = y = 0
+            for (p, q), (u, v) in zip(row, col):
+                x, y = x + p * u - q * v, y + p * v + q * u - q * v
+            new.append((x, y))
+        out.append(new)
+    return out
+
+
+def test_rank_mod_p_agrees_with_rank_pairs_on_seeded_matrices():
+    """w -> ZETA sends to 0 mod PRIME only elements of Z[w] whose norm PRIME
+    divides.  Every nonzero minor of these matrices has norm far below
+    PRIME (entries at most 2 in each part, or products A*B of inner size
+    k <= 2 with parts at most 1), so the two ranks agree exactly, whether
+    or not the matrix has full row rank."""
+    rng = random.Random(24)
+    deficient = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            rows = _random_pairs(rng, m, n, 2)
+        else:
+            k = rng.randint(0, min(2, m, n))
+            rows = _pair_product(_random_pairs(rng, m, k, 1), _random_pairs(rng, k, n, 1)) if k else [[(0, 0)] * n for _ in range(m)]
+        rank = rank_pairs(rows)
+        assert rank_mod_p([[residue(v) for v in row] for row in rows]) == rank, rows
+        deficient += rank < m
+    assert deficient > 50
+
+
+def test_rank_mod_p_is_a_lower_bound():
+    # PRIME and ZETA - w vanish mod PRIME, though they are nonzero in Z[w]
+    rows = [[(PRIME, 0), (0, 0)], [(ZETA, -1), (0, 0)], [(0, 0), (3, 1)]]
+    assert rank_pairs(rows) == 2
+    assert rank_mod_p([[residue(v) for v in row] for row in rows]) == 1
+    assert rank_mod_p([]) == 0

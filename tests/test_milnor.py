@@ -17,6 +17,7 @@ from pencilfiber.fixtures import (
     dual_hesse,
     four_concurrent,
     generic_six,
+    near_pencil_six,
     triangle,
 )
 from pencilfiber.milnor import (
@@ -25,7 +26,7 @@ from pencilfiber.milnor import (
     monomial_exponents,
     superabundance,
 )
-from pencilfiber.linalg import rank_pairs
+from pencilfiber.linalg import rank_pairs, residue
 
 
 def _fraction_rank(rows):
@@ -207,3 +208,35 @@ def test_evaluation_rank_at_zw_representatives(points, degree):
     # a representative scales each row by a nonzero scalar to the power degree
     expected = package_rank(incidence_oracle.evaluation_matrix(points, degree))
     assert rank_pairs(milnor._evaluation_matrix(points, degree)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(points_with_scaled_copies(), st.integers(0, 3))
+def test_evaluation_residues_are_the_image_of_the_zw_matrix(points, degree):
+    expected = [[residue(v) for v in row] for row in milnor._evaluation_matrix(points, degree)]
+    assert milnor._evaluation_residues(points, degree) == expected
+
+
+def test_superabundance_certifies_full_row_rank_mod_p(monkeypatch):
+    """near_pencil_6 has one triple point and 3 monomials of degree 1: rank 1
+    mod p decides s = 0 without Bareiss.  A rank mod p below the number of
+    triple points decides nothing, and with more triple points than
+    monomials (braid: 4 against 3) no rank mod p is taken."""
+    bareiss = []
+
+    def counted(rows):
+        bareiss.append(rows)
+        return rank_pairs(rows)
+
+    def refuse(rows):
+        raise AssertionError("rank mod p taken")
+
+    monkeypatch.setattr(milnor, "rank_pairs", counted)
+    assert superabundance(near_pencil_six()) == 0
+    assert bareiss == []
+    monkeypatch.setattr(milnor, "rank_mod_p", lambda rows: len(rows) - 1)
+    assert superabundance(near_pencil_six()) == 0
+    assert len(bareiss) == 1
+    monkeypatch.setattr(milnor, "rank_mod_p", refuse)
+    assert superabundance(braid()) == 1
+    assert len(bareiss) == 2
