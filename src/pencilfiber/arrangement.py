@@ -5,15 +5,14 @@ is an ordered list of pairwise distinct lines.  All projective work is over
 Z[w], and Q(w) appears only where a value is read.  A line goes from its
 coefficient text straight to its canonical Z[w] triple
 (``eisenstein.parse_parts``, ``canonical_pairs``: first nonzero coefficient
-a positive integer, integer content 1), and its Q(w) coefficients, first
-nonzero coefficient 1, are built on first read.  The point of two lines is
-their cross product, and a third line passes through it iff their dot
-product is exactly zero.  Points are grouped by these incidence tests, not
-by hashing coordinates; each keeps the canonical triple of its cross
-product, and its Q(w) coordinates, lead coordinate 1, are built on first
-read by ``eisenstein.normalized``, the same rule that gives a line's.  The
-points are sorted by the strings of those coordinates, which
-``eisenstein.normalized_strs`` prints from the integers.
+a positive integer, integer content 1).  The point of two lines is their
+cross product, and a third line passes through it iff their dot product is
+exactly zero.  Points are grouped by these incidence tests, not by hashing
+coordinates, and each stores only the canonical triple of its cross
+product and its lines.  Lines and points store no Q(w) form: their Q(w)
+coordinates, lead coordinate 1, are computed by ``eisenstein.normalized``
+where they are printed.  The points are sorted by the strings of those
+coordinates, which ``eisenstein.normalized_strs`` prints from the integers.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
@@ -79,11 +78,11 @@ class Line:
     ``pairs`` is its canonical Z[w] triple (``eisenstein.canonical_pairs``):
     the first nonzero coefficient is the positive integer ``scale`` and the
     integer content is 1.  Equality and hashing read ``pairs``.  ``coeffs``,
-    the Q(w) triple whose first nonzero coefficient is 1, is pairs / scale,
-    built on first read; it equals ``eisenstein.normalized(pairs)``.
+    the Q(w) triple whose first nonzero coefficient is 1, is read only to
+    print the line: it is pairs / scale, ``eisenstein.normalized(pairs)``.
     """
 
-    __slots__ = ("pairs", "scale", "_coeffs")
+    __slots__ = ("pairs", "scale")
 
     def __init__(
         self,
@@ -105,13 +104,10 @@ class Line:
             raise ValueError("a line needs a nonzero coefficient")
         self.pairs = canonical_pairs(triple)
         self.scale = next(a for a, _ in self.pairs if a)
-        self._coeffs: Point | None = None
 
     @property
     def coeffs(self) -> Point:
-        if self._coeffs is None:
-            self._coeffs = normalized(self.pairs)
-        return self._coeffs
+        return normalized(self.pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
@@ -181,35 +177,19 @@ class Arrangement:
 class IncidencePoint:
     """A point and the increasing indices of the lines through it.
 
-    ``point`` is the Q(w) triple and ``pairs`` a Z[w] triple of the same
-    point.  ``incidence`` builds a point from its canonical triple
-    (``from_pairs``) and its ``point``, ``eisenstein.normalized(pairs)``, on
-    first read; a point built from its Q(w) triple gets ``pairs``,
-    ``integer_pairs(point)``, on first read.  Equality, hashing and the repr
-    read ``point``, as the dataclass defines them.
+    ``pairs`` is a Z[w] triple of the point; ``incidence`` stores its
+    canonical triple (``eisenstein.canonical_pairs``), so equality and
+    hashing, which read ``pairs`` and ``lines``, compare points exactly.
+    ``point``, the Q(w) triple whose first nonzero coordinate is 1, is read
+    only to print the point: it is ``eisenstein.normalized(pairs)``.
     """
 
-    point: Point
+    pairs: tuple[Pair, ...]
     lines: tuple[int, ...]
 
-    @classmethod
-    def from_pairs(cls, pairs: tuple[Pair, ...], lines: tuple[int, ...]) -> "IncidencePoint":
-        pt = cls.__new__(cls)
-        object.__setattr__(pt, "pairs", pairs)
-        object.__setattr__(pt, "lines", lines)
-        return pt
-
-    def __getattr__(self, name: str) -> object:
-        # reached only when the attribute is not set yet: build it from the other one
-        known = self.__dict__
-        if name == "point" and "pairs" in known:
-            value = normalized(known["pairs"])
-        elif name == "pairs" and "point" in known:
-            value = tuple(integer_pairs(known["point"]))
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @property
+    def point(self) -> Point:
+        return normalized(self.pairs)
 
     @property
     def multiplicity(self) -> int:
@@ -295,7 +275,7 @@ def incidence(arr: Arrangement) -> Incidence:
                 for a, b in combinations(through, 2):
                     covered[a][b] = True
                 c = canonical_pairs(p)
-                keyed.append(((-len(through), normalized_strs(c)), IncidencePoint.from_pairs(c, tuple(through))))
+                keyed.append(((-len(through), normalized_strs(c)), IncidencePoint(c, tuple(through))))
         keyed.sort(key=lambda entry: entry[0])
         arr._incidence = Incidence((pt for _, pt in keyed), n)
     return arr._incidence

@@ -48,9 +48,8 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, Pair, ParseError, json_list, json_object
+from .eisenstein import EisensteinNumber, ParseError, json_list, json_object
 from .forms import UniPoly
-from .linalg import rank_pairs
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
@@ -58,11 +57,11 @@ from .resonance import (
     Weights,
     build_os2,
     component_isotropy_check,
+    distinct_planes,
     generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
-    weight_pairs,
 )
 
 EXIT_OK = 0
@@ -241,17 +240,6 @@ def cmd_catalan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _distinct_planes(bases: list[list[Weights]]) -> int:
-    """How many distinct planes the two-vector bases span: a basis counts
-    unless, stacked with one counted before, it still has rank 2."""
-    counted: list[list[list[Pair]]] = []
-    for basis in bases:
-        rows = [weight_pairs(v) for v in basis]
-        if all(rank_pairs(rows + other) > 2 for other in counted):
-            counted.append(rows)
-    return len(counted)
-
-
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
     candidate component; the kernel dimensions ``analyze`` prints are not
@@ -272,7 +260,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             os2 = build_os2(arr)
             candidates = [(key, basis) for key, _, basis in _candidate_bases(arr, pencils)]
             isotropic = [component_isotropy_check(os2, basis) for _, basis in candidates]
-            planes = _distinct_planes([basis for key, basis in candidates if key == "pencil_components"])
+            planes = distinct_planes(arr.r, [basis for key, basis in candidates if key == "pencil_components"])
         except MultiplicityError as exc:
             rows.append({"file": path.name, **_violation_payload(exc.point)})
             continue

@@ -1,26 +1,30 @@
-"""Dense exact linear algebra: rank over Z[w] and null spaces mod 3.
+"""Dense exact linear algebra: rank over Z[w], and rank and null spaces over prime fields.
 
 Matrices are lists of rows of integer pairs (a, b) meaning a + b*w, or of
-Python ints for the F3 null space.  ``rank_pairs``, fraction-free (Bareiss)
-elimination over Z[w], is the one eliminator; callers holding Q(w) rows
-scale each row with ``eisenstein.integer_pairs`` first, which keeps the
-rank.  Before it eliminates, it takes every row with a single nonzero entry
-as a pivot and deletes that entry's column, repeating while new such rows
-appear: such a pivot clears only its own column, so this is exact and costs
-no arithmetic.  The resonance kernel passes only its Sigma-rows, one per
-triple point where the weight sums to zero, in the few unknowns that its
-union-find leaves (``resonance``).  Questions that live in 3-space need no
-elimination and are not asked here: they are cross and dot products of
-Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).  ``rank_mod_p``
-is Gaussian elimination over F_p for one prime p = 1 (mod 3), on the image
-of Z[w] rows under w -> ZETA, a cube root of unity mod p; it is a lower
-bound for the rank over Z[w], so it certifies full row rank and nothing
-else (``milnor.superabundance``).  Null spaces mod 3 come from Gauss-Jordan
-elimination on residues.  All of it is exact, so results are certificates,
-not estimates.
+Python ints for the prime fields.  There are two eliminators, one per kind
+of entry.  ``rank_pairs``, fraction-free (Bareiss) elimination, is the one
+over Z[w]; callers holding Q(w) rows scale each row with
+``eisenstein.integer_pairs`` first, which keeps the rank.  Before it
+eliminates, it takes every row with a single nonzero entry as a pivot and
+deletes that entry's column, repeating while new such rows appear: such a
+pivot clears only its own column, so this is exact and costs no arithmetic.
+The resonance kernel passes only its Sigma-rows, one per triple point where
+the weight sums to zero, in the few unknowns that its union-find leaves
+(``resonance``).  ``_echelon``, row echelon form over F_q, is the one over
+prime fields, and serves two questions.  ``rank_mod_p`` is the rank over
+F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
+w -> ZETA, a cube root of unity mod p; it is a lower bound for the rank
+over Z[w], so it certifies full row rank and nothing else
+(``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
+by back substitution in the echelon form (``pencils``).  Questions that
+live in 3-space need no elimination and are not asked here: they are cross
+and dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).
+All of it is exact, so results are certificates, not estimates.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .eisenstein import Pair
 
@@ -90,57 +94,61 @@ def residue(v: Pair) -> int:
     return (v[0] + v[1] * ZETA) % PRIME
 
 
+def _echelon(rows: list[list[int]], q: int) -> list[tuple[int, list[int]]]:
+    """Row echelon form over F_q, q prime, as (lead column, row) pivots.
+
+    Entries are ints, read mod q.  Each row is reduced by the pivots found
+    before it, in order; a row that does not reduce to zero becomes a pivot,
+    kept from its first nonzero column, the lead, on and scaled to 1 there,
+    so a reduction changes only that part of a row.  Every pivot is zero at
+    the leads found before it, so the leads are distinct, the pivots are a
+    basis of the row space, and their leads are the pivot columns of its
+    reduced form.  ``rows`` is not changed.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = [x % q for x in row]
+        for col, pivot in pivots:
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % q for x, y in zip(row[col:], pivot)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inverse = pow(row[lead], -1, q)
+            pivots.append((lead, [x * inverse % q for x in row[lead:]]))
+    return pivots
+
+
 def rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank over F_p, p = PRIME, by Gaussian elimination on residues.
+    """Rank over F_p, p = PRIME, of rows of residues: the number of pivots of
+    their row echelon form.
 
     For the image of a Z[w] matrix under ``residue`` it is at most the rank
     over Z[w]: a ring map sends a zero minor to zero, so a minor nonzero mod
     p is nonzero over Z[w].  It can be lower only when p divides the norm of
-    every maximal nonzero minor.  Each row is reduced by the pivots found
-    before it, in order.  A pivot row is kept from its first nonzero column
-    on, scaled to 1 there, so a reduction changes only that part of a row;
-    ``rows`` is not changed.
+    every maximal nonzero minor.
     """
-    pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = list(row)
-        for col, pivot in pivots:
-            f = row[col]
-            if f:
-                row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], pivot)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            inverse = pow(row[lead], -1, PRIME)
-            pivots.append((lead, [x * inverse % PRIME for x in row[lead:]]))
-    return len(pivots)
+    return len(_echelon(rows, PRIME))
 
 
 def nullspace_f3(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {x in F3^ncols : rows @ x = 0 mod 3}, one vector per free column.
 
-    Entries are ints, read mod 3; the basis entries are in {0, 1, 2}.
+    Entries are ints, read mod 3; the basis entries are in {0, 1, 2}.  The
+    vector of a free column is 1 there and 0 at the other free columns, and
+    its entries at the leads of the row echelon form follow by back
+    substitution, last lead first.  Those conditions fix it, so the basis is
+    the one Gauss-Jordan elimination gives.
     """
-    m = [[v % 3 for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        top = len(pivots)
-        pivot_row = next((i for i in range(top, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[top], m[pivot_row] = m[pivot_row], m[top]
-        inv = m[top][col]  # 1 and 2 are their own inverses mod 3
-        m[top] = [v * inv % 3 for v in m[top]]
-        for i, row in enumerate(m):
-            if i != top and row[col]:
-                m[i] = [(a - row[col] * b) % 3 for a, b in zip(row, m[top])]
-        pivots.append(col)
+    pivots = sorted(_echelon(rows, 3), reverse=True)
+    leads = {col for col, _ in pivots}
     basis = []
     for free in range(ncols):
-        if free in pivots:
+        if free in leads:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for row, piv in zip(m, pivots):
-            vec[piv] = -row[free] % 3
+        for col, pivot in pivots:
+            vec[col] = -sum(map(mul, pivot[1:], vec[col + 1 :])) % 3
         basis.append(vec)
     return basis

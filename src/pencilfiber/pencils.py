@@ -143,6 +143,8 @@ class PencilDecomposition:
             raise ValueError("every lambda of a pencil is nonzero")
         if any(p.is_zero for p in products):
             raise ValueError("every product of a pencil is nonzero")
+        if any(p.degree == 0 for p in products):
+            raise ValueError("every product of a pencil has positive degree")
         return cls(classes, lambdas, products)
 
 

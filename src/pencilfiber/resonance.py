@@ -43,22 +43,24 @@ r(r - 1)/2.  w_ij is zero unless lines i and j both lie in the support
 the points the index lists for two or more support lines: one point for a
 local basis, every point for a pencil basis.
 
-Each weight vector is read once into a map from its support lines to
-their Z[w] pairs: a vector of ints has scale 1 and its nonzero entries
-become pairs directly, any other is scaled by the lcm of its denominators
-(``eisenstein.integer_pairs``).  Everything after that reads only the
-support: coordinate sums, the rank of a basis on its support columns, the
-wedge at the points carrying two support lines, and the kernel at the
-points on the support lines, which counts the zero-weight lines without
-listing them.  The scale is a positive integer, so it changes no answer: a
-coordinate sum is zero, a basis is independent, a wedge vanishes and a
-wedge kernel has its dimension exactly when the same holds before scaling,
-because (s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
+Each weight vector is read once, by the one weight scaler ``_weights``,
+into its Z[w] pairs and its support lines: a vector of ints has scale 1 and
+its nonzero entries become pairs directly, any other is scaled by the lcm
+of its denominators (``eisenstein.integer_pairs``).  Everything after that
+reads only the support: coordinate sums, the rank of a basis on its
+support columns, the wedge at the points carrying two support lines, and
+the kernel at the points on the support lines, which counts the
+zero-weight lines without listing them.  The scale is a positive integer,
+so it changes no answer: a coordinate sum is zero, a basis is independent,
+a wedge vanishes and a wedge kernel has its dimension exactly when the same
+holds before scaling, because (s a) ^ (t b) = s t (a ^ b) for nonzero
+scalars s and t.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
 and a pencil decomposition (R1, R2, R3) spans chi_R1 - chi_R2,
-chi_R2 - chi_R3 ("global").
+chi_R2 - chi_R3 ("global").  ``distinct_planes`` counts the distinct planes
+that candidate bases span, from the same scaled vectors.
 """
 
 from __future__ import annotations
@@ -113,28 +115,20 @@ def build_os2(arr: Arrangement) -> OSDegree2:
     return OSDegree2(arr.r, points, record.on_line)
 
 
-def weight_pairs(a: Weights) -> list[Pair]:
-    """a scaled once into Z[w]; a vector of ints has scale 1, so each entry x is the pair (x, 0)."""
-    if all(type(v) is int for v in a):
-        return [(v, 0) for v in a]
-    return integer_pairs([EisensteinNumber.of(v) for v in a])
-
-
-def _weights(os: OSDegree2, a: Weights) -> tuple[list[Pair], list[int]]:
+def _weights(r: int, a: Weights) -> tuple[list[Pair], list[int]]:
     """a scaled once into Z[w], with its support, the increasing lines l
-    with a_l != 0.
+    with a_l != 0; ValueError unless a has length r.
 
     A vector of ints has scale 1: its support is found without a Python
     loop, and only the support entries are written, as pairs (x, 0), over a
-    list of (0, 0).  Zero entries have denominator 1, so the lcm of the
-    support's denominators is the scale ``weight_pairs`` takes over the
-    whole vector.
+    list of (0, 0).  Any other vector is scaled by the lcm of its support's
+    denominators (``eisenstein.integer_pairs``).
     """
-    if len(a) != os.r:
-        raise ValueError(f"weight vector must have length {os.r}")
-    vec = [(0, 0)] * os.r
+    if len(a) != r:
+        raise ValueError(f"weight vector must have length {r}")
+    vec = [(0, 0)] * r
     if set(map(type, a)) == _INT:
-        support = list(compress(range(os.r), a))
+        support = list(compress(range(r), a))
         for l in support:
             vec[l] = (a[l], 0)
         return vec, support
@@ -187,7 +181,7 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     once into Z[w]; a nonzero scale multiplies the wedge by a nonzero
     scalar, so whether it vanishes does not change.
     """
-    (u, support_u), (v, support_v) = _weights(os, a), _weights(os, b)
+    (u, support_u), (v, support_v) = _weights(os.r, a), _weights(os.r, b)
     return _wedge_vanishes(os, u, v, set(support_u).union(support_v))
 
 
@@ -203,7 +197,7 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     counted, not listed: one on no Sigma-point is an unknown with an empty
     column, so it gets no column.
     """
-    vec, support = _weights(os, a)
+    vec, support = _weights(os.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
     visited = sorted({n for l in support for n in os.on_line[l]})
@@ -264,7 +258,7 @@ def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
     own pair's support satisfies that pair's rule, so checking it there
     changes nothing.
     """
-    weights = [_weights(os, v) for v in basis]
+    weights = [_weights(os.r, v) for v in basis]
     for vec, support in weights:
         if sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support):
             raise ValueError("basis vectors must have coordinate sum zero")
@@ -298,6 +292,19 @@ def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
     u = [a - b for a, b in zip(chi[0], chi[1])]
     v = [a - b for a, b in zip(chi[1], chi[2])]
     return [u, v]
+
+
+def distinct_planes(r: int, bases: list[list[Weights]]) -> int:
+    """How many distinct planes the two-vector bases of weights on r lines
+    span: a basis counts unless, stacked with one counted before, it still
+    has rank 2.  Each vector is scaled once into Z[w], which keeps every
+    rank."""
+    counted: list[list[list[Pair]]] = []
+    for basis in bases:
+        rows = [_weights(r, v)[0] for v in basis]
+        if all(rank_pairs(rows + other) > 2 for other in counted):
+            counted.append(rows)
+    return len(counted)
 
 
 def generic_member(basis: list[Weights]) -> Weights:

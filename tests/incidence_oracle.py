@@ -3,12 +3,24 @@
 The package finds incidence points by exact tests over Z[w] and evaluates
 monomials at Z[w] representatives of the triple points.  The tests check
 those answers against this normalise-and-group code over Q(w), which shares
-no code with them beyond ``EisensteinNumber`` and the result types.
+no code with them beyond ``EisensteinNumber``: its points are its own
+records of Q(w) coordinates and lines, for comparison with the package's
+points through ``point`` and ``lines``.
 """
 
+from typing import NamedTuple
+
 from linalg_oracle import cross
-from pencilfiber.arrangement import IncidencePoint
 from pencilfiber.milnor import monomial_exponents
+
+
+class OraclePoint(NamedTuple):
+    point: tuple
+    lines: tuple
+
+    @property
+    def multiplicity(self):
+        return len(self.lines)
 
 
 def normalize_point(p):
@@ -32,7 +44,7 @@ def intersection_points(arr):
         for j in range(i + 1, n):
             p = line_intersection(arr.lines[i], arr.lines[j])
             groups.setdefault(p, set()).update((i, j))
-    points = [IncidencePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
+    points = [OraclePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
     points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
     return tuple(points)
 

@@ -1,9 +1,10 @@
-"""Gauss-Jordan elimination and cross products over Q(w): the tests' reference.
+"""Gauss-Jordan elimination over Q(w) and F3, and cross products over Q(w): the tests' reference.
 
-The package answers rank questions by Bareiss elimination over Z[w] and
-3-space questions by cross and dot products of Z[w] triples.  The tests
-check those answers against this textbook reduction and the cross product
-over Q(w), which share no code with them.  ``package_rank`` is the one
+The package answers rank questions by Bareiss elimination over Z[w], null
+spaces mod 3 by back substitution in a row echelon form, and 3-space
+questions by cross and dot products of Z[w] triples.  The tests check those
+answers against this textbook reduction and the cross product over Q(w),
+which share no code with them.  ``package_rank`` is the one
 exception: it is the package's rank of Q(w) rows, for tests that compare it
 with the reference.
 """
@@ -63,6 +64,35 @@ def nullspace(rows, ncols=None):
         vec[free] = ONE
         for row, piv in zip(reduced, pivots):
             vec[piv] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def nullspace_f3(rows, ncols):
+    """Basis of {x in F3^ncols : rows @ x = 0 mod 3}, one vector per free
+    column, by Gauss-Jordan elimination on the residues."""
+    m = [[v % 3 for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot_row = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[top], m[pivot_row] = m[pivot_row], m[top]
+        inv = m[top][col]  # 1 and 2 are their own inverses mod 3
+        m[top] = [v * inv % 3 for v in m[top]]
+        for i, row in enumerate(m):
+            if i != top and row[col]:
+                m[i] = [(a - row[col] * b) % 3 for a, b in zip(row, m[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, piv in zip(m, pivots):
+            vec[piv] = -row[free] % 3
         basis.append(vec)
     return basis
 

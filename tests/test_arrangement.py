@@ -179,6 +179,15 @@ def test_incidence_record_indexes_points_by_line(arr):
         assert record.on_line[line] == tuple(n for n, pt in enumerate(record.points) if line in pt.lines)
 
 
+@pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), cuspidal_dual(7)], ids=lambda a: a.label)
+def test_incidence_points_store_their_canonical_triple(arr):
+    # equality of points compares pairs, and every printed form is read from them
+    for pt in intersection_points(arr):
+        assert canonical_pairs(pt.pairs) == pt.pairs
+        assert pt.point == normalized(pt.pairs)
+        assert pt.to_json()["point"] == list(normalized_strs(pt.pairs))
+
+
 def test_proportional_lines_rejected():
     with pytest.raises(ValueError):
         Arrangement([Line(1, 0, 0), Line(3, 0, 0)])
@@ -237,11 +246,13 @@ def _violation(arr):
 def test_intersection_points_match_qw_oracle(incidence_inputs):
     for arr in incidence_inputs:
         expected = incidence_oracle.intersection_points(arr)
-        assert intersection_points(arr) == expected, arr.label
+        found = [(pt.point, pt.lines) for pt in intersection_points(arr)]
+        assert found == [(pt.point, pt.lines) for pt in expected], arr.label
         violation = _violation(arr)
         if violation is not None:
             reference = next(pt for pt in expected if pt.multiplicity > 3)
-            assert json.dumps(violation.to_json()) == json.dumps(reference.to_json())
+            point = [str(c) for c in reference.point]
+            assert violation.to_json() == {"point": point, "lines": list(reference.lines), "multiplicity": reference.multiplicity}
     assert sum(_violation(arr) is not None for arr in incidence_inputs) == 7
 
 

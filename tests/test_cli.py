@@ -547,6 +547,21 @@ def test_pencil_with_a_zero_product_is_an_input_error(capsys, tmp_path, data, st
     assert "every product of a pencil is nonzero" in json.loads(line)["error"]
 
 
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_pencil_with_constant_products_is_an_input_error(capsys, tmp_path, steps):
+    # 1*2 + 1*(-1) - 1*1 = 0, but doubling constants cannot raise the
+    # solution degree, so --steps 2 used to die on an uncaught AssertionError
+    products = [{"degree": 0, "terms": [{"c": c, "exp": [0, 0, 0]}]} for c in ("2", "-1", "1")]
+    data = {"classes": [[0], [1], [2]], "lambdas": ["1", "1", "-1"], "products": products}
+    path = write_json(tmp_path / "pencil.json", data)
+    code = main(["catalan", "generate", path, "--steps", steps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "every product of a pencil has positive degree" in json.loads(line)["error"]
+
+
 @pytest.mark.parametrize("index", [0.5, 0.0])
 def test_catalan_generate_rejects_non_integer_class_index(capsys, tmp_path, index):
     data = find_pencils(concurrent_triple())[0].to_json()

@@ -5,8 +5,11 @@ from itertools import combinations, product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle
 from linalg_oracle import mat_mul, nullspace, package_rank, rref
+from pencilfiber.arrangement import incidence, intersection_points
 from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
+from pencilfiber.fixtures import cuspidal_dual
 from pencilfiber.linalg import PRIME, ZETA, nullspace_f3, rank_mod_p, rank_pairs, residue
 
 small_eis = st.builds(
@@ -228,6 +231,44 @@ def test_nullspace_f3_spans_exactly_the_solutions(system):
     }
     assert span == solutions
     assert 3 ** len(basis) == len(solutions)  # the basis is independent: dimension n - rank
+
+
+@st.composite
+def f3_matrices(draw):
+    """Integer rows with entries outside 0..2, some rows zero, as many as
+    twice the columns, and no columns at all."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(st.integers(min_value=-7, max_value=7), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * n)), max_size=2 * n + 2))
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(f3_matrices())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [4, -1, 5], [0, 0, 0], [2, 2, 2], [-3, 3, 6]], 3))
+def test_nullspace_f3_is_the_gauss_jordan_basis(system):
+    # the basis, not only its span: the pencil search reads its vectors in order
+    rows, n = system
+    assert nullspace_f3(rows, n) == linalg_oracle.nullspace_f3(rows, n)
+
+
+def test_nullspace_f3_of_63_cuspidal_cocycle_rows_is_the_gauss_jordan_basis():
+    # one row per point: 1 on the lines of a triple point, 1 and -1 on those of a double point
+    arr = cuspidal_dual(31)
+    rows = []
+    for pt in intersection_points(arr):
+        row = [0] * arr.r
+        for l in pt.lines:
+            row[l] = 1
+        if pt.multiplicity == 2:
+            row[pt.lines[1]] = -1
+        rows.append(row)
+    assert (arr.r, len(rows)) == (63, 991)
+    basis = nullspace_f3(rows, arr.r)
+    assert basis == linalg_oracle.nullspace_f3(rows, arr.r)
+    assert basis == incidence(arr).cocycles == [[1] * arr.r]
 
 
 def test_nullspace_f3_examples():

@@ -41,3 +41,26 @@ def test_src_has_no_assert_statement():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_src_has_no_unused_import():
+    # a top-level import is used when its name is read somewhere in the
+    # module or re-exported through __all__; a name read only inside a
+    # string annotation would count as unused
+    found = []
+    for path in sorted(pathlib.Path(pencilfiber.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert found == []

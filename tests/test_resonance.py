@@ -8,7 +8,7 @@ import pytest
 from linalg_oracle import rref
 from pencilfiber import resonance
 from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points
-from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, pair_mul
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_mul
 from pencilfiber.fixtures import (
     braid,
     concurrent_triple,
@@ -23,12 +23,12 @@ from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
     build_os2,
     component_isotropy_check,
+    distinct_planes,
     generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
     wedge_vanishes,
-    weight_pairs,
 )
 
 
@@ -134,7 +134,7 @@ def test_build_os2_requires_each_pair_at_one_point():
     # two triple points sharing the pair {0, 1}; their C(3, 2) + C(3, 2) = 6
     # pairs equal C(4, 2), but {2, 3} is never covered
     arr = Arrangement(braid().lines[:4], "corrupt")
-    p, q = (pt.point for pt in intersection_points(arr)[:2])
+    p, q = (pt.pairs for pt in intersection_points(arr)[:2])
     arr._incidence = Incidence((IncidencePoint(p, (0, 1, 2)), IncidencePoint(q, (0, 1, 3))), arr.r)
     with pytest.raises(AssertionError):
         build_os2(arr)
@@ -462,6 +462,22 @@ def test_isotropy_rejects_bad_bases():
         component_isotropy_check(os2, [u, [s * x for x in u]])
 
 
+def test_distinct_planes_of_weights_with_w_parts_and_denominators():
+    # crosscheck passes integer pencil bases; these reach the scaling of Q(w) weights
+    u = E("1/2", "-w", "-1/3+w", "0", "2")
+    v = E("0", "1", "-1/5", "3w", "1+w")
+    s, t = EisensteinNumber(Fraction(2, 3), -1), EisensteinNumber(Fraction(-1, 4), Fraction(5, 7))
+    changed = [[a + s * b for a, b in zip(u, v)], [t * a - b for a, b in zip(u, v)]]
+    other = [u, E("0", "0", "1/7", "1/2w", "0")]
+    dependent = [v, [t * b for b in v]]
+    assert distinct_planes(5, [[u, v], changed]) == 1
+    assert distinct_planes(5, [[u, v], other]) == 2
+    assert distinct_planes(5, [[u, v], dependent]) == 1
+    assert distinct_planes(5, [[u, v], other, changed, dependent]) == 2
+    with pytest.raises(ValueError, match="length 5"):
+        distinct_planes(5, [[u, v[:4]]])
+
+
 def test_kernel_dim_invariant_under_relabeling():
     arr = braid()
     os2 = build_os2(arr)
@@ -556,9 +572,14 @@ def _local_conditions(points, a):
             yield ((i, a[j]), (j, (-a[k][0] - a[i][0], -a[k][1] - a[i][1])), (k, a[j]))
 
 
+def _scaled(a):
+    """The weight vector a scaled once into Z[w]."""
+    return integer_pairs([EisensteinNumber.of(v) for v in a])
+
+
 def _all_points_kernel_dim(os2, a):
     rows = []
-    for cond in _local_conditions(os2.points, weight_pairs(a)):
+    for cond in _local_conditions(os2.points, _scaled(a)):
         if any(c != (0, 0) for _, c in cond):
             row = [(0, 0)] * os2.r
             for l, c in cond:
@@ -568,8 +589,8 @@ def _all_points_kernel_dim(os2, a):
 
 
 def _all_points_wedge(os2, a, b):
-    b = weight_pairs(b)
-    for cond in _local_conditions(os2.points, weight_pairs(a)):
+    b = _scaled(b)
+    for cond in _local_conditions(os2.points, _scaled(a)):
         x = y = 0
         for l, c in cond:
             p, q = pair_mul(c, b[l])
