@@ -20,11 +20,19 @@ parser rejects, is an input error.  ``_load_arrangement`` then applies the
 one multiplicity gate, ``require_multiplicities_ok``; ``main`` turns its
 ``MultiplicityError`` into the ``multiplicity_violation`` payload and
 ``crosscheck`` into that file's row.
+
+Stdout is exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a
+newline.  ``_indented`` writes those bytes itself, quoting strings with the
+stdlib's C quoter, because ``json.dumps`` with an ``indent`` runs the
+stdlib's pure-Python encoder.  ``main`` may be called any number of times in
+one process; the argument parser is built on the first call and reused.
+``python -m pencilfiber`` and the console script run ``main`` once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -83,8 +91,43 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C quoter json.dumps uses
+
+
+def _indented(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    nested ``indent`` deep.
+
+    That call takes the stdlib's pure-Python encoder (only ``indent=None``
+    reaches its C one), so the text is joined here by type instead.  A key
+    that is not a str, or a float, neither of which a payload holds, raises
+    TypeError (the quoter takes only str).
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_indented(item, inner)}" for key, item in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[\n{inner}" + f",\n{inner}".join([_indented(item, inner) for item in value]) + f"\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_indented(payload, ""))
 
 
 def _load_json(path: str) -> dict:
@@ -319,7 +362,16 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_INCONSISTENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps nothing from one call to the next: each returns a
+    fresh namespace filled from the defaults.  The parser holds no command
+    function: ``main`` looks ``cmd_<command>`` up when it runs, so a function
+    later replaced on this module (a test's patch, a tracing wrapper) is the
+    one called.
+    """
     parser = _Parser(
         prog="pencilfiber",
         description="Exact arrangement invariants and cube Catalan equations over Q(w).",
@@ -328,26 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full invariant report for one arrangement")
     p.add_argument("path")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pencils", help="pencil decompositions of one arrangement")
     p.add_argument("path")
-    p.set_defaults(func=cmd_pencils)
 
     p = sub.add_parser("resonance", help="resonance components and optional weight probe")
     p.add_argument("path")
     p.add_argument("--vector", help="JSON list of field elements with sum zero")
-    p.set_defaults(func=cmd_resonance)
 
     p = sub.add_parser("catalan", help="verify, generate or descend cube relations")
     p.add_argument("action", choices=["verify", "generate", "descend"])
     p.add_argument("path")
     p.add_argument("--steps", type=int, default=1)
-    p.set_defaults(func=cmd_catalan)
 
     p = sub.add_parser("crosscheck", help="batch-run a directory and check consistency")
     p.add_argument("directory")
-    p.set_defaults(func=cmd_crosscheck)
 
     return parser
 
@@ -355,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, ParseError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT

@@ -14,8 +14,8 @@ the weight sums to zero, in the few unknowns that its union-find leaves
 prime fields, and serves two questions.  ``rank_mod_p`` is the rank over
 F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
 w -> ZETA, a cube root of unity mod p; it is a lower bound for the rank
-over Z[w], so it certifies full row rank and nothing else
-(``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
+over Z[w], so it certifies full rank, min(rows, columns), and nothing
+else (``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
 by back substitution in the echelon form (``pencils``).  Questions that
 live in 3-space need no elimination and are not asked here: they are cross
 and dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).

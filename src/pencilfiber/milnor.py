@@ -5,11 +5,13 @@ failure of the triple points to impose independent conditions on curves of
 degree 2r/3 - 3: s = |S| - rank of the evaluation matrix of all such
 monomials at the triple points.  Each point is evaluated at the Z[w] triple
 that the incidence record keeps for it, so the matrix and its Bareiss rank
-stay exact and in Z[w].  When there are no more triple points than
-monomials, the rank is first taken modulo a prime p = 1 (mod 3), with w
-sent to a cube root of unity mod p (``linalg.rank_mod_p``): that map is a
-ring homomorphism, so full row rank mod p is a nonzero maximal minor over
-Z[w] and s = 0 exactly, and only a lower rank mod p falls back to Bareiss.
+stay exact and in Z[w].  The rank is first taken modulo a prime
+p = 1 (mod 3), with w sent to a cube root of unity mod p
+(``linalg.rank_mod_p``): that map is a ring homomorphism, so the rank mod p
+is a lower bound, and full rank mod p on either side -- min(T, M) for T
+triple points and M monomials -- is a nonzero maximal minor over Z[w] and
+gives s = T - min(T, M) exactly.  Only a lower rank mod p falls back to
+Bareiss.
 For r = 3 the degree is negative, the matrix has no columns and s = |S|;
 with no triple points it has no rows and s = 0.  When r is not divisible by
 3 the cube-root eigenvalues cannot occur and s is reported as 0.
@@ -84,10 +86,11 @@ def _evaluation_residues(points: list[IncidencePoint], degree: int) -> list[list
 def superabundance(arr: Arrangement) -> int:
     """s = |triple points| - rank of the degree-(2r/3 - 3) evaluation matrix.
 
-    With no more triple points T than monomials, the rank mod PRIME is taken
-    first: rank T there is a nonzero T x T minor over Z[w], so s = 0
-    exactly.  Otherwise, or when the rank mod p is lower, the Bareiss rank
-    over Z[w] decides.
+    The rank mod PRIME is taken first.  With T triple points and M
+    monomials the rank over Z[w] is at most min(T, M), and the rank mod p is
+    at most the rank over Z[w]; so a rank mod p of min(T, M) is the rank,
+    and s = T - min(T, M) exactly.  Only a lower rank mod p falls back to
+    the Bareiss rank over Z[w].
     """
     points = require_multiplicities_ok(arr)
     r = arr.r
@@ -95,8 +98,9 @@ def superabundance(arr: Arrangement) -> int:
         return 0
     triple = [pt for pt in points if pt.multiplicity == 3]
     degree = 2 * r // 3 - 3
-    if len(triple) <= len(monomial_exponents(degree)) and rank_mod_p(_evaluation_residues(triple, degree)) == len(triple):
-        return 0
+    full = min(len(triple), len(monomial_exponents(degree)))
+    if rank_mod_p(_evaluation_residues(triple, degree)) == full:
+        return len(triple) - full
     return len(triple) - rank_pairs(_evaluation_matrix(triple, degree))
 
 

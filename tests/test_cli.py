@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pencilfiber
 from linalg_oracle import rref
@@ -49,13 +53,16 @@ def run_cli(capsys, argv):
     return code, out
 
 
-def run_entry_point(argv):
-    """``python -m pencilfiber`` in a fresh interpreter, so ``run()`` sets the exit code."""
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's pencilfiber."""
     src = str(pathlib.Path(pencilfiber.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "pencilfiber", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_entry_point(argv):
+    """``python -m pencilfiber`` in a fresh interpreter, so ``run()`` sets the exit code."""
+    return run_python("-m", "pencilfiber", *argv)
 
 
 def test_analyze_dual_hesse(capsys, dual_hesse_file):
@@ -1071,6 +1078,110 @@ def test_stdout_bytes_are_pinned(capsys, corpus_dir, tmp_path, command, name):
     code, out = run_cli(capsys, [*command.split(), str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, name]
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "/", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+)
+_TEXT = st.lists(st.one_of(_AWKWARD, st.characters(exclude_categories=())), max_size=8).map("".join)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def _emitted(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_emit_matches_json_dumps(value):
+    """The writer behind every stdout byte is the stdlib's indented encoder,
+    on nested containers, empty ones, big ints, bools, None and strings with
+    quotes, backslashes, control characters, non-ASCII text and lone
+    surrogates."""
+    assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_matches_json_dumps_on_error_payloads(capsys, tmp_path):
+    with pytest.raises(MultiplicityError) as violation:
+        cli._load_arrangement(write_json(tmp_path / "bad.json", four_concurrent().to_json()))
+    unfactored = write_json(tmp_path / "descend.json", {**_criterion_8_descent(), "known_factors": []})
+    code, obstruction = run_cli(capsys, ["catalan", "descend", unfactored])
+    assert code == 2
+    payloads = [
+        cli._violation_payload(violation.value.point),
+        json.loads(obstruction),
+        {"error": "domain_error", "detail": 'cannot use "corpus/\u00fcber/\u03c0 \u2014 \U0001f600.json"'},
+    ]
+    assert payloads[1]["error"] == "descent_obstruction"
+    for payload in payloads:
+        assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"x": 0.5}, [1.0], {1: "x"}, {"x": 1, 2: "y"}, {"x": {1, 2}}],
+    ids=["float", "float_in_list", "int_key", "mixed_keys", "set"],
+)
+def test_emit_refuses_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        _emitted(value)
+
+
+def test_one_parser_serves_every_call_and_import_builds_none():
+    proc = run_python(
+        "-c",
+        "from pencilfiber import cli\n"
+        "assert cli.build_parser.cache_info().currsize == 0\n"
+        "assert cli.main(['--steps', 'abc']) == 1\n"
+        "assert cli.main(['analyze']) == 1\n"
+        "print(cli.build_parser.cache_info().misses)\n",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, corpus_dir, tmp_path):
+    """An option given to one call is gone from the next, and a usage error
+    leaves the parser as it was."""
+    braid_path = str(corpus_dir / "braid.json")
+    pencil = write_json(tmp_path / "pencil.json", PINNED_INPUTS["pencil.json"]())
+
+    def digest(argv):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest(), json.loads(out)
+
+    probed, _ = digest(["resonance", "--vector", README_PROBE, braid_path])
+    assert probed == STDOUT_SHA256["resonance --vector " + README_PROBE, "braid.json"]
+    plain, payload = digest(["resonance", braid_path])
+    assert plain == STDOUT_SHA256["resonance", "braid.json"] and "probe" not in payload
+    stepped, payload = digest(["catalan", "generate", "--steps", "3", pencil])
+    assert stepped == STDOUT_SHA256["catalan generate --steps 3", "pencil.json"]
+    _, payload = digest(["catalan", "generate", pencil])
+    assert payload["steps"] == 1 and len(payload["relations"]) == 1
+    assert run_cli(capsys, ["catalan", "generate", pencil, "--steps", "abc"]) == (1, "")
+    after, _ = digest(["catalan", "generate", "--steps", "3", pencil])
+    assert after == stepped
+    assert digest(["analyze", braid_path])[0] == STDOUT_SHA256["analyze", "braid.json"]
 
 
 def test_crosscheck_builds_no_field_element(capsys, corpus_dir, monkeypatch):

@@ -220,25 +220,22 @@ def test_evaluation_residues_are_the_image_of_the_zw_matrix(points, degree):
 
 
 def test_superabundance_certifies_full_row_rank_mod_p(monkeypatch):
-    """near_pencil_6 has one triple point and 3 monomials of degree 1: rank 1
-    mod p decides s = 0 without Bareiss.  A rank mod p below the number of
-    triple points decides nothing, and with more triple points than
-    monomials (braid: 4 against 3) no rank mod p is taken."""
+    """A rank mod p of min(T, M), for T triple points and M monomials, is
+    the rank: braid (T = 4 against M = 3, rank 3) gives s = 1 and
+    near_pencil_6 (T = 1 against M = 3, rank 1) gives s = 0, neither with
+    Bareiss.  A rank mod p below min(T, M) decides nothing: Bareiss runs and
+    gives the same s."""
     bareiss = []
 
     def counted(rows):
         bareiss.append(rows)
         return rank_pairs(rows)
 
-    def refuse(rows):
-        raise AssertionError("rank mod p taken")
-
     monkeypatch.setattr(milnor, "rank_pairs", counted)
+    assert superabundance(braid()) == 1
     assert superabundance(near_pencil_six()) == 0
     assert bareiss == []
-    monkeypatch.setattr(milnor, "rank_mod_p", lambda rows: len(rows) - 1)
-    assert superabundance(near_pencil_six()) == 0
-    assert len(bareiss) == 1
-    monkeypatch.setattr(milnor, "rank_mod_p", refuse)
+    monkeypatch.setattr(milnor, "rank_mod_p", lambda rows: min(len(rows), len(rows[0])) - 1)
     assert superabundance(braid()) == 1
+    assert superabundance(near_pencil_six()) == 0
     assert len(bareiss) == 2
