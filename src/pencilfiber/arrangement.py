@@ -9,10 +9,11 @@ a positive integer, integer content 1).  The point of two lines is their
 cross product, and a third line passes through it iff their dot product is
 exactly zero.  Points are grouped by these incidence tests, not by hashing
 coordinates, and each stores only the canonical triple of its cross
-product and its lines.  Lines and points store no Q(w) form: their Q(w)
-coordinates, lead coordinate 1, are computed by ``eisenstein.normalized``
-where they are printed.  The points are sorted by the strings of those
-coordinates, which ``eisenstein.normalized_strs`` prints from the integers.
+product and its lines.  Lines and points store no Q(w) form, and build
+none to be printed: the strings of their Q(w) coordinates, lead coordinate
+1, are printed from the integers by ``eisenstein.normalized_strs``, and the
+points are sorted by those strings.  The Q(w) coordinates themselves are
+computed by ``eisenstein.normalized`` only where code reads them.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
@@ -78,8 +79,9 @@ class Line:
     ``pairs`` is its canonical Z[w] triple (``eisenstein.canonical_pairs``):
     the first nonzero coefficient is the positive integer ``scale`` and the
     integer content is 1.  Equality and hashing read ``pairs``.  ``coeffs``,
-    the Q(w) triple whose first nonzero coefficient is 1, is read only to
-    print the line: it is pairs / scale, ``eisenstein.normalized(pairs)``.
+    the Q(w) triple whose first nonzero coefficient is 1, is pairs / scale,
+    ``eisenstein.normalized(pairs)``; ``to_json`` prints the same triple
+    from the integers, by ``eisenstein.normalized_strs``.
     """
 
     __slots__ = ("pairs", "scale")
@@ -118,10 +120,10 @@ class Line:
         return hash(self.pairs)
 
     def __repr__(self) -> str:
-        return f"Line({', '.join(str(c) for c in self.coeffs)})"
+        return f"Line({', '.join(self.to_json())})"
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return list(normalized_strs(self.pairs))
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Line":
@@ -180,8 +182,9 @@ class IncidencePoint:
     ``pairs`` is a Z[w] triple of the point; ``incidence`` stores its
     canonical triple (``eisenstein.canonical_pairs``), so equality and
     hashing, which read ``pairs`` and ``lines``, compare points exactly.
-    ``point``, the Q(w) triple whose first nonzero coordinate is 1, is read
-    only to print the point: it is ``eisenstein.normalized(pairs)``.
+    ``point``, the Q(w) triple whose first nonzero coordinate is 1, is
+    ``eisenstein.normalized(pairs)``; ``point_str`` and ``to_json`` print the
+    same triple from the integers, by ``eisenstein.normalized_strs``.
     """
 
     pairs: tuple[Pair, ...]
@@ -195,12 +198,16 @@ class IncidencePoint:
     def multiplicity(self) -> int:
         return len(self.lines)
 
+    def _strs(self) -> tuple[str, ...]:
+        # pairs need not be canonical when the point is built by hand
+        return normalized_strs(canonical_pairs(self.pairs))
+
     def point_str(self) -> str:
-        return "[" + ":".join(str(c) for c in self.point) + "]"
+        return "[" + ":".join(self._strs()) + "]"
 
     def to_json(self) -> dict:
         return {
-            "point": [str(c) for c in self.point],
+            "point": list(self._strs()),
             "lines": list(self.lines),
             "multiplicity": self.multiplicity,
         }

@@ -25,8 +25,10 @@ the same parts in Fractions.  ``canonical_pairs`` is the normal form of a
 projective Z[w] triple: first nonzero entry a positive integer, integer
 content 1.  ``normalized`` is the way back: it turns a Z[w] triple into the
 Q(w) triple of the same projective point whose first nonzero entry is 1,
-and ``normalized_strs`` prints that triple from integers alone, by
-``format_parts``, the formatter ``EisensteinNumber.__str__`` uses.
+and ``normalized_strs`` prints that triple from integers alone.  Its
+entries, and any (a + b*w) / d over Z[w], are printed by ``quotient_str``,
+which reduces each part by a gcd and hands it to ``format_parts``, the
+formatter ``EisensteinNumber.__str__`` uses.
 """
 
 from __future__ import annotations
@@ -405,16 +407,20 @@ def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, ...]:
     return tuple((x // g, y // g) for x, y in p)
 
 
+def quotient_str(v: Pair, d: int) -> str:
+    """The canonical string of (a + b*w) / d for v = (a, b) in Z[w] and a
+    positive integer d: ``str`` of that element of Q(w), with no Fraction."""
+    a, b = v
+    ga, gb = math.gcd(a, d), math.gcd(b, d)
+    return format_parts(a // ga, d // ga, b // gb, d // gb)
+
+
 def normalized_strs(c: Sequence[Pair]) -> tuple[str, ...]:
     """``tuple(str(x) for x in normalized(c))`` for a triple c from
     ``canonical_pairs``, computed from integers: with lead the integer L,
-    each entry (x, y) is x/L + (y/L)*w."""
+    each entry v is v / L (``quotient_str``)."""
     lead = next(x for x, _ in c if x)
-    out = []
-    for x, y in c:
-        gx, gy = math.gcd(x, lead), math.gcd(y, lead)
-        out.append(format_parts(x // gx, lead // gx, y // gy, lead // gy))
-    return tuple(out)
+    return tuple(quotient_str(v, lead) for v in c)
 
 
 ZERO = EisensteinNumber(0)

@@ -16,7 +16,8 @@ A product of linear forms is multiplied over Z[w]: ``linear_product_pairs``
 takes the lines as Z[w] triples and returns {exponent: (a, b)} with plain
 int arithmetic, and ``product_of_linear_forms`` is its Q(w) view, the
 integer product divided by the product of the lines' scales
-(``HomForm.from_pairs``).
+(``HomForm.from_pairs``).  ``HomForm.json_from_pairs`` prints that view
+from the integers without building it.
 
 JSON wire formats:
 
@@ -29,7 +30,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .eisenstein import ONE, ZERO, EisensteinNumber, Pair, integer_pairs, integer_scale, json_int, json_list, json_object
+from .eisenstein import (
+    ONE,
+    ZERO,
+    EisensteinNumber,
+    Pair,
+    integer_pairs,
+    integer_scale,
+    json_int,
+    json_list,
+    json_object,
+    quotient_str,
+)
 
 Exponent = tuple[int, int, int]
 
@@ -122,6 +134,13 @@ class HomForm(_Polynomial):
     def from_pairs(cls, degree: int, table: dict[Exponent, Pair], denominator: int) -> "HomForm":
         """The form whose coefficient at e is (a + b*w) / denominator, for each entry (a, b) = table[e] over Z[w]."""
         return cls(degree, {e: EisensteinNumber(Fraction(a, denominator), Fraction(b, denominator)) for e, (a, b) in table.items()})
+
+    @staticmethod
+    def json_from_pairs(degree: int, table: dict[Exponent, Pair], denominator: int) -> dict:
+        """``from_pairs(degree, table, denominator).to_json()``, printed from the
+        integers for a positive denominator, with no form built."""
+        terms = [{"exp": list(e), "c": quotient_str(v, denominator)} for e, v in sorted(table.items(), reverse=True) if v != (0, 0)]
+        return {"degree": degree, "terms": terms}
 
     def leading(self) -> EisensteinNumber:
         """The coefficient of the greatest exponent."""

@@ -17,10 +17,13 @@ at each double point {i, j} and tau_i + tau_j + tau_k = 0 at each triple
 point {i, j, k}.  Those are the mod-3 cocycles of Papadima and Suciu ("The
 Milnor fibration of a hyperplane arrangement: from modular resonance to
 algebraic monodromy", Proc. LMS 2017).  They include sigma = (1, ..., 1),
-and beta_3, their dimension modulo sigma, is at most 2, so the kernel
-spans at most 27 vectors; each one whose level sets are three classes of k
-lines is a candidate.  The kernel's basis is solved once per arrangement, on
-its incidence record (``arrangement.Incidence.cocycles``, by
+and beta_3 is their dimension modulo sigma, at most 2.  A cocycle tau and
++-tau + c*sigma have the same level sets, with their labels permuted, and
+every permutation of F3 is such a map x -> +-x + c; so the search tries one
+cocycle per class modulo sigma and sign, at most (3^beta_3 - 1)/2 = 4 of
+them, and each whose level sets are three classes of k lines is a
+candidate, found once.  The kernel's basis is solved once per arrangement,
+on its incidence record (``arrangement.Incidence.cocycles``, by
 ``linalg.nullspace_f3``), and ``beta3`` and the search both read it.
 
 The search runs over Z[w].  Each line carries its Z[w] triple, scaled from
@@ -36,14 +39,14 @@ kernel needs no elimination: it is the cross product ``pair_cross`` of two
 rows that are not proportional.  Each accepted dependence is re-verified
 exactly, by a zero ``pair_dot`` with every monomial row.  An accepted
 pencil keeps G1, G2, G3, the scales and the kernel vector as its Z[w]
-certificate, and its Q(w) objects are built from it on the first read of
-``lambdas`` or ``products`` (also through ``scaled_products`` or
-``to_json``): F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector times
-(c1, c2, c3), scaled by ``eisenstein.normalized`` so that l1 = 1.  A
-rejected candidate, and a pencil that is only counted or whose classes are
-only read, builds no Q(w) object.  ``find_pencils`` is the one
-answer: whether an arrangement is composed of a reduced pencil is its truth
-value, and the number of pencils its length.
+certificate: F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector times
+(c1, c2, c3), scaled so that l1 = 1.  ``to_json`` prints both from the
+integers (``eisenstein.normalized_strs`` and ``HomForm.json_from_pairs``),
+and the Q(w) objects are built from the certificate only on the first read
+of ``lambdas`` or ``products`` (also through ``scaled_products``).  So the
+search, and printing what it found, build no Q(w) object and no Fraction.
+``find_pencils`` is the one answer: whether an arrangement is composed of
+a reduced pencil is its truth value, and the number of pencils its length.
 
 Pencil JSON: {"classes": [[i, ...], [i, ...], [i, ...]],
               "lambdas": ["<eis>", ...],
@@ -56,15 +59,18 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
+from typing import Iterator
 
 from .arrangement import Arrangement, incidence, require_multiplicities_ok
 from .eisenstein import (
     EisensteinNumber,
     Pair,
+    canonical_pairs,
     json_int,
     json_list,
     json_object,
     normalized,
+    normalized_strs,
     pair_cross,
     pair_dot,
 )
@@ -82,9 +88,11 @@ class PencilDecomposition:
     vanishes identically.
 
     ``find_pencils`` builds a pencil from its Z[w] certificate
-    (``from_certificate``), and ``lambdas`` and ``products`` from that on
-    first read; equality, hashing, the repr and ``dataclasses.replace`` read
-    them as the dataclass defines them.
+    (``from_certificate``), which ``to_json`` prints, and ``lambdas`` and
+    ``products`` from that on first read; equality, hashing, the repr and
+    ``dataclasses.replace`` read them as the dataclass defines them.  A
+    pencil built from its fields, as ``from_json`` builds one, has no
+    certificate and prints its fields, whose l1 need not be 1.
     """
 
     classes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -103,7 +111,9 @@ class PencilDecomposition:
         c_i * F_i for the positive integer scales c_i, with sum kernel_i G_i = 0."""
         pencil = cls.__new__(cls)
         object.__setattr__(pencil, "classes", classes)
-        object.__setattr__(pencil, "_certificate", (products, scales, kernel))
+        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i
+        lam = [(a * c, b * c) for (a, b), c in zip(kernel, scales)]
+        object.__setattr__(pencil, "_certificate", (products, scales, lam))
         return pencil
 
     def __getattr__(self, name: str) -> object:
@@ -111,10 +121,9 @@ class PencilDecomposition:
         certificate = self.__dict__.get("_certificate")
         if certificate is None or name not in ("lambdas", "products"):
             raise AttributeError(name)
-        products, scales, kernel = certificate
+        products, scales, lam = certificate
         degree = len(self.classes[0])
-        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i
-        object.__setattr__(self, "lambdas", normalized([(a * c, b * c) for (a, b), c in zip(kernel, scales)]))
+        object.__setattr__(self, "lambdas", normalized(lam))
         object.__setattr__(self, "products", tuple(HomForm.from_pairs(degree, p, c) for p, c in zip(products, scales)))
         return self.__dict__[name]
 
@@ -123,11 +132,17 @@ class PencilDecomposition:
         return tuple(f * l for l, f in zip(self.lambdas, self.products))
 
     def to_json(self) -> dict:
-        return {
-            "classes": [list(c) for c in self.classes],
-            "lambdas": [str(l) for l in self.lambdas],
-            "products": [f.to_json() for f in self.products],
-        }
+        certificate = self.__dict__.get("_certificate")
+        if certificate is None:
+            lambdas = [str(l) for l in self.lambdas]
+            products = [f.to_json() for f in self.products]
+        else:
+            # the strings of the Q(w) view that __getattr__ builds
+            tables, scales, lam = certificate
+            lambdas = list(normalized_strs(canonical_pairs(lam)))
+            degree = len(self.classes[0])
+            products = [HomForm.json_from_pairs(degree, table, c) for table, c in zip(tables, scales)]
+        return {"classes": [list(c) for c in self.classes], "lambdas": lambdas, "products": products}
 
     @classmethod
     def from_json(cls, data: dict) -> "PencilDecomposition":
@@ -145,6 +160,13 @@ class PencilDecomposition:
             raise ValueError("every product of a pencil is nonzero")
         if any(p.degree == 0 for p in products):
             raise ValueError("every product of a pencil has positive degree")
+        if len({p.degree for p in products}) != 1:
+            raise ValueError("the products of a pencil have one degree")
+        if any(len(c) != p.degree for c, p in zip(classes, products)):
+            raise ValueError("every class of a pencil has as many lines as its product's degree")
+        indices = [i for c in classes for i in c]
+        if min(indices) < 0 or len(set(indices)) != len(indices):
+            raise ValueError("the classes of a pencil hold distinct nonnegative line indices")
         return cls(classes, lambdas, products)
 
 
@@ -191,17 +213,37 @@ def beta3(arr: Arrangement) -> int:
     return len(_cocycles(arr)) - 1
 
 
+def _cocycle_classes(basis: list[list[int]]) -> Iterator[list[int]]:
+    """One cocycle from each class of the cocycles modulo sigma and sign,
+    except the class of 0: (3^beta_3 - 1)/2 of them.
+
+    Each basis vector from ``nullspace_f3`` is 1 at its own free column and
+    0 at the other free columns, so sigma, which is 1 at every column, is
+    the sum of the basis, and all vectors but the last span a complement of
+    sigma.  A class is named by its coefficient vector on that complement
+    whose first nonzero entry is 1.
+    """
+    if [sum(column) % 3 for column in zip(*basis)] != [1] * len(basis[0]):
+        raise AssertionError("sigma is not the sum of the cocycle basis")
+    columns = list(zip(*basis[:-1]))
+    for coeffs in product(range(3), repeat=len(basis) - 1):
+        if next((c for c in coeffs if c), 0) == 1:
+            yield [sum(map(mul, coeffs, column)) % 3 for column in columns]
+
+
 def _cocycle_partitions(arr: Arrangement) -> list[tuple[tuple[int, ...], ...]]:
     """The level sets of the cocycles that are three classes of r/3 lines.
 
-    These are the partitions that obey the 3-net rules, sorted by least line.
+    These are the partitions that obey the 3-net rules, sorted by least
+    line.  Two cocycles have the same level sets iff they are in one class
+    modulo sigma and sign, so each partition is found once.
     """
     k = arr.r // 3
-    basis = _cocycles(arr)
-    found = set()
-    for coeffs in product(range(3), repeat=len(basis)):
-        tau = [sum(map(mul, coeffs, column)) % 3 for column in zip(*basis)]
-        classes = tuple(tuple(i for i, t in enumerate(tau) if t == v) for v in range(3))
+    found = []
+    for tau in _cocycle_classes(_cocycles(arr)):
+        classes: tuple[list[int], ...] = ([], [], [])
+        for i, t in enumerate(tau):
+            classes[t].append(i)
         if all(len(c) == k for c in classes):
-            found.add(tuple(sorted(classes)))
+            found.append(tuple(sorted(tuple(c) for c in classes)))
     return sorted(found)

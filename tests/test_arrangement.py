@@ -12,6 +12,7 @@ from canonical_oracle import canonical_encoding
 from pencilfiber import arrangement
 from pencilfiber.arrangement import (
     Arrangement,
+    IncidencePoint,
     Line,
     MultiplicityError,
     combinatorial_type,
@@ -143,6 +144,19 @@ def test_integer_sort_key_prints_the_normalized_point():
         assert c == tuple(integer_pairs(normalized(p)))
         assert normalized_strs(c) == tuple(str(x) for x in normalized(p))
     assert min(w_leads, negative_leads) > 300
+
+
+def test_lines_and_points_print_their_qw_view_from_integers(incidence_inputs):
+    """``Line.to_json``, ``IncidencePoint.to_json`` and ``point_str`` print
+    the strings of ``coeffs`` and ``point``, also for a point built by hand
+    from a triple that is not canonical."""
+    for arr in incidence_inputs:
+        for line in arr.lines:
+            assert line.to_json() == [str(c) for c in line.coeffs]
+        for pt in intersection_points(arr):
+            assert pt.to_json()["point"] == [str(c) for c in pt.point]
+    pt = IncidencePoint(((0, 2), (-4, 6), (0, 0)), (0, 1, 2, 3))
+    assert pt.point_str() == "[" + ":".join(str(c) for c in pt.point) + "]" == "[1:5+2*w:0]"
 
 
 class _Unscannable(tuple):

@@ -299,3 +299,19 @@ def test_homform_json_requires_three_exponents(exp):
     # an exponent has exactly three entries: no IndexError, no dropped fourth entry
     with pytest.raises(ValueError):
         HomForm.from_json({"degree": 1, "terms": [{"exp": exp, "c": "1"}]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+        max_size=8,
+    ),
+    st.integers(1, 60),
+)
+def test_json_from_pairs_prints_the_form_from_pairs_builds(entries, denominator):
+    # zero entries are dropped, as the form drops them
+    table = {(i, j, 6 - i - j): v for (i, j), v in entries.items()}
+    expected = HomForm.from_pairs(6, table, denominator).to_json()
+    assert HomForm.json_from_pairs(6, table, denominator) == expected

@@ -1,14 +1,16 @@
 import json
 import math
 import random
+import shutil
 import sys
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from pencilfiber import cli, linalg
 from pencilfiber import pencils as pencils_module
-from pencilfiber.arrangement import Arrangement, Line, MultiplicityError, intersection_points, proj_transform
+from pencilfiber.arrangement import Arrangement, Line, MultiplicityError, incidence, intersection_points, proj_transform
 from pencilfiber.eisenstein import ZERO, EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
@@ -372,3 +374,154 @@ def test_permuted_lambda_fails_reverification(monkeypatch):
     monkeypatch.setattr(pencils_module, "pair_cross", permuted)
     with pytest.raises(AssertionError, match="re-verification"):
         find_pencils(dual_hesse())
+
+
+def _cocycle_partitions_oracle(arr):
+    """The level sets of all 3^(beta_3 + 1) cocycles that are three classes of
+    r/3 lines, each kept once: the search before it tried one cocycle per
+    class modulo sigma and sign."""
+    k = arr.r // 3
+    basis = incidence(arr).cocycles
+    found = set()
+    for coeffs in product(range(3), repeat=len(basis)):
+        tau = [sum(c * v for c, v in zip(coeffs, column)) % 3 for column in zip(*basis)]
+        classes = tuple(tuple(i for i, t in enumerate(tau) if t == v) for v in range(3))
+        if all(len(c) == k for c in classes):
+            found.add(tuple(sorted(classes)))
+    return sorted(found)
+
+
+def _criterion_10_variants(corpus):
+    """The 120 variants of ``test_criterion_10_invariance``: per corpus file,
+    five seeded projective images, then five seeded reorderings."""
+    rng = random.Random(777)
+    variants = []
+    for _, arr in sorted(corpus.items()):
+        made = 0
+        while made < 5:
+            matrix = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            try:
+                variants.append(proj_transform(arr, matrix))
+            except ValueError:
+                continue
+            made += 1
+        for _ in range(5):
+            order = list(range(arr.r))
+            rng.shuffle(order)
+            variants.append(arr.reordered(order))
+    return variants
+
+
+def test_one_cocycle_per_class_matches_the_full_enumeration(corpus_dir):
+    corpus = {p.name: Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))}
+    fixtures = [b() for b in (dual_hesse, braid, ceva_two, triangle, concurrent_triple, generic_six, generic_nine, near_pencil_six)]
+    variants = _criterion_10_variants(corpus)
+    hesse = dual_hesse()
+    subs = [hesse.reordered(subset) for n in range(1, 10) for subset in combinations(range(9), n)]
+    assert (len(variants), len(subs)) == (120, 511)
+    candidates = 0
+    for arr in [*corpus.values(), *fixtures, *variants, *subs]:
+        expected = _cocycle_partitions_oracle(arr)
+        assert pencils_module._cocycle_partitions(arr) == expected, arr.label
+        tried = list(pencils_module._cocycle_classes(incidence(arr).cocycles))
+        assert len(tried) == (3 ** beta3(arr) - 1) // 2, arr.label
+        candidates += len(expected)
+    assert candidates > len(corpus) + len(variants)
+
+
+def test_cocycle_classes_check_that_sigma_is_the_sum_of_the_basis():
+    basis = incidence(dual_hesse()).cocycles
+    assert list(pencils_module._cocycle_classes(basis))
+    with pytest.raises(AssertionError, match="sigma"):
+        list(pencils_module._cocycle_classes(basis[:-1]))
+
+
+def _count_constructions(monkeypatch):
+    """A counter of later Fraction and EisensteinNumber constructions."""
+    counts = {"Fraction": 0, "EisensteinNumber": 0}
+
+    def counting(kind, original):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", counting("Fraction", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # the arithmetic's constructor from Python 3.12
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting("Fraction", Fraction._from_coprime_ints.__func__)))
+    monkeypatch.setattr(EisensteinNumber, "__init__", counting("EisensteinNumber", EisensteinNumber.__init__))
+    return counts
+
+
+def test_arrangement_commands_build_no_field_element(corpus_dir, tmp_path, monkeypatch, capsys):
+    """analyze, pencils, resonance and crosscheck compute over Z[w] and print
+    from the integers, pencils and a multiplicity violation included."""
+    for path in corpus_dir.glob("*.json"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "four_concurrent.json").write_text(json.dumps(four_concurrent().to_json()))
+    files = sorted(str(p) for p in tmp_path.glob("*.json"))
+    counts = _count_constructions(monkeypatch)
+    EisensteinNumber(Fraction(1, 2))
+    seen = dict(counts)
+    assert seen["Fraction"] >= 1 and seen["EisensteinNumber"] == 1  # the counters see both
+    codes = [cli.main([command, path]) for command in ("analyze", "pencils", "resonance") for path in files]
+    codes.append(cli.main(["crosscheck", str(tmp_path)]))
+    out = capsys.readouterr().out
+    assert codes.count(2) == 3 and '"pencils": [\n    {' in out
+    assert counts == seen
+
+
+def test_pencil_json_from_certificate_is_the_json_of_its_qw_view(corpus_dir):
+    arrangements = [Arrangement.from_json(json.loads(path.read_text())) for path in sorted(corpus_dir.glob("*.json"))]
+    arrangements += _pgl_images((concurrent_triple, braid, ceva_two, dual_hesse), 2, 13)
+    found = 0
+    for arr in arrangements:
+        for pencil in find_pencils(arr):
+            before = pencil.to_json()
+            view = PencilDecomposition(pencil.classes, pencil.lambdas, pencil.products).to_json()
+            assert json.dumps(before) == json.dumps(view) == json.dumps(pencil.to_json()), arr.label
+            found += 1
+    assert found > len(arrangements)
+
+
+def test_parsed_pencil_prints_its_fields():
+    """A parsed pencil has no certificate, and its l1 need not be 1."""
+    data = find_pencils(braid())[0].to_json()
+    scale = EisensteinNumber(2, 3)
+    data["lambdas"] = [str(EisensteinNumber.of(l) * scale) for l in data["lambdas"]]
+    assert data["lambdas"][0] == "2+3*w"
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert json.dumps(PencilDecomposition.from_json(json.loads(text)).to_json(), indent=2, sort_keys=True) == text
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([[-1], [0], [0]], "distinct nonnegative"),
+        ([[0, 1, 2, 3], [], [5]], "as many lines"),
+        ([[0], [0], [0]], "distinct nonnegative"),
+        ([[0, 1], [2], [3]], "as many lines"),
+    ],
+)
+def test_pencil_classes_must_hold_their_products_lines(classes, message, tmp_path, capsys):
+    data = find_pencils(concurrent_triple())[0].to_json()
+    with pytest.raises(ValueError, match=message):
+        PencilDecomposition.from_json(dict(data, classes=classes))
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(dict(data, classes=classes)))
+    assert cli.main(["catalan", "generate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in json.loads(captured.err)["error"]
+
+
+def test_pencil_products_must_have_one_degree(tmp_path, capsys):
+    # classes of 1, 2 and 1 lines fit their products, but no pencil has them
+    line = {"degree": 1, "terms": [{"exp": [1, 0, 0], "c": "1"}]}
+    conic = {"degree": 2, "terms": [{"exp": [2, 0, 0], "c": "1"}]}
+    data = {"classes": [[0], [1, 2], [3]], "lambdas": ["1", "1", "-1"], "products": [line, conic, line]}
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["catalan", "generate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one degree" in json.loads(captured.err)["error"]
