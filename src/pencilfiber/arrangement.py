@@ -19,7 +19,10 @@ The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
 the points on each line, the first point on more than three lines, if any,
 and, on first use, the F3 basis of the mod-3 cocycles that ``pencils``
-reads for beta_3 and the candidate partitions.
+reads for beta_3 and the candidate partitions.  A double point only says
+that its two lines carry one label, so a union-find joins them into
+classes, and ``linalg.nullspace_f3`` receives one row per triple point over
+one column per class; the basis is expanded back to the lines by class.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -57,7 +60,7 @@ from .eisenstein import (
     pair_dot,
     parts_pairs,
 )
-from .linalg import nullspace_f3
+from .linalg import find, nullspace_f3
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -241,19 +244,42 @@ class Incidence:
         """F3 basis of the tau with tau_i = tau_j at each double point {i, j}
         and tau_i + tau_j + tau_k = 0 at each triple point {i, j, k}.
 
+        The double points are solved without elimination: a union-find joins
+        their lines into classes, each rooted at its largest line, and tau
+        is constant on a class.  ``nullspace_f3`` gets one row per triple
+        point over one column per class, in the order of the roots, with
+        the point's lines added into their classes' columns (two lines of
+        one class give 2, three give 0 mod 3), and each basis vector is
+        expanded back to the lines by class.  A kernel vector that is 1 at
+        line j and 0 past it is constant on classes, so j is the largest
+        line of its class; the free columns are therefore roots, in the
+        same order in both systems, and the expansion is the basis that
+        Gauss-Jordan elimination gives on one row per point.
+
         The rows state these conditions only when every multiplicity is at
         most 3, which callers check first.
         """
         if self._cocycles is None:
-            rows = []
+            r = len(self.on_line)
+            parent = list(range(r))
+            triples = []
             for pt in self.points:
-                row = [0] * len(self.on_line)
-                for i in pt.lines:
-                    row[i] = 1
                 if pt.multiplicity == 2:
-                    row[pt.lines[1]] = -1
+                    i, j = find(parent, pt.lines[0]), find(parent, pt.lines[1])
+                    parent[min(i, j)] = max(i, j)
+                else:
+                    triples.append(pt.lines)
+            roots = [find(parent, l) for l in range(r)]
+            column = {root: n for n, root in enumerate(sorted(set(roots)))}
+            of_line = [column[root] for root in roots]
+            rows = []
+            for lines in triples:
+                row = [0] * len(column)
+                for l in lines:
+                    row[of_line[l]] += 1
                 rows.append(row)
-            self._cocycles = nullspace_f3(rows, len(self.on_line))
+            basis = nullspace_f3(rows, len(column))
+            self._cocycles = [[vec[n] for n in of_line] for vec in basis]
         return self._cocycles
 
 

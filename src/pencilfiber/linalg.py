@@ -16,7 +16,10 @@ F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
 w -> ZETA, a cube root of unity mod p; it is a lower bound for the rank
 over Z[w], so it certifies full rank, min(rows, columns), and nothing
 else (``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
-by back substitution in the echelon form (``pencils``).  Questions that
+by back substitution in the echelon form.  The cocycles pass it only their
+triple-point rows, over the classes of lines that their double points join
+in a union-find (``arrangement.Incidence.cocycles``); ``find`` is the one
+union-find lookup, shared with the resonance kernel.  Questions that
 live in 3-space need no elimination and are not asked here: they are cross
 and dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).
 All of it is exact, so results are certificates, not estimates.
@@ -92,6 +95,15 @@ ZETA = 1055852462
 def residue(v: Pair) -> int:
     """The image a + b*ZETA mod PRIME of a + b*w."""
     return (v[0] + v[1] * ZETA) % PRIME
+
+
+def find(parent: list[int], l: int) -> int:
+    """The root of l in the union-find forest ``parent``, where ``parent[l]``
+    is l at a root; each step points a visited entry at its grandparent
+    (path halving), so later finds take shorter paths."""
+    while parent[l] != l:
+        parent[l] = l = parent[parent[l]]
+    return l
 
 
 def _echelon(rows: list[list[int]], q: int) -> list[tuple[int, list[int]]]:

@@ -23,8 +23,10 @@ every permutation of F3 is such a map x -> +-x + c; so the search tries one
 cocycle per class modulo sigma and sign, at most (3^beta_3 - 1)/2 = 4 of
 them, and each whose level sets are three classes of k lines is a
 candidate, found once.  The kernel's basis is solved once per arrangement,
-on its incidence record (``arrangement.Incidence.cocycles``, by
-``linalg.nullspace_f3``), and ``beta3`` and the search both read it.
+on its incidence record (``arrangement.Incidence.cocycles``): the double
+points join their lines into classes in a union-find, ``linalg.nullspace_f3``
+solves one row per triple point over those classes, and ``beta3`` and the
+search both read the basis expanded back to the lines.
 
 The search runs over Z[w].  Each line carries its Z[w] triple, scaled from
 its normalized coefficients by the positive integer s (``Line.pairs`` and

@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, incidence, require_multiplicities_ok
 from .eisenstein import EisensteinNumber, Pair, integer_pairs, pair_mul
-from .linalg import rank_pairs
+from .linalg import find, rank_pairs
 from .pencils import PencilDecomposition
 
 Weights = Sequence[EisensteinNumber | int]  # a weight vector: one entry per line
@@ -202,12 +202,6 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
         raise ValueError("the zero weight vector is not probed")
     visited = sorted({n for l in support for n in os.on_line[l]})
     parent = list(range(os.r))  # a union-find over the support lines
-
-    def find(l: int) -> int:
-        while parent[l] != l:
-            parent[l] = l = parent[parent[l]]
-        return l
-
     forced: set[int] = set()
     sigma_points = []
     for p, sigma in _point_rules((os.points[n] for n in visited), vec):
@@ -219,10 +213,10 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
             if vec[l] == (0, 0):
                 forced.add(l)
             elif root is None:
-                root = find(l)
+                root = find(parent, l)
             else:
-                parent[find(l)] = root
-    classes = {l: find(l) for l in support}
+                parent[find(parent, l)] = root
+    classes = {l: find(parent, l) for l in support}
     # one column per class root and per unforced zero-weight line on a Sigma-point
     columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
     unknowns = len(columns) + os.r - len(support) - len(forced)

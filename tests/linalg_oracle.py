@@ -6,7 +6,9 @@ questions by cross and dot products of Z[w] triples.  The tests check those
 answers against this textbook reduction and the cross product over Q(w),
 which share no code with them.  ``package_rank`` is the one
 exception: it is the package's rank of Q(w) rows, for tests that compare it
-with the reference.
+with the reference.  ``cocycle_rows`` states the mod-3 cocycle conditions
+as one dense row per incidence point, the system that the package solves
+on classes of lines.
 """
 
 from pencilfiber.eisenstein import ONE, ZERO, integer_pairs
@@ -95,6 +97,22 @@ def nullspace_f3(rows, ncols):
             vec[piv] = -row[free] % 3
         basis.append(vec)
     return basis
+
+
+def cocycle_rows(points, r):
+    """The mod-3 cocycle conditions as dense rows, one per incidence point
+    over the r lines: 1 at each line of the point, and -1 at the second line
+    of a double point, so a double point {i, j} says x_i = x_j and a triple
+    point {i, j, k} says x_i + x_j + x_k = 0."""
+    rows = []
+    for pt in points:
+        row = [0] * r
+        for l in pt.lines:
+            row[l] = 1
+        if len(pt.lines) == 2:
+            row[pt.lines[1]] = -1
+        rows.append(row)
+    return rows
 
 
 def cross(u, v):

@@ -4,14 +4,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incidence_oracle
+import linalg_oracle
 from canonical_oracle import canonical_encoding
 from pencilfiber import arrangement
 from pencilfiber.arrangement import (
     Arrangement,
+    Incidence,
     IncidencePoint,
     Line,
     MultiplicityError,
@@ -36,6 +38,7 @@ from pencilfiber.eisenstein import (
 )
 from pencilfiber.fixtures import (
     braid,
+    braid_pgl,
     ceva_two,
     concurrent_triple,
     conic_dual_lines,
@@ -43,6 +46,7 @@ from pencilfiber.fixtures import (
     dual_hesse,
     dual_hesse_pgl,
     four_concurrent,
+    generic_nine,
     generic_six,
     near_pencil_six,
     triangle,
@@ -200,6 +204,69 @@ def test_incidence_points_store_their_canonical_triple(arr):
         assert canonical_pairs(pt.pairs) == pt.pairs
         assert pt.point == normalized(pt.pairs)
         assert pt.to_json()["point"] == list(normalized_strs(pt.pairs))
+
+
+def _dense_cocycles(points, r):
+    """The Gauss-Jordan F3 basis of one dense cocycle row per point."""
+    return linalg_oracle.nullspace_f3(linalg_oracle.cocycle_rows(points, r), r)
+
+
+def test_cocycles_on_line_classes_are_the_dense_basis(corpus_dir):
+    """The union-find solve gives the basis of one dense row per point: on
+    the corpus, every fixture, seeded line orders of both, the 511
+    sub-arrangements of dual_hesse and cuspidal_dual at r = 7, 11, 21, 61."""
+    corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    builders = [*ALL_FIXTURES, generic_nine, four_concurrent, dual_hesse_pgl, braid_pgl]
+    fixtures = [b() for b in builders] + [cuspidal_dual(n) for n in (3, 5, 10, 30)]
+    rng = random.Random(28)
+    orders = []
+    for arr in corpus + fixtures[:-1]:
+        for _ in range(3):
+            order = list(range(arr.r))
+            rng.shuffle(order)
+            orders.append(arr.reordered(order))
+    hesse = dual_hesse()
+    subs = [hesse.reordered(subset) for n in range(1, 10) for subset in combinations(range(9), n)]
+    assert len(subs) == 511
+    for arr in corpus + fixtures + orders + subs:
+        record = incidence(arr)
+        assert record.cocycles == _dense_cocycles(record.points, arr.r), arr.label
+
+
+@st.composite
+def incidence_records(draw):
+    """Synthetic incidence records on r lines: triple points, any two lines on
+    at most one, and a double point for each pair left, in a drawn order.
+    Only the lines of a point are read, so no coordinates are drawn.  Most
+    pairs are double points, so chains of them often join two or three
+    lines of one triple point into one class."""
+    r = draw(st.integers(min_value=1, max_value=10))
+    lines = st.lists(st.integers(0, r - 1), min_size=3, max_size=3, unique=True)
+    candidates = draw(st.lists(lines, max_size=12)) if r >= 3 else []
+    triples, covered = [], set()
+    for t in map(sorted, candidates):
+        pairs = set(combinations(t, 2))
+        if not pairs & covered:
+            covered |= pairs
+            triples.append(tuple(t))
+    doubles = [pair for pair in combinations(range(r), 2) if pair not in covered]
+    points = draw(st.permutations([IncidencePoint((), lines) for lines in triples + doubles]))
+    return points, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_records())
+# lines 0, 1, 2 of the triple point all meet line 3 at double points: one class
+@example(([IncidencePoint((), (0, 1, 2))] + [IncidencePoint((), (l, 3)) for l in range(3)], 4))
+# lines 1 and 2 of the triple point {0, 1, 2} meet at double points 1-3-2
+@example(([IncidencePoint((), p) for p in [(0, 1, 2), (0, 3, 4), (1, 3), (1, 4), (2, 3), (2, 4)]], 5))
+# the braid on the edges of K4, with classes {0, 5}, {1, 2}, {3, 4}: ordered by
+# their largest line they come in another order than by their least
+@example(([IncidencePoint((), p) for p in [(0, 1, 3), (0, 2, 4), (1, 4, 5), (2, 3, 5), (0, 5), (1, 2), (3, 4)]], 6))
+@example(([], 1))
+def test_cocycles_of_synthetic_records_are_the_dense_basis(record):
+    points, r = record
+    assert Incidence(points, r).cocycles == _dense_cocycles(points, r)
 
 
 def test_proportional_lines_rejected():

@@ -255,16 +255,8 @@ def test_nullspace_f3_is_the_gauss_jordan_basis(system):
 
 
 def test_nullspace_f3_of_63_cuspidal_cocycle_rows_is_the_gauss_jordan_basis():
-    # one row per point: 1 on the lines of a triple point, 1 and -1 on those of a double point
     arr = cuspidal_dual(31)
-    rows = []
-    for pt in intersection_points(arr):
-        row = [0] * arr.r
-        for l in pt.lines:
-            row[l] = 1
-        if pt.multiplicity == 2:
-            row[pt.lines[1]] = -1
-        rows.append(row)
+    rows = linalg_oracle.cocycle_rows(intersection_points(arr), arr.r)
     assert (arr.r, len(rows)) == (63, 991)
     basis = nullspace_f3(rows, arr.r)
     assert basis == linalg_oracle.nullspace_f3(rows, arr.r)

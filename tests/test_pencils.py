@@ -3,6 +3,7 @@ import math
 import random
 import shutil
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -250,6 +251,16 @@ def test_cocycle_kernel_is_solved_once_per_arrangement(monkeypatch):
     assert len(find_pencils(arr)) == 4
     assert beta3(arr) == 2
     assert len(calls) == 1
+
+
+def test_beta3_at_151_lines_solves_only_the_triple_point_rows():
+    """The double points join classes without elimination: beta3 at r = 151,
+    with the incidence record built first, takes milliseconds."""
+    arr = cuspidal_dual(75)
+    incidence(arr)
+    start = time.perf_counter()
+    assert beta3(arr) == 0
+    assert time.perf_counter() - start < 0.25
 
 
 def test_analyze_of_seven_lines_skips_the_cocycle_kernel(monkeypatch, capsys, tmp_path):
