@@ -2,18 +2,20 @@
 
 Lines are coefficient triples (a, b, c) of a*x + b*y + c*z; an arrangement
 is an ordered list of pairwise distinct lines.  All projective work is over
-Z[w], and Q(w) appears only where a value is read.  A line goes from its
-coefficient text straight to its canonical Z[w] triple
-(``eisenstein.parse_parts``, ``canonical_pairs``: first nonzero coefficient
-a positive integer, integer content 1).  The point of two lines is their
-cross product, and a third line passes through it iff their dot product is
-exactly zero.  Points are grouped by these incidence tests, not by hashing
-coordinates, and each stores only the canonical triple of its cross
-product and its lines.  Lines and points store no Q(w) form, and build
-none to be printed: the strings of their Q(w) coordinates, lead coordinate
-1, are printed from the integers by ``eisenstein.normalized_strs``, and the
-points are sorted by those strings.  The Q(w) coordinates themselves are
-computed by ``eisenstein.normalized`` only where code reads them.
+Z[w], and Q(w) appears only where a value is read.  A line's coefficients,
+text or numbers, go straight into Z[w] by ``eisenstein.integer_pairs``, the
+one way in, which the matrix of a projective transform also takes, and from
+there to the line's canonical triple (``canonical_pairs``: first nonzero
+coefficient a positive integer, integer content 1).  The point of two lines
+is their cross product, and a third line passes through it iff their dot
+product is exactly zero.  Points are grouped by these incidence tests, not
+by hashing coordinates, and each stores only the canonical triple of its
+cross product and its lines.  Lines and points store no Q(w) form, and
+build none to be printed: the strings of their Q(w) coordinates, lead
+coordinate 1, are printed from the integers by
+``eisenstein.normalized_strs``, and the points are sorted by those strings.
+The Q(w) coordinates themselves are the same canonical triple divided by
+its lead (``eisenstein.normalized``), computed only where code reads them.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
@@ -51,14 +53,12 @@ from .eisenstein import (
     Pair,
     canonical_pairs,
     integer_pairs,
-    integer_parts,
     json_list,
     json_object,
     normalized,
     normalized_strs,
     pair_cross,
     pair_dot,
-    parts_pairs,
 )
 from .linalg import find, nullspace_f3
 
@@ -95,7 +95,7 @@ class Line:
         b: EisensteinNumber | int | str,
         c: EisensteinNumber | int | str,
     ) -> None:
-        self._set(parts_pairs([integer_parts(a), integer_parts(b), integer_parts(c)]))
+        self._set(integer_pairs((a, b, c)))
 
     @classmethod
     def from_pairs(cls, triple: Sequence[Pair]) -> "Line":
@@ -472,7 +472,7 @@ def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]
     """
     if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
         raise ValueError("a projective transform is a 3x3 matrix")
-    entries = integer_pairs([EisensteinNumber.of(v) for row in matrix for v in row])
+    entries = integer_pairs([v for row in matrix for v in row])
     r0, r1, r2 = entries[0:3], entries[3:6], entries[6:9]
     columns = (pair_cross(r1, r2), pair_cross(r2, r0), pair_cross(r0, r1))
     if pair_dot(r0, columns[0]) == (0, 0):

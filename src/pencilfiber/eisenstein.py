@@ -19,16 +19,20 @@ Where only a line, a point, a rank or whether a wedge vanishes matters, a
 row can be scaled into Z[w] and held as integer pairs (a, b) meaning
 a + b*w; ``pair_mul``, ``pair_cross`` and ``pair_dot`` then compute without
 fractions.  ``parse_parts`` is the one grammar of the string form and
-yields integer numerators and denominators, so text reaches Z[w] without a
-Fraction (``integer_parts``, ``parts_pairs``); ``parse_eisenstein`` wraps
-the same parts in Fractions.  ``canonical_pairs`` is the normal form of a
+yields integer numerators and denominators; ``parse_eisenstein`` wraps
+them in Fractions.  There is one way into Z[w]: ``integer_pairs`` reads
+each entry of a row, an EisensteinNumber, a Fraction, an int or a string,
+as those parts (``integer_parts``), so text reaches Z[w] without a
+Fraction, and scales the row by the lcm of its denominators
+(``integer_scale``).  ``canonical_pairs`` is the normal form of a
 projective Z[w] triple: first nonzero entry a positive integer, integer
-content 1.  ``normalized`` is the way back: it turns a Z[w] triple into the
-Q(w) triple of the same projective point whose first nonzero entry is 1,
-and ``normalized_strs`` prints that triple from integers alone.  Its
-entries, and any (a + b*w) / d over Z[w], are printed by ``quotient_str``,
-which reduces each part by a gcd and hands it to ``format_parts``, the
-formatter ``EisensteinNumber.__str__`` uses.
+content 1.  There is one way out: ``normalized`` divides that canonical
+triple by its lead, giving the Q(w) triple of the same projective point
+whose first nonzero entry is 1, and ``normalized_strs`` prints the same
+quotients from integers alone.  Its entries, and any (a + b*w) / d over
+Z[w], are printed by ``quotient_str``, which reduces each part by a gcd
+and hands it to ``format_parts``, the formatter
+``EisensteinNumber.__str__`` uses.
 """
 
 from __future__ import annotations
@@ -198,8 +202,13 @@ def parse_parts(text: str) -> Parts:
     """The canonical string form read as integers (re_num, re_den, wc_num, wc_den):
     each part as written, not reduced, with a positive denominator.
 
+    Beyond what the printer writes, it accepts a leading '+', parts not in
+    lowest terms and a w-coefficient without its '*' ("+3", "2/4", "1+2w").
+    The w-coefficient after the sign that joins the two parts is unsigned,
+    and a '*' follows only a coefficient.
+
     This is the one grammar: ``parse_eisenstein`` wraps its parts in
-    Fractions, and ``arrangement.Line`` scales them straight into Z[w].
+    Fractions, and ``integer_pairs`` scales them straight into Z[w].
     Raises ParseError with a position.
     """
 
@@ -235,13 +244,16 @@ def parse_parts(text: str) -> Parts:
         if ch in "+-":
             sign = 1 if ch == "+" else -1
             pos += 1
-            coeff, after = rational(pos)
-            if coeff is None:
+            if text[pos : pos + 1] == "w":
                 coeff = (1, 1)
             else:
+                # the sign above is the coefficient's: a second one, or a '*' with no coefficient, is an error
+                coeff, after = rational(pos)
+                if coeff is None or text[pos] in "+-":
+                    raise ParseError(text, pos, "expected an unsigned coefficient or 'w'")
                 pos = after
-            if pos < n and text[pos] == "*":
-                pos += 1
+                if text[pos : pos + 1] == "*":
+                    pos += 1
             if text[pos : pos + 1] != "w":
                 raise ParseError(text, pos, "expected 'w'")
             pos += 1
@@ -301,21 +313,28 @@ def json_int(value: object, what: str) -> int:
 Pair = tuple[int, int]
 
 
-def integer_scale(row: Sequence[EisensteinNumber]) -> int:
-    """The lcm of the row's denominators: the least positive integer that scales it into Z[w]."""
-    return math.lcm(*(x.re.denominator for x in row), *(x.wc.denominator for x in row))
+def integer_scale(row: Sequence[EisensteinNumber | Fraction | int | str]) -> int:
+    """The lcm of the row's denominators as ``integer_parts`` reads them.
+
+    It scales the row into Z[w]; it is the least positive integer that does
+    when every entry is in lowest terms, as every EisensteinNumber, Fraction
+    and int is and a string need not be.
+    """
+    parts = [integer_parts(x) for x in row]
+    return math.lcm(*(p[1] for p in parts), *(p[3] for p in parts))
 
 
-def integer_pairs(row: Sequence[EisensteinNumber]) -> list[Pair]:
+def integer_pairs(row: Sequence[EisensteinNumber | Fraction | int | str]) -> list[Pair]:
     """The row scaled by ``integer_scale``, as pairs (a, b) meaning a + b*w in Z[w].
 
-    The scale is a nonzero rational, so the row spans the same line and any
-    matrix built from such rows keeps its rank.
+    Every entry is read by ``integer_parts``, so it may be an
+    EisensteinNumber, a Fraction, an int or a string, and a float or a bool
+    raises ValueError.  The scale is a nonzero rational, so the row spans
+    the same line and any matrix built from such rows keeps its rank.
     """
-    scale = integer_scale(row)
-    return [
-        (x.re.numerator * (scale // x.re.denominator), x.wc.numerator * (scale // x.wc.denominator)) for x in row
-    ]
+    parts = [integer_parts(x) for x in row]
+    scale = math.lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+    return [(a * (scale // b), c * (scale // d)) for a, b, c, d in parts]
 
 
 def pair_mul(u: Pair, v: Pair) -> Pair:
@@ -352,23 +371,12 @@ def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
 def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
     """The Q(w) triple proportional to the nonzero Z[w] triple p whose first nonzero entry is 1.
 
-    Dividing by the lead a + b*w is multiplying by its conjugate (a - b) - b*w
-    and dividing by its norm a^2 - a*b + b^2.  The lead itself becomes ``ONE``
-    and a zero entry ``ZERO``, with no division.
+    It is ``canonical_pairs(p)`` divided by its lead, a positive integer: the
+    triple that ``normalized_strs`` prints.
     """
-    lead = next(v for v in p if v != (0, 0))
-    a, b = lead
-    norm = a * a - a * b + b * b
-    out = []
-    for v in p:
-        if v == lead:
-            out.append(ONE)
-        elif v == (0, 0):
-            out.append(ZERO)
-        else:
-            x, y = pair_mul(v, (a - b, -b))
-            out.append(EisensteinNumber(Fraction(x, norm), Fraction(y, norm)))
-    return tuple(out)
+    c = canonical_pairs(p)
+    lead = next(x for x, _ in c if x)
+    return tuple(EisensteinNumber(Fraction(x, lead), Fraction(y, lead)) for x, y in c)
 
 
 def integer_parts(value: "EisensteinNumber | Fraction | int | str") -> Parts:
@@ -381,21 +389,15 @@ def integer_parts(value: "EisensteinNumber | Fraction | int | str") -> Parts:
     return (x.re.numerator, x.re.denominator, x.wc.numerator, x.wc.denominator)
 
 
-def parts_pairs(row: Sequence[Parts]) -> list[Pair]:
-    """The row scaled by the lcm of its denominators, as pairs (a, b) meaning a + b*w in Z[w]."""
-    scale = math.lcm(*(p[1] for p in row), *(p[3] for p in row))
-    return [(a * (scale // b), c * (scale // d)) for a, b, c, d in row]
-
-
 def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, ...]:
     """The Z[w] triple proportional to the nonzero triple p whose first nonzero
     entry is a positive integer and whose integer content is 1.
 
-    It is ``integer_pairs(normalized(p))``, computed without fractions:
-    multiplying by the conjugate (a - b) - b*w of the lead a + b*w makes the
-    lead its norm a^2 - a*b + b^2 (a lead with b = 0 needs only its sign),
-    and dividing by the gcd of all the integers makes the content 1.  Two
-    triples are proportional iff their canonical triples are equal.
+    It is computed without fractions: multiplying by the conjugate
+    (a - b) - b*w of the lead a + b*w makes the lead its norm a^2 - a*b + b^2
+    (a lead with b = 0 needs only its sign), and dividing by the gcd of all
+    the integers makes the content 1.  Two triples are proportional iff their
+    canonical triples are equal.
     """
     a, b = next(v for v in p if v != (0, 0))
     if b:

@@ -4,24 +4,24 @@ Matrices are lists of rows of integer pairs (a, b) meaning a + b*w, or of
 Python ints for the prime fields.  There are two eliminators, one per kind
 of entry.  ``rank_pairs``, fraction-free (Bareiss) elimination, is the one
 over Z[w]; callers holding Q(w) rows scale each row with
-``eisenstein.integer_pairs`` first, which keeps the rank.  Before it
-eliminates, it takes every row with a single nonzero entry as a pivot and
-deletes that entry's column, repeating while new such rows appear: such a
-pivot clears only its own column, so this is exact and costs no arithmetic.
-The resonance kernel passes only its Sigma-rows, one per triple point where
-the weight sums to zero, in the few unknowns that its union-find leaves
-(``resonance``).  ``_echelon``, row echelon form over F_q, is the one over
-prime fields, and serves two questions.  ``rank_mod_p`` is the rank over
-F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
+``eisenstein.integer_pairs`` first, which keeps the rank.  It eliminates
+the rows as given, with no pre-pass, because its callers' rows almost never
+have a single nonzero entry: the resonance kernel passes only its
+Sigma-rows, one per triple point where the weight sums to zero, in the few
+unknowns that its union-find leaves (``resonance``), and the other callers
+ask about three pencil products, a few weight vectors, or the monomials at
+the triple points.  ``_echelon``, row echelon form over F_q, is the one
+over prime fields, and serves two questions.  ``rank_mod_p`` is the rank
+over F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
 w -> ZETA, a cube root of unity mod p; it is a lower bound for the rank
-over Z[w], so it certifies full rank, min(rows, columns), and nothing
-else (``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
+over Z[w], so it certifies full rank, min(rows, columns), and nothing else
+(``milnor.superabundance``).  ``nullspace_f3`` is the null space over F3,
 by back substitution in the echelon form.  The cocycles pass it only their
 triple-point rows, over the classes of lines that their double points join
 in a union-find (``arrangement.Incidence.cocycles``); ``find`` is the one
-union-find lookup, shared with the resonance kernel.  Questions that
-live in 3-space need no elimination and are not asked here: they are cross
-and dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).
+union-find lookup, shared with the resonance kernel.  Questions that live
+in 3-space need no elimination and are not asked here: they are cross and
+dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).
 All of it is exact, so results are certificates, not estimates.
 """
 
@@ -40,22 +40,15 @@ def rank_pairs(rows: list[list[Pair]]) -> int:
     Sylvester's identity makes that division exact in Z[w]; a nonzero
     remainder raises AssertionError, so the rank stays a certificate.
 
-    Rows with one nonzero entry are taken as pivots first.  Eliminating with
-    such a row clears its column and changes no other entry, so the rank is
-    one per distinct column they occupy plus the rank of the other rows with
-    those columns deleted.  Deleting a column can leave another row with one
-    nonzero entry, so this repeats; zero rows are dropped.  Only the rows
-    left go through Bareiss, on the columns where some of them is nonzero,
-    and ``rows`` is not changed.
+    Bareiss needs nothing in front of it: a zero row stays zero and is never
+    a pivot, a column with no nonzero entry left is skipped, and a row with
+    one nonzero entry is eliminated like any other.  The callers' rows come
+    from few unknowns and hardly ever have a single nonzero entry, so a pass
+    that took such rows as pivots first would only cost a scan.  ``rows``
+    is not changed.
     """
-    # each nonzero row with the set of its nonzero columns
-    live = [(row, cols) for row in rows if (cols := {j for j, v in enumerate(row) if v != (0, 0)})]
+    rest = list(rows)  # unused rows, unprocessed columns
     found = 0
-    while singles := {j for _, cols in live if len(cols) == 1 for j in cols}:
-        found += len(singles)
-        live = [(row, left) for row, cols in live if (left := cols - singles)]
-    keep = sorted(set().union(*(cols for _, cols in live)))
-    rest = [[row[j] for j in keep] for row, _ in live]  # unused rows, unprocessed columns
     c, d = 1, 0  # previous pivot c + d*w
     while rest and rest[0]:
         pivot_row = next((i for i, row in enumerate(rest) if row[0] != (0, 0)), None)

@@ -4,11 +4,14 @@ The package answers rank questions by Bareiss elimination over Z[w], null
 spaces mod 3 by back substitution in a row echelon form, and 3-space
 questions by cross and dot products of Z[w] triples.  The tests check those
 answers against this textbook reduction and the cross product over Q(w),
-which share no code with them.  ``package_rank`` is the one
-exception: it is the package's rank of Q(w) rows, for tests that compare it
-with the reference.  ``cocycle_rows`` states the mod-3 cocycle conditions
-as one dense row per incidence point, the system that the package solves
-on classes of lines.
+which share no code with them.  ``package_rank`` is one exception: it
+is the package's rank of Q(w) rows, for tests that compare it with the
+reference.  ``peeled_rank`` is the other: it takes every row with one
+nonzero entry as a pivot, with its column, and hands the rest to the
+package's Bareiss elimination; the all-points resonance oracle, whose rows
+often have one nonzero entry, stays fast with it.  ``cocycle_rows`` states
+the mod-3 cocycle conditions as one dense row per incidence point, the
+system that the package solves on classes of lines.
 """
 
 from pencilfiber.eisenstein import ONE, ZERO, integer_pairs
@@ -18,6 +21,26 @@ from pencilfiber.linalg import rank_pairs
 def package_rank(rows):
     """Each Q(w) row scaled into Z[w] by ``integer_pairs``, then ``rank_pairs``."""
     return rank_pairs([integer_pairs(row) for row in rows])
+
+
+def peeled_rank(rows):
+    """Rank over Z[w] of rows of integer pairs, one-entry rows taken as pivots first.
+
+    Eliminating with a row that has one nonzero entry clears its column and
+    changes no other entry, so the rank is one per distinct column such rows
+    occupy plus the rank of the other rows with those columns deleted.
+    Deleting a column can leave another row with one nonzero entry, so this
+    repeats; zero rows are dropped.  The rows left go to ``rank_pairs`` on
+    the columns where some of them is nonzero, and ``rows`` is not changed.
+    """
+    # each nonzero row with the set of its nonzero columns
+    live = [(row, cols) for row in rows if (cols := {j for j, v in enumerate(row) if v != (0, 0)})]
+    found = 0
+    while singles := {j for _, cols in live if len(cols) == 1 for j in cols}:
+        found += len(singles)
+        live = [(row, left) for row, cols in live if (left := cols - singles)]
+    keep = sorted(set().union(*(cols for _, cols in live)))
+    return found + rank_pairs([[row[j] for j in keep] for row, _ in live])
 
 
 def rref(rows):

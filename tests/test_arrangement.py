@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import incidence_oracle
@@ -114,6 +114,22 @@ def test_line_from_text_equals_line_from_parsed_numbers(texts):
     line, reference = Line(*texts), Line(*numbers)
     assert (line.pairs, line.scale, line.coeffs) == (reference.pairs, reference.scale, reference.coeffs)
     assert line.coeffs == incidence_oracle.normalize_point(numbers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(coefficient_text, qw_entries.map(str)), min_size=3, max_size=3), st.integers(0, 7))
+@example(["2/4", "+3", "1+2w"], 0)
+@example(["0", "-6/4*w", "1/3"], 5)
+def test_text_enters_z_w_as_its_parsed_numbers_do(texts, mask):
+    """``integer_pairs`` reads printed and other spellings, and rows that mix
+    them with numbers, into the Z[w] triple of the parsed numbers, up to
+    scale; ``Line`` keeps that triple's canonical form."""
+    numbers = [parse_eisenstein(t) for t in texts]
+    assume(any(numbers))
+    mixed = [x if mask >> i & 1 else t for i, (t, x) in enumerate(zip(texts, numbers))]
+    expected = canonical_pairs(integer_pairs(numbers))
+    assert canonical_pairs(integer_pairs(texts)) == canonical_pairs(integer_pairs(mixed)) == expected
+    assert Line(*texts).pairs == canonical_pairs(integer_pairs(texts))
 
 
 @pytest.mark.parametrize("text, position", [("1/0", 0), ("2+1/0w", 2), ("9" * 5000, None)], ids=["1/0", "2+1/0w", "5000 digits"])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencilfiber.eisenstein import (
@@ -10,8 +10,12 @@ from pencilfiber.eisenstein import (
     OMEGA2,
     EisensteinNumber,
     ParseError,
+    canonical_pairs,
     integer_pairs,
+    integer_scale,
     json_int,
+    normalized,
+    normalized_strs,
     parse_eisenstein,
 )
 
@@ -59,6 +63,29 @@ def test_integer_pairs_scale_by_denominator_lcm():
     assert integer_pairs(row) == [(6, -4), (0, 24), (15, 0)]
     assert integer_pairs([EisensteinNumber(0), EisensteinNumber(-3, 1)]) == [(0, 0), (-3, 1)]
     assert integer_pairs([]) == []
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5, True, False])
+def test_integer_pairs_reject_floats_and_bools(value):
+    for read in (integer_pairs, integer_scale):
+        with pytest.raises(ValueError, match="not an exact field element"):
+            read([EisensteinNumber(1), value, "w"])
+
+
+zw_entries = st.one_of(st.just((0, 0)), st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(zw_entries, zw_entries, zw_entries).filter(lambda p: p != ((0, 0),) * 3))
+@example(((0, 0), (-3, 0), (1, 2)))  # a zero entry, then a negative integer lead
+@example(((2, -1), (0, 0), (4, 4)))  # a lead with a nonzero w-part
+@example(((0, 0), (0, 0), (0, -5)))
+def test_normalized_is_the_triple_normalized_strs_prints(p):
+    out = normalized(p)
+    assert out == tuple(map(parse_eisenstein, normalized_strs(canonical_pairs(p))))
+    # lead 1 and proportional to p: p divided by its lead, checked in Q(w)
+    lead = EisensteinNumber(*next(v for v in p if v != (0, 0)))
+    assert [x * lead for x in out] == [EisensteinNumber(*v) for v in p]
 
 
 def test_self_division():
@@ -128,6 +155,10 @@ def test_parse_accepts_non_canonical_spellings(text, re_, wc):
         ("w3", 1),
         ("\u0661", 0),
         ("\uff11/\uff12", 0),
+        ("1--2*w", 2),
+        ("1+-2*w", 2),
+        ("1+*w", 2),
+        ("1-*w", 2),
     ],
 )
 def test_parse_errors_carry_positions(text, pos):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
-from linalg_oracle import mat_mul, nullspace, package_rank, rref
+from linalg_oracle import mat_mul, nullspace, package_rank, peeled_rank, rref
 from pencilfiber.arrangement import incidence, intersection_points
 from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
 from pencilfiber.fixtures import cuspidal_dual
@@ -107,7 +107,8 @@ nonzero_eis = small_eis.filter(bool)
 
 @st.composite
 def sparse_matrices(draw):
-    """Rows of the kinds ``rank_pairs`` takes as pivots before elimination,
+    """Rows of the kinds ``linalg_oracle.peeled_rank`` takes as pivots before
+    Bareiss elimination, and that ``rank_pairs`` eliminates like any other,
     shuffled among each other: one-entry rows, two of them sometimes on one
     column; a chain whose k-th row has one entry left only once the columns
     of the rows before it are deleted; zero rows; other sparse rows.  The
@@ -142,7 +143,7 @@ def sparse_matrices(draw):
 def test_rank_peels_one_entry_rows(m):
     rows = [integer_pairs(row) for row in m]
     before = [list(row) for row in rows]
-    assert rank_pairs(rows) == _rank_by_minors(m) == len(rref(m)[1])
+    assert rank_pairs(rows) == peeled_rank(rows) == _rank_by_minors(m) == len(rref(m)[1])
     assert rows == before
 
 

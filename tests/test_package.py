@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import chain
 
 import pencilfiber
 
@@ -44,11 +45,12 @@ def test_src_has_no_assert_statement():
 
 
 def test_src_has_no_unused_import():
-    # a top-level import is used when its name is read somewhere in the
-    # module or re-exported through __all__; a name read only inside a
-    # string annotation would count as unused
+    # over the package, the tests and the scripts: a top-level import is used
+    # when its name is read somewhere in the module or re-exported through
+    # __all__; a name read only inside a string annotation would count as unused
+    root = pathlib.Path(__file__).resolve().parents[1]
     found = []
-    for path in sorted(pathlib.Path(pencilfiber.__file__).parent.glob("*.py")):
+    for path in sorted(chain.from_iterable(root.glob(f"{d}/*.py") for d in ("src/pencilfiber", "tests", "scripts"))):
         tree = ast.parse(path.read_text(), filename=str(path))
         bound = {}
         for node in tree.body:
@@ -62,5 +64,5 @@ def test_src_has_no_unused_import():
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 used |= set(ast.literal_eval(node.value))
-        found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+        found += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound.items() if name not in used]
     assert found == []

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from linalg_oracle import rref
+from linalg_oracle import peeled_rank, rref
 from pencilfiber import resonance
 from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points
 from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_mul
@@ -18,7 +18,6 @@ from pencilfiber.fixtures import (
     near_pencil_six,
     triangle,
 )
-from pencilfiber.linalg import rank_pairs
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
     build_os2,
@@ -574,7 +573,7 @@ def _local_conditions(points, a):
 
 def _scaled(a):
     """The weight vector a scaled once into Z[w]."""
-    return integer_pairs([EisensteinNumber.of(v) for v in a])
+    return integer_pairs(a)
 
 
 def _all_points_kernel_dim(os2, a):
@@ -585,7 +584,7 @@ def _all_points_kernel_dim(os2, a):
             for l, c in cond:
                 row[l] = c
             rows.append(row)
-    return os2.r - rank_pairs(rows)
+    return os2.r - peeled_rank(rows)
 
 
 def _all_points_wedge(os2, a, b):
