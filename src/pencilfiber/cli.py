@@ -63,10 +63,10 @@ from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
     OSDegree2,
     Weights,
+    _isotropy_and_kernel_dim,
     build_os2,
     component_isotropy_check,
     distinct_planes,
-    generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
@@ -184,8 +184,7 @@ def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> It
 def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
     components: dict[str, list[dict]] = {"local_components": [], "pencil_components": []}
     for key, entry, basis in _candidate_bases(arr, pencils):
-        entry["isotropic"] = component_isotropy_check(os2, basis)
-        entry["kernel_dim"] = resonance_kernel_dim(os2, generic_member(basis))
+        entry["isotropic"], entry["kernel_dim"] = _isotropy_and_kernel_dim(os2, basis)
         components[key].append(entry)
     return {
         "quotient_rank": os2.quotient_rank,
@@ -286,10 +285,12 @@ def cmd_catalan(args: argparse.Namespace) -> int:
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
     candidate component; the kernel dimensions ``analyze`` prints are not
-    computed, since isotropy of a basis already puts both basis vectors in
-    the kernel of its generic member.  A combinatorial type includes r and
-    the point census, so types are computed only for the files whose
-    (r, census) another file shares; no other pair can have equal types."""
+    solved, since isotropy of a basis already puts both basis vectors in
+    the kernel of its generic member.  Each isotropy check tests membership
+    on one rule pass over the points with two lines of the basis support.  A
+    combinatorial type includes r and the point census, so types are
+    computed only for the files whose (r, census) another file shares; no
+    other pair can have equal types."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")

@@ -8,9 +8,11 @@ over Z[w]; callers holding Q(w) rows scale each row with
 the rows as given, with no pre-pass, because its callers' rows almost never
 have a single nonzero entry: the resonance kernel passes only its
 Sigma-rows, one per triple point where the weight sums to zero, in the few
-unknowns that its union-find leaves (``resonance``), and the other callers
-ask about three pencil products, a few weight vectors, or the monomials at
-the triple points.  ``_echelon``, row echelon form over F_q, is the one
+unknowns that its union-find leaves (``resonance``); ``distinct_planes``
+asks about four weight vectors, and the independence of a basis of other
+than two vectors about those vectors; and ``milnor.superabundance`` about
+the monomials at the triple points when its rank modulo p is not full.
+``_echelon``, row echelon form over F_q, is the one
 over prime fields, and serves two questions.  ``rank_mod_p`` is the rank
 over F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
 w -> ZETA, a cube root of unity mod p; it is a lower bound for the rank
@@ -19,9 +21,12 @@ over Z[w], so it certifies full rank, min(rows, columns), and nothing else
 by back substitution in the echelon form.  The cocycles pass it only their
 triple-point rows, over the classes of lines that their double points join
 in a union-find (``arrangement.Incidence.cocycles``); ``find`` is the one
-union-find lookup, shared with the resonance kernel.  Questions that live
-in 3-space need no elimination and are not asked here: they are cross and
-dot products of Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``).
+union-find lookup, shared with the resonance kernel.  Questions that need
+no elimination are not asked here: whether the three pencil products are
+dependent lives in 3-space and is decided by cross and dot products of
+Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``, in
+``pencils.find_pencils``), and whether two weight vectors are independent
+by their 2 x 2 minors (``resonance``).
 All of it is exact, so results are certificates, not estimates.
 """
 

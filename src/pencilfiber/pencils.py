@@ -34,18 +34,20 @@ its normalized coefficients by the positive integer s (``Line.pairs`` and
 (``forms.linear_product_pairs``): G_i = c_i * F_i, with c_i the product of
 the scales s of the class's lines.  A candidate is a pencil iff the
 coefficient matrix of G1, G2, G3, one row per monomial of degree k and one
-column per class, has rank 2 (``linalg.rank_pairs``) and its kernel vector
-has no zero entry; scaling a column by the positive integer c_i changes
-neither.  With three columns the
-kernel needs no elimination: it is the cross product ``pair_cross`` of two
-rows that are not proportional.  Each accepted dependence is re-verified
-exactly, by a zero ``pair_dot`` with every monomial row.  An accepted
-pencil keeps G1, G2, G3, the scales and the kernel vector as its Z[w]
-certificate: F_i = G_i / c_i, and (l1, l2, l3) is the kernel vector times
-(c1, c2, c3), scaled so that l1 = 1.  ``to_json`` prints both from the
-integers (``eisenstein.normalized_strs`` and ``HomForm.json_from_pairs``),
-and the Q(w) objects are built from the certificate only on the first read
-of ``lambdas`` or ``products`` (also through ``scaled_products``).  So the
+column per class, has rank 2 and its kernel vector has no zero entry;
+scaling a column by the positive integer c_i changes neither.  With three
+columns no elimination is needed (``_dependence``): the cross product
+``pair_cross`` lambda of two rows that are not proportional is nonzero, and
+the rank is 2 iff ``pair_dot`` gives lambda . row = 0 on every monomial
+row.  Those zero dots are the exact certificate of the dependence.  A
+nonzero dot means rank 3, no nonzero cross means rank 1, and either
+candidate is skipped.  An accepted pencil keeps G1, G2, G3, the scales and
+the kernel vector as its Z[w] certificate: F_i = G_i / c_i, and
+(l1, l2, l3) is the kernel vector times (c1, c2, c3), scaled so that
+l1 = 1.  ``to_json`` prints both from the integers
+(``eisenstein.normalized_strs`` and ``HomForm.json_from_pairs``), and the
+Q(w) objects are built from the certificate only on the first read of
+``lambdas`` or ``products`` (also through ``scaled_products``).  So the
 search, and printing what it found, build no Q(w) object and no Fraction.
 ``find_pencils`` is the one answer: whether an arrangement is composed of
 a reduced pencil is its truth value, and the number of pencils its length.
@@ -77,7 +79,6 @@ from .eisenstein import (
     pair_dot,
 )
 from .forms import Exponent, HomForm, linear_product_pairs
-from .linalg import rank_pairs
 from .milnor import monomial_exponents
 
 
@@ -188,19 +189,31 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = [linear_product_pairs(lines[i] for i in c) for c in triple]
-        rows = [[p.get(e, (0, 0)) for p in prods] for e in monomials]
-        if rank_pairs(rows) != 2:
-            continue  # independent, or all three proportional
-        # a pair is a tuple, so it is truthy even when it is zero
-        first = next(row for row in rows if any(v != (0, 0) for v in row))
-        lam = next(c for c in (pair_cross(first, row) for row in rows) if any(v != (0, 0) for v in c))
-        if (0, 0) in lam:
-            continue  # a zero coefficient: two products are proportional
-        if any(pair_dot(lam, row) != (0, 0) for row in rows):
-            raise AssertionError("dependence failed exact re-verification")
-        scales = [math.prod(line_scales[i] for i in c) for c in triple]
-        found.append(PencilDecomposition.from_certificate(triple, prods, scales, lam))
+        lam = _dependence([[p.get(e, (0, 0)) for p in prods] for e in monomials])
+        if lam is not None:
+            scales = [math.prod(line_scales[i] for i in c) for c in triple]
+            found.append(PencilDecomposition.from_certificate(triple, prods, scales, lam))
     return found
+
+
+def _dependence(rows: list[list[Pair]]) -> tuple[Pair, Pair, Pair] | None:
+    """The kernel vector of the m x 3 Z[w] matrix ``rows`` when the matrix has
+    rank 2 and that vector no zero entry; None otherwise.
+
+    Cross and dot products decide it: for rows u and v, u x v is orthogonal
+    to both, and (u x v) . x = det(u, v, x) for every row x.  The first
+    nonzero row u crossed with each later row gives a nonzero lambda at the
+    first row not proportional to u, and there is none when the rank is at
+    most 1.  Then the rank is 2 iff lambda . x = 0 for every row x, which
+    makes lambda the kernel vector and certifies it; a nonzero dot means
+    rank 3.  A zero entry of lambda means two columns are proportional.
+    """
+    nonzero = (row for row in rows if any(v != (0, 0) for v in row))
+    u = next(nonzero, None)
+    lam = next((c for c in (pair_cross(u, v) for v in nonzero) if c != ((0, 0),) * 3), None)
+    if lam is None or (0, 0) in lam or any(pair_dot(lam, row) != (0, 0) for row in rows):
+        return None
+    return lam
 
 
 def _cocycles(arr: Arrangement) -> list[list[int]]:

@@ -22,39 +22,47 @@ restrictions a|q and b|q, by one rule:
   vanishes at q iff sum b|q = 0;
 - any other point: iff b|q is parallel to a|q.
 
-``resonance_kernel_dim`` solves the rule for b.  Parallelism forces b_l = 0
-at each line with a_l = 0 and joins the lines with a_l != 0 in a union-find,
-with b_l = a_l t_class; the Sigma-points leave one linear row each in the
-class unknowns and the unforced zero-weight lines, and the kernel dimension
-is the number of unknowns minus the ``linalg.rank_pairs`` of those rows.  A
-local candidate gives 3 unknowns and 1 row, so dimension 2; the generic
-member of a dual-Hesse pencil 3 class columns and 9 rows, one per triple
-point with a line in each class.  ``wedge_vanishes`` checks the rule for a
-given b.  The premise, that the points' pairs cover every pair of lines
+The rule is stated once, as one pass of a over the points (``_Kernel``)
+that builds ker(a ^ .).  Parallelism forces b_l = 0 at each line with
+a_l = 0 and joins the lines with a_l != 0 in a union-find, with
+b_l = a_l t_class; the Sigma-points leave one linear row each in the class
+unknowns and the unforced zero-weight lines.  ``resonance_kernel_dim``
+solves it: the dimension is the number of unknowns minus the
+``linalg.rank_pairs`` of those rows.  A local candidate gives 3 unknowns
+and 1 row, so dimension 2; the generic member of a dual-Hesse pencil 3
+class columns and 9 rows, one per triple point with a line in each class.
+``wedge_vanishes`` and ``component_isotropy_check`` test a given b for
+membership: zero on the forced lines, proportional to a on each class,
+sum zero at each Sigma-point.  A candidate plane (u, v) needs both, and
+``_isotropy_and_kernel_dim`` gets them from one pass over its generic
+member a = u + 2v: a ^ v = u ^ v, so the basis is isotropic iff v lies in
+ker(a ^ .).  The premise, that the points' pairs cover every pair of lines
 once, is checked when the quotient is built.
 
 The quotient keeps the line -> points index of the arrangement's incidence
-record (``arrangement.Incidence``), and both questions visit only the points
+record (``arrangement.Incidence``), and every pass visits only the points
 it lists for the support lines.  a|q = 0 at a point with no line of a's
 support, so the kernel reads the points on a's support lines: for a local
 candidate at most 3(r - 1) points, where r lines may meet in up to
 r(r - 1)/2.  w_ij is zero unless lines i and j both lie in the support
-{l : a_l != 0 or b_l != 0}, so ``wedge_vanishes`` applies the rule only at
-the points the index lists for two or more support lines: one point for a
-local basis, every point for a pencil basis.
+{l : a_l != 0 or b_l != 0}, so a membership test alone (``wedge_vanishes``,
+``component_isotropy_check``) passes only over the points the index lists
+for two or more support lines: one point for a local basis, every point for
+a pencil basis.
 
 Each weight vector is read once, by the one weight scaler ``_weights``,
 into its Z[w] pairs and its support lines: a vector of ints has scale 1 and
 its nonzero entries become pairs directly, any other is scaled by the lcm
-of its denominators (``eisenstein.integer_pairs``).  Everything after that
-reads only the support: coordinate sums, the rank of a basis on its
-support columns, the wedge at the points carrying two support lines, and
-the kernel at the points on the support lines, which counts the
-zero-weight lines without listing them.  The scale is a positive integer,
-so it changes no answer: a coordinate sum is zero, a basis is independent,
-a wedge vanishes and a wedge kernel has its dimension exactly when the same
-holds before scaling, because (s a) ^ (t b) = s t (a ^ b) for nonzero
-scalars s and t.
+of its denominators (``eisenstein.integer_pairs``), and its support is read
+from the pairs.  Everything after that reads only the support: coordinate
+sums, the independence of a basis on its support columns (for two vectors,
+a nonzero 2 x 2 minor, with no elimination), the wedge at the points
+carrying two support lines, and the kernel at the points on the support
+lines, which counts the zero-weight lines without listing them.  The scale
+is a positive integer, so it changes no answer: a coordinate sum is zero, a
+basis is independent, a wedge vanishes and a wedge kernel has its dimension
+exactly when the same holds before scaling, because
+(s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
 
 Candidate 2-dimensional components come from two sources and are checked,
 not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
@@ -119,24 +127,17 @@ def _weights(r: int, a: Weights) -> tuple[list[Pair], list[int]]:
     """a scaled once into Z[w], with its support, the increasing lines l
     with a_l != 0; ValueError unless a has length r.
 
-    A vector of ints has scale 1: its support is found without a Python
-    loop, and only the support entries are written, as pairs (x, 0), over a
-    list of (0, 0).  Any other vector is scaled by the lcm of its support's
-    denominators (``eisenstein.integer_pairs``).
+    A vector of ints has scale 1: its entries become the pairs (x, 0), and
+    its support is found without a Python loop.  Any other vector is read by
+    ``eisenstein.integer_pairs``, scaled by the lcm of its denominators, and
+    its support is read from the pairs.
     """
     if len(a) != r:
         raise ValueError(f"weight vector must have length {r}")
-    vec = [(0, 0)] * r
     if set(map(type, a)) == _INT:
-        support = list(compress(range(r), a))
-        for l in support:
-            vec[l] = (a[l], 0)
-        return vec, support
-    values = [EisensteinNumber.of(v) for v in a]
-    support = [l for l, v in enumerate(values) if v]
-    for l, pair in zip(support, integer_pairs([values[l] for l in support])):
-        vec[l] = pair
-    return vec, support
+        return [(x, 0) for x in a], list(compress(range(r), a))
+    vec = integer_pairs(a)
+    return vec, [l for l, pair in enumerate(vec) if pair != (0, 0)]
 
 
 def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[tuple[tuple[int, ...], bool]]:
@@ -153,23 +154,81 @@ def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[t
                 yield p, not (x + u + s or y + v + t)
 
 
-def _wedge_vanishes(os: OSDegree2, a: list[Pair], b: list[Pair], support: Iterable[int]) -> bool:
-    """a ^ b = 0 for Z[w] weights with the given joint support: the rule of
-    a holds for b at the points with two support lines.  A point is listed
-    once for each of its support lines, so those points are the ones listed
-    twice or more.  Parallelism is checked by cross-multiplying against one
-    line with a_l != 0."""
+def _points_with_two(os: OSDegree2, support: Iterable[int]) -> list[tuple[int, ...]]:
+    """The points that carry two or more of the support lines: a point is
+    listed once for each of its support lines, so those listed twice or
+    more."""
     listed = Counter(n for l in support for n in os.on_line[l])
-    points = (os.points[n] for n, count in listed.items() if count >= 2)
-    for p, sigma in _point_rules(points, a):
-        if sigma:
-            if sum(b[l][0] for l in p) or sum(b[l][1] for l in p):
-                return False
-            continue
-        lead = next(l for l in p if a[l] != (0, 0))
-        if any(pair_mul(a[lead], b[l]) != pair_mul(a[l], b[lead]) for l in p):
-            return False
-    return True
+    return [os.points[n] for n, count in listed.items() if count >= 2]
+
+
+class _Kernel:
+    """ker(a ^ .) for Z[w] weights a, as the rule states it at the given points.
+
+    One pass over the points builds it: a union-find joins the support lines
+    that share a point other than a Sigma-point, where b|q is parallel to
+    a|q, so b_l = a_l t with one t per class; the zero-weight lines on those
+    points are forced to b_l = 0; and each Sigma-point leaves the row
+    sum b|q = 0.  Over the points on a's support lines, every point where
+    a|q != 0, that is the whole kernel, and ``dim`` solves it.  ``contains``
+    tests a given b against it, which needs only the points with two lines
+    of the joint support of a and b: elsewhere the wedge has no term.
+    """
+
+    def __init__(self, a: list[Pair], support: list[int], points: Iterable[tuple[int, ...]]) -> None:
+        parent = list(range(len(a)))
+        forced, sigma_points = set(), []
+        for p, sigma in _point_rules(points, a):
+            if sigma:
+                sigma_points.append(p)
+                continue
+            root = None
+            for l in p:
+                if a[l] == (0, 0):
+                    forced.add(l)
+                elif root is None:
+                    root = find(parent, l)
+                else:
+                    parent[find(parent, l)] = root
+        self.a, self.forced, self.sigma_points = a, forced, sigma_points
+        self.classes = {l: find(parent, l) for l in support}
+
+    def contains(self, b: list[Pair]) -> bool:
+        """a ^ b = 0 at the points read: b is zero on the forced lines,
+        proportional to a on each class (cross-multiplied against its root),
+        and sums to zero at each Sigma-point."""
+        a = self.a
+        return (
+            all(b[l] == (0, 0) for l in self.forced)
+            and all(pair_mul(a[root], b[l]) == pair_mul(a[l], b[root]) for l, root in self.classes.items())
+            and not any(b[i][0] + b[j][0] + b[k][0] or b[i][1] + b[j][1] + b[k][1] for i, j, k in self.sigma_points)
+        )
+
+    def dim(self) -> int:
+        """The dimension of the kernel, when the pass read the points on all
+        of a's support lines.
+
+        The unknowns are one t per class and one b_l per zero-weight line
+        that is not forced; a Sigma-point's row adds a_l to the column of
+        l's class and 1 to the column of each such line on it.  The
+        zero-weight lines are counted, not listed: one on no Sigma-point is
+        an unknown with an empty column, so it gets no column.
+        """
+        a, classes, forced = self.a, self.classes, self.forced
+        # one column per class root, then one per unforced zero-weight line on a Sigma-point
+        columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
+        unknowns = len(columns) + len(a) - len(classes) - len(forced)
+        for l in dict.fromkeys(l for p in self.sigma_points for l in p if l not in classes and l not in forced):
+            columns[l] = len(columns)
+        rows = []
+        for p in self.sigma_points:
+            row = [(0, 0)] * len(columns)
+            for l in p:
+                if l not in forced:
+                    n, (x, y) = (columns[classes[l]], a[l]) if l in classes else (columns[l], (1, 0))
+                    row[n] = (row[n][0] + x, row[n][1] + y)
+            rows.append(row)
+        return unknowns - rank_pairs(rows)
 
 
 def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
@@ -182,85 +241,88 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     scalar, so whether it vanishes does not change.
     """
     (u, support_u), (v, support_v) = _weights(os.r, a), _weights(os.r, b)
-    return _wedge_vanishes(os, u, v, set(support_u).union(support_v))
+    return _Kernel(u, support_u, _points_with_two(os, set(support_u).union(support_v))).contains(v)
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant.
 
     a is scaled once into Z[w], which leaves the kernel unchanged.  Only the
-    points the index lists for a's support lines have a|q != 0.  The unknowns
-    are one t per union-find class and one b_l per zero-weight line that
-    meets the support lines only at Sigma-points (any other point forces
-    b_l = 0); a Sigma-point's row adds a_l to the column of l's class and 1
-    to the column of each such line on it.  The zero-weight lines are
-    counted, not listed: one on no Sigma-point is an unknown with an empty
-    column, so it gets no column.
+    points the index lists for a's support lines have a|q != 0, and one
+    rule pass over them solves the kernel.
     """
+    return _kernel(os, a).dim()
+
+
+def _kernel(os: OSDegree2, a: Weights) -> _Kernel:
+    """The whole of ker(a ^ .): a scaled once into Z[w], then one rule pass
+    over the points on its support lines, in the quotient's order, which are
+    all the points where a|q != 0."""
     vec, support = _weights(os.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
-    visited = sorted({n for l in support for n in os.on_line[l]})
-    parent = list(range(os.r))  # a union-find over the support lines
-    forced: set[int] = set()
-    sigma_points = []
-    for p, sigma in _point_rules((os.points[n] for n in visited), vec):
-        if sigma:
-            sigma_points.append(p)
-            continue
-        root = None
-        for l in p:
-            if vec[l] == (0, 0):
-                forced.add(l)
-            elif root is None:
-                root = find(parent, l)
-            else:
-                parent[find(parent, l)] = root
-    classes = {l: find(parent, l) for l in support}
-    # one column per class root and per unforced zero-weight line on a Sigma-point
-    columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
-    unknowns = len(columns) + os.r - len(support) - len(forced)
-    for p in sigma_points:
-        for l in p:
-            if vec[l] == (0, 0) and l not in forced:
-                columns.setdefault(l, len(columns))
-    rows = []
-    for p in sigma_points:
-        row = [(0, 0)] * len(columns)
-        for l in p:
-            if vec[l] != (0, 0):
-                n, (x, y) = columns[classes[l]], vec[l]
-            elif l not in forced:
-                n, (x, y) = columns[l], (1, 0)
-            else:
-                continue
-            u, v = row[n]
-            row[n] = (u + x, v + y)
-        rows.append(row)
-    return unknowns - rank_pairs(rows)
+    return _Kernel(vec, support, [os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})])
+
+
+def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
+    """Whether Z[w] vectors, read on their support columns, are linearly independent.
+
+    Two vectors u, v are independent iff some 2 x 2 minor is nonzero, which
+    needs no elimination: when u != 0 with first nonzero column l, v is the
+    multiple (v_l / u_l) u exactly when every minor u_l v_m - u_m v_l is
+    zero.  Any other number of vectors goes to ``linalg.rank_pairs``.
+    """
+    if len(vectors) != 2:
+        return rank_pairs([[vec[l] for l in support] for vec in vectors]) == len(vectors)
+    u, v = vectors
+    lead = next((l for l in support if u[l] != (0, 0)), None)
+    return lead is not None and any(pair_mul(u[lead], v[m]) != pair_mul(u[m], v[lead]) for m in support)
+
+
+def _basis_weights(os: OSDegree2, basis: list[Weights]) -> tuple[list[tuple[list[Pair], list[int]]], list[int]]:
+    """The basis vectors scaled once into Z[w], each with its support, and
+    their joint support; ValueError unless each has coordinate sum zero and
+    they are independent.
+
+    A positive integer scale keeps a coordinate sum zero or nonzero and the
+    basis independent or dependent.
+    """
+    weights = [_weights(os.r, v) for v in basis]
+    if any(sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support) for vec, support in weights):
+        raise ValueError("basis vectors must have coordinate sum zero")
+    support = sorted(set().union(*(support for _, support in weights)))
+    if not _independent([vec for vec, _ in weights], support):
+        raise ValueError("basis vectors are linearly dependent")
+    return weights, support
 
 
 def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
     """True iff all pairwise wedges of an independent sum-zero basis vanish.
 
-    Each vector is scaled once into Z[w]; a positive integer scale keeps its
-    coordinate sum zero or nonzero, the basis independent or dependent, and
-    every wedge vanishing or not.  The sums, the rank and the wedges read
-    only the support S, the lines where some basis vector is nonzero: the
-    rank is taken on the columns of S, and each wedge is checked at the
-    points with two lines of S.  A point with fewer than two lines of its
-    own pair's support satisfies that pair's rule, so checking it there
-    changes nothing.
+    Each vector is scaled once into Z[w], which keeps every wedge vanishing
+    or not.  The check reads only the support S, the lines where some basis
+    vector is nonzero: for each pair (u, v), one rule pass of u over the
+    points with two lines of S tests v for membership in ker(u ^ .).  A
+    point with fewer than two lines of its own pair's support satisfies
+    that pair's rule, so reading it there changes nothing.
     """
-    weights = [_weights(os.r, v) for v in basis]
-    for vec, support in weights:
-        if sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support):
-            raise ValueError("basis vectors must have coordinate sum zero")
-    support = sorted(set().union(*(support for _, support in weights)))
-    vectors = [vec for vec, _ in weights]
-    if rank_pairs([[vec[l] for l in support] for vec in vectors]) != len(vectors):
-        raise ValueError("basis vectors are linearly dependent")
-    return all(_wedge_vanishes(os, u, v, support) for u, v in combinations(vectors, 2))
+    weights, support = _basis_weights(os, basis)
+    points = _points_with_two(os, support)
+    return all(_Kernel(u, support_u, points).contains(v) for (u, support_u), (v, _) in combinations(weights, 2))
+
+
+def _isotropy_and_kernel_dim(os: OSDegree2, basis: list[Weights]) -> tuple[bool, int]:
+    """``component_isotropy_check(os, basis)`` and
+    ``resonance_kernel_dim(os, generic_member(basis))`` for a two-vector
+    basis (u, v), from one rule pass over the generic member a = u + 2v.
+
+    a ^ v = u ^ v, so the basis is isotropic iff v lies in ker(a ^ .), which
+    the pass that solves the kernel tests too.  The basis is checked as
+    ``component_isotropy_check`` checks it.
+    """
+    (_, (v, _)), _ = _basis_weights(os, basis)
+    kernel = _kernel(os, generic_member(basis))
+    return kernel.contains(v), kernel.dim()
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:

@@ -1,0 +1,132 @@
+"""The pencil and resonance-candidate decisions as they were made before the
+certificates alone decided them, kept as oracles.
+
+``bareiss_dependence`` asks ``rank_pairs`` whether the m x 3 matrix of class
+products has rank 2 and only then takes the cross product of two rows,
+re-verified by dots.  ``two_call_fields`` is the isotropy check by pairwise
+wedges, each tested point by point, with independence by ``rank_pairs``,
+followed by a separate kernel solve of the generic member.  Neither shares
+code with ``pencils._dependence`` or ``resonance._Kernel``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, pair_cross, pair_dot, pair_mul
+from pencilfiber.linalg import find, rank_pairs
+
+
+def bareiss_dependence(rows):
+    """The kernel vector when the rows have rank 2 and it has no zero entry, else None."""
+    if rank_pairs(rows) != 2:
+        return None
+    first = next(row for row in rows if any(v != (0, 0) for v in row))
+    lam = next(c for c in (pair_cross(first, row) for row in rows) if any(v != (0, 0) for v in c))
+    if (0, 0) in lam:
+        return None
+    if any(pair_dot(lam, row) != (0, 0) for row in rows):
+        raise AssertionError("dependence failed exact re-verification")
+    return lam
+
+
+def _weights(r, a):
+    if len(a) != r:
+        raise ValueError(f"weight vector must have length {r}")
+    values = [EisensteinNumber.of(v) for v in a]
+    support = [l for l, v in enumerate(values) if v]
+    vec = [(0, 0)] * r
+    for l, pair in zip(support, integer_pairs([values[l] for l in support])):
+        vec[l] = pair
+    return vec, support
+
+
+def _point_rules(points, a):
+    for p in points:
+        if any(a[l] != (0, 0) for l in p):
+            sigma = len(p) == 3 and not (sum(a[l][0] for l in p) or sum(a[l][1] for l in p))
+            yield p, sigma
+
+
+def _wedge_vanishes(os2, a, b, support):
+    listed = Counter(n for l in support for n in os2.on_line[l])
+    points = (os2.points[n] for n, count in listed.items() if count >= 2)
+    for p, sigma in _point_rules(points, a):
+        if sigma:
+            if sum(b[l][0] for l in p) or sum(b[l][1] for l in p):
+                return False
+            continue
+        lead = next(l for l in p if a[l] != (0, 0))
+        if any(pair_mul(a[lead], b[l]) != pair_mul(a[l], b[lead]) for l in p):
+            return False
+    return True
+
+
+def wedge(os2, a, b):
+    """a ^ b = 0, by the rule of a at the points with two lines of the joint support."""
+    (u, support_u), (v, support_v) = _weights(os2.r, a), _weights(os2.r, b)
+    return _wedge_vanishes(os2, u, v, set(support_u).union(support_v))
+
+
+def isotropy(os2, basis):
+    """All pairwise wedges vanish; ValueError for a basis that is not sum-zero or not independent."""
+    weights = [_weights(os2.r, v) for v in basis]
+    for vec, support in weights:
+        if sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support):
+            raise ValueError("basis vectors must have coordinate sum zero")
+    support = sorted(set().union(*(support for _, support in weights)))
+    vectors = [vec for vec, _ in weights]
+    if rank_pairs([[vec[l] for l in support] for vec in vectors]) != len(vectors):
+        raise ValueError("basis vectors are linearly dependent")
+    return all(_wedge_vanishes(os2, u, v, support) for u, v in combinations(vectors, 2))
+
+
+def kernel_dim(os2, a):
+    """dim ker(a ^ .) by the union-find and Sigma-rows, read at the points on a's support lines."""
+    vec, support = _weights(os2.r, a)
+    if not support:
+        raise ValueError("the zero weight vector is not probed")
+    visited = sorted({n for l in support for n in os2.on_line[l]})
+    parent = list(range(os2.r))
+    forced = set()
+    sigma_points = []
+    for p, sigma in _point_rules((os2.points[n] for n in visited), vec):
+        if sigma:
+            sigma_points.append(p)
+            continue
+        root = None
+        for l in p:
+            if vec[l] == (0, 0):
+                forced.add(l)
+            elif root is None:
+                root = find(parent, l)
+            else:
+                parent[find(parent, l)] = root
+    classes = {l: find(parent, l) for l in support}
+    columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
+    unknowns = len(columns) + os2.r - len(support) - len(forced)
+    for p in sigma_points:
+        for l in p:
+            if vec[l] == (0, 0) and l not in forced:
+                columns.setdefault(l, len(columns))
+    rows = []
+    for p in sigma_points:
+        row = [(0, 0)] * len(columns)
+        for l in p:
+            if vec[l] != (0, 0):
+                n, (x, y) = columns[classes[l]], vec[l]
+            elif l not in forced:
+                n, (x, y) = columns[l], (1, 0)
+            else:
+                continue
+            u, v = row[n]
+            row[n] = (u + x, v + y)
+        rows.append(row)
+    return unknowns - rank_pairs(rows)
+
+
+def two_call_fields(os2, basis):
+    """(isotropic, kernel_dim of the generic member u + 2v) by two separate calls."""
+    u, v = basis
+    return isotropy(os2, basis), kernel_dim(os2, [x + 2 * y for x, y in zip(u, v)])

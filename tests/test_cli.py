@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pencilfiber
 from linalg_oracle import rref
-from pencilfiber import cli, eisenstein
+from pencilfiber import cli, eisenstein, resonance
 from pencilfiber.arrangement import (
     Arrangement,
     MultiplicityError,
@@ -912,13 +912,38 @@ class KernelDimCalled(Exception):
 def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_file, monkeypatch):
     _, expected = run_cli(capsys, ["crosscheck", str(corpus_dir)])
 
-    def refuse(os2, a):
+    def refuse(kernel):
         raise KernelDimCalled
 
-    monkeypatch.setattr(cli, "resonance_kernel_dim", refuse)
+    # every kernel dimension is solved by the rule pass's ``dim``, which
+    # analyze reaches through ``_isotropy_and_kernel_dim``; crosscheck's
+    # isotropy checks build passes and only test membership on them
+    monkeypatch.setattr(resonance._Kernel, "dim", refuse)
     assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
     with pytest.raises(KernelDimCalled):
         main(["analyze", dual_hesse_file])
+
+
+def test_analyze_makes_one_rule_pass_per_candidate(capsys, corpus_dir, monkeypatch):
+    """Each candidate component's two printed fields come from one pass of
+    Brieskorn's rule, over its generic member."""
+    passes = []
+    rules = resonance._point_rules
+
+    def counted(points, a):
+        passes.append(a)
+        return rules(points, a)
+
+    monkeypatch.setattr(resonance, "_point_rules", counted)
+    candidates = 0
+    for path in sorted(corpus_dir.glob("*.json")):
+        passes.clear()
+        code, out = run_cli(capsys, ["analyze", str(path)])
+        payload = json.loads(out)["resonance"]
+        count = len(payload["local_components"]) + len(payload["pencil_components"])
+        assert (code, len(passes)) == (0, count), path.name
+        candidates += count
+    assert candidates == 50  # 38 triple points and 12 pencils
 
 
 class FieldArithmeticCalled(Exception):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from itertools import chain
 
 import pencilfiber
@@ -65,4 +66,32 @@ def test_src_has_no_unused_import():
             if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 used |= set(ast.literal_eval(node.value))
         found += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert found == []
+
+
+def test_every_private_function_has_a_caller():
+    # a private module-level function or method (one leading underscore, not
+    # a dunder) is read by name somewhere in the package outside its own
+    # body; one that nothing reads is dead code and is deleted, not kept
+    package = pathlib.Path(pencilfiber.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    read = Counter(chain.from_iterable(names(tree) for tree in trees.values()))
+    found = []
+    for file, tree in trees.items():
+        defs = list(tree.body)
+        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for node in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__") and read[name] == Counter(names(node))[name]:
+                found.append(f"{file}:{node.lineno} {name}")
     assert found == []

@@ -4,11 +4,13 @@ import random
 import shutil
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from decision_oracle import bareiss_dependence
 from pencilfiber import cli, linalg
 from pencilfiber import pencils as pencils_module
 from pencilfiber.arrangement import Arrangement, Line, MultiplicityError, incidence, intersection_points, proj_transform
@@ -26,7 +28,7 @@ from pencilfiber.fixtures import (
     near_pencil_six,
     triangle,
 )
-from pencilfiber.forms import HomForm
+from pencilfiber.forms import HomForm, linear_product_pairs
 from pencilfiber.milnor import monomial_exponents, superabundance
 from pencilfiber.pencils import PencilDecomposition, beta3, find_pencils
 
@@ -375,16 +377,105 @@ def test_pencils_match_qw_product_oracle():
     assert unequal_scales >= len(images)  # the per-class scales c_i differ
 
 
-def test_permuted_lambda_fails_reverification(monkeypatch):
+def test_permuted_lambda_fails_reverification(monkeypatch, tmp_path, capsys):
     cross = pencils_module.pair_cross
 
     def permuted(u, v):
         a, b, c = cross(u, v)
         return (b, a, c)
 
+    # the zero dots are the certificate: a wrong lambda fails them, so every
+    # candidate is skipped, and crosscheck sees s = 2 with no pencil
     monkeypatch.setattr(pencils_module, "pair_cross", permuted)
-    with pytest.raises(AssertionError, match="re-verification"):
-        find_pencils(dual_hesse())
+    assert find_pencils(dual_hesse()) == []
+    (tmp_path / "dual_hesse.json").write_text(json.dumps(dual_hesse().to_json()))
+    assert cli.main(["crosscheck", str(tmp_path)]) == 3
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert {"file": "dual_hesse.json", "check": "eigenvalue_vs_pencil"} in failures
+
+
+def _product_rows(arr, classes):
+    """The monomial-by-class matrix of the Z[w] class products, as ``find_pencils`` builds it."""
+    prods = [linear_product_pairs(arr.lines[i].pairs for i in c) for c in classes]
+    return [[p.get(e, (0, 0)) for p in prods] for e in monomial_exponents(len(classes[0]))]
+
+
+def _decision_sample(corpus_dir):
+    """The corpus, the fixtures with 3 | r, seeded PGL images with shuffled
+    lines, every sub-arrangement of dual_hesse with 3 | r, and the cuspidal
+    duals with 3 | r that tier 1 builds (r = 15, 21, 63)."""
+    arrangements = [Arrangement.from_json(json.loads(path.read_text())) for path in sorted(corpus_dir.glob("*.json"))]
+    arrangements += [f() for f in (braid, ceva_two, concurrent_triple, dual_hesse, generic_nine, generic_six, near_pencil_six)]
+    arrangements += _pgl_images((dual_hesse, braid, ceva_two, concurrent_triple), 3, 83)
+    hesse = dual_hesse()
+    for k in (3, 6, 9):
+        arrangements += [Arrangement([hesse.lines[i] for i in keep]) for keep in combinations(range(9), k)]
+    arrangements += [cuspidal_dual(m) for m in (7, 10, 31)]
+    return [arr for arr in arrangements if arr.r % 3 == 0]
+
+
+def test_dependence_matches_the_bareiss_decision(corpus_dir):
+    """The cross-and-dot decision gives the kernel vector, or None, exactly when
+    the rank-first decision does: on every cocycle candidate, and on two
+    seeded partitions of each arrangement into three classes of r/3 lines,
+    which are rarely pencils."""
+    rng = random.Random(89)
+    decided = Counter()
+    for arr in _decision_sample(corpus_dir):
+        cocycle = pencils_module._cocycle_partitions(arr)
+        k = arr.r // 3
+        seeded = [rng.sample(range(arr.r), arr.r) for _ in range(2)]
+        seeded = [tuple(tuple(sorted(order[n : n + k])) for n in range(0, arr.r, k)) for order in seeded]
+        accepted = []
+        for classes in cocycle + seeded:
+            rows = _product_rows(arr, classes)
+            lam = pencils_module._dependence(rows)
+            assert lam == bareiss_dependence(rows), (arr.label, classes)
+            decided[lam is not None, linalg.rank_pairs(rows)] += 1
+            if lam is not None and classes in cocycle:
+                accepted.append(classes)
+        assert [p.classes for p in find_pencils(arr)] == sorted(set(accepted)), arr.label
+    assert set(decided) == {(True, 2), (False, 3)}, decided
+
+
+def test_dependence_skips_rank_one_and_rank_three_rows():
+    """Synthetic m x 3 rows with w-parts: rank 0, 1 and 3, and rank 2 with a
+    zero kernel entry, are skipped with no StopIteration; rank 2 with a
+    kernel vector of nonzero entries gives that vector."""
+    p, q, z = (2, -1), (0, 3), (0, 0)
+    cases = {
+        "empty": [],
+        "zero": [[z, z, z], [z, z, z]],
+        "rank 1": [[z, z, z], [p, q, z], [(-2, 1), (0, -3), z], [(0, 2), (-3, -3), z]],
+        "rank 1, one row": [[p, p, q]],
+        "rank 3": [[p, z, z], [z, q, z], [z, z, p], [p, q, p]],
+        "rank 3, late": [[p, q, p], [(4, -2), (0, 6), (4, -2)], [(1, 0), (0, 0), (1, 0)], [z, (1, 1), z]],
+        "rank 2, zero entry": [[p, z, z], [z, q, z], [p, q, z]],
+    }
+    for name, rows in cases.items():
+        assert pencils_module._dependence(rows) is None, name
+        assert bareiss_dependence(rows) is None, name
+    rows = [[p, (-2, 1), z], [z, q, (0, -3)], [p, z, (-2, 1)], [z, z, z]]
+    lam = pencils_module._dependence(rows)
+    assert lam == bareiss_dependence(rows) and (0, 0) not in lam
+    assert linalg.rank_pairs(rows) == 2
+
+
+def test_find_pencils_asks_no_rank(corpus_dir, monkeypatch):
+    """No ``rank_pairs`` call in ``find_pencils`` over the corpus, which has pencils."""
+    calls = []
+    rank = linalg.rank_pairs
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pencilfiber")]:
+        if getattr(module, "rank_pairs", None) is rank:
+            monkeypatch.setattr(module, "rank_pairs", counted)
+    assert not hasattr(pencils_module, "rank_pairs")
+    found = sum(len(find_pencils(Arrangement.from_json(json.loads(p.read_text())))) for p in sorted(corpus_dir.glob("*.json")))
+    assert (found, calls) == (12, [])
 
 
 def _cocycle_partitions_oracle(arr):

@@ -1,16 +1,21 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decision_oracle
 from linalg_oracle import peeled_rank, rref
 from pencilfiber import resonance
-from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points
-from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_mul
+from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points, proj_transform
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, ParseError, integer_pairs, pair_mul
 from pencilfiber.fixtures import (
     braid,
+    ceva_two,
     concurrent_triple,
     cuspidal_dual,
     dual_hesse,
@@ -218,6 +223,35 @@ def test_wedge_vanishes_against_oracle():
                 assert vanishes == wedge_vanishes(os2, a, [y + 2 * x for x, y in zip(a, b)])
                 seen[kind].add(vanishes)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+def test_wedge_needs_the_sigma_rows():
+    """Pairs that only a Sigma-point's row rejects: b is zero on the forced
+    lines and proportional to a on each class, but sum b|q != 0 at a
+    Sigma-point q.  For a = e_i - e_j at a triple point {i, j, k} these are
+    e_i + e_j and e_k; for the generic member of a pencil basis, each class
+    indicator.  The dense rank test agrees."""
+    seen = []
+    for arr in (braid(), dual_hesse(), ceva_two()):
+        os2 = build_os2(arr)
+        relations = _dense_relations(arr)
+        pairs = []
+        for pt in intersection_points(arr):
+            if pt.multiplicity == 3:
+                i, j, k = pt.lines
+                a, b, c = ([ZERO] * arr.r for _ in range(3))
+                a[i], a[j], b[i], b[j], c[k] = ONE, -ONE, ONE, ONE, ONE
+                pairs += [(a, b, False), (a, c, False), (a, triple_point_basis(pt, arr.r)[1], True)]
+        for pencil in find_pencils(arr):
+            basis = pencil_basis(pencil, arr.r)
+            a = generic_member(basis)
+            for cls in pencil.classes:
+                pairs.append((a, [ONE if l in cls else ZERO for l in range(arr.r)], False))
+            pairs += [(a, basis[0], True), (a, basis[1], True)]
+        for a, b, expected in pairs:
+            assert wedge_vanishes(os2, a, b) == _wedge_oracle(relations, arr.r, a, b) == expected, arr.label
+            seen.append(expected)
+    assert seen.count(False) > 30 and seen.count(True) > 20
 
 
 def test_wedge_alternating():
@@ -662,3 +696,139 @@ def test_local_candidate_reads_only_points_on_its_support_lines(monkeypatch):
     read.clear()
     assert component_isotropy_check(os2, basis)
     assert read == [pt.lines]
+
+
+# --- the one rule pass against the old two-call path --------------------------
+
+
+def _outcome(check, *args):
+    """The check's answer, or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return ("ValueError", type(exc), str(exc))
+
+
+def _decision_sample(corpus_dir):
+    """The corpus, the fixtures, two seeded PGL images with shuffled lines of
+    each of braid, ceva_two and dual_hesse (matrix entries with w-parts and
+    denominators), every sub-arrangement of dual_hesse, and the cuspidal
+    duals on 15, 25 and 41 lines."""
+    arrangements = [Arrangement.from_json(json.loads(path.read_text())) for path in sorted(corpus_dir.glob("*.json"))]
+    arrangements += [f() for f in (braid, ceva_two, concurrent_triple, dual_hesse, generic_six, near_pencil_six, triangle)]
+    rng = random.Random(97)
+    for builder in (braid, ceva_two, dual_hesse):
+        made = 0
+        while made < 2:
+            m = [[EisensteinNumber(rng.randint(-4, 4), rng.randint(-4, 4)) / rng.randint(1, 7) for _ in range(3)] for _ in range(3)]
+            try:
+                image = proj_transform(builder(), m)
+            except ValueError:
+                continue  # singular matrix
+            arrangements.append(image.reordered(rng.sample(range(image.r), image.r)))
+            made += 1
+    hesse = dual_hesse()
+    for k in range(2, 10):
+        arrangements += [Arrangement([hesse.lines[i] for i in keep]) for keep in combinations(range(9), k)]
+    return arrangements + [cuspidal_dual(m) for m in (7, 12, 20)]
+
+
+def test_one_pass_per_candidate_matches_the_two_call_path(corpus_dir):
+    """Both printed fields of every candidate component, and its isotropy
+    check alone, equal the old pairwise-wedge isotropy and separate kernel
+    solve; so do pairs taken from two local components, which are not
+    isotropic, and the kernels and wedges of the basis vectors."""
+    seen = Counter()
+    for arr in _decision_sample(corpus_dir):
+        os2 = build_os2(arr)
+        local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+        mixed = [[first[0], second[1]] for first, second in zip(local, local[1:])][:3]
+        for basis in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)] + mixed:
+            fields = resonance._isotropy_and_kernel_dim(os2, basis)
+            assert fields == decision_oracle.two_call_fields(os2, basis), arr.label
+            assert component_isotropy_check(os2, basis) == fields[0], arr.label
+            u, v = basis
+            assert resonance_kernel_dim(os2, u) == decision_oracle.kernel_dim(os2, u), arr.label
+            assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v) == fields[0], arr.label
+            seen[fields] += 1
+    assert {isotropic for isotropic, _ in seen} == {True, False}
+    assert {dim for _, dim in seen} == {1, 2}, seen
+
+
+_ORACLE_ARRANGEMENTS = [braid(), ceva_two(), dual_hesse(), near_pencil_six(), Arrangement(dual_hesse().lines[:7])]
+
+
+@st.composite
+def _integer_bases(draw):
+    """An arrangement and an integer basis on its lines: random vectors, made
+    sum-zero or not, dependent or not, or a candidate component's basis
+    sheared; sometimes with a third vector."""
+    arr = draw(st.sampled_from(_ORACLE_ARRANGEMENTS))
+    entries = st.lists(st.integers(-3, 3), min_size=arr.r, max_size=arr.r)
+    if draw(st.booleans()):
+        pt = draw(st.sampled_from([pt for pt in intersection_points(arr) if pt.multiplicity == 3]))
+        u, v = triple_point_basis(pt, arr.r)
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        basis = [[x + s * y for x, y in zip(u, v)], [t * x + y for x, y in zip(u, v)]]
+    else:
+        basis = [draw(entries), draw(entries)]
+    extra = draw(st.one_of(st.none(), entries))
+    for vec in basis + [extra or []]:
+        if vec and draw(st.booleans()):
+            vec[-1] -= sum(vec)
+    if draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        basis[1] = [c * x for x in basis[0]]
+    return arr, basis, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_bases())
+def test_integer_bases_against_the_two_call_path(drawn):
+    arr, basis, extra = drawn
+    os2 = build_os2(arr)
+    u, v = basis
+    new = _outcome(resonance._isotropy_and_kernel_dim, os2, basis)
+    assert new == _outcome(decision_oracle.two_call_fields, os2, basis)
+    assert _outcome(component_isotropy_check, os2, basis) == _outcome(decision_oracle.isotropy, os2, basis)
+    assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v)
+    if any(u):
+        assert resonance_kernel_dim(os2, u) == decision_oracle.kernel_dim(os2, u)
+    if extra is not None:
+        three = basis + [extra]
+        assert _outcome(component_isotropy_check, os2, three) == _outcome(decision_oracle.isotropy, os2, three)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(1.0, ValueError), (True, ValueError), ("1+", ParseError), ("x", ParseError), ("1/0", ParseError)],
+    ids=["float", "bool", "dangling sign", "no number", "zero denominator"],
+)
+def test_weights_reject_floats_bools_and_malformed_strings(bad, error):
+    os2 = build_os2(braid())
+    weights = [bad, -1, "0", Fraction(1, 2), EisensteinNumber(0, 1), 0]
+    for probe in (
+        lambda: resonance_kernel_dim(os2, weights),
+        lambda: wedge_vanishes(os2, [1, -1, 0, 0, 0, 0], weights),
+        lambda: component_isotropy_check(os2, [weights, [0, 1, -1, 0, 0, 0]]),
+    ):
+        with pytest.raises(error) as caught:
+            probe()
+        if error is ValueError:
+            assert not isinstance(caught.value, ParseError)
+
+
+def test_string_weights_build_no_field_element(monkeypatch):
+    """A weight vector of strings is read into Z[w] pairs, support and all,
+    without an EisensteinNumber per entry; "0/3" is zero, off the support,
+    and its denominator joins the scale 6."""
+    os2 = build_os2(braid())
+    a = ["1/2", "-w", "0", "0/3", "-1/2+w", "0"]
+    expected = resonance_kernel_dim(os2, a)
+
+    def refuse(*args):
+        raise AssertionError("an EisensteinNumber was built")
+
+    monkeypatch.setattr(EisensteinNumber, "__init__", refuse)
+    assert resonance._weights(6, a) == ([(3, 0), (0, -6), (0, 0), (0, 0), (-3, 6), (0, 0)], [0, 1, 4])
+    assert resonance_kernel_dim(os2, a) == expected
