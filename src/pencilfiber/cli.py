@@ -38,7 +38,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, TypeVar
+from typing import Callable, NoReturn, TypeVar
 
 from .arrangement import (
     Arrangement,
@@ -62,7 +62,6 @@ from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
     OSDegree2,
-    Weights,
     _isotropy_and_kernel_dim,
     build_os2,
     component_isotropy_check,
@@ -171,25 +170,29 @@ def _descent_instance(data: dict) -> tuple[QuasiToricRelation, list[UniPoly]]:
     return rel, [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
 
 
-def _candidate_bases(arr: Arrangement, pencils: list[PencilDecomposition]) -> Iterator[tuple[str, dict, list[Weights]]]:
-    """Each candidate component as (payload key, its JSON entry, its basis):
-    one per triple point, then one per pencil."""
-    for pt in intersection_points(arr):
-        if pt.multiplicity == 3:
-            yield "local_components", {"lines": list(pt.lines)}, triple_point_basis(pt, arr.r)
-    for pencil in pencils:
-        yield "pencil_components", {"classes": [list(c) for c in pencil.classes]}, pencil_basis(pencil, arr.r)
-
-
 def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
-    components: dict[str, list[dict]] = {"local_components": [], "pencil_components": []}
-    for key, entry, basis in _candidate_bases(arr, pencils):
-        entry["isotropic"], entry["kernel_dim"] = _isotropy_and_kernel_dim(os2, basis)
-        components[key].append(entry)
+    """The quotient's ranks and each candidate component with its two fields:
+    one local candidate per triple point, then one per pencil.
+
+    A local candidate's fields follow from Brieskorn's rule alone (see
+    ``resonance``): at a point of multiplicity exactly 3, which the
+    multiplicity gate has certified, the basis is isotropic and its generic
+    member's kernel is 2-dimensional.  A pencil candidate's come from one
+    rule pass over its generic member."""
+    local = [
+        {"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2}
+        for pt in intersection_points(arr)
+        if pt.multiplicity == 3
+    ]
+    from_pencils = []
+    for pencil in pencils:
+        isotropic, dim = _isotropy_and_kernel_dim(os2, pencil_basis(pencil, arr.r))
+        from_pencils.append({"classes": [list(c) for c in pencil.classes], "isotropic": isotropic, "kernel_dim": dim})
     return {
         "quotient_rank": os2.quotient_rank,
         "relation_count": os2.relation_rank,  # the triple-point relations are independent
-        **components,
+        "local_components": local,
+        "pencil_components": from_pencils,
     }
 
 
@@ -287,7 +290,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     candidate component; the kernel dimensions ``analyze`` prints are not
     solved, since isotropy of a basis already puts both basis vectors in
     the kernel of its generic member.  Each isotropy check tests membership
-    on one rule pass over the points with two lines of the basis support.  A
+    on one rule pass over the points with two lines of the basis support,
+    the local bases too, whose fields ``analyze`` prints from the rule
+    without a pass; so crosscheck checks those fields independently.  A
     combinatorial type includes r and the point census, so types are
     computed only for the files whose (r, census) another file shares; no
     other pair can have equal types."""
@@ -302,9 +307,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             s = milnor_report(arr).s
             pencils = find_pencils(arr)
             os2 = build_os2(arr)
-            candidates = [(key, basis) for key, _, basis in _candidate_bases(arr, pencils)]
-            isotropic = [component_isotropy_check(os2, basis) for _, basis in candidates]
-            planes = distinct_planes(arr.r, [basis for key, basis in candidates if key == "pencil_components"])
+            local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+            from_pencils = [pencil_basis(pencil, arr.r) for pencil in pencils]
+            isotropic = [component_isotropy_check(os2, basis) for basis in local + from_pencils]
+            planes = distinct_planes(arr.r, from_pencils)
         except MultiplicityError as exc:
             rows.append({"file": path.name, **_violation_payload(exc.point)})
             continue

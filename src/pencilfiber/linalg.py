@@ -8,10 +8,10 @@ over Z[w]; callers holding Q(w) rows scale each row with
 the rows as given, with no pre-pass, because its callers' rows almost never
 have a single nonzero entry: the resonance kernel passes only its
 Sigma-rows, one per triple point where the weight sums to zero, in the few
-unknowns that its union-find leaves (``resonance``); ``distinct_planes``
-asks about four weight vectors, and the independence of a basis of other
-than two vectors about those vectors; and ``milnor.superabundance`` about
-the monomials at the triple points when its rank modulo p is not full.
+unknowns that its union-find leaves (``resonance``); the independence of a
+basis of other than two vectors asks about those vectors; and
+``milnor.superabundance`` about the monomials at the triple points when its
+rank modulo p is not full.
 ``_echelon``, row echelon form over F_q, is the one
 over prime fields, and serves two questions.  ``rank_mod_p`` is the rank
 over F_p for one prime p = 1 (mod 3), on the image of Z[w] rows under
@@ -25,8 +25,9 @@ union-find lookup, shared with the resonance kernel.  Questions that need
 no elimination are not asked here: whether the three pencil products are
 dependent lives in 3-space and is decided by cross and dot products of
 Z[w] triples (``eisenstein.pair_cross``, ``pair_dot``, in
-``pencils.find_pencils``), and whether two weight vectors are independent
-by their 2 x 2 minors (``resonance``).
+``pencils.find_pencils``), whether two weight vectors are independent by
+their 2 x 2 minors, and whether a weight vector lies in a plane by Cramer's
+rule against one such minor (``resonance``).
 All of it is exact, so results are certificates, not estimates.
 """
 
@@ -91,7 +92,8 @@ ZETA = 1055852462
 
 
 def residue(v: Pair) -> int:
-    """The image a + b*ZETA mod PRIME of a + b*w."""
+    """The image a + b*ZETA mod PRIME of a + b*w: the residues that
+    ``rank_mod_p`` reads and ``arrangement.incidence`` groups crossings by."""
     return (v[0] + v[1] * ZETA) % PRIME
 
 

@@ -28,9 +28,9 @@ a_l = 0 and joins the lines with a_l != 0 in a union-find, with
 b_l = a_l t_class; the Sigma-points leave one linear row each in the class
 unknowns and the unforced zero-weight lines.  ``resonance_kernel_dim``
 solves it: the dimension is the number of unknowns minus the
-``linalg.rank_pairs`` of those rows.  A local candidate gives 3 unknowns
-and 1 row, so dimension 2; the generic member of a dual-Hesse pencil 3
-class columns and 9 rows, one per triple point with a line in each class.
+``linalg.rank_pairs`` of those rows.  The generic member of a dual-Hesse
+pencil gives 3 class columns and 9 rows, one per triple point with a line
+in each class.
 ``wedge_vanishes`` and ``component_isotropy_check`` test a given b for
 membership: zero on the forced lines, proportional to a on each class,
 sum zero at each Sigma-point.  A candidate plane (u, v) needs both, and
@@ -64,11 +64,22 @@ basis is independent, a wedge vanishes and a wedge kernel has its dimension
 exactly when the same holds before scaling, because
 (s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
 
-Candidate 2-dimensional components come from two sources and are checked,
-not assumed: a triple point {i, j, k} spans e_i - e_j, e_j - e_k ("local"),
-and a pencil decomposition (R1, R2, R3) spans chi_R1 - chi_R2,
-chi_R2 - chi_R3 ("global").  ``distinct_planes`` counts the distinct planes
-that candidate bases span, from the same scaled vectors.
+Candidate 2-dimensional components come from two sources: a triple point
+{i, j, k} spans e_i - e_j, e_j - e_k ("local"), and a pencil decomposition
+(R1, R2, R3) spans chi_R1 - chi_R2, chi_R2 - chi_R3 ("global").  A global
+candidate is checked by one pass over its generic member.  A local one is
+decided by the rule alone.  Its generic member a = e_i + e_j - 2 e_k is
+nonzero on exactly i, j and k.  The point p of multiplicity exactly 3 is
+the only point with two of those lines, so every other line l meets line i
+at a point q != p where a|q has one nonzero entry; b|q parallel to a|q
+forces b_l = 0.  At p, b|p must sum to zero, and nothing else binds.  So
+ker(a ^ .) is the 2-dimensional space of weights on i, j, k that sum to
+zero, which holds e_i - e_j and e_j - e_k: the candidate is isotropic
+with kernel dimension 2, which ``analyze`` prints from the multiplicity
+with no pass.  ``crosscheck`` still tests each local basis by
+``component_isotropy_check``.  ``distinct_planes`` counts the distinct
+planes that candidate bases span, from the same scaled vectors, by
+Cramer's rule against one nonzero 2 x 2 minor of each plane counted.
 """
 
 from __future__ import annotations
@@ -264,19 +275,33 @@ def _kernel(os: OSDegree2, a: Weights) -> _Kernel:
     return _Kernel(vec, support, [os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})])
 
 
-def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
-    """Whether Z[w] vectors, read on their support columns, are linearly independent.
+def _det(u: list[Pair], v: list[Pair], l: int, m: int) -> Pair:
+    """The 2 x 2 minor u_l v_m - u_m v_l over Z[w]."""
+    (a, b), (c, d) = pair_mul(u[l], v[m]), pair_mul(u[m], v[l])
+    return (a - c, b - d)
 
-    Two vectors u, v are independent iff some 2 x 2 minor is nonzero, which
-    needs no elimination: when u != 0 with first nonzero column l, v is the
-    multiple (v_l / u_l) u exactly when every minor u_l v_m - u_m v_l is
-    zero.  Any other number of vectors goes to ``linalg.rank_pairs``.
+
+def _minor(u: list[Pair], v: list[Pair], support: list[int]) -> tuple[int, int] | None:
+    """Columns (l, m) in the support with u_l v_m - u_m v_l != 0, or None when
+    u and v are dependent.
+
+    No elimination is needed: when u != 0 with first nonzero column l, v is
+    the multiple (v_l / u_l) u exactly when every minor u_l v_m - u_m v_l is
+    zero.
     """
+    lead = next((l for l in support if u[l] != (0, 0)), None)
+    if lead is None:
+        return None
+    return next(((lead, m) for m in support if _det(u, v, lead, m) != (0, 0)), None)
+
+
+def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
+    """Whether Z[w] vectors, read on their support columns, are linearly
+    independent: for two, whether they have a nonzero 2 x 2 minor
+    (``_minor``); any other number goes to ``linalg.rank_pairs``."""
     if len(vectors) != 2:
         return rank_pairs([[vec[l] for l in support] for vec in vectors]) == len(vectors)
-    u, v = vectors
-    lead = next((l for l in support if u[l] != (0, 0)), None)
-    return lead is not None and any(pair_mul(u[lead], v[m]) != pair_mul(u[m], v[lead]) for m in support)
+    return _minor(*vectors, support) is not None
 
 
 def _basis_weights(os: OSDegree2, basis: list[Weights]) -> tuple[list[tuple[list[Pair], list[int]]], list[int]]:
@@ -350,17 +375,43 @@ def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
     return [u, v]
 
 
+# a counted basis (u, v): its joint support, the columns l, m of a nonzero minor, and that minor
+_Plane = tuple[list[Pair], list[Pair], set[int], int, int, Pair]
+
+
 def distinct_planes(r: int, bases: list[list[Weights]]) -> int:
     """How many distinct planes the two-vector bases of weights on r lines
-    span: a basis counts unless, stacked with one counted before, it still
-    has rank 2.  Each vector is scaled once into Z[w], which keeps every
-    rank."""
-    counted: list[list[list[Pair]]] = []
+    span: an independent basis counts unless both its vectors lie in the
+    plane of one counted before; a dependent one spans no plane.
+
+    Each vector is scaled once into Z[w], which keeps every span.  A counted
+    basis (u, v) keeps one nonzero minor D = u_l v_m - u_m v_l (``_minor``),
+    and x lies in its plane iff x = (A u + B v) / D with Cramer's numerators
+    A = x_l v_m - x_m v_l and B = u_l x_m - u_m x_l, that is iff
+    D x_c = A u_c + B v_c at every column c where u, v or x is nonzero.
+    There is no division and no elimination.
+    """
+    counted: list[_Plane] = []
     for basis in bases:
-        rows = [_weights(r, v)[0] for v in basis]
-        if all(rank_pairs(rows + other) > 2 for other in counted):
-            counted.append(rows)
+        (u, support_u), (v, support_v) = (_weights(r, vec) for vec in basis)
+        support = set(support_u).union(support_v)
+        minor = _minor(u, v, sorted(support))
+        if minor is None or any(_in_plane(plane, u, support_u) and _in_plane(plane, v, support_v) for plane in counted):
+            continue
+        l, m = minor
+        counted.append((u, v, support, l, m, _det(u, v, l, m)))
     return len(counted)
+
+
+def _in_plane(plane: _Plane, x: list[Pair], support_x: list[int]) -> bool:
+    """Whether x lies in the plane of a basis counted by ``distinct_planes``, by Cramer's rule."""
+    u, v, support, l, m, det = plane
+    a, b = _det(x, v, l, m), _det(u, x, l, m)
+    for c in support.union(support_x):
+        (p, q), (s, t) = pair_mul(a, u[c]), pair_mul(b, v[c])
+        if pair_mul(det, x[c]) != (p + s, q + t):
+            return False
+    return True
 
 
 def generic_member(basis: list[Weights]) -> Weights:

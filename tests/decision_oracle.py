@@ -7,6 +7,8 @@ re-verified by dots.  ``two_call_fields`` is the isotropy check by pairwise
 wedges, each tested point by point, with independence by ``rank_pairs``,
 followed by a separate kernel solve of the generic member.  Neither shares
 code with ``pencils._dependence`` or ``resonance._Kernel``.
+``rank_distinct_planes`` counts distinct planes by ``rank_pairs`` of
+stacked bases, where ``resonance.distinct_planes`` uses Cramer's rule.
 """
 
 from __future__ import annotations
@@ -130,3 +132,14 @@ def two_call_fields(os2, basis):
     """(isotropic, kernel_dim of the generic member u + 2v) by two separate calls."""
     u, v = basis
     return isotropy(os2, basis), kernel_dim(os2, [x + 2 * y for x, y in zip(u, v)])
+
+
+def rank_distinct_planes(r, bases):
+    """How many distinct planes the two-vector bases span: a basis counts
+    unless, stacked with one counted before, it still has rank 2."""
+    counted = []
+    for basis in bases:
+        rows = [_weights(r, v)[0] for v in basis]
+        if all(rank_pairs(rows + other) > 2 for other in counted):
+            counted.append(rows)
+    return len(counted)

@@ -51,6 +51,7 @@ from pencilfiber.fixtures import (
     near_pencil_six,
     triangle,
 )
+from pencilfiber.linalg import PRIME, ZETA
 
 ALL_FIXTURES = [dual_hesse, braid, ceva_two, triangle, concurrent_triple, generic_six, near_pencil_six]
 
@@ -351,6 +352,54 @@ def test_intersection_points_match_qw_oracle(incidence_inputs):
             point = [str(c) for c in reference.point]
             assert violation.to_json() == {"point": point, "lines": list(reference.lines), "multiplicity": reference.multiplicity}
     assert sum(_violation(arr) is not None for arr in incidence_inputs) == 7
+
+
+def _counting_exact_scans(monkeypatch):
+    """A list that gets the lines of every exact scan ``incidence`` runs."""
+    scans = []
+    exact = arrangement._exact_groups
+
+    def counted(lines):
+        scans.append(lines)
+        return exact(lines)
+
+    monkeypatch.setattr(arrangement, "_exact_groups", counted)
+    return scans
+
+
+def test_residue_groups_are_the_points_without_an_exact_scan(corpus_dir, monkeypatch):
+    """On the corpus, every fixture and cuspidal_dual at r = 7 and 61, every
+    crossing has a nonzero residue and every residue group passes its exact
+    check: the exact scan never runs, and the points are the oracle's."""
+    scans = _counting_exact_scans(monkeypatch)
+    corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    builders = [*ALL_FIXTURES, generic_nine, four_concurrent, dual_hesse_pgl, braid_pgl]
+    for arr in corpus + [b() for b in builders] + [cuspidal_dual(3), cuspidal_dual(30)]:
+        expected = incidence_oracle.intersection_points(arr)
+        assert [(pt.point, pt.lines) for pt in intersection_points(arr)] == [(pt.point, pt.lines) for pt in expected], arr.label
+    assert scans == []
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        # x = 0 and x + PRIME y = 0 are congruent mod PRIME: their crossing's residues all vanish
+        [(1, 0, 0), (1, PRIME, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        # w - ZETA maps to zero, so x + (w - ZETA) y = 0 is congruent to x = 0 too
+        [(1, 0, 0), (1, EisensteinNumber(-ZETA, 1), 0), (0, 1, 1), (2, 1, 3)],
+        # x + y + PRIME z = 0 passes through (0 : 0 : 1) mod PRIME only: its crossings
+        # with x = 0 and y = 0 share that key, and the group fails its exact check
+        [(1, 0, 0), (0, 1, 0), (1, 1, PRIME), (1, 2, 3)],
+    ],
+    ids=["congruent lines", "congruent by w", "incident mod PRIME"],
+)
+def test_exact_scan_decides_what_residues_cannot(coefficients, monkeypatch):
+    scans = _counting_exact_scans(monkeypatch)
+    arr = Arrangement([Line(*c) for c in coefficients])
+    assert arrangement._residue_groups([line.pairs for line in arr.lines]) is None
+    expected = incidence_oracle.intersection_points(arr)
+    assert [(pt.point, pt.lines) for pt in intersection_points(arr)] == [(pt.point, pt.lines) for pt in expected]
+    assert len(scans) == 1
 
 
 def test_validate_multiplicities():

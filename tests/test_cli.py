@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,18 @@ from pencilfiber.cli import main
 from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.fixtures import (
     braid,
+    braid_pgl,
+    ceva_two,
     concurrent_triple,
     conic_dual_lines,
     cuspidal_dual,
     dual_hesse,
+    dual_hesse_pgl,
     four_concurrent,
+    generic_nine,
+    generic_six,
+    near_pencil_six,
+    triangle,
 )
 from pencilfiber.pencils import beta3, find_pencils
 
@@ -924,9 +932,10 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
         main(["analyze", dual_hesse_file])
 
 
-def test_analyze_makes_one_rule_pass_per_candidate(capsys, corpus_dir, monkeypatch):
-    """Each candidate component's two printed fields come from one pass of
-    Brieskorn's rule, over its generic member."""
+def test_analyze_makes_one_rule_pass_per_pencil_candidate(capsys, corpus_dir, monkeypatch):
+    """A pencil candidate's two printed fields come from one pass of
+    Brieskorn's rule, over its generic member; a local candidate's come from
+    the rule alone, with no pass."""
     passes = []
     rules = resonance._point_rules
 
@@ -935,15 +944,53 @@ def test_analyze_makes_one_rule_pass_per_candidate(capsys, corpus_dir, monkeypat
         return rules(points, a)
 
     monkeypatch.setattr(resonance, "_point_rules", counted)
-    candidates = 0
+    candidates = local = 0
     for path in sorted(corpus_dir.glob("*.json")):
         passes.clear()
         code, out = run_cli(capsys, ["analyze", str(path)])
         payload = json.loads(out)["resonance"]
-        count = len(payload["local_components"]) + len(payload["pencil_components"])
-        assert (code, len(passes)) == (0, count), path.name
-        candidates += count
-    assert candidates == 50  # 38 triple points and 12 pencils
+        assert (code, len(passes)) == (0, len(payload["pencil_components"])), path.name
+        candidates += len(passes)
+        local += len(payload["local_components"])
+    assert (candidates, local) == (12, 38)
+
+
+def _payload_through_the_pass(arr, pencils, os2):
+    """The resonance payload with both fields of every candidate, the local
+    ones too, from one rule pass over its generic member; each local pass
+    must give (True, 2)."""
+    components = {"local_components": [], "pencil_components": []}
+    for pt in intersection_points(arr):
+        if pt.multiplicity == 3:
+            fields = resonance._isotropy_and_kernel_dim(os2, resonance.triple_point_basis(pt, arr.r))
+            assert fields == (True, 2), (arr.label, pt.lines)
+            components["local_components"].append({"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2})
+    for pencil in pencils:
+        isotropic, dim = resonance._isotropy_and_kernel_dim(os2, resonance.pencil_basis(pencil, arr.r))
+        entry = {"classes": [list(c) for c in pencil.classes], "isotropic": isotropic, "kernel_dim": dim}
+        components["pencil_components"].append(entry)
+    return {"quotient_rank": os2.quotient_rank, "relation_count": os2.relation_rank, **components}
+
+
+def test_local_fields_from_the_rule_equal_one_pass_per_point(corpus_dir):
+    """For every triple point of the corpus, the fixtures, the 511
+    sub-arrangements of dual_hesse and cuspidal_dual at r = 3 to 91, one rule
+    pass over its local basis gives (True, 2), and the payload printed from
+    the rule equals the one built through the passes."""
+    arrangements = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    builders = (braid, braid_pgl, ceva_two, concurrent_triple, dual_hesse, dual_hesse_pgl, generic_nine, generic_six, near_pencil_six, triangle)
+    arrangements += [b() for b in builders]
+    hesse = dual_hesse()
+    arrangements += [Arrangement([hesse.lines[i] for i in keep]) for k in range(1, 10) for keep in combinations(range(9), k)]
+    arrangements += [cuspidal_dual(m) for m in (1, 2, 3, 5, 7, 10, 15, 20, 30, 45)]
+    local = 0
+    for arr in arrangements:
+        pencils = find_pencils(arr)
+        os2 = cli.build_os2(arr)
+        payload = cli._resonance_payload(arr, pencils, os2)
+        assert payload == _payload_through_the_pass(arr, pencils, os2), arr.label
+        local += len(payload["local_components"])
+    assert local == 38 + 38 + 768 + 1872  # corpus, fixtures, sub-arrangements, cuspidal duals
 
 
 class FieldArithmeticCalled(Exception):
@@ -983,8 +1030,10 @@ def _timed_cuspidal_analyze(capsys, tmp_path, m):
 
 
 def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
-    """450 triple points: resonance visits each candidate's support lines only.
-    About 0.2 s on a shared 2-vCPU host (python 3.11); the gate leaves CI headroom."""
+    """450 triple points, each a local component whose two fields Brieskorn's
+    rule gives with no pass, and 1830 crossings grouped by their residues.
+    About 0.04 s on a shared 2-vCPU host (python 3.11); the gate leaves CI
+    headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 30)
     assert report["point_census"] == {"3": 450, "2": 480}
     assert len(report["resonance"]["local_components"]) == 450
@@ -992,15 +1041,28 @@ def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
 
 
 def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
-    """1013 triple points, each a local component whose kernel the union-find
-    decides with one Sigma-row.  About 0.4 s on a shared 2-vCPU host
-    (python 3.11); the gate leaves CI headroom."""
+    """1013 triple points, each a local component printed from the rule as
+    isotropic with a 2-dimensional kernel, and 4095 crossings grouped by
+    their residues.  About 0.08 s on a shared 2-vCPU host (python 3.11);
+    the gate leaves CI headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 45)
     assert report["point_census"] == {"3": 1013, "2": 1056}
     local = report["resonance"]["local_components"]
     assert len(local) == 1013
     assert {entry["kernel_dim"] for entry in local} == {2}
     assert elapsed < 3.0
+
+
+def test_analyze_301_cuspidal_lines_within_its_gate(capsys, tmp_path):
+    """45150 crossings in 22650 points, 11250 of them triple: incidence by
+    residues with one exact check per line of each triple point, and no
+    rule pass, since there is no pencil.  About 0.9 s on a shared 2-vCPU
+    host (python 3.11), where the exact scan and a pass per local component
+    took 12 s."""
+    report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 150)
+    assert report["point_census"] == {"3": 11250, "2": 11400}
+    assert len(report["resonance"]["local_components"]) == 11250
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("m, census", [(13, {"3": 85, "2": 96}), (16, {"3": 128, "2": 144})], ids=["r=27", "r=33"])
@@ -1067,6 +1129,7 @@ STDOUT_SHA256 = {
     ("resonance --vector " + README_PROBE, "braid.json"): "977d26ca93dc5165c62bc53994e6b99cb8f223f51b3756b290a4e487d49edc14",
     ("analyze", "cuspidal_dual_41.json"): "75eb0c564d4da4d6ae6f4707f24e7fa3f5331dae87f62bdef47dfcbf16d99ec6",
     ("analyze", "cuspidal_dual_91.json"): "f5bfb1287f25bd6ded753197f0cb9d7588ce6296b416b3b96f884402fda97a75",
+    ("analyze", "cuspidal_dual_151.json"): "82a172c11771102d623eddfa4adcbbd52dce79a5e60de052c5a40b1ac42b483f",
 }
 
 
@@ -1089,6 +1152,7 @@ PINNED_INPUTS = {
     "criterion_8.json": _criterion_8_descent,
     "cuspidal_dual_41.json": lambda: cuspidal_dual(20).to_json(),
     "cuspidal_dual_91.json": lambda: cuspidal_dual(45).to_json(),
+    "cuspidal_dual_151.json": lambda: cuspidal_dual(75).to_json(),
 }
 
 

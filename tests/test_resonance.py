@@ -503,12 +503,60 @@ def test_distinct_planes_of_weights_with_w_parts_and_denominators():
     changed = [[a + s * b for a, b in zip(u, v)], [t * a - b for a, b in zip(u, v)]]
     other = [u, E("0", "0", "1/7", "1/2w", "0")]
     dependent = [v, [t * b for b in v]]
-    assert distinct_planes(5, [[u, v], changed]) == 1
-    assert distinct_planes(5, [[u, v], other]) == 2
-    assert distinct_planes(5, [[u, v], dependent]) == 1
-    assert distinct_planes(5, [[u, v], other, changed, dependent]) == 2
+    for bases, count in [
+        ([[u, v], changed], 1),
+        ([[u, v], other], 2),
+        ([[u, v], dependent], 1),
+        ([[u, v], other, changed, dependent], 2),
+        ([changed, [u, v], other, [other[1], other[0]]], 2),
+    ]:
+        assert distinct_planes(5, bases) == decision_oracle.rank_distinct_planes(5, bases) == count
+    # a dependent basis spans no plane
+    assert distinct_planes(5, [dependent, [u, v]]) == 1
     with pytest.raises(ValueError, match="length 5"):
         distinct_planes(5, [[u, v[:4]]])
+
+
+def _scaled_bases(rng, basis):
+    """The basis as given, each vector times a nonzero Q(w) scalar, and the
+    bases (u + s v, t u - v) of the same plane with s, t in Q(w), t != 0."""
+    u, v = ([EisensteinNumber.of(x) for x in vec] for vec in basis)
+    p, q, s, t = (_nonzero_scalar(rng) for _ in range(4))
+    return [
+        basis,
+        [[p * x for x in u], [q * x for x in v]],
+        [[a + s * b for a, b in zip(u, v)], [t * a - b for a, b in zip(u, v)]],
+    ]
+
+
+def test_distinct_planes_by_cramer_match_the_rank_oracle(corpus_dir):
+    """On every corpus file's pencil bases, alone, with Q(w)-scaled copies and
+    rewritten bases of the same planes, and with two local bases, the
+    Cramer count equals the count by ``rank_pairs`` of stacked bases, and
+    it equals the pencil count."""
+    rng = random.Random(37)
+    seen = set()
+    for path in sorted(corpus_dir.glob("*.json")):
+        arr = Arrangement.from_json(json.loads(path.read_text()))
+        pencils = [pencil_basis(p, arr.r) for p in find_pencils(arr)]
+        local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3][:2]
+        copies = [copy for basis in pencils for copy in _scaled_bases(rng, basis)]
+        rng.shuffle(copies)
+        for bases in (pencils, copies, local + copies, pencils[:1] + local):
+            count = distinct_planes(arr.r, bases)
+            assert count == decision_oracle.rank_distinct_planes(arr.r, bases), path.name
+            seen.add(count)
+        assert distinct_planes(arr.r, copies) == len(pencils), path.name
+    assert seen == {0, 1, 3, 4, 6}
+
+
+def test_distinct_planes_make_no_rank_call(corpus_dir, monkeypatch):
+    def refuse(rows):
+        raise AssertionError("rank_pairs called")
+
+    monkeypatch.setattr(resonance, "rank_pairs", refuse)
+    arr = dual_hesse()
+    assert distinct_planes(arr.r, [pencil_basis(p, arr.r) for p in find_pencils(arr)]) == 4
 
 
 def test_kernel_dim_invariant_under_relabeling():
