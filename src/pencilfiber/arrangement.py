@@ -7,18 +7,16 @@ text or numbers, go straight into Z[w] by ``eisenstein.integer_pairs``, the
 one way in, which the matrix of a projective transform also takes, and from
 there to the line's canonical triple (``canonical_pairs``: first nonzero
 coefficient a positive integer, integer content 1).  The point of two lines
-is their cross product, and a third line passes through it iff their dot
-product is exactly zero.  The r(r - 1)/2 crossings are grouped by the
-residues of their cross products mod ``linalg.PRIME``, with w -> ZETA,
-which takes O(r^2) steps, and each group is then checked by these exact
-incidence tests; the O(r^3) scan by exact tests alone runs only when the
-residues cannot decide.  Each point stores only the canonical triple of a
-cross product and its lines.  Lines and points store no Q(w) form, and
-build none to be printed: the strings of their Q(w) coordinates, lead
-coordinate 1, are printed from the integers by
-``eisenstein.normalized_strs``, and the points are sorted by those strings.
-The Q(w) coordinates themselves are the same canonical triple divided by
-its lead (``eisenstein.normalized``), computed only where code reads them.
+is their cross product, and two crossings are one point iff the canonical
+triples of their cross products are equal.  So one dict keyed by that
+triple groups the r(r - 1)/2 crossings exactly in O(r^2) steps, with no
+check after it, and each point stores only that canonical triple and its
+lines.  Lines and points store no Q(w) form, and build none to be printed:
+the strings of their Q(w) coordinates, lead coordinate 1, are printed from
+the integers by ``eisenstein.normalized_strs``, and the points are sorted
+by those strings.  The Q(w) coordinates themselves are the same canonical
+triple divided by its lead (``eisenstein.normalized``), computed only where
+code reads them.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .eisenstein import (
@@ -63,7 +60,7 @@ from .eisenstein import (
     pair_cross,
     pair_dot,
 )
-from .linalg import PRIME, ZETA, find, nullspace_f3
+from .linalg import find, nullspace_f3
 
 Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
@@ -289,114 +286,43 @@ class Incidence:
 def incidence(arr: Arrangement) -> Incidence:
     """The arrangement's incidence record, built on first use and kept on it.
 
-    Its points are all pairwise intersections, grouped exactly: by their
-    residues (``_residue_groups``), or, when those cannot decide, by the
-    exact scan (``_exact_groups``).  Each point keeps the canonical triple of
-    a Z[w] cross product of two of its lines; the points are sorted by
-    multiplicity, highest first, then by the strings of their normalized
-    coordinates, which ``eisenstein.normalized_strs`` prints from the
-    integers.
+    Its points are all pairwise intersections, grouped exactly in one pass
+    over the pairs i < j.  The key of a crossing is the canonical triple
+    (``eisenstein.canonical_pairs``) of the Z[w] cross product l_i x l_j,
+    and two crossings are one point iff their keys are equal.  The pairs are
+    read in order, so the first pair with a new key is the point's two least
+    lines, and the row of the least line finds every other line j of the
+    point: j joins the group, and the pairs (k, j) for the lines k already
+    in the group past its least, the same point, are marked and skipped
+    unread in their rows later.  Each point keeps its key; the points are
+    sorted by multiplicity, highest first, then by the strings of their
+    normalized coordinates, which ``eisenstein.normalized_strs`` prints from
+    the integers.
     """
     if arr._incidence is None:
         lines = [line.pairs for line in arr.lines]
-        groups = _residue_groups(lines)
-        if groups is None:
-            groups = _exact_groups(lines)
-        keyed = []
-        for p, through in groups:
-            c = canonical_pairs(p)
-            keyed.append(((-len(through), normalized_strs(c)), IncidencePoint(c, tuple(through))))
+        r = len(lines)
+        groups: dict[tuple[Pair, ...], list[int]] = {}
+        covered = [bytearray(r) for _ in range(r)]
+        for i, line in enumerate(lines):
+            skip = covered[i]
+            for j in range(i + 1, r):
+                if skip[j]:
+                    continue
+                key = canonical_pairs(pair_cross(line, lines[j]))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [i, j]
+                    continue
+                for k in group[1:]:
+                    covered[k][j] = 1
+                group.append(j)
+        keyed = [
+            ((-len(through), normalized_strs(c)), IncidencePoint(c, tuple(through))) for c, through in groups.items()
+        ]
         keyed.sort(key=lambda entry: entry[0])
-        arr._incidence = Incidence((pt for _, pt in keyed), len(lines))
+        arr._incidence = Incidence((pt for _, pt in keyed), r)
     return arr._incidence
-
-
-def _residue_groups(lines: list[tuple[Pair, ...]]) -> list[tuple[tuple[Pair, Pair, Pair], list[int]]] | None:
-    """Each point as (a Z[w] cross product through it, its increasing lines),
-    from the r(r - 1)/2 crossings grouped by their residues; None when the
-    residues cannot decide.
-
-    w -> ZETA maps Z[w] onto F_p, p = PRIME, and takes each line to a line
-    of the projective plane over F_p, its residue triple.  The key of a
-    crossing is the point where the residues of its two lines meet: the
-    residue triple of their cross product divided by its first nonzero
-    entry.  When no crossing's residue triple is zero, no two residue lines
-    are equal, and the crossings with key K are the pairs among the lines
-    whose residues pass through K.  The pairs are read in order, so the
-    group of K is its least line i, then each j whose pair (i, j) has key K.
-
-    The groups are the points when each line of each group past its second
-    passes exactly through P = l_i x l_j (``pair_dot``; a group of two lines
-    needs no check).  Then every pair of a group's lines meets at P, and
-    every pair is in one group.  A line m through P is in the group: the
-    residue of P is K up to a nonzero factor, and m . P = 0 maps to zero, so
-    the residue of m passes through K.  So no other group is at P either.  A
-    crossing whose residue triple is zero, or a group that fails, returns
-    None.  The leads are inverted together, by one ``pow`` and three
-    products each (Montgomery's trick).
-    """
-    res = [[(x + y * ZETA) % PRIME for x, y in line] for line in lines]  # linalg.residue
-    crossings, prefix, product = [], [], 1
-    for i, (a, b, c) in enumerate(res):
-        for d, e, f in res[i + 1 :]:
-            x, y, z = (b * f - c * e) % PRIME, (c * d - a * f) % PRIME, (a * e - b * d) % PRIME
-            lead = x or y or z
-            if not lead:
-                return None
-            crossings.append((x, y, z))
-            prefix.append(product)
-            product = product * lead % PRIME
-    inverse = pow(product, -1, PRIME)  # of the product of all the leads
-    keys: list[tuple[int, ...]] = [()] * len(crossings)
-    for n in range(len(crossings) - 1, -1, -1):
-        x, y, z = crossings[n]
-        s = inverse * prefix[n] % PRIME  # 1 / lead
-        if x:
-            inverse = inverse * x % PRIME
-            keys[n] = (y * s % PRIME, z * s % PRIME)
-        elif y:
-            inverse = inverse * y % PRIME
-            keys[n] = (z * s % PRIME,)
-        else:
-            inverse = inverse * z % PRIME
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for (i, j), key in zip(combinations(range(len(lines)), 2), keys):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [i, j]
-        elif group[0] == i:
-            group.append(j)
-    points = []
-    for through in groups.values():
-        p = pair_cross(lines[through[0]], lines[through[1]])
-        for k in through[2:]:
-            if pair_dot(lines[k], p) != (0, 0):
-                return None
-        points.append((p, through))
-    return points
-
-
-def _exact_groups(lines: list[tuple[Pair, ...]]) -> list[tuple[tuple[Pair, Pair, Pair], list[int]]]:
-    """Each point as (a Z[w] cross product through it, its increasing lines),
-    by exact incidence tests alone.
-
-    For each pair (i, j) of lines not yet on a common point, P = l_i x l_j,
-    and the lines through P are i, j and every k > j with l_k . P = 0; a
-    k < j through P would have put (i, j) on an earlier point.
-    """
-    n = len(lines)
-    covered = [[False] * n for _ in range(n)]
-    points = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if covered[i][j]:
-                continue
-            p = pair_cross(lines[i], lines[j])
-            through = [i, j] + [k for k in range(j + 1, n) if pair_dot(lines[k], p) == (0, 0)]
-            for a, b in combinations(through, 2):
-                covered[a][b] = True
-            points.append((p, through))
-    return points
 
 
 def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:

@@ -93,7 +93,7 @@ ZETA = 1055852462
 
 def residue(v: Pair) -> int:
     """The image a + b*ZETA mod PRIME of a + b*w: the residues that
-    ``rank_mod_p`` reads and ``arrangement.incidence`` groups crossings by."""
+    ``rank_mod_p`` reads."""
     return (v[0] + v[1] * ZETA) % PRIME
 
 

@@ -341,11 +341,17 @@ def _violation(arr):
     return None
 
 
+def _assert_oracle_points(arr):
+    """The oracle's points of ``arr``, after checking that the package finds them."""
+    expected = incidence_oracle.intersection_points(arr)
+    found = [(pt.point, pt.lines) for pt in intersection_points(arr)]
+    assert found == [(pt.point, pt.lines) for pt in expected], arr.label
+    return expected
+
+
 def test_intersection_points_match_qw_oracle(incidence_inputs):
     for arr in incidence_inputs:
-        expected = incidence_oracle.intersection_points(arr)
-        found = [(pt.point, pt.lines) for pt in intersection_points(arr)]
-        assert found == [(pt.point, pt.lines) for pt in expected], arr.label
+        expected = _assert_oracle_points(arr)
         violation = _violation(arr)
         if violation is not None:
             reference = next(pt for pt in expected if pt.multiplicity > 3)
@@ -354,30 +360,12 @@ def test_intersection_points_match_qw_oracle(incidence_inputs):
     assert sum(_violation(arr) is not None for arr in incidence_inputs) == 7
 
 
-def _counting_exact_scans(monkeypatch):
-    """A list that gets the lines of every exact scan ``incidence`` runs."""
-    scans = []
-    exact = arrangement._exact_groups
-
-    def counted(lines):
-        scans.append(lines)
-        return exact(lines)
-
-    monkeypatch.setattr(arrangement, "_exact_groups", counted)
-    return scans
-
-
-def test_residue_groups_are_the_points_without_an_exact_scan(corpus_dir, monkeypatch):
-    """On the corpus, every fixture and cuspidal_dual at r = 7 and 61, every
-    crossing has a nonzero residue and every residue group passes its exact
-    check: the exact scan never runs, and the points are the oracle's."""
-    scans = _counting_exact_scans(monkeypatch)
+def test_intersection_points_match_qw_oracle_on_fixtures_and_cuspidal_lines(corpus_dir):
+    """The corpus, every fixture and cuspidal_dual at r = 7 and 61."""
     corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
     builders = [*ALL_FIXTURES, generic_nine, four_concurrent, dual_hesse_pgl, braid_pgl]
     for arr in corpus + [b() for b in builders] + [cuspidal_dual(3), cuspidal_dual(30)]:
-        expected = incidence_oracle.intersection_points(arr)
-        assert [(pt.point, pt.lines) for pt in intersection_points(arr)] == [(pt.point, pt.lines) for pt in expected], arr.label
-    assert scans == []
+        _assert_oracle_points(arr)
 
 
 @pytest.mark.parametrize(
@@ -387,19 +375,51 @@ def test_residue_groups_are_the_points_without_an_exact_scan(corpus_dir, monkeyp
         [(1, 0, 0), (1, PRIME, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
         # w - ZETA maps to zero, so x + (w - ZETA) y = 0 is congruent to x = 0 too
         [(1, 0, 0), (1, EisensteinNumber(-ZETA, 1), 0), (0, 1, 1), (2, 1, 3)],
-        # x + y + PRIME z = 0 passes through (0 : 0 : 1) mod PRIME only: its crossings
-        # with x = 0 and y = 0 share that key, and the group fails its exact check
+        # x + y + PRIME z = 0 passes through (0 : 0 : 1) mod PRIME only, so its
+        # crossings with x = 0 and y = 0 have equal residues but are two points
         [(1, 0, 0), (0, 1, 0), (1, 1, PRIME), (1, 2, 3)],
     ],
     ids=["congruent lines", "congruent by w", "incident mod PRIME"],
 )
-def test_exact_scan_decides_what_residues_cannot(coefficients, monkeypatch):
-    scans = _counting_exact_scans(monkeypatch)
+def test_intersection_points_match_qw_oracle_on_lines_congruent_mod_a_prime(coefficients):
+    """Lines that the residues mod ``linalg.PRIME`` cannot tell apart are
+    grouped by their exact points."""
+    _assert_oracle_points(Arrangement([Line(*c) for c in coefficients]))
+
+
+# entries a + b*w with |a|, |b| <= 2; one branch in three draws 0 and one a
+# unit, so lines often share an entry pattern and meet in points of three,
+# four or more lines
+dense_entries = st.one_of(
+    st.just(EisensteinNumber(0)),
+    st.sampled_from([EisensteinNumber(a, b) for a, b in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]]),
+    st.builds(EisensteinNumber, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda r: st.lists(
+            st.tuples(dense_entries, dense_entries, dense_entries).filter(any),
+            min_size=r,
+            max_size=r,
+            unique_by=incidence_oracle.normalize_point,
+        )
+    )
+)
+# five lines through (0 : 0 : 1), and z = 0 meeting each of them at a double point
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0), (0, 0, 1)])
+# eight lines of the dual Hesse arrangement: eight triple points and four double points
+@example([line.coeffs for line in dual_hesse().lines[:8]])
+def test_intersection_points_of_dense_arrangements_match_qw_oracle(coefficients):
+    """Lines with entries a + b*w, |a|, |b| <= 2, meet in many points of
+    three or more lines: the points, the multiplicity check and the count
+    of pairs all agree with the Q(w) oracle."""
     arr = Arrangement([Line(*c) for c in coefficients])
-    assert arrangement._residue_groups([line.pairs for line in arr.lines]) is None
-    expected = incidence_oracle.intersection_points(arr)
-    assert [(pt.point, pt.lines) for pt in intersection_points(arr)] == [(pt.point, pt.lines) for pt in expected]
-    assert len(scans) == 1
+    expected = _assert_oracle_points(arr)
+    assert (_violation(arr) is not None) == any(pt.multiplicity > 3 for pt in expected)
+    assert sum(comb(pt.multiplicity, 2) for pt in intersection_points(arr)) == comb(arr.r, 2)
 
 
 def test_validate_multiplicities():

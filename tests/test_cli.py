@@ -1031,9 +1031,9 @@ def _timed_cuspidal_analyze(capsys, tmp_path, m):
 
 def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
     """450 triple points, each a local component whose two fields Brieskorn's
-    rule gives with no pass, and 1830 crossings grouped by their residues.
-    About 0.04 s on a shared 2-vCPU host (python 3.11); the gate leaves CI
-    headroom."""
+    rule gives with no pass, and 1830 crossings grouped by the canonical
+    triples of their cross products.  About 0.013 s on a shared 2-vCPU host
+    (python 3.11.7); the gate leaves CI headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 30)
     assert report["point_census"] == {"3": 450, "2": 480}
     assert len(report["resonance"]["local_components"]) == 450
@@ -1043,8 +1043,8 @@ def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
 def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
     """1013 triple points, each a local component printed from the rule as
     isotropic with a 2-dimensional kernel, and 4095 crossings grouped by
-    their residues.  About 0.08 s on a shared 2-vCPU host (python 3.11);
-    the gate leaves CI headroom."""
+    the canonical triples of their cross products.  About 0.03 s on a
+    shared 2-vCPU host (python 3.11.7); the gate leaves CI headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 45)
     assert report["point_census"] == {"3": 1013, "2": 1056}
     local = report["resonance"]["local_components"]
@@ -1054,11 +1054,12 @@ def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
 
 
 def test_analyze_301_cuspidal_lines_within_its_gate(capsys, tmp_path):
-    """45150 crossings in 22650 points, 11250 of them triple: incidence by
-    residues with one exact check per line of each triple point, and no
-    rule pass, since there is no pencil.  About 0.9 s on a shared 2-vCPU
-    host (python 3.11), where the exact scan and a pass per local component
-    took 12 s."""
+    """45150 crossings in 22650 points, 11250 of them triple: incidence in
+    one pass keyed by the canonical triples of the cross products, which
+    reads two of the three pairs of each triple point, and no rule pass,
+    since there is no pencil.  About 0.38 s on a shared 2-vCPU host
+    (python 3.11.7), where an O(r^3) exact scan and a pass per local
+    component took 12 s."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 150)
     assert report["point_census"] == {"3": 11250, "2": 11400}
     assert len(report["resonance"]["local_components"]) == 11250

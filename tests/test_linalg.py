@@ -140,7 +140,7 @@ def sparse_matrices(draw):
 @example([[ONE, ZERO, ZERO], [ONE, OMEGA, ZERO], [ZERO, ONE, ONE]])  # a chain of length 3
 @example([[ZERO, 2 * OMEGA], [ZERO, -ONE], [ZERO, ZERO]])  # two one-entry rows on one column
 @example([[], []])
-def test_rank_peels_one_entry_rows(m):
+def test_rank_pairs_agrees_with_peeled_minor_and_rref_ranks(m):
     rows = [integer_pairs(row) for row in m]
     before = [list(row) for row in rows]
     assert rank_pairs(rows) == peeled_rank(rows) == _rank_by_minors(m) == len(rref(m)[1])
