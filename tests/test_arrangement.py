@@ -381,9 +381,9 @@ def test_intersection_points_match_qw_oracle_on_fixtures_and_cuspidal_lines(corp
     ],
     ids=["congruent lines", "congruent by w", "incident mod PRIME"],
 )
-def test_intersection_points_match_qw_oracle_on_lines_congruent_mod_a_prime(coefficients):
+def test_exact_scan_decides_what_residues_cannot(coefficients):
     """Lines that the residues mod ``linalg.PRIME`` cannot tell apart are
-    grouped by their exact points."""
+    grouped by their exact points, equal to the Q(w) oracle's."""
     _assert_oracle_points(Arrangement([Line(*c) for c in coefficients]))
 
 
