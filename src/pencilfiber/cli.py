@@ -22,10 +22,11 @@ one multiplicity gate, ``require_multiplicities_ok``; ``main`` turns its
 ``crosscheck`` into that file's row.
 
 Stdout is exactly ``json.dumps(payload, indent=2, sort_keys=True)`` and a
-newline.  ``_indented`` writes those bytes itself, quoting strings with the
-stdlib's C quoter, because ``json.dumps`` with an ``indent`` runs the
-stdlib's pure-Python encoder.  ``main`` may be called any number of times in
-one process; the argument parser is built on the first call and reused.
+newline.  ``_write`` puts those bytes into one list of chunks, quoting
+strings with the stdlib's C quoter, because ``json.dumps`` with an
+``indent`` runs the stdlib's pure-Python encoder; ``_emit`` joins and writes
+them once.  ``main`` may be called any number of times in one process; the
+argument parser is built on the first call and reused.
 ``python -m pencilfiber`` and the console script run ``main`` once.
 """
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from itertools import combinations
@@ -62,7 +64,6 @@ from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
     OSDegree2,
-    _isotropy_and_kernel_dim,
     build_os2,
     component_isotropy_check,
     distinct_planes,
@@ -91,42 +92,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C quoter json.dumps uses
+_INT = frozenset({int})
 
 
-def _indented(value: object, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
-    nested ``indent`` deep.
+def _write(value: object, indent: str, put: Callable[[str], object]) -> None:
+    """Put ``value`` in chunks as ``json.dumps(value, indent=2, sort_keys=True)``
+    writes it, nested ``indent`` deep.
 
     That call takes the stdlib's pure-Python encoder (only ``indent=None``
-    reaches its C one), so the text is joined here by type instead.  A key
-    that is not a str, or a float, neither of which a payload holds, raises
-    TypeError (the quoter takes only str).
+    reaches its C one), so the text is written here by type instead.  A list
+    of plain ints, such as an exponent, is one chunk; a bool or another int
+    subclass takes the general path.  An empty container puts only its
+    brackets.  A key that is not a str, or a float, neither of which a
+    payload holds, raises TypeError (the quoter takes only str).
     """
     if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_quote(key)}: {_indented(item, inner)}" for key, item in sorted(value.items())]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return f"[\n{inner}" + f",\n{inner}".join([_indented(item, inner) for item in value]) + f"\n{indent}]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            put(f"{sep}{_quote(key)}: ")
+            sep = ",\n" + inner
+            _write(item, inner, put)
+        put(f"\n{indent}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        if set(map(type, value)) == _INT:
+            put(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]")
+            return
+        sep = "[\n" + inner
+        for item in value:
+            put(sep)
+            sep = ",\n" + inner
+            _write(item, inner, put)
+        put(f"\n{indent}]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
-    print(_indented(payload, ""))
+    chunks: list[str] = []
+    _write(payload, "", chunks.append)
+    chunks.append("\n")
+    sys.stdout.write("".join(chunks))
 
 
 def _load_json(path: str) -> dict:
@@ -174,25 +191,20 @@ def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2
     """The quotient's ranks and each candidate component with its two fields:
     one local candidate per triple point, then one per pencil.
 
-    A local candidate's fields follow from Brieskorn's rule alone (see
-    ``resonance``): at a point of multiplicity exactly 3, which the
-    multiplicity gate has certified, the basis is isotropic and its generic
-    member's kernel is 2-dimensional.  A pencil candidate's come from one
-    rule pass over its generic member."""
-    local = [
-        {"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2}
-        for pt in intersection_points(arr)
-        if pt.multiplicity == 3
-    ]
-    from_pencils = []
-    for pencil in pencils:
-        isotropic, dim = _isotropy_and_kernel_dim(os2, pencil_basis(pencil, arr.r))
-        from_pencils.append({"classes": [list(c) for c in pencil.classes], "isotropic": isotropic, "kernel_dim": dim})
+    Every candidate's fields follow from Brieskorn's rule alone, with no
+    pass (see ``resonance``): at a point of multiplicity exactly 3, which
+    the multiplicity gate has certified, and for the level sets of a
+    pencil's F3 cocycle, which ``find_pencils`` has certified, the basis is
+    isotropic and its generic member's kernel is 2-dimensional."""
     return {
         "quotient_rank": os2.quotient_rank,
         "relation_count": os2.relation_rank,  # the triple-point relations are independent
-        "local_components": local,
-        "pencil_components": from_pencils,
+        "local_components": [
+            {"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2}
+            for pt in intersection_points(arr)
+            if pt.multiplicity == 3
+        ],
+        "pencil_components": [{"classes": [list(c) for c in p.classes], "isotropic": True, "kernel_dim": 2} for p in pencils],
     }
 
 
@@ -287,15 +299,14 @@ def cmd_catalan(args: argparse.Namespace) -> int:
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
-    candidate component; the kernel dimensions ``analyze`` prints are not
-    solved, since isotropy of a basis already puts both basis vectors in
-    the kernel of its generic member.  Each isotropy check tests membership
-    on one rule pass over the points with two lines of the basis support,
-    the local bases too, whose fields ``analyze`` prints from the rule
-    without a pass; so crosscheck checks those fields independently.  A
-    combinatorial type includes r and the point census, so types are
-    computed only for the files whose (r, census) another file shares; no
-    other pair can have equal types."""
+    candidate component.  ``analyze`` prints every candidate's fields from
+    Brieskorn's rule without a pass; here each local and pencil basis is
+    tested by a rule pass over the points with two lines of its support, so
+    crosscheck checks those fields independently.  No kernel dimension is
+    solved: isotropy already puts both basis vectors in the kernel of the
+    generic member.  A combinatorial type includes r and the point census,
+    so types are computed only for the files whose (r, census) another file
+    shares; no other pair can have equal types."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")
@@ -423,7 +434,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """``main`` with its exit code.  A reader that closes stdout early gets
+    Python's documented SIGPIPE handling: exit 1, and stdout pointed at
+    devnull so the flush at interpreter exit stays silent."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

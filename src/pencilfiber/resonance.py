@@ -28,16 +28,11 @@ a_l = 0 and joins the lines with a_l != 0 in a union-find, with
 b_l = a_l t_class; the Sigma-points leave one linear row each in the class
 unknowns and the unforced zero-weight lines.  ``resonance_kernel_dim``
 solves it: the dimension is the number of unknowns minus the
-``linalg.rank_pairs`` of those rows.  The generic member of a dual-Hesse
-pencil gives 3 class columns and 9 rows, one per triple point with a line
-in each class.
+``linalg.rank_pairs`` of those rows.
 ``wedge_vanishes`` and ``component_isotropy_check`` test a given b for
 membership: zero on the forced lines, proportional to a on each class,
-sum zero at each Sigma-point.  A candidate plane (u, v) needs both, and
-``_isotropy_and_kernel_dim`` gets them from one pass over its generic
-member a = u + 2v: a ^ v = u ^ v, so the basis is isotropic iff v lies in
-ker(a ^ .).  The premise, that the points' pairs cover every pair of lines
-once, is checked when the quotient is built.
+sum zero at each Sigma-point.  The premise, that the points' pairs cover
+every pair of lines once, is checked when the quotient is built.
 
 The quotient keeps the line -> points index of the arrangement's incidence
 record (``arrangement.Incidence``), and every pass visits only the points
@@ -66,20 +61,34 @@ exactly when the same holds before scaling, because
 
 Candidate 2-dimensional components come from two sources: a triple point
 {i, j, k} spans e_i - e_j, e_j - e_k ("local"), and a pencil decomposition
-(R1, R2, R3) spans chi_R1 - chi_R2, chi_R2 - chi_R3 ("global").  A global
-candidate is checked by one pass over its generic member.  A local one is
-decided by the rule alone.  Its generic member a = e_i + e_j - 2 e_k is
-nonzero on exactly i, j and k.  The point p of multiplicity exactly 3 is
-the only point with two of those lines, so every other line l meets line i
-at a point q != p where a|q has one nonzero entry; b|q parallel to a|q
-forces b_l = 0.  At p, b|p must sum to zero, and nothing else binds.  So
-ker(a ^ .) is the 2-dimensional space of weights on i, j, k that sum to
-zero, which holds e_i - e_j and e_j - e_k: the candidate is isotropic
-with kernel dimension 2, which ``analyze`` prints from the multiplicity
-with no pass.  ``crosscheck`` still tests each local basis by
-``component_isotropy_check``.  ``distinct_planes`` counts the distinct
-planes that candidate bases span, from the same scaled vectors, by
-Cramer's rule against one nonzero 2 x 2 minor of each plane counted.
+(R1, R2, R3) spans chi_R1 - chi_R2, chi_R2 - chi_R3 ("global").  Both are
+decided by the rule alone, so ``analyze`` prints their fields with no pass;
+``crosscheck`` still tests each basis by ``component_isotropy_check``.
+
+A local generic member a = e_i + e_j - 2 e_k is nonzero on exactly i, j
+and k.  The point p of multiplicity exactly 3 is the only point with two
+of those lines, so every other line l meets line i at a point q != p where
+a|q has one nonzero entry; b|q parallel to a|q forces b_l = 0.  At p, b|p
+must sum to zero, and nothing else binds.  So ker(a ^ .) is the
+2-dimensional space of weights on i, j, k that sum to zero, which holds
+e_i - e_j and e_j - e_k: the candidate is isotropic with kernel
+dimension 2.
+
+A pencil's classes are the level sets of an F3 cocycle, so two lines of
+one class meet at a point that holds only lines of that class, and lines
+of two classes meet only at a triple point with one line of each class.
+The generic member a = u + 2v = chi_R1 + chi_R2 - 2 chi_R3 is nonzero on
+every line, so no line is forced.  At a point of one class a|q is constant
+and nonzero, so b is parallel to a there and each class is one class of
+the union-find, with b = a t_n on R_n.  Every other point holds one line
+of each class, so it is a Sigma-point with a|q = (1, 1, -2) up to order,
+and each gives the same row t_1 + t_2 - 2 t_3 = 0: the kernel has
+dimension 3 - 1 = 2.  v is t = (0, 1, 1/2), which satisfies the row, so
+the basis is isotropic.
+
+``distinct_planes`` counts the distinct planes that candidate bases span,
+from the same scaled vectors, by Cramer's rule against one nonzero 2 x 2
+minor of each plane counted.
 """
 
 from __future__ import annotations
@@ -260,19 +269,12 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
 
     a is scaled once into Z[w], which leaves the kernel unchanged.  Only the
     points the index lists for a's support lines have a|q != 0, and one
-    rule pass over them solves the kernel.
+    rule pass over them, in the quotient's order, solves the kernel.
     """
-    return _kernel(os, a).dim()
-
-
-def _kernel(os: OSDegree2, a: Weights) -> _Kernel:
-    """The whole of ker(a ^ .): a scaled once into Z[w], then one rule pass
-    over the points on its support lines, in the quotient's order, which are
-    all the points where a|q != 0."""
     vec, support = _weights(os.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
-    return _Kernel(vec, support, [os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})])
+    return _Kernel(vec, support, [os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})]).dim()
 
 
 def _det(u: list[Pair], v: list[Pair], l: int, m: int) -> Pair:
@@ -304,13 +306,18 @@ def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
     return _minor(*vectors, support) is not None
 
 
-def _basis_weights(os: OSDegree2, basis: list[Weights]) -> tuple[list[tuple[list[Pair], list[int]]], list[int]]:
-    """The basis vectors scaled once into Z[w], each with its support, and
-    their joint support; ValueError unless each has coordinate sum zero and
-    they are independent.
+def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
+    """True iff all pairwise wedges of an independent sum-zero basis vanish;
+    ValueError unless each vector has coordinate sum zero and they are
+    independent.
 
-    A positive integer scale keeps a coordinate sum zero or nonzero and the
-    basis independent or dependent.
+    Each vector is scaled once into Z[w], which keeps every coordinate sum
+    zero or nonzero, the basis independent or dependent and every wedge
+    vanishing or not.  The check reads only the support S, the lines where
+    some basis vector is nonzero: for each pair (u, v), one rule pass of u
+    over the points with two lines of S tests v for membership in
+    ker(u ^ .).  A point with fewer than two lines of its own pair's support
+    satisfies that pair's rule, so reading it there changes nothing.
     """
     weights = [_weights(os.r, v) for v in basis]
     if any(sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support) for vec, support in weights):
@@ -318,36 +325,8 @@ def _basis_weights(os: OSDegree2, basis: list[Weights]) -> tuple[list[tuple[list
     support = sorted(set().union(*(support for _, support in weights)))
     if not _independent([vec for vec, _ in weights], support):
         raise ValueError("basis vectors are linearly dependent")
-    return weights, support
-
-
-def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
-    """True iff all pairwise wedges of an independent sum-zero basis vanish.
-
-    Each vector is scaled once into Z[w], which keeps every wedge vanishing
-    or not.  The check reads only the support S, the lines where some basis
-    vector is nonzero: for each pair (u, v), one rule pass of u over the
-    points with two lines of S tests v for membership in ker(u ^ .).  A
-    point with fewer than two lines of its own pair's support satisfies
-    that pair's rule, so reading it there changes nothing.
-    """
-    weights, support = _basis_weights(os, basis)
     points = _points_with_two(os, support)
     return all(_Kernel(u, support_u, points).contains(v) for (u, support_u), (v, _) in combinations(weights, 2))
-
-
-def _isotropy_and_kernel_dim(os: OSDegree2, basis: list[Weights]) -> tuple[bool, int]:
-    """``component_isotropy_check(os, basis)`` and
-    ``resonance_kernel_dim(os, generic_member(basis))`` for a two-vector
-    basis (u, v), from one rule pass over the generic member a = u + 2v.
-
-    a ^ v = u ^ v, so the basis is isotropic iff v lies in ker(a ^ .), which
-    the pass that solves the kernel tests too.  The basis is checked as
-    ``component_isotropy_check`` checks it.
-    """
-    (_, (v, _)), _ = _basis_weights(os, basis)
-    kernel = _kernel(os, generic_member(basis))
-    return kernel.contains(v), kernel.dim()
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:

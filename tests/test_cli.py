@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -43,6 +44,13 @@ from pencilfiber.fixtures import (
     triangle,
 )
 from pencilfiber.pencils import beta3, find_pencils
+from pencilfiber.resonance import (
+    component_isotropy_check,
+    generic_member,
+    pencil_basis,
+    resonance_kernel_dim,
+    triple_point_basis,
+)
 
 
 def write_json(path, payload):
@@ -61,11 +69,11 @@ def run_cli(capsys, argv):
     return code, out
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     """A fresh interpreter that imports this checkout's pencilfiber."""
     src = str(pathlib.Path(pencilfiber.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def run_entry_point(argv):
@@ -919,23 +927,25 @@ class KernelDimCalled(Exception):
 
 def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_file, monkeypatch):
     _, expected = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+    _, analyzed = run_cli(capsys, ["analyze", dual_hesse_file])
 
     def refuse(kernel):
         raise KernelDimCalled
 
-    # every kernel dimension is solved by the rule pass's ``dim``, which
-    # analyze reaches through ``_isotropy_and_kernel_dim``; crosscheck's
-    # isotropy checks build passes and only test membership on them
+    # every kernel dimension is solved by the rule pass's ``dim``, which only
+    # ``resonance_kernel_dim`` reaches; crosscheck's isotropy checks build
+    # passes and only test membership on them, and analyze prints every
+    # candidate's kernel dimension from the rule
     monkeypatch.setattr(resonance._Kernel, "dim", refuse)
     assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
+    assert run_cli(capsys, ["analyze", dual_hesse_file]) == (0, analyzed)
     with pytest.raises(KernelDimCalled):
-        main(["analyze", dual_hesse_file])
+        resonance.resonance_kernel_dim(cli.build_os2(dual_hesse()), [1, -1] + [0] * 7)
 
 
-def test_analyze_makes_one_rule_pass_per_pencil_candidate(capsys, corpus_dir, monkeypatch):
-    """A pencil candidate's two printed fields come from one pass of
-    Brieskorn's rule, over its generic member; a local candidate's come from
-    the rule alone, with no pass."""
+def test_analyze_and_resonance_make_no_rule_pass(capsys, corpus_dir, monkeypatch):
+    """Both printed fields of every candidate, local or pencil, come from
+    Brieskorn's rule alone: no pass over any point."""
     passes = []
     rules = resonance._point_rules
 
@@ -944,53 +954,86 @@ def test_analyze_makes_one_rule_pass_per_pencil_candidate(capsys, corpus_dir, mo
         return rules(points, a)
 
     monkeypatch.setattr(resonance, "_point_rules", counted)
-    candidates = local = 0
+    pencil = local = 0
     for path in sorted(corpus_dir.glob("*.json")):
-        passes.clear()
         code, out = run_cli(capsys, ["analyze", str(path)])
         payload = json.loads(out)["resonance"]
-        assert (code, len(passes)) == (0, len(payload["pencil_components"])), path.name
-        candidates += len(passes)
+        assert (code, passes) == (0, []), path.name
+        assert run_cli(capsys, ["resonance", str(path)]) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert passes == [], path.name
+        pencil += len(payload["pencil_components"])
         local += len(payload["local_components"])
-    assert (candidates, local) == (12, 38)
+    assert (pencil, local) == (12, 38)
 
 
 def _payload_through_the_pass(arr, pencils, os2):
-    """The resonance payload with both fields of every candidate, the local
-    ones too, from one rule pass over its generic member; each local pass
-    must give (True, 2)."""
-    components = {"local_components": [], "pencil_components": []}
-    for pt in intersection_points(arr):
-        if pt.multiplicity == 3:
-            fields = resonance._isotropy_and_kernel_dim(os2, resonance.triple_point_basis(pt, arr.r))
-            assert fields == (True, 2), (arr.label, pt.lines)
-            components["local_components"].append({"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2})
-    for pencil in pencils:
-        isotropic, dim = resonance._isotropy_and_kernel_dim(os2, resonance.pencil_basis(pencil, arr.r))
-        entry = {"classes": [list(c) for c in pencil.classes], "isotropic": isotropic, "kernel_dim": dim}
-        components["pencil_components"].append(entry)
-    return {"quotient_rank": os2.quotient_rank, "relation_count": os2.relation_rank, **components}
+    """The resonance payload with both fields of every candidate, local and
+    pencil, from the public isotropy check and a kernel solve of the generic
+    member; every candidate must give (True, 2)."""
+
+    def fields(basis, what):
+        found = (component_isotropy_check(os2, basis), resonance_kernel_dim(os2, generic_member(basis)))
+        assert found == (True, 2), (arr.label, what)
+        return {"isotropic": found[0], "kernel_dim": found[1]}
+
+    return {
+        "quotient_rank": os2.quotient_rank,
+        "relation_count": os2.relation_rank,
+        "local_components": [
+            {"lines": list(pt.lines), **fields(triple_point_basis(pt, arr.r), pt.lines)}
+            for pt in intersection_points(arr)
+            if pt.multiplicity == 3
+        ],
+        "pencil_components": [
+            {"classes": [list(c) for c in p.classes], **fields(pencil_basis(p, arr.r), p.classes)} for p in pencils
+        ],
+    }
 
 
 def test_local_fields_from_the_rule_equal_one_pass_per_point(corpus_dir):
-    """For every triple point of the corpus, the fixtures, the 511
-    sub-arrangements of dual_hesse and cuspidal_dual at r = 3 to 91, one rule
-    pass over its local basis gives (True, 2), and the payload printed from
-    the rule equals the one built through the passes."""
+    """For every triple point and every pencil of the corpus, the fixtures,
+    the 511 sub-arrangements of dual_hesse and cuspidal_dual at r = 3 to 91,
+    the isotropy check and the generic member's kernel solve give
+    (True, 2), and the payload printed from the rule equals the one built
+    through those passes."""
     arrangements = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
     builders = (braid, braid_pgl, ceva_two, concurrent_triple, dual_hesse, dual_hesse_pgl, generic_nine, generic_six, near_pencil_six, triangle)
     arrangements += [b() for b in builders]
     hesse = dual_hesse()
     arrangements += [Arrangement([hesse.lines[i] for i in keep]) for k in range(1, 10) for keep in combinations(range(9), k)]
     arrangements += [cuspidal_dual(m) for m in (1, 2, 3, 5, 7, 10, 15, 20, 30, 45)]
-    local = 0
+    local = pencil = 0
     for arr in arrangements:
         pencils = find_pencils(arr)
         os2 = cli.build_os2(arr)
         payload = cli._resonance_payload(arr, pencils, os2)
         assert payload == _payload_through_the_pass(arr, pencils, os2), arr.label
         local += len(payload["local_components"])
+        pencil += len(payload["pencil_components"])
     assert local == 38 + 38 + 768 + 1872  # corpus, fixtures, sub-arrangements, cuspidal duals
+    assert pencil == 12 + 12 + 16 + 1  # the same four sources
+
+
+def _swapped(pencil, r):
+    """The pencil's basis with the first line of its first class and the
+    first line of its second class exchanged."""
+    first, second, third = [list(c) for c in pencil.classes]
+    first[0], second[0] = second[0], first[0]
+    return pencil_basis(dataclasses.replace(pencil, classes=(tuple(first), tuple(second), tuple(third))), r)
+
+
+@pytest.mark.parametrize("build", [braid, dual_hesse], ids=["braid", "dual_hesse"])
+def test_a_class_with_two_lines_swapped_is_not_isotropic(build):
+    """The fields printed from the rule hold for a pencil's level sets only:
+    the same partition with two lines swapped between classes is not
+    isotropic through the pass, so the oracle above can fail."""
+    arr = build()
+    os2 = cli.build_os2(arr)
+    pencils = find_pencils(arr)
+    assert pencils
+    for pencil in pencils:
+        assert component_isotropy_check(os2, pencil_basis(pencil, arr.r))
+        assert not component_isotropy_check(os2, _swapped(pencil, arr.r)), pencil.classes
 
 
 class FieldArithmeticCalled(Exception):
@@ -1225,6 +1268,34 @@ def test_emit_matches_json_dumps_on_error_payloads(capsys, tmp_path):
     assert payloads[1]["error"] == "descent_obstruction"
     for payload in payloads:
         assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1, True, 0], [True, False], (3, -2), [2**200, -(2**70)], [[]], [1, [2]], {"a": [1, 2]}, [_Level.HIGH, _Level.LOW]],
+    ids=["int_and_bool", "bools", "tuple", "big_ints", "empty_in_list", "nested", "in_dict", "int_enum"],
+)
+def test_emit_matches_json_dumps_on_int_lists(value):
+    """A list of plain ints is written in one chunk; bools and other int
+    subclasses among ints, and lists nested in lists and dicts, are not."""
+    assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback(corpus_dir):
+    """The read end of stdout is closed before the child starts, so its first
+    write fails; it exits 1 and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_python("-m", "pencilfiber", "analyze", str(corpus_dir / "dual_hesse.json"), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")
 
 
 @pytest.mark.parametrize(

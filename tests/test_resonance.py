@@ -781,20 +781,26 @@ def _decision_sample(corpus_dir):
     return arrangements + [cuspidal_dual(m) for m in (7, 12, 20)]
 
 
+def _fields(os2, basis):
+    """(isotropic, kernel_dim of the generic member u + 2v) from the public
+    isotropy check and kernel solve."""
+    return component_isotropy_check(os2, basis), resonance_kernel_dim(os2, generic_member(basis))
+
+
 def test_one_pass_per_candidate_matches_the_two_call_path(corpus_dir):
-    """Both printed fields of every candidate component, and its isotropy
-    check alone, equal the old pairwise-wedge isotropy and separate kernel
-    solve; so do pairs taken from two local components, which are not
-    isotropic, and the kernels and wedges of the basis vectors."""
+    """Both fields of every candidate component, its isotropy check and its
+    generic member's kernel, equal the oracle's pairwise-wedge isotropy and
+    separate kernel solve; so do pairs taken from two local components,
+    which are not isotropic, and the kernels and wedges of the basis
+    vectors."""
     seen = Counter()
     for arr in _decision_sample(corpus_dir):
         os2 = build_os2(arr)
         local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
         mixed = [[first[0], second[1]] for first, second in zip(local, local[1:])][:3]
         for basis in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)] + mixed:
-            fields = resonance._isotropy_and_kernel_dim(os2, basis)
+            fields = _fields(os2, basis)
             assert fields == decision_oracle.two_call_fields(os2, basis), arr.label
-            assert component_isotropy_check(os2, basis) == fields[0], arr.label
             u, v = basis
             assert resonance_kernel_dim(os2, u) == decision_oracle.kernel_dim(os2, u), arr.label
             assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v) == fields[0], arr.label
@@ -836,8 +842,7 @@ def test_integer_bases_against_the_two_call_path(drawn):
     arr, basis, extra = drawn
     os2 = build_os2(arr)
     u, v = basis
-    new = _outcome(resonance._isotropy_and_kernel_dim, os2, basis)
-    assert new == _outcome(decision_oracle.two_call_fields, os2, basis)
+    assert _outcome(_fields, os2, basis) == _outcome(decision_oracle.two_call_fields, os2, basis)
     assert _outcome(component_isotropy_check, os2, basis) == _outcome(decision_oracle.isotropy, os2, basis)
     assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v)
     if any(u):
