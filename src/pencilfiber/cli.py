@@ -297,6 +297,20 @@ def cmd_catalan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# crosscheck's checks, in the order they are reported: each file's row must
+# satisfy the predicate, and two files of one combinatorial type must agree
+# on the row key
+_FILE_CHECKS = (
+    ("eigenvalue_vs_pencil", lambda row: row["pencil_eigenvalue_consistent"]),
+    ("component_isotropy", lambda row: row["isotropy_all_ok"]),
+    ("pencil_component_census", lambda row: row["resonance_pencil_components"] == row["pencil_count"]),
+    ("s_equals_beta3", lambda row: row["s"] == row["beta3"]),
+    ("beta3_at_most_2", lambda row: row["beta3"] <= 2),
+    ("pencil_count_equals_beta3_formula", lambda row: row["pencil_count"] == (3 ** row["beta3"] - 1) // 2),
+)
+_PAIR_CHECKS = (("equal_type_equal_s", "s"), ("equal_type_equal_pencil_count", "pencil_count"))
+
+
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     """One row per file, from s, the pencils and the isotropy of each
     candidate component.  ``analyze`` prints every candidate's fields from
@@ -343,32 +357,18 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         loaded.append((row, arr, (arr.r, tuple(sorted(point_census(intersection_points(arr)).items())))))
     shared = Counter(key for _, _, key in loaded)
     typed = [(row, combinatorial_type(arr)) for row, arr, key in loaded if shared[key] > 1]
-    failures = []
-    for row in rows:
-        if "error" in row:
-            continue
-        if not row["pencil_eigenvalue_consistent"]:
-            failures.append({"file": row["file"], "check": "eigenvalue_vs_pencil"})
-        if not row["isotropy_all_ok"]:
-            failures.append({"file": row["file"], "check": "component_isotropy"})
-        if row["resonance_pencil_components"] != row["pencil_count"]:
-            failures.append({"file": row["file"], "check": "pencil_component_census"})
-        if row["s"] != row["beta3"]:
-            failures.append({"file": row["file"], "check": "s_equals_beta3"})
-        if row["beta3"] > 2:
-            failures.append({"file": row["file"], "check": "beta3_at_most_2"})
-        if row["pencil_count"] != (3 ** row["beta3"] - 1) // 2:
-            failures.append({"file": row["file"], "check": "pencil_count_equals_beta3_formula"})
+    failures = [
+        {"file": row["file"], "check": check}
+        for row in rows
+        if "error" not in row
+        for check, holds in _FILE_CHECKS
+        if not holds(row)
+    ]
     pairs_checked = 0
     for (a, type_a), (b, type_b) in combinations(typed, 2):
-        if type_a != type_b:
-            continue
-        pairs_checked += 1
-        files = [a["file"], b["file"]]
-        if a["s"] != b["s"]:
-            failures.append({"files": files, "check": "equal_type_equal_s"})
-        if a["pencil_count"] != b["pencil_count"]:
-            failures.append({"files": files, "check": "equal_type_equal_pencil_count"})
+        if type_a == type_b:
+            pairs_checked += 1
+            failures += ({"files": [a["file"], b["file"]], "check": check} for check, key in _PAIR_CHECKS if a[key] != b[key])
     _emit(
         {
             "rows": rows,

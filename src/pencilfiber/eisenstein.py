@@ -159,17 +159,9 @@ class EisensteinNumber:
         return o * self.inverse()
 
     def __pow__(self, exponent: int) -> "EisensteinNumber":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = EisensteinNumber(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if exponent <= 0:
+            return self.inverse() ** -exponent if exponent else EisensteinNumber(1)
+        return _square_and_multiply(self, exponent)
 
     def __str__(self) -> str:
         re, wc = self.re, self.wc
@@ -177,6 +169,19 @@ class EisensteinNumber:
 
     def __repr__(self) -> str:
         return f"EisensteinNumber({self.re!r}, {self.wc!r})"
+
+
+def _square_and_multiply(base, n: int):
+    """base ** n for n >= 1 by repeated squaring from the base, for any type
+    with ``*``: a cube costs two products, base * base and base times that."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def format_parts(re_num: int, re_den: int, wc_num: int, wc_den: int) -> str:

@@ -35,6 +35,7 @@ from .eisenstein import (
     ZERO,
     EisensteinNumber,
     Pair,
+    _square_and_multiply,
     integer_pairs,
     integer_scale,
     json_int,
@@ -67,20 +68,11 @@ class _Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int):
-        """Repeated squaring from the base; ``** 0`` is the constant one."""
+        """Repeated squaring from the base (``eisenstein._square_and_multiply``);
+        ``** 0`` is the constant one."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        if exponent == 0:
-            return self.constant(ONE)
-        result = None
-        base = self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        return _square_and_multiply(self, exponent) if exponent else self.constant(ONE)
 
     def __str__(self) -> str:
         chunks = [f"({c})*{mono}" if mono else f"({c})" for mono, c in self._terms()]

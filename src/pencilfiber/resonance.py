@@ -22,17 +22,17 @@ restrictions a|q and b|q, by one rule:
   vanishes at q iff sum b|q = 0;
 - any other point: iff b|q is parallel to a|q.
 
-The rule is stated once, as one pass of a over the points (``_Kernel``)
-that builds ker(a ^ .).  Parallelism forces b_l = 0 at each line with
-a_l = 0 and joins the lines with a_l != 0 in a union-find, with
-b_l = a_l t_class; the Sigma-points leave one linear row each in the class
-unknowns and the unforced zero-weight lines.  ``resonance_kernel_dim``
-solves it: the dimension is the number of unknowns minus the
-``linalg.rank_pairs`` of those rows.
-``wedge_vanishes`` and ``component_isotropy_check`` test a given b for
-membership: zero on the forced lines, proportional to a on each class,
-sum zero at each Sigma-point.  The premise, that the points' pairs cover
-every pair of lines once, is checked when the quotient is built.
+The rule is stated once (``_point_rules``), and both kinds of question
+read it.  Membership needs nothing global: ``wedge_vanishes`` and
+``component_isotropy_check`` test a given b by applying the rule at each
+point, a sum at a Sigma-point and a cross-multiplication against a|q at
+any other.  Only ``resonance_kernel_dim`` solves the rule for every b:
+parallelism forces b_l = 0 at each line with a_l = 0 and joins the lines
+with a_l != 0 in a union-find, with b_l = a_l t_class; the Sigma-points
+leave one linear row each in the class unknowns and the unforced
+zero-weight lines, and the dimension is the number of unknowns minus the
+``linalg.rank_pairs`` of those rows.  The premise, that the points' pairs
+cover every pair of lines once, is checked when the quotient is built.
 
 The quotient keeps the line -> points index of the arrangement's incidence
 record (``arrangement.Incidence``), and every pass visits only the points
@@ -182,73 +182,21 @@ def _points_with_two(os: OSDegree2, support: Iterable[int]) -> list[tuple[int, .
     return [os.points[n] for n, count in listed.items() if count >= 2]
 
 
-class _Kernel:
-    """ker(a ^ .) for Z[w] weights a, as the rule states it at the given points.
-
-    One pass over the points builds it: a union-find joins the support lines
-    that share a point other than a Sigma-point, where b|q is parallel to
-    a|q, so b_l = a_l t with one t per class; the zero-weight lines on those
-    points are forced to b_l = 0; and each Sigma-point leaves the row
-    sum b|q = 0.  Over the points on a's support lines, every point where
-    a|q != 0, that is the whole kernel, and ``dim`` solves it.  ``contains``
-    tests a given b against it, which needs only the points with two lines
-    of the joint support of a and b: elsewhere the wedge has no term.
-    """
-
-    def __init__(self, a: list[Pair], support: list[int], points: Iterable[tuple[int, ...]]) -> None:
-        parent = list(range(len(a)))
-        forced, sigma_points = set(), []
-        for p, sigma in _point_rules(points, a):
-            if sigma:
-                sigma_points.append(p)
-                continue
-            root = None
-            for l in p:
-                if a[l] == (0, 0):
-                    forced.add(l)
-                elif root is None:
-                    root = find(parent, l)
-                else:
-                    parent[find(parent, l)] = root
-        self.a, self.forced, self.sigma_points = a, forced, sigma_points
-        self.classes = {l: find(parent, l) for l in support}
-
-    def contains(self, b: list[Pair]) -> bool:
-        """a ^ b = 0 at the points read: b is zero on the forced lines,
-        proportional to a on each class (cross-multiplied against its root),
-        and sums to zero at each Sigma-point."""
-        a = self.a
-        return (
-            all(b[l] == (0, 0) for l in self.forced)
-            and all(pair_mul(a[root], b[l]) == pair_mul(a[l], b[root]) for l, root in self.classes.items())
-            and not any(b[i][0] + b[j][0] + b[k][0] or b[i][1] + b[j][1] + b[k][1] for i, j, k in self.sigma_points)
-        )
-
-    def dim(self) -> int:
-        """The dimension of the kernel, when the pass read the points on all
-        of a's support lines.
-
-        The unknowns are one t per class and one b_l per zero-weight line
-        that is not forced; a Sigma-point's row adds a_l to the column of
-        l's class and 1 to the column of each such line on it.  The
-        zero-weight lines are counted, not listed: one on no Sigma-point is
-        an unknown with an empty column, so it gets no column.
-        """
-        a, classes, forced = self.a, self.classes, self.forced
-        # one column per class root, then one per unforced zero-weight line on a Sigma-point
-        columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
-        unknowns = len(columns) + len(a) - len(classes) - len(forced)
-        for l in dict.fromkeys(l for p in self.sigma_points for l in p if l not in classes and l not in forced):
-            columns[l] = len(columns)
-        rows = []
-        for p in self.sigma_points:
-            row = [(0, 0)] * len(columns)
-            for l in p:
-                if l not in forced:
-                    n, (x, y) = (columns[classes[l]], a[l]) if l in classes else (columns[l], (1, 0))
-                    row[n] = (row[n][0] + x, row[n][1] + y)
-            rows.append(row)
-        return unknowns - rank_pairs(rows)
+def _wedge_zero(a: list[Pair], b: list[Pair], points: Iterable[tuple[int, ...]]) -> bool:
+    """Whether a ^ b = 0 at the given points, by the rule at each point q
+    where a|q != 0: at a Sigma-point b|q sums to zero, and at any other
+    point b|q is parallel to a|q, cross-multiplied against the first line m
+    of q with a_m != 0 (so b_l = 0 where a_l = 0)."""
+    for p, sigma in _point_rules(points, a):
+        if sigma:
+            i, j, k = p
+            if b[i][0] + b[j][0] + b[k][0] or b[i][1] + b[j][1] + b[k][1]:
+                return False
+            continue
+        m = next(l for l in p if a[l] != (0, 0))
+        if any(pair_mul(a[m], b[l]) != pair_mul(a[l], b[m]) for l in p):
+            return False
+    return True
 
 
 def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
@@ -261,7 +209,7 @@ def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
     scalar, so whether it vanishes does not change.
     """
     (u, support_u), (v, support_v) = _weights(os.r, a), _weights(os.r, b)
-    return _Kernel(u, support_u, _points_with_two(os, set(support_u).union(support_v))).contains(v)
+    return _wedge_zero(u, v, _points_with_two(os, set(support_u).union(support_v)))
 
 
 def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
@@ -269,12 +217,51 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
 
     a is scaled once into Z[w], which leaves the kernel unchanged.  Only the
     points the index lists for a's support lines have a|q != 0, and one
-    rule pass over them, in the quotient's order, solves the kernel.
+    rule pass over them, in the quotient's order, builds the kernel: a
+    union-find joins the support lines that share a point other than a
+    Sigma-point, where b|q is parallel to a|q, so b_l = a_l t with one t per
+    class; the zero-weight lines on those points are forced to b_l = 0; and
+    each Sigma-point leaves the row sum b|q = 0.
+
+    The unknowns are one t per class and one b_l per zero-weight line that
+    is not forced; a Sigma-point's row adds a_l to the column of l's class
+    and 1 to the column of each such line on it.  The zero-weight lines are
+    counted, not listed: one on no Sigma-point is an unknown with an empty
+    column, so it gets no column.  The dimension is the number of unknowns
+    minus the ``linalg.rank_pairs`` of the rows.
     """
     vec, support = _weights(os.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
-    return _Kernel(vec, support, [os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})]).dim()
+    parent = list(range(os.r))
+    forced, sigma_points = set(), []
+    for p, sigma in _point_rules([os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})], vec):
+        if sigma:
+            sigma_points.append(p)
+            continue
+        root = None
+        for l in p:
+            if vec[l] == (0, 0):
+                forced.add(l)
+            elif root is None:
+                root = find(parent, l)
+            else:
+                parent[find(parent, l)] = root
+    classes = {l: find(parent, l) for l in support}
+    # one column per class root, then one per unforced zero-weight line on a Sigma-point
+    columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
+    unknowns = len(columns) + os.r - len(classes) - len(forced)
+    for l in dict.fromkeys(l for p in sigma_points for l in p if l not in classes and l not in forced):
+        columns[l] = len(columns)
+    rows = []
+    for p in sigma_points:
+        row = [(0, 0)] * len(columns)
+        for l in p:
+            if l not in forced:
+                n, (x, y) = (columns[classes[l]], vec[l]) if l in classes else (columns[l], (1, 0))
+                row[n] = (row[n][0] + x, row[n][1] + y)
+        rows.append(row)
+    return unknowns - rank_pairs(rows)
 
 
 def _det(u: list[Pair], v: list[Pair], l: int, m: int) -> Pair:
@@ -326,7 +313,7 @@ def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
     if not _independent([vec for vec, _ in weights], support):
         raise ValueError("basis vectors are linearly dependent")
     points = _points_with_two(os, support)
-    return all(_Kernel(u, support_u, points).contains(v) for (u, support_u), (v, _) in combinations(weights, 2))
+    return all(_wedge_zero(u, v, points) for (u, _), (v, _) in combinations(weights, 2))
 
 
 def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:
@@ -392,8 +379,3 @@ def _in_plane(plane: _Plane, x: list[Pair], support_x: list[int]) -> bool:
             return False
     return True
 
-
-def generic_member(basis: list[Weights]) -> Weights:
-    """A fixed nonzero combination u + 2 v used for spot checks."""
-    u, v = basis
-    return [a + 2 * b for a, b in zip(u, v)]

@@ -5,8 +5,10 @@ certificates alone decided them, kept as oracles.
 products has rank 2 and only then takes the cross product of two rows,
 re-verified by dots.  ``two_call_fields`` is the isotropy check by pairwise
 wedges, each tested point by point, with independence by ``rank_pairs``,
-followed by a separate kernel solve of the generic member.  Neither shares
-code with ``pencils._dependence`` or ``resonance._Kernel``.
+followed by a separate kernel solve, by a union-find and the Sigma-rows, of
+the generic member (``generic_member``, u + 2v).  Neither shares code with
+``pencils._dependence`` or with ``resonance``, where membership likewise
+applies the rule at each point and only the kernel uses a union-find.
 ``rank_distinct_planes`` counts distinct planes by ``rank_pairs`` of
 stacked bases, where ``resonance.distinct_planes`` uses Cramer's rule.
 """
@@ -128,10 +130,15 @@ def kernel_dim(os2, a):
     return unknowns - rank_pairs(rows)
 
 
-def two_call_fields(os2, basis):
-    """(isotropic, kernel_dim of the generic member u + 2v) by two separate calls."""
+def generic_member(basis):
+    """A fixed nonzero combination u + 2 v of a two-vector basis, used for spot checks."""
     u, v = basis
-    return isotropy(os2, basis), kernel_dim(os2, [x + 2 * y for x, y in zip(u, v)])
+    return [a + 2 * b for a, b in zip(u, v)]
+
+
+def two_call_fields(os2, basis):
+    """(isotropic, kernel_dim of the generic member) by two separate calls."""
+    return isotropy(os2, basis), kernel_dim(os2, generic_member(basis))
 
 
 def rank_distinct_planes(r, bases):

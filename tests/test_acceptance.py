@@ -9,6 +9,7 @@ import json
 import random
 import time
 
+from decision_oracle import generic_member
 from linalg_oracle import nullspace
 from pencilfiber.arrangement import (
     combinatorial_type,
@@ -31,7 +32,6 @@ from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
     build_os2,
     component_isotropy_check,
-    generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,

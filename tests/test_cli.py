@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencilfiber
+from decision_oracle import generic_member
 from linalg_oracle import rref
 from pencilfiber import cli, eisenstein, resonance
 from pencilfiber.arrangement import (
@@ -46,7 +47,6 @@ from pencilfiber.fixtures import (
 from pencilfiber.pencils import beta3, find_pencils
 from pencilfiber.resonance import (
     component_isotropy_check,
-    generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
@@ -921,7 +921,7 @@ def test_crosscheck_fails_each_file_with_a_component_that_is_not_isotropic(capsy
     assert len(checked) == candidates  # every triple point and every pencil
 
 
-class KernelDimCalled(Exception):
+class KernelEliminationCalled(Exception):
     pass
 
 
@@ -929,17 +929,17 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
     _, expected = run_cli(capsys, ["crosscheck", str(corpus_dir)])
     _, analyzed = run_cli(capsys, ["analyze", dual_hesse_file])
 
-    def refuse(kernel):
-        raise KernelDimCalled
+    def refuse(rows):
+        raise KernelEliminationCalled
 
-    # every kernel dimension is solved by the rule pass's ``dim``, which only
-    # ``resonance_kernel_dim`` reaches; crosscheck's isotropy checks build
-    # passes and only test membership on them, and analyze prints every
-    # candidate's kernel dimension from the rule
-    monkeypatch.setattr(resonance._Kernel, "dim", refuse)
+    # every kernel dimension is solved by the elimination of the Sigma-rows
+    # in ``resonance_kernel_dim``; crosscheck's isotropy checks only apply
+    # the rule at each point, and analyze prints every candidate's kernel
+    # dimension from the rule
+    monkeypatch.setattr(resonance, "rank_pairs", refuse)
     assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
     assert run_cli(capsys, ["analyze", dual_hesse_file]) == (0, analyzed)
-    with pytest.raises(KernelDimCalled):
+    with pytest.raises(KernelEliminationCalled):
         resonance.resonance_kernel_dim(cli.build_os2(dual_hesse()), [1, -1] + [0] * 7)
 
 

@@ -131,14 +131,27 @@ def test_str_lists_terms_from_the_highest():
     assert str(HomForm.zero(2)) == str(UniPoly.zero()) == "0"
 
 
-@pytest.mark.parametrize("base, one", [(X + Y * 2 - Z, HomForm.constant(1)), (T * 2 - ONE_P, ONE_P)], ids=["form", "unipoly"])
+@pytest.mark.parametrize(
+    "base, one",
+    [(X + Y * 2 - Z, HomForm.constant(1)), (T * 2 - ONE_P, ONE_P), (EisensteinNumber(Fraction(3, 2), -2), EisensteinNumber(1))],
+    ids=["form", "unipoly", "eisenstein"],
+)
 def test_power_matches_repeated_products(base, one):
+    # the three share one square-and-multiply loop; only a field element has negative powers
     expected = one
     for n in range(7):
         assert base**n == expected
         expected = expected * base
-    with pytest.raises(ValueError):
-        base ** -1
+    if isinstance(base, EisensteinNumber):
+        expected = one
+        for n in range(-1, -4, -1):
+            expected = expected / base
+            assert base**n == expected
+        with pytest.raises(ZeroDivisionError):
+            EisensteinNumber(0) ** -1
+    else:
+        with pytest.raises(ValueError):
+            base ** -1
 
 
 def test_cube_costs_two_products(monkeypatch):

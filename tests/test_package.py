@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,6 +9,7 @@ from collections import Counter
 from itertools import chain
 
 import pencilfiber
+from pencilfiber import cli
 
 
 def test_every_public_name_resolves():
@@ -69,21 +71,25 @@ def test_src_has_no_unused_import():
     assert found == []
 
 
+def _package_trees():
+    package = pathlib.Path(pencilfiber.__file__).parent
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
 def test_every_private_function_has_a_caller():
     # a private module-level function or method (one leading underscore, not
     # a dunder) is read by name somewhere in the package outside its own
     # body; one that nothing reads is dead code and is deleted, not kept
-    package = pathlib.Path(pencilfiber.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
-
-    def names(node):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                yield n.id
-            elif isinstance(n, ast.Attribute):
-                yield n.attr
-
-    read = Counter(chain.from_iterable(names(tree) for tree in trees.values()))
+    trees = _package_trees()
+    read = Counter(chain.from_iterable(_names(tree) for tree in trees.values()))
     found = []
     for file, tree in trees.items():
         defs = list(tree.body)
@@ -92,6 +98,29 @@ def test_every_private_function_has_a_caller():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
-            if name.startswith("_") and not name.startswith("__") and read[name] == Counter(names(node))[name]:
+            if name.startswith("_") and not name.startswith("__") and read[name] == Counter(_names(node))[name]:
+                found.append(f"{file}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_every_public_function_is_exported_read_or_a_command():
+    # the public twin of the check above: a public module-level function is
+    # in pencilfiber.__all__, read by name somewhere in the package outside
+    # its own body, or cli.cmd_<name> for a subcommand of cli.build_parser();
+    # fixtures.py is exempt, since it builds inputs for the tests and the
+    # benchmark
+    trees = _package_trees()
+    read = Counter(chain.from_iterable(_names(tree) for tree in trees.values()))
+    (subcommands,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    kept = set(pencilfiber.__all__) | {f"cmd_{name}" for name in subcommands}
+    found = []
+    for file, tree in trees.items():
+        if file == "fixtures.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") and name not in kept and read[name] == Counter(_names(node))[name]:
                 found.append(f"{file}:{node.lineno} {name}")
     assert found == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decision_oracle
+from decision_oracle import generic_member
 from linalg_oracle import peeled_rank, rref
 from pencilfiber import resonance
 from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points, proj_transform
@@ -28,7 +29,6 @@ from pencilfiber.resonance import (
     build_os2,
     component_isotropy_check,
     distinct_planes,
-    generic_member,
     pencil_basis,
     resonance_kernel_dim,
     triple_point_basis,
