@@ -41,14 +41,18 @@ columns no elimination is needed (``_dependence``): the cross product
 the rank is 2 iff ``pair_dot`` gives lambda . row = 0 on every monomial
 row.  Those zero dots are the exact certificate of the dependence.  A
 nonzero dot means rank 3, no nonzero cross means rank 1, and either
-candidate is skipped.  An accepted pencil keeps G1, G2, G3, the scales and
-the kernel vector as its Z[w] certificate: F_i = G_i / c_i, and
-(l1, l2, l3) is the kernel vector times (c1, c2, c3), scaled so that
-l1 = 1.  ``to_json`` prints both from the integers
-(``eisenstein.normalized_strs`` and ``HomForm.json_from_pairs``), and the
-Q(w) objects are built from the certificate only on the first read of
-``lambdas`` or ``products`` (also through ``scaled_products``).  So the
-search, and printing what it found, build no Q(w) object and no Fraction.
+candidate is skipped.
+
+A pencil is its Z[w] certificate, however it was made.  ``find_pencils``
+stores G1, G2, G3 with the scales c_i, so F_i = G_i / c_i, and the kernel
+vector times (c1, c2, c3) in canonical form (``canonical_pairs``) over its
+positive integer lead, so l1 = 1.  ``from_json`` reads the forms and
+lambdas it parsed into Z[w] the way lines are read (``integer_pairs`` and
+``integer_scale``), so a parsed pencil keeps the lambdas it was given.
+``to_json`` prints from the integers (``quotient_str`` and
+``HomForm.json_from_pairs``), and ``lambdas``, ``products`` and
+``scaled_products`` build their Q(w) objects on each read.  So the search,
+and printing what it found, build no Q(w) object and no Fraction.
 ``find_pencils`` is the one answer: whether an arrangement is composed of
 a reduced pencil is its truth value, and the number of pencils its length.
 
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Iterator
@@ -70,81 +75,61 @@ from .eisenstein import (
     EisensteinNumber,
     Pair,
     canonical_pairs,
+    integer_pairs,
+    integer_scale,
     json_int,
     json_list,
     json_object,
-    normalized,
-    normalized_strs,
     pair_cross,
     pair_dot,
+    quotient_str,
 )
 from .forms import Exponent, HomForm, linear_product_pairs
 from .milnor import monomial_exponents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilDecomposition:
-    """Unordered 3-partition of the line indices with its dependence.
+    """Unordered 3-partition of the line indices with its dependence, held as
+    its Z[w] certificate.
 
-    ``lambdas`` is normalized so the first class carries coefficient 1, and
-    lambdas[0]*products[0] + lambdas[1]*products[1] + lambdas[2]*products[2]
-    vanishes identically.
-
-    ``find_pencils`` builds a pencil from its Z[w] certificate
-    (``from_certificate``), which ``to_json`` prints, and ``lambdas`` and
-    ``products`` from that on first read; equality, hashing, the repr and
-    ``dataclasses.replace`` read them as the dataclass defines them.  A
-    pencil built from its fields, as ``from_json`` builds one, has no
-    certificate and prints its fields, whose l1 need not be 1.
+    ``tables`` are the class products over Z[w] as {exponent: (a, b)}, with
+    F_i = tables[i] / scales[i] for positive integers ``scales``, and
+    l_i = lam[i] / lam_scale for a positive integer ``lam_scale``, so that
+    l1*F1 + l2*F2 + l3*F3 vanishes identically.  ``lambdas``, ``products``
+    and ``scaled_products`` are Q(w) views, built on each read; ``to_json``
+    prints from the integers.  The certificate need not be in lowest terms,
+    so equality is Q(w) equality: two pencils are equal iff they print the
+    same JSON.  A found pencil has l1 = 1; a parsed one keeps the lambdas it
+    was given.
     """
 
     classes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    lambdas: tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
-    products: tuple[HomForm, HomForm, HomForm]
+    tables: tuple[dict[Exponent, Pair], dict[Exponent, Pair], dict[Exponent, Pair]]
+    scales: tuple[int, int, int]
+    lam: tuple[Pair, Pair, Pair]
+    lam_scale: int
 
-    @classmethod
-    def from_certificate(
-        cls,
-        classes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
-        products: list[dict[Exponent, Pair]],
-        scales: list[int],
-        kernel: tuple[Pair, Pair, Pair],
-    ) -> "PencilDecomposition":
-        """The pencil whose class products G_i, as Z[w] coefficient tables, are
-        c_i * F_i for the positive integer scales c_i, with sum kernel_i G_i = 0."""
-        pencil = cls.__new__(cls)
-        object.__setattr__(pencil, "classes", classes)
-        # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i
-        lam = [(a * c, b * c) for (a, b), c in zip(kernel, scales)]
-        object.__setattr__(pencil, "_certificate", (products, scales, lam))
-        return pencil
+    @property
+    def lambdas(self) -> tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]:
+        return tuple(EisensteinNumber(Fraction(a, self.lam_scale), Fraction(b, self.lam_scale)) for a, b in self.lam)
 
-    def __getattr__(self, name: str) -> object:
-        # reached only while lambdas and products are not built
-        certificate = self.__dict__.get("_certificate")
-        if certificate is None or name not in ("lambdas", "products"):
-            raise AttributeError(name)
-        products, scales, lam = certificate
+    @property
+    def products(self) -> tuple[HomForm, HomForm, HomForm]:
         degree = len(self.classes[0])
-        object.__setattr__(self, "lambdas", normalized(lam))
-        object.__setattr__(self, "products", tuple(HomForm.from_pairs(degree, p, c) for p, c in zip(products, scales)))
-        return self.__dict__[name]
+        return tuple(HomForm.from_pairs(degree, table, c) for table, c in zip(self.tables, self.scales))
 
     def scaled_products(self) -> tuple[HomForm, HomForm, HomForm]:
         """The three members l_i * F_i, which sum to zero exactly."""
         return tuple(f * l for l, f in zip(self.lambdas, self.products))
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PencilDecomposition) and self.to_json() == other.to_json()
+
     def to_json(self) -> dict:
-        certificate = self.__dict__.get("_certificate")
-        if certificate is None:
-            lambdas = [str(l) for l in self.lambdas]
-            products = [f.to_json() for f in self.products]
-        else:
-            # the strings of the Q(w) view that __getattr__ builds
-            tables, scales, lam = certificate
-            lambdas = list(normalized_strs(canonical_pairs(lam)))
-            degree = len(self.classes[0])
-            products = [HomForm.json_from_pairs(degree, table, c) for table, c in zip(tables, scales)]
+        degree = len(self.classes[0])
+        lambdas = [quotient_str(v, self.lam_scale) for v in self.lam]
+        products = [HomForm.json_from_pairs(degree, table, c) for table, c in zip(self.tables, self.scales)]
         return {"classes": [list(c) for c in self.classes], "lambdas": lambdas, "products": products}
 
     @classmethod
@@ -170,7 +155,9 @@ class PencilDecomposition:
         indices = [i for c in classes for i in c]
         if min(indices) < 0 or len(set(indices)) != len(indices):
             raise ValueError("the classes of a pencil hold distinct nonnegative line indices")
-        return cls(classes, lambdas, products)
+        tables = tuple(dict(zip(p.coeffs, integer_pairs(list(p.coeffs.values())))) for p in products)
+        scales = tuple(integer_scale(list(p.coeffs.values())) for p in products)
+        return cls(classes, tables, scales, tuple(integer_pairs(lambdas)), integer_scale(lambdas))
 
 
 def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
@@ -188,11 +175,13 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     line_scales = [line.scale for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
-        prods = [linear_product_pairs(lines[i] for i in c) for c in triple]
-        lam = _dependence([[p.get(e, (0, 0)) for p in prods] for e in monomials])
-        if lam is not None:
-            scales = [math.prod(line_scales[i] for i in c) for c in triple]
-            found.append(PencilDecomposition.from_certificate(triple, prods, scales, lam))
+        prods = tuple(linear_product_pairs(lines[i] for i in c) for c in triple)
+        kernel = _dependence([[p.get(e, (0, 0)) for p in prods] for e in monomials])
+        if kernel is not None:
+            scales = tuple(math.prod(line_scales[i] for i in c) for c in triple)
+            # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i
+            lam = canonical_pairs([(a * c, b * c) for (a, b), c in zip(kernel, scales)])
+            found.append(PencilDecomposition(triple, prods, scales, lam, lam[0][0]))
     return found
 
 

@@ -761,8 +761,9 @@ def test_crosscheck_counts_a_repeated_pencil_component_once(capsys, tmp_path, mo
         moved = dataclasses.replace(
             pencil,
             classes=tuple(pencil.classes[i] for i in order),
-            lambdas=tuple(pencil.lambdas[i] for i in order),
-            products=tuple(pencil.products[i] for i in order),
+            tables=tuple(pencil.tables[i] for i in order),
+            scales=tuple(pencil.scales[i] for i in order),
+            lam=tuple(pencil.lam[i] for i in order),
         )
         return [pencil, moved]
 

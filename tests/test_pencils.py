@@ -581,20 +581,90 @@ def test_pencil_json_from_certificate_is_the_json_of_its_qw_view(corpus_dir):
     for arr in arrangements:
         for pencil in find_pencils(arr):
             before = pencil.to_json()
-            view = PencilDecomposition(pencil.classes, pencil.lambdas, pencil.products).to_json()
+            view = {
+                "classes": [list(c) for c in pencil.classes],
+                "lambdas": [str(l) for l in pencil.lambdas],
+                "products": [f.to_json() for f in pencil.products],
+            }
             assert json.dumps(before) == json.dumps(view) == json.dumps(pencil.to_json()), arr.label
             found += 1
     assert found > len(arrangements)
 
 
-def test_parsed_pencil_prints_its_fields():
-    """A parsed pencil has no certificate, and its l1 need not be 1."""
-    data = find_pencils(braid())[0].to_json()
-    scale = EisensteinNumber(2, 3)
+def _scaled_lambdas(pencil, scale):
+    """The pencil's JSON with every lambda multiplied by ``scale``."""
+    data = pencil.to_json()
     data["lambdas"] = [str(EisensteinNumber.of(l) * scale) for l in data["lambdas"]]
+    return data
+
+
+def test_parsed_pencil_prints_its_fields():
+    """A parsed pencil keeps the lambdas it was given: its l1 need not be 1."""
+    data = _scaled_lambdas(find_pencils(braid())[0], EisensteinNumber(2, 3))
     assert data["lambdas"][0] == "2+3*w"
     text = json.dumps(data, indent=2, sort_keys=True)
     assert json.dumps(PencilDecomposition.from_json(json.loads(text)).to_json(), indent=2, sort_keys=True) == text
+
+
+def test_parsed_pencil_prints_from_its_integers(monkeypatch):
+    """A parsed pencil, l1 != 1 included, prints with no str of a field element."""
+    texts = []
+    for arr in (braid(), dual_hesse(), ceva_two()):
+        for pencil in find_pencils(arr):
+            data = _scaled_lambdas(pencil, EisensteinNumber(2, 3))
+            texts.append((PencilDecomposition.from_json(data), json.dumps(data, sort_keys=True)))
+
+    def refuse(self):
+        raise AssertionError("str of a field element")
+
+    monkeypatch.setattr(EisensteinNumber, "__str__", refuse)
+    for parsed, text in texts:
+        assert json.dumps(parsed.to_json(), sort_keys=True) == text
+
+
+def _reducible(pencil):
+    """Whether some class table and its scale share a factor."""
+    return any(
+        math.gcd(scale, *(x for v in table.values() for x in v)) > 1 for table, scale in zip(pencil.tables, pencil.scales)
+    )
+
+
+def test_pencil_equality_is_qw_equality():
+    """A found certificate need not be in lowest terms, and a parsed one is,
+    so the reprint of a found pencil holds other integers; it is still equal."""
+    reducible = 0
+    for arr in _pgl_images((dual_hesse, braid, ceva_two), 3, 31):
+        for pencil in find_pencils(arr):
+            again = PencilDecomposition.from_json(pencil.to_json())
+            assert again == pencil and pencil == again, arr.label
+            reducible += _reducible(pencil)
+            assert not _reducible(again)
+    assert reducible >= 3
+
+
+@pytest.mark.parametrize("spelling, printed", [("2/2", "1"), ("2/4", "1/2")])
+def test_parsed_pencil_in_other_terms_equals_its_reprint(spelling, printed):
+    pencil = find_pencils(braid())[0]
+    data = pencil.to_json()
+    data["lambdas"][0] = spelling
+    term = data["products"][0]["terms"][0]
+    assert term["c"] == "1"
+    term["c"] = "2/2"
+    parsed = PencilDecomposition.from_json(data)
+    reprint = parsed.to_json()
+    assert reprint["lambdas"][0] == printed and reprint["products"][0]["terms"][0]["c"] == "1"
+    assert PencilDecomposition.from_json(reprint) == parsed
+    assert (parsed == pencil) == (spelling == "2/2")
+
+
+def test_changing_one_lambda_breaks_equality():
+    for pencil in find_pencils(dual_hesse()):
+        assert PencilDecomposition.from_json(pencil.to_json()) == pencil
+        for i in range(3):
+            data = pencil.to_json()
+            data["lambdas"][i] = str(EisensteinNumber.of(data["lambdas"][i]) * 2)
+            changed = PencilDecomposition.from_json(data)
+            assert changed != pencil and pencil != changed
 
 
 @pytest.mark.parametrize(

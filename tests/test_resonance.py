@@ -254,6 +254,33 @@ def test_wedge_needs_the_sigma_rows():
     assert seen.count(False) > 30 and seen.count(True) > 20
 
 
+def test_wedge_at_a_sigma_point_needs_the_sum(corpus_dir):
+    """At each triple point q = {i, j, k}, the local generic member
+    a = e_i + e_j - 2e_k sums to zero on q, and q is the only point with two
+    lines of its support: the Sigma-point rule alone decides.  e_l sums to 1
+    on q for each line l of q, so a ^ e_l != 0; e_i - e_j and e_j - e_k sum
+    to 0, so their wedges with a vanish."""
+    arrangements = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    arrangements += [cuspidal_dual(7), cuspidal_dual(10)]  # the fixtures with triple points not in the corpus
+    points = 0
+    for arr in arrangements:
+        os2 = build_os2(arr)
+        for pt in intersection_points(arr):
+            if pt.multiplicity == 3:
+                i, j, k = pt.lines
+                a = _supported(arr.r, {i: 1, j: 1, k: -2})
+                assert not any(wedge_vanishes(os2, a, _supported(arr.r, {l: 1})) for l in pt.lines), arr.label
+                for b in ({i: 1, j: -1}, {j: 1, k: -1}):
+                    assert wedge_vanishes(os2, a, _supported(arr.r, b)), arr.label
+                points += 1
+    assert points > 100
+
+
+def _supported(r, weights):
+    """The weight vector on r lines that is ``weights[l]`` at each line l it lists and 0 elsewhere."""
+    return [EisensteinNumber(weights.get(l, 0)) for l in range(r)]
+
+
 def test_wedge_alternating():
     os2 = build_os2(braid())
     rng = random.Random(2)
