@@ -2,9 +2,9 @@
 
 Lines are coefficient triples (a, b, c) of a*x + b*y + c*z; an arrangement
 is an ordered list of pairwise distinct lines.  All projective work is over
-Z[w], and Q(w) appears only where a value is read.  A line's coefficients,
-text or numbers, go straight into Z[w] by ``eisenstein.integer_pairs``, the
-one way in, which the matrix of a projective transform also takes, and from
+Z[w], and Q(w) appears only as printed text.  A line's coefficients, text
+or numbers, go straight into Z[w] by ``eisenstein.integer_row``, the one
+way in, which the matrix of a projective transform also takes, and from
 there to the line's canonical triple (``canonical_pairs``: first nonzero
 coefficient a positive integer, integer content 1).  The point of two lines
 is their cross product, and two crossings are one point iff the canonical
@@ -14,9 +14,7 @@ check after it, and each point stores only that canonical triple and its
 lines.  Lines and points store no Q(w) form, and build none to be printed:
 the strings of their Q(w) coordinates, lead coordinate 1, are printed from
 the integers by ``eisenstein.normalized_strs``, and the points are sorted
-by those strings.  The Q(w) coordinates themselves are the same canonical
-triple divided by its lead (``eisenstein.normalized``), computed only where
-code reads them.
+by those strings.
 
 The incidence data is built once per arrangement and kept on it as one
 ``Incidence`` record that every layer reads: the sorted points, the index of
@@ -52,17 +50,14 @@ from .eisenstein import (
     EisensteinNumber,
     Pair,
     canonical_pairs,
-    integer_pairs,
+    integer_row,
     json_list,
     json_object,
-    normalized,
     normalized_strs,
     pair_cross,
     pair_dot,
 )
 from .linalg import find, nullspace_f3
-
-Point = tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]
 
 
 class MultiplicityError(ValueError):
@@ -81,10 +76,9 @@ class Line:
 
     ``pairs`` is its canonical Z[w] triple (``eisenstein.canonical_pairs``):
     the first nonzero coefficient is the positive integer ``scale`` and the
-    integer content is 1.  Equality and hashing read ``pairs``.  ``coeffs``,
-    the Q(w) triple whose first nonzero coefficient is 1, is pairs / scale,
-    ``eisenstein.normalized(pairs)``; ``to_json`` prints the same triple
-    from the integers, by ``eisenstein.normalized_strs``.
+    integer content is 1.  Equality and hashing read ``pairs``.  ``to_json``
+    prints pairs / scale, the Q(w) triple whose first nonzero coefficient is
+    1, from the integers, by ``eisenstein.normalized_strs``.
     """
 
     __slots__ = ("pairs", "scale")
@@ -95,7 +89,7 @@ class Line:
         b: EisensteinNumber | int | str,
         c: EisensteinNumber | int | str,
     ) -> None:
-        self._set(integer_pairs((a, b, c)))
+        self._set(integer_row((a, b, c))[0])
 
     @classmethod
     def from_pairs(cls, triple: Sequence[Pair]) -> "Line":
@@ -109,10 +103,6 @@ class Line:
             raise ValueError("a line needs a nonzero coefficient")
         self.pairs = canonical_pairs(triple)
         self.scale = next(a for a, _ in self.pairs if a)
-
-    @property
-    def coeffs(self) -> Point:
-        return normalized(self.pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
@@ -185,17 +175,13 @@ class IncidencePoint:
     ``pairs`` is a Z[w] triple of the point; ``incidence`` stores its
     canonical triple (``eisenstein.canonical_pairs``), so equality and
     hashing, which read ``pairs`` and ``lines``, compare points exactly.
-    ``point``, the Q(w) triple whose first nonzero coordinate is 1, is
-    ``eisenstein.normalized(pairs)``; ``point_str`` and ``to_json`` print the
-    same triple from the integers, by ``eisenstein.normalized_strs``.
+    ``point_str`` and ``to_json`` print the Q(w) triple of the point whose
+    first nonzero coordinate is 1 from the integers, by
+    ``eisenstein.normalized_strs``.
     """
 
     pairs: tuple[Pair, ...]
     lines: tuple[int, ...]
-
-    @property
-    def point(self) -> Point:
-        return normalized(self.pairs)
 
     @property
     def multiplicity(self) -> int:
@@ -483,7 +469,7 @@ def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]
     """
     if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
         raise ValueError("a projective transform is a 3x3 matrix")
-    entries = integer_pairs([v for row in matrix for v in row])
+    entries, _ = integer_row([v for row in matrix for v in row])
     r0, r1, r2 = entries[0:3], entries[3:6], entries[6:9]
     columns = (pair_cross(r1, r2), pair_cross(r2, r0), pair_cross(r0, r1))
     if pair_dot(r0, columns[0]) == (0, 0):

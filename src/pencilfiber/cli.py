@@ -58,7 +58,7 @@ from .catalan import (
     generate_solutions,
     verify_relation,
 )
-from .eisenstein import EisensteinNumber, ParseError, json_list, json_object
+from .eisenstein import ParseError, integer_row, json_list, json_object, quotient_str
 from .forms import UniPoly
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
@@ -243,19 +243,21 @@ def cmd_resonance(args: argparse.Namespace) -> int:
     payload = _resonance_payload(arr, pencils, os2)
     if args.vector is not None:
         try:
-            vec = [EisensteinNumber.of(v) for v in json_list(json.loads(args.vector), "--vector")]
+            vector = json_list(json.loads(args.vector), "--vector")
+            pairs, scale = integer_row(vector)
         except (TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"--vector is not a list of field elements: {exc}") from exc
-        if len(vec) != arr.r:
+        if len(pairs) != arr.r:
             raise InputError(f"--vector must have length {arr.r}")
-        if sum(vec, EisensteinNumber(0)):
+        # the pairs are the vector times a positive integer, so these tests hold for both
+        if any(sum(part) for part in zip(*pairs)):
             _emit({"error": "weight_vector_sum_nonzero"})
             return EXIT_DOMAIN
-        if not any(vec):
+        if all(v == (0, 0) for v in pairs):
             _emit({"error": "weight_vector_zero"})
             return EXIT_DOMAIN
-        dim = resonance_kernel_dim(os2, vec)
-        payload["probe"] = {"vector": [str(v) for v in vec], "kernel_dim": dim, "resonant": dim >= 2}
+        dim = resonance_kernel_dim(os2, vector)
+        payload["probe"] = {"vector": [quotient_str(v, scale) for v in pairs], "kernel_dim": dim, "resonant": dim >= 2}
     _emit(payload)
     return EXIT_OK
 

@@ -20,19 +20,17 @@ row can be scaled into Z[w] and held as integer pairs (a, b) meaning
 a + b*w; ``pair_mul``, ``pair_cross`` and ``pair_dot`` then compute without
 fractions.  ``parse_parts`` is the one grammar of the string form and
 yields integer numerators and denominators; ``parse_eisenstein`` wraps
-them in Fractions.  There is one way into Z[w]: ``integer_pairs`` reads
-each entry of a row, an EisensteinNumber, a Fraction, an int or a string,
-as those parts (``integer_parts``), so text reaches Z[w] without a
-Fraction, and scales the row by the lcm of its denominators
-(``integer_scale``).  ``canonical_pairs`` is the normal form of a
-projective Z[w] triple: first nonzero entry a positive integer, integer
-content 1.  There is one way out: ``normalized`` divides that canonical
-triple by its lead, giving the Q(w) triple of the same projective point
-whose first nonzero entry is 1, and ``normalized_strs`` prints the same
-quotients from integers alone.  Its entries, and any (a + b*w) / d over
-Z[w], are printed by ``quotient_str``, which reduces each part by a gcd
-and hands it to ``format_parts``, the formatter
-``EisensteinNumber.__str__`` uses.
+them in Fractions.  There is one way into Z[w]: ``integer_row`` reads each
+entry of a row once, an EisensteinNumber, a Fraction, an int or a string,
+as those parts, so text reaches Z[w] without a Fraction, and returns the
+row scaled by the lcm of its denominators together with that scale.
+``canonical_pairs`` is the normal form of a projective Z[w] triple: first
+nonzero entry a positive integer, integer content 1.  A projective point
+is printed with no Q(w) object: ``normalized_strs`` prints the Q(w) triple
+of the same point whose first nonzero entry is 1 from the canonical triple,
+and it and any (a + b*w) / d over Z[w] are printed by ``quotient_str``,
+which reduces each part by a gcd and hands it to ``format_parts``, the
+formatter ``EisensteinNumber.__str__`` uses.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import math
 import re as _re
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # ASCII digits only: ``\d`` would also match other scripts' decimal digits.
 # The groups are the signed numerator and the optional denominator.
@@ -78,6 +76,8 @@ class EisensteinNumber:
             return parse_eisenstein(value)
         if isinstance(value, (float, bool)):
             raise ValueError(f"{value!r} is not an exact field element")
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an exact field element")
         return cls(value)
 
     @staticmethod
@@ -213,7 +213,7 @@ def parse_parts(text: str) -> Parts:
     and a '*' follows only a coefficient.
 
     This is the one grammar: ``parse_eisenstein`` wraps its parts in
-    Fractions, and ``integer_pairs`` scales them straight into Z[w].
+    Fractions, and ``integer_row`` scales them straight into Z[w].
     Raises ParseError with a position.
     """
 
@@ -318,28 +318,32 @@ def json_int(value: object, what: str) -> int:
 Pair = tuple[int, int]
 
 
-def integer_scale(row: Sequence[EisensteinNumber | Fraction | int | str]) -> int:
-    """The lcm of the row's denominators as ``integer_parts`` reads them.
+def integer_row(row: Iterable[EisensteinNumber | Fraction | int | str]) -> tuple[list[Pair], int]:
+    """The row scaled into Z[w], as pairs (a, b) meaning a + b*w, and its
+    scale, the lcm of the denominators of its entries as read.
 
-    It scales the row into Z[w]; it is the least positive integer that does
-    when every entry is in lowest terms, as every EisensteinNumber, Fraction
-    and int is and a string need not be.
+    Each entry is read once: a string by ``parse_parts``, so text reaches
+    Z[w] with no Fraction, an int as itself, and anything else by
+    ``EisensteinNumber.of``, so a float or a bool raises ValueError and a
+    value that is no field element TypeError.  The scale is the least
+    positive integer that takes the row into Z[w] when every entry is in
+    lowest terms, as every EisensteinNumber, Fraction and int is and a
+    string need not be.  It is nonzero, so the row spans the same line and
+    any matrix built from such rows keeps its rank.
     """
-    parts = [integer_parts(x) for x in row]
-    return math.lcm(*(p[1] for p in parts), *(p[3] for p in parts))
-
-
-def integer_pairs(row: Sequence[EisensteinNumber | Fraction | int | str]) -> list[Pair]:
-    """The row scaled by ``integer_scale``, as pairs (a, b) meaning a + b*w in Z[w].
-
-    Every entry is read by ``integer_parts``, so it may be an
-    EisensteinNumber, a Fraction, an int or a string, and a float or a bool
-    raises ValueError.  The scale is a nonzero rational, so the row spans
-    the same line and any matrix built from such rows keeps its rank.
-    """
-    parts = [integer_parts(x) for x in row]
+    parts = [_entry_parts(x) for x in row]
     scale = math.lcm(*(p[1] for p in parts), *(p[3] for p in parts))
-    return [(a * (scale // b), c * (scale // d)) for a, b, c, d in parts]
+    return [(a * (scale // b), c * (scale // d)) for a, b, c, d in parts], scale
+
+
+def _entry_parts(value: "EisensteinNumber | Fraction | int | str") -> Parts:
+    """The parts of ``EisensteinNumber.of(value)``; a string or an int builds no Fraction."""
+    if type(value) is str:
+        return parse_parts(value)
+    if type(value) is int:
+        return (value, 1, 0, 1)
+    x = EisensteinNumber.of(value)
+    return (x.re.numerator, x.re.denominator, x.wc.numerator, x.wc.denominator)
 
 
 def pair_mul(u: Pair, v: Pair) -> Pair:
@@ -373,27 +377,6 @@ def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
     return (a0 * c0 + a1 * c1 + a2 * c2 - bd, a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 - bd)
 
 
-def normalized(p: Sequence[Pair]) -> tuple[EisensteinNumber, ...]:
-    """The Q(w) triple proportional to the nonzero Z[w] triple p whose first nonzero entry is 1.
-
-    It is ``canonical_pairs(p)`` divided by its lead, a positive integer: the
-    triple that ``normalized_strs`` prints.
-    """
-    c = canonical_pairs(p)
-    lead = next(x for x, _ in c if x)
-    return tuple(EisensteinNumber(Fraction(x, lead), Fraction(y, lead)) for x, y in c)
-
-
-def integer_parts(value: "EisensteinNumber | Fraction | int | str") -> Parts:
-    """The parts of ``EisensteinNumber.of(value)``; a string or an int builds no Fraction."""
-    if type(value) is str:
-        return parse_parts(value)
-    if type(value) is int:
-        return (value, 1, 0, 1)
-    x = EisensteinNumber.of(value)
-    return (x.re.numerator, x.re.denominator, x.wc.numerator, x.wc.denominator)
-
-
 def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, ...]:
     """The Z[w] triple proportional to the nonzero triple p whose first nonzero
     entry is a positive integer and whose integer content is 1.
@@ -423,9 +406,10 @@ def quotient_str(v: Pair, d: int) -> str:
 
 
 def normalized_strs(c: Sequence[Pair]) -> tuple[str, ...]:
-    """``tuple(str(x) for x in normalized(c))`` for a triple c from
-    ``canonical_pairs``, computed from integers: with lead the integer L,
-    each entry v is v / L (``quotient_str``)."""
+    """The strings of the Q(w) triple proportional to the triple c from
+    ``canonical_pairs`` whose first nonzero entry is 1, computed from
+    integers: with lead the positive integer L, each entry v is v / L
+    (``quotient_str``)."""
     lead = next(x for x, _ in c if x)
     return tuple(quotient_str(v, lead) for v in c)
 

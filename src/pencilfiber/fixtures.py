@@ -10,7 +10,6 @@ double.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .arrangement import Arrangement, Line, point_census, intersection_points, proj_transform
 from .eisenstein import OMEGA, OMEGA2, EisensteinNumber
@@ -60,11 +59,10 @@ def four_concurrent() -> Arrangement:
     )
 
 
-def conic_dual_lines(params: list[Fraction | int], label: str) -> Arrangement:
-    values = [Fraction(a) for a in params]
-    if len(set(values)) != len(values):
+def conic_dual_lines(params: list[EisensteinNumber | int], label: str) -> Arrangement:
+    if len(set(params)) != len(params):
         raise ValueError("parameters must be pairwise distinct")
-    lines = [Line(1, a, a * a) for a in values]
+    lines = [Line(1, a, a * a) for a in params]
     arr = Arrangement(lines, label)
     census = point_census(intersection_points(arr))
     if not set(census) <= {2}:
@@ -83,7 +81,7 @@ def generic_nine() -> Arrangement:
 def near_pencil_six() -> Arrangement:
     """x, y, x+y plus three conic-dual lines: one triple point, s = 0."""
     lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0)]
-    lines += [Line(1, a, a * a) for a in (Fraction(1), Fraction(2), Fraction(3))]
+    lines += [Line(1, a, a * a) for a in (1, 2, 3)]
     arr = Arrangement(lines, "near_pencil_6")
     census = point_census(intersection_points(arr))
     if census != {3: 1, 2: 12}:
@@ -94,9 +92,9 @@ def near_pencil_six() -> Arrangement:
 def seeded_generic(count: int, seed: int, label: str) -> Arrangement:
     """Deterministic generic family: distinct conic parameters from one seed."""
     rng = random.Random(seed)
-    pool = [Fraction(n, d) for d in (1, 2, 3) for n in range(-12, 13)]
-    params = rng.sample(sorted(set(pool)), count)
-    return conic_dual_lines(params, label)
+    # the distinct n/d with d in (1, 2, 3) and |n| <= 12, in increasing order, as k/6
+    sixths = sorted({n * (6 // d) for d in (1, 2, 3) for n in range(-12, 13)})
+    return conic_dual_lines([EisensteinNumber(k) / 6 for k in rng.sample(sixths, count)], label)
 
 
 def cuspidal_dual(m: int) -> Arrangement:

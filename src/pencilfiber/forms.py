@@ -17,7 +17,9 @@ takes the lines as Z[w] triples and returns {exponent: (a, b)} with plain
 int arithmetic, and ``product_of_linear_forms`` is its Q(w) view, the
 integer product divided by the product of the lines' scales
 (``HomForm.from_pairs``).  ``HomForm.json_from_pairs`` prints that view
-from the integers without building it.
+from the integers without building it, and ``json_form_pairs`` reads the
+wire format into such a table, its denominator and its degree, which
+``HomForm.from_json`` turns into the view.
 
 JSON wire formats:
 
@@ -36,8 +38,7 @@ from .eisenstein import (
     EisensteinNumber,
     Pair,
     _square_and_multiply,
-    integer_pairs,
-    integer_scale,
+    integer_row,
     json_int,
     json_list,
     json_object,
@@ -195,16 +196,7 @@ class HomForm(_Polynomial):
 
     @classmethod
     def from_json(cls, data: dict) -> "HomForm":
-        coeffs: dict[Exponent, EisensteinNumber] = {}
-        for t in json_list(json_object(data, "a form")["terms"], "terms"):
-            t = json_object(t, "a term")
-            exp = tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp"))
-            if len(exp) != 3:
-                raise ValueError(f"exp must have three entries, not {len(exp)}")
-            if exp in coeffs:
-                raise ValueError(f"exponent {exp} is listed twice")
-            coeffs[exp] = EisensteinNumber.of(t["c"])
-        return cls(json_int(data["degree"], "degree"), coeffs)
+        return cls.from_pairs(*json_form_pairs(data))
 
 
 X = HomForm.monomial((1, 0, 0))
@@ -339,6 +331,39 @@ class UniPoly(_Polynomial):
         return cls(json_list(json_object(data, "a polynomial")["coeffs"], "coeffs"))
 
 
+def json_form_pairs(data: dict) -> tuple[int, dict[Exponent, Pair], int]:
+    """A form's JSON read into Z[w]: (degree, table, denominator), the form
+    ``HomForm.from_pairs`` builds, with no zero entry in the table.
+
+    The one reader of the HomForm wire format; ``pencils`` reads its
+    products through it with no form built.  ``eisenstein.integer_row``
+    reads the coefficients, so text reaches Z[w] with no Fraction, each one
+    as soon as its term is checked and before the next term is; then the
+    degree is checked against each exponent, as ``HomForm`` checks a table.
+    """
+    exponents: dict[Exponent, None] = {}
+
+    def coefficients() -> Iterator[object]:
+        for t in json_list(json_object(data, "a form")["terms"], "terms"):
+            t = json_object(t, "a term")
+            exp = tuple(json_int(e, "an exponent") for e in json_list(t["exp"], "exp"))
+            if len(exp) != 3:
+                raise ValueError(f"exp must have three entries, not {len(exp)}")
+            if exp in exponents:
+                raise ValueError(f"exponent {exp} is listed twice")
+            exponents[exp] = None
+            yield t["c"]
+
+    pairs, denominator = integer_row(coefficients())
+    degree = json_int(data["degree"], "degree")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    for exp in exponents:
+        if min(exp) < 0 or sum(exp) != degree:
+            raise ValueError(f"exponent {exp} does not have degree {degree}")
+    return degree, {e: v for e, v in zip(exponents, pairs) if v != (0, 0)}, denominator
+
+
 def linear_product_pairs(lines: Iterable[Sequence[Pair]]) -> dict[Exponent, Pair]:
     """The product over Z[w] of the linear forms whose x, y, z coefficients
     are the given Z[w] triples, as {exponent: (a, b)} with no zero entry;
@@ -363,7 +388,7 @@ def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
     """Exact product of degree-1 forms; the empty product is the constant 1.
 
     The Q(w) view of ``linear_product_pairs``: each line is scaled once into
-    Z[w] by ``integer_scale``, and the integer product is divided by the
+    Z[w] by ``integer_row``, and the integer product is divided by the
     product of those scales.
     """
     triples = []
@@ -371,9 +396,9 @@ def product_of_linear_forms(lines: Iterable[HomForm]) -> HomForm:
     for line in lines:
         if line.degree != 1 or line.is_zero:
             raise ValueError("all factors must be nonzero linear forms")
-        coeffs = [line.coeffs.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        triples.append(integer_pairs(coeffs))
-        denominator *= integer_scale(coeffs)
+        triple, scale = integer_row([line.coeffs.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        triples.append(triple)
+        denominator *= scale
     return HomForm.from_pairs(len(triples), linear_product_pairs(triples), denominator)
 
 

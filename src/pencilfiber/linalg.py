@@ -4,7 +4,7 @@ Matrices are lists of rows of integer pairs (a, b) meaning a + b*w, or of
 Python ints for the prime fields.  There are two eliminators, one per kind
 of entry.  ``rank_pairs``, fraction-free (Bareiss) elimination, is the one
 over Z[w]; callers holding Q(w) rows scale each row with
-``eisenstein.integer_pairs`` first, which keeps the rank.  It eliminates
+``eisenstein.integer_row`` first, which keeps the rank.  It eliminates
 the rows as given, with no pre-pass, because its callers' rows almost never
 have a single nonzero entry: the resonance kernel passes only its
 Sigma-rows, one per triple point where the weight sums to zero, in the few

@@ -46,13 +46,14 @@ candidate is skipped.
 A pencil is its Z[w] certificate, however it was made.  ``find_pencils``
 stores G1, G2, G3 with the scales c_i, so F_i = G_i / c_i, and the kernel
 vector times (c1, c2, c3) in canonical form (``canonical_pairs``) over its
-positive integer lead, so l1 = 1.  ``from_json`` reads the forms and
-lambdas it parsed into Z[w] the way lines are read (``integer_pairs`` and
-``integer_scale``), so a parsed pencil keeps the lambdas it was given.
-``to_json`` prints from the integers (``quotient_str`` and
-``HomForm.json_from_pairs``), and ``lambdas``, ``products`` and
-``scaled_products`` build their Q(w) objects on each read.  So the search,
-and printing what it found, build no Q(w) object and no Fraction.
+positive integer lead, so l1 = 1.  ``from_json`` reads the lambdas into
+Z[w] the way lines are read (``integer_row``) and each product through the
+form reader (``forms.json_form_pairs``), so a parsed pencil keeps the
+lambdas it was given.  ``to_json`` prints from the integers
+(``quotient_str`` and ``HomForm.json_from_pairs``), and only
+``scaled_products``, the members l_i * F_i that Catalan doubling starts
+from, builds Q(w) forms.  So the search, parsing and printing build no Q(w)
+object and no Fraction.
 ``find_pencils`` is the one answer: whether an arrangement is composed of
 a reduced pencil is its truth value, and the number of pencils its length.
 
@@ -65,26 +66,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Iterator
 
 from .arrangement import Arrangement, incidence, require_multiplicities_ok
 from .eisenstein import (
-    EisensteinNumber,
     Pair,
     canonical_pairs,
-    integer_pairs,
-    integer_scale,
+    integer_row,
     json_int,
     json_list,
     json_object,
     pair_cross,
     pair_dot,
+    pair_mul,
     quotient_str,
 )
-from .forms import Exponent, HomForm, linear_product_pairs
+from .forms import Exponent, HomForm, json_form_pairs, linear_product_pairs
 from .milnor import monomial_exponents
 
 
@@ -96,9 +95,8 @@ class PencilDecomposition:
     ``tables`` are the class products over Z[w] as {exponent: (a, b)}, with
     F_i = tables[i] / scales[i] for positive integers ``scales``, and
     l_i = lam[i] / lam_scale for a positive integer ``lam_scale``, so that
-    l1*F1 + l2*F2 + l3*F3 vanishes identically.  ``lambdas``, ``products``
-    and ``scaled_products`` are Q(w) views, built on each read; ``to_json``
-    prints from the integers.  The certificate need not be in lowest terms,
+    l1*F1 + l2*F2 + l3*F3 vanishes identically.  ``to_json`` prints from
+    the integers.  The certificate need not be in lowest terms,
     so equality is Q(w) equality: two pencils are equal iff they print the
     same JSON.  A found pencil has l1 = 1; a parsed one keeps the lambdas it
     was given.
@@ -110,18 +108,14 @@ class PencilDecomposition:
     lam: tuple[Pair, Pair, Pair]
     lam_scale: int
 
-    @property
-    def lambdas(self) -> tuple[EisensteinNumber, EisensteinNumber, EisensteinNumber]:
-        return tuple(EisensteinNumber(Fraction(a, self.lam_scale), Fraction(b, self.lam_scale)) for a, b in self.lam)
-
-    @property
-    def products(self) -> tuple[HomForm, HomForm, HomForm]:
-        degree = len(self.classes[0])
-        return tuple(HomForm.from_pairs(degree, table, c) for table, c in zip(self.tables, self.scales))
-
     def scaled_products(self) -> tuple[HomForm, HomForm, HomForm]:
-        """The three members l_i * F_i, which sum to zero exactly."""
-        return tuple(f * l for l, f in zip(self.lambdas, self.products))
+        """The three members l_i * F_i, which sum to zero exactly: lam[i] times
+        G_i over Z[w], over lam_scale * scales[i]."""
+        degree = len(self.classes[0])
+        return tuple(
+            HomForm.from_pairs(degree, {e: pair_mul(lam, v) for e, v in table.items()}, self.lam_scale * scale)
+            for lam, table, scale in zip(self.lam, self.tables, self.scales)
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PencilDecomposition) and self.to_json() == other.to_json()
@@ -138,26 +132,25 @@ class PencilDecomposition:
         classes = tuple(
             tuple(json_int(i, "a line index") for i in json_list(c, "a class")) for c in json_list(data["classes"], "classes")
         )
-        lambdas = tuple(EisensteinNumber.of(l) for l in json_list(data["lambdas"], "lambdas"))
-        products = tuple(HomForm.from_json(f) for f in json_list(data["products"], "products"))
-        if len(classes) != 3 or len(lambdas) != 3 or len(products) != 3:
+        lam, lam_scale = integer_row(json_list(data["lambdas"], "lambdas"))
+        products = [json_form_pairs(f) for f in json_list(data["products"], "products")]
+        if len(classes) != 3 or len(lam) != 3 or len(products) != 3:
             raise ValueError("a pencil has three classes, lambdas and products")
-        if not all(lambdas):
+        if (0, 0) in lam:
             raise ValueError("every lambda of a pencil is nonzero")
-        if any(p.is_zero for p in products):
+        degrees, tables, scales = zip(*products)
+        if not all(tables):
             raise ValueError("every product of a pencil is nonzero")
-        if any(p.degree == 0 for p in products):
+        if 0 in degrees:
             raise ValueError("every product of a pencil has positive degree")
-        if len({p.degree for p in products}) != 1:
+        if len(set(degrees)) != 1:
             raise ValueError("the products of a pencil have one degree")
-        if any(len(c) != p.degree for c, p in zip(classes, products)):
+        if any(len(c) != d for c, d in zip(classes, degrees)):
             raise ValueError("every class of a pencil has as many lines as its product's degree")
         indices = [i for c in classes for i in c]
         if min(indices) < 0 or len(set(indices)) != len(indices):
             raise ValueError("the classes of a pencil hold distinct nonnegative line indices")
-        tables = tuple(dict(zip(p.coeffs, integer_pairs(list(p.coeffs.values())))) for p in products)
-        scales = tuple(integer_scale(list(p.coeffs.values())) for p in products)
-        return cls(classes, tables, scales, tuple(integer_pairs(lambdas)), integer_scale(lambdas))
+        return cls(classes, tables, scales, tuple(lam), lam_scale)
 
 
 def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:

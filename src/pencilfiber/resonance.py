@@ -48,7 +48,7 @@ a pencil basis.
 Each weight vector is read once, by the one weight scaler ``_weights``,
 into its Z[w] pairs and its support lines: a vector of ints has scale 1 and
 its nonzero entries become pairs directly, any other is scaled by the lcm
-of its denominators (``eisenstein.integer_pairs``), and its support is read
+of its denominators (``eisenstein.integer_row``), and its support is read
 from the pairs.  Everything after that reads only the support: coordinate
 sums, the independence of a basis on its support columns (for two vectors,
 a nonzero 2 x 2 minor, with no elimination), the wedge at the points
@@ -99,11 +99,11 @@ from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, IncidencePoint, incidence, require_multiplicities_ok
-from .eisenstein import EisensteinNumber, Pair, integer_pairs, pair_mul
+from .eisenstein import EisensteinNumber, Pair, integer_row, pair_mul
 from .linalg import find, rank_pairs
 from .pencils import PencilDecomposition
 
-Weights = Sequence[EisensteinNumber | int]  # a weight vector: one entry per line
+Weights = Sequence[EisensteinNumber | int | str]  # a weight vector: one entry per line
 _INT = frozenset({int})
 
 
@@ -149,14 +149,14 @@ def _weights(r: int, a: Weights) -> tuple[list[Pair], list[int]]:
 
     A vector of ints has scale 1: its entries become the pairs (x, 0), and
     its support is found without a Python loop.  Any other vector is read by
-    ``eisenstein.integer_pairs``, scaled by the lcm of its denominators, and
+    ``eisenstein.integer_row``, scaled by the lcm of its denominators, and
     its support is read from the pairs.
     """
     if len(a) != r:
         raise ValueError(f"weight vector must have length {r}")
     if set(map(type, a)) == _INT:
         return [(x, 0) for x in a], list(compress(range(r), a))
-    vec = integer_pairs(a)
+    vec, _ = integer_row(a)
     return vec, [l for l, pair in enumerate(vec) if pair != (0, 0)]
 
 

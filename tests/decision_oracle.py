@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from pencilfiber.eisenstein import EisensteinNumber, integer_pairs, pair_cross, pair_dot, pair_mul
+from pencilfiber.eisenstein import EisensteinNumber, integer_row, pair_cross, pair_dot, pair_mul
 from pencilfiber.linalg import find, rank_pairs
 
 
@@ -41,7 +41,7 @@ def _weights(r, a):
     values = [EisensteinNumber.of(v) for v in a]
     support = [l for l, v in enumerate(values) if v]
     vec = [(0, 0)] * r
-    for l, pair in zip(support, integer_pairs([values[l] for l in support])):
+    for l, pair in zip(support, integer_row([values[l] for l in support])[0]):
         vec[l] = pair
     return vec, support
 

@@ -4,13 +4,14 @@ The package finds incidence points by exact tests over Z[w] and evaluates
 monomials at Z[w] representatives of the triple points.  The tests check
 those answers against this normalise-and-group code over Q(w), which shares
 no code with them beyond ``EisensteinNumber``: its points are its own
-records of Q(w) coordinates and lines, for comparison with the package's
-points through ``point`` and ``lines``.
+records of Q(w) coordinates and lines.  It reads a package line or point
+only through its Z[w] triple ``pairs`` (``normalize_pairs``, ``of_point``).
 """
 
 from typing import NamedTuple
 
 from linalg_oracle import cross
+from pencilfiber.eisenstein import EisensteinNumber
 from pencilfiber.milnor import monomial_exponents
 
 
@@ -31,9 +32,19 @@ def normalize_point(p):
     return tuple(v * inv for v in p)
 
 
+def normalize_pairs(p):
+    """The Q(w) triple proportional to the Z[w] triple p whose first nonzero entry is 1."""
+    return normalize_point([EisensteinNumber(a, b) for a, b in p])
+
+
+def of_point(pt):
+    """A package incidence point as an oracle point, at its normalized coordinates."""
+    return OraclePoint(normalize_pairs(pt.pairs), pt.lines)
+
+
 def line_intersection(l1, l2):
     """Cross product of coefficient triples, normalized."""
-    return normalize_point(cross(l1.coeffs, l2.coeffs))
+    return normalize_point(cross(normalize_pairs(l1.pairs), normalize_pairs(l2.pairs)))
 
 
 def intersection_points(arr):

@@ -14,13 +14,13 @@ the mod-3 cocycle conditions as one dense row per incidence point, the
 system that the package solves on classes of lines.
 """
 
-from pencilfiber.eisenstein import ONE, ZERO, integer_pairs
+from pencilfiber.eisenstein import ONE, ZERO, integer_row
 from pencilfiber.linalg import rank_pairs
 
 
 def package_rank(rows):
-    """Each Q(w) row scaled into Z[w] by ``integer_pairs``, then ``rank_pairs``."""
-    return rank_pairs([integer_pairs(row) for row in rows])
+    """Each Q(w) row scaled into Z[w] by ``integer_row``, then ``rank_pairs``."""
+    return rank_pairs([integer_row(row)[0] for row in rows])
 
 
 def peeled_rank(rows):

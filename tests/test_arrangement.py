@@ -28,9 +28,7 @@ from pencilfiber.eisenstein import (
     EisensteinNumber,
     ParseError,
     canonical_pairs,
-    integer_pairs,
-    integer_scale,
-    normalized,
+    integer_row,
     normalized_strs,
     pair_dot,
     parse_eisenstein,
@@ -72,14 +70,18 @@ qw_entries = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(qw_entries, min_size=3, max_size=3).filter(any))
 def test_normalized_matches_qw_oracle(triple):
-    # the one normaliser, from a Z[w] triple and through Line, against division by the lead in Q(w)
+    # the printed line against division by the lead in Q(w)
     expected = incidence_oracle.normalize_point(triple)
-    assert normalized(integer_pairs(triple)) == expected
-    assert Line(*triple).coeffs == expected
+    assert _printed(Line(*triple).to_json()) == expected
     assert expected[next(i for i, v in enumerate(triple) if v)] == 1
     # the line keeps its normalized triple scaled into Z[w]
-    assert Line(*triple).pairs == tuple(integer_pairs(expected))
-    assert Line(*triple).scale == integer_scale(expected)
+    pairs, scale = integer_row(expected)
+    assert (Line(*triple).pairs, Line(*triple).scale) == (tuple(pairs), scale)
+
+
+def _printed(strings):
+    """The Q(w) triple a line or point prints, read back."""
+    return tuple(map(parse_eisenstein, strings))
 
 
 _digits = st.integers(0, 60).map(str)
@@ -113,8 +115,8 @@ def test_line_from_text_equals_line_from_parsed_numbers(texts):
                 Line(*args)
         return
     line, reference = Line(*texts), Line(*numbers)
-    assert (line.pairs, line.scale, line.coeffs) == (reference.pairs, reference.scale, reference.coeffs)
-    assert line.coeffs == incidence_oracle.normalize_point(numbers)
+    assert (line.pairs, line.scale, line.to_json()) == (reference.pairs, reference.scale, reference.to_json())
+    assert _printed(line.to_json()) == incidence_oracle.normalize_point(numbers)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,15 +124,15 @@ def test_line_from_text_equals_line_from_parsed_numbers(texts):
 @example(["2/4", "+3", "1+2w"], 0)
 @example(["0", "-6/4*w", "1/3"], 5)
 def test_text_enters_z_w_as_its_parsed_numbers_do(texts, mask):
-    """``integer_pairs`` reads printed and other spellings, and rows that mix
+    """``integer_row`` reads printed and other spellings, and rows that mix
     them with numbers, into the Z[w] triple of the parsed numbers, up to
     scale; ``Line`` keeps that triple's canonical form."""
     numbers = [parse_eisenstein(t) for t in texts]
     assume(any(numbers))
     mixed = [x if mask >> i & 1 else t for i, (t, x) in enumerate(zip(texts, numbers))]
-    expected = canonical_pairs(integer_pairs(numbers))
-    assert canonical_pairs(integer_pairs(texts)) == canonical_pairs(integer_pairs(mixed)) == expected
-    assert Line(*texts).pairs == canonical_pairs(integer_pairs(texts))
+    expected = canonical_pairs(integer_row(numbers)[0])
+    assert canonical_pairs(integer_row(texts)[0]) == canonical_pairs(integer_row(mixed)[0]) == expected
+    assert Line(*texts).pairs == canonical_pairs(integer_row(texts)[0])
 
 
 @pytest.mark.parametrize("text, position", [("1/0", 0), ("2+1/0w", 2), ("9" * 5000, None)], ids=["1/0", "2+1/0w", "5000 digits"])
@@ -161,23 +163,24 @@ def test_integer_sort_key_prints_the_normalized_point():
         a, b = next(v for v in p if v != (0, 0))
         w_leads += b != 0
         negative_leads += b == 0 and a < 0
-        c = canonical_pairs(p)
-        assert c == tuple(integer_pairs(normalized(p)))
-        assert normalized_strs(c) == tuple(str(x) for x in normalized(p))
+        c, q = canonical_pairs(p), incidence_oracle.normalize_pairs(p)
+        assert c == tuple(integer_row(q)[0])
+        assert normalized_strs(c) == tuple(str(x) for x in q)
     assert min(w_leads, negative_leads) > 300
 
 
 def test_lines_and_points_print_their_qw_view_from_integers(incidence_inputs):
     """``Line.to_json``, ``IncidencePoint.to_json`` and ``point_str`` print
-    the strings of ``coeffs`` and ``point``, also for a point built by hand
-    from a triple that is not canonical."""
+    the strings of the Q(w) triple of ``pairs`` with lead entry 1, also for
+    a point built by hand from a triple that is not canonical."""
     for arr in incidence_inputs:
         for line in arr.lines:
-            assert line.to_json() == [str(c) for c in line.coeffs]
+            assert line.to_json() == [str(c) for c in incidence_oracle.normalize_pairs(line.pairs)]
         for pt in intersection_points(arr):
-            assert pt.to_json()["point"] == [str(c) for c in pt.point]
+            assert pt.to_json()["point"] == [str(c) for c in incidence_oracle.normalize_pairs(pt.pairs)]
     pt = IncidencePoint(((0, 2), (-4, 6), (0, 0)), (0, 1, 2, 3))
-    assert pt.point_str() == "[" + ":".join(str(c) for c in pt.point) + "]" == "[1:5+2*w:0]"
+    expected = incidence_oracle.normalize_pairs(pt.pairs)
+    assert pt.point_str() == "[" + ":".join(str(c) for c in expected) + "]" == "[1:5+2*w:0]"
 
 
 class _Unscannable(tuple):
@@ -219,7 +222,6 @@ def test_incidence_points_store_their_canonical_triple(arr):
     # equality of points compares pairs, and every printed form is read from them
     for pt in intersection_points(arr):
         assert canonical_pairs(pt.pairs) == pt.pairs
-        assert pt.point == normalized(pt.pairs)
         assert pt.to_json()["point"] == list(normalized_strs(pt.pairs))
 
 
@@ -307,7 +309,7 @@ def test_concurrent_triple_point():
     assert len(points) == 1
     pt = points[0]
     assert pt.multiplicity == 3
-    assert pt.point == (EisensteinNumber(0), EisensteinNumber(0), EisensteinNumber(1))
+    assert _printed(pt.to_json()["point"]) == (EisensteinNumber(0), EisensteinNumber(0), EisensteinNumber(1))
 
 
 def test_braid_census():
@@ -327,8 +329,8 @@ def test_points_do_not_depend_on_line_order():
     order = list(range(arr.r))
     rng.shuffle(order)
     shuffled = arr.reordered(order)
-    original = {p.point for p in intersection_points(arr)}
-    permuted = {p.point for p in intersection_points(shuffled)}
+    original = {p.pairs for p in intersection_points(arr)}
+    permuted = {p.pairs for p in intersection_points(shuffled)}
     assert original == permuted
 
 
@@ -344,7 +346,7 @@ def _violation(arr):
 def _assert_oracle_points(arr):
     """The oracle's points of ``arr``, after checking that the package finds them."""
     expected = incidence_oracle.intersection_points(arr)
-    found = [(pt.point, pt.lines) for pt in intersection_points(arr)]
+    found = [(_printed(pt.to_json()["point"]), pt.lines) for pt in intersection_points(arr)]
     assert found == [(pt.point, pt.lines) for pt in expected], arr.label
     return expected
 
@@ -411,7 +413,7 @@ dense_entries = st.one_of(
 # five lines through (0 : 0 : 1), and z = 0 meeting each of them at a double point
 @example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0), (0, 0, 1)])
 # eight lines of the dual Hesse arrangement: eight triple points and four double points
-@example([line.coeffs for line in dual_hesse().lines[:8]])
+@example([line.to_json() for line in dual_hesse().lines[:8]])
 def test_intersection_points_of_dense_arrangements_match_qw_oracle(coefficients):
     """Lines with entries a + b*w, |a|, |b| <= 2, meet in many points of
     three or more lines: the points, the multiplicity check and the count
@@ -428,7 +430,7 @@ def test_validate_multiplicities():
     violation = _violation(four_concurrent())
     assert violation is not None
     assert violation.multiplicity == 4
-    assert violation.point == (EisensteinNumber(0), EisensteinNumber(0), EisensteinNumber(1))
+    assert _printed(violation.to_json()["point"]) == (EisensteinNumber(0), EisensteinNumber(0), EisensteinNumber(1))
     with pytest.raises(MultiplicityError):
         require_multiplicities_ok(four_concurrent())
 
@@ -465,7 +467,7 @@ def _random_invertible(rng):
 def test_proj_transform_identity_and_permutation():
     arr = triangle()
     same = proj_transform(arr, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert [l.coeffs for l in same.lines] == [l.coeffs for l in arr.lines]
+    assert same.lines == arr.lines
     swapped = proj_transform(arr, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert combinatorial_type(swapped) == combinatorial_type(arr)
 
@@ -496,9 +498,10 @@ def test_proj_transform_moves_lines_with_their_points():
                 except ValueError:
                     continue
                 for pt in points:
-                    moved = [sum((matrix[i][j] * pt.point[j] for j in range(3)), EisensteinNumber(0)) for i in range(3)]
+                    point = incidence_oracle.normalize_pairs(pt.pairs)
+                    moved = [sum((matrix[i][j] * point[j] for j in range(3)), EisensteinNumber(0)) for i in range(3)]
                     for index in pt.lines:
-                        assert pair_dot(integer_pairs(image.lines[index].coeffs), integer_pairs(moved)) == (0, 0)
+                        assert pair_dot(image.lines[index].pairs, integer_row(moved)[0]) == (0, 0)
     # det = 0 with nonzero rows, and shapes that are not 3x3
     for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
         with pytest.raises(ValueError):
@@ -519,7 +522,7 @@ def test_arrangement_json_roundtrip():
     arr = dual_hesse()
     again = Arrangement.from_json(arr.to_json())
     assert again.label == arr.label
-    assert [l.coeffs for l in again.lines] == [l.coeffs for l in arr.lines]
+    assert again.lines == arr.lines
 
 
 def _eleven_concurrent_plus_generic():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pencilfiber
 from decision_oracle import generic_member
 from linalg_oracle import rref
-from pencilfiber import cli, eisenstein, resonance
+from pencilfiber import cli, resonance
 from pencilfiber.arrangement import (
     Arrangement,
     MultiplicityError,
@@ -44,7 +44,7 @@ from pencilfiber.fixtures import (
     near_pencil_six,
     triangle,
 )
-from pencilfiber.pencils import beta3, find_pencils
+from pencilfiber.pencils import PencilDecomposition, beta3, find_pencils
 from pencilfiber.resonance import (
     component_isotropy_check,
     pencil_basis,
@@ -1346,34 +1346,92 @@ def test_cached_parser_carries_nothing_between_calls(capsys, corpus_dir, tmp_pat
     assert digest(["analyze", braid_path])[0] == STDOUT_SHA256["analyze", "braid.json"]
 
 
-def test_crosscheck_builds_no_field_element(capsys, corpus_dir, monkeypatch):
-    """Lines, incidence points and pencils stay in Z[w] until printed, and
-    crosscheck prints none of them: its bytes come out with every
-    ``EisensteinNumber`` construction refused."""
+CORPUS_FILES = sorted(path.name for path in (pathlib.Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))
+# entries not in lowest terms and with w-parts; printed as ["1/2","-1/2","w","-w","0","0"]
+FRACTIONAL_PROBE = '["1/2","-2/4","w","-w","0","0"]'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["crosscheck", "."], id="crosscheck"),
+        *(pytest.param([command, name], id=f"{command} {name}") for command in ("analyze", "pencils") for name in CORPUS_FILES),
+        pytest.param(["resonance", "--vector", README_PROBE, "braid.json"], id="resonance --vector README"),
+        pytest.param(["resonance", "--vector", FRACTIONAL_PROBE, "braid.json"], id="resonance --vector fractional"),
+        pytest.param(["from_json", "."], id="PencilDecomposition.from_json"),
+    ],
+)
+def test_crosscheck_builds_no_field_element(capsys, corpus_dir, monkeypatch, argv):
+    """Lines, incidence points, pencils and weight vectors stay in Z[w] until
+    printed: crosscheck, analyze and pencils on the corpus, a resonance probe
+    and parsing every corpus pencil print the same bytes, or give the same
+    pencil, with every ``EisensteinNumber`` construction refused."""
 
     def refuse(self, *args):
         raise AssertionError("an EisensteinNumber was built")
 
+    *command, name = argv
+    path = corpus_dir / name
+    if command == ["from_json"]:
+        pencils = [p for f in CORPUS_FILES for p in find_pencils(Arrangement.from_json(json.loads((path / f).read_text())))]
+        assert len(pencils) > 6
+        monkeypatch.setattr(EisensteinNumber, "__init__", refuse)
+        assert all(PencilDecomposition.from_json(pencil.to_json()) == pencil for pencil in pencils)
+        return
+    expected = run_cli(capsys, [*command, str(path)])
+    assert expected[0] == 0
     monkeypatch.setattr(EisensteinNumber, "__init__", refuse)
-    code, out = run_cli(capsys, ["crosscheck", str(corpus_dir)])
+    assert run_cli(capsys, [*command, str(path)]) == expected
+
+
+def test_probe_prints_its_vector_in_lowest_terms(capsys, corpus_dir):
+    """Each entry of the probed vector prints in lowest terms, and the kernel
+    is that of the vector scaled into Z[w]."""
+    braid_path = str(corpus_dir / "braid.json")
+    code, out = run_cli(capsys, ["resonance", "--vector", FRACTIONAL_PROBE, braid_path])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["crosscheck", "corpus"]
-
-
-def test_analyze_of_a_generic_arrangement_normalizes_nothing(capsys, corpus_dir, monkeypatch):
-    """seeded_generic_12 has no triple point and no pencil, so analyze reads
-    no incidence point, line or pencil in Q(w)."""
-    normalize = eisenstein.normalized
-
-    def refuse(p):
-        raise AssertionError("normalized was called")
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("pencilfiber")]:
-        if getattr(module, "normalized", None) is normalize:
-            monkeypatch.setattr(module, "normalized", refuse)
-    code, out = run_cli(capsys, ["analyze", str(corpus_dir / "seeded_generic_12.json")])
+    probe = json.loads(out)["probe"]
+    assert probe["vector"] == ["1/2", "-1/2", "w", "-w", "0", "0"]
+    code, out = run_cli(capsys, ["resonance", "--vector", '["1","-1","2*w","-2*w","0","0"]', braid_path])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["analyze", "seeded_generic_12.json"]
+    assert json.loads(out)["probe"]["kernel_dim"] == probe["kernel_dim"]
+
+
+def _with_coefficient(where, value):
+    """A command and its input with one coefficient replaced by ``value``."""
+    if where == "line":
+        return ["analyze"], "arrangement", {"lines": [[value, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    if where == "pencil":
+        data = find_pencils(concurrent_triple())[0].to_json()
+        data["products"][1]["terms"][0]["c"] = value
+        return ["catalan", "generate"], "pencil", data
+    from pencilfiber.catalan import base_solution
+
+    data = base_solution(find_pencils(concurrent_triple())[0]).to_json()
+    data["F"][2]["terms"][0]["c"] = value
+    return ["catalan", "verify"], "relation", data
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("line", None), ("pencil", []), ("relation", {}), ("--vector", None)],
+    ids=["line-null", "pencil-list", "relation-object", "--vector-null"],
+)
+def test_a_coefficient_that_is_no_field_element_is_named(capsys, tmp_path, where, value):
+    """null, a list or an object as a coefficient is an input error whose
+    message names the value."""
+    if where == "--vector":
+        path = write_json(tmp_path / "concurrent.json", concurrent_triple().to_json())
+        code = main(["resonance", path, "--vector", json.dumps([value, 1, -1])])
+        message = "--vector is not a list of field elements"
+    else:
+        command, what, data = _with_coefficient(where, value)
+        path = write_json(tmp_path / "input.json", data)
+        code = main([*command, path])
+        message = f"{path} is not a valid {what}"
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": f"{message}: {value!r} is not an exact field element"}
 
 
 @pytest.mark.parametrize("text, position", [("1/0", 0), ("2+1/0w", 2), ("9" * 5000, None)], ids=["1/0", "2+1/0w", "5000 digits"])

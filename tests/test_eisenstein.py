@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,8 @@ from pencilfiber.eisenstein import (
     EisensteinNumber,
     ParseError,
     canonical_pairs,
-    integer_pairs,
-    integer_scale,
+    integer_row,
     json_int,
-    normalized,
     normalized_strs,
     parse_eisenstein,
 )
@@ -60,16 +59,24 @@ def test_components_are_exact_fractions(value):
 
 def test_integer_pairs_scale_by_denominator_lcm():
     row = [EisensteinNumber(Fraction(1, 2), Fraction(-1, 3)), EisensteinNumber(0, 2), EisensteinNumber(Fraction(5, 4))]
-    assert integer_pairs(row) == [(6, -4), (0, 24), (15, 0)]
-    assert integer_pairs([EisensteinNumber(0), EisensteinNumber(-3, 1)]) == [(0, 0), (-3, 1)]
-    assert integer_pairs([]) == []
+    assert integer_row(row) == ([(6, -4), (0, 24), (15, 0)], 12)
+    assert integer_row([EisensteinNumber(0), EisensteinNumber(-3, 1)]) == ([(0, 0), (-3, 1)], 1)
+    assert integer_row([]) == ([], 1)
+    # text is read as written, so a denominator not in lowest terms counts
+    assert integer_row(["2/4", "w"]) == ([(2, 0), (0, 4)], 4)
 
 
-@pytest.mark.parametrize("value", [1.0, 0.5, True, False])
-def test_integer_pairs_reject_floats_and_bools(value):
-    for read in (integer_pairs, integer_scale):
-        with pytest.raises(ValueError, match="not an exact field element"):
-            read([EisensteinNumber(1), value, "w"])
+@pytest.mark.parametrize(
+    "value, error",
+    [(1.0, ValueError), (0.5, ValueError), (True, ValueError), (False, ValueError), (None, TypeError), ([], TypeError), ({}, TypeError)],
+    ids=["1.0", "0.5", "True", "False", "None", "list", "object"],
+)
+def test_integer_pairs_reject_floats_and_bools(value, error):
+    # JSON values that are no exact field element, named in the message
+    with pytest.raises(error, match=f"^{re.escape(repr(value))} is not an exact field element$"):
+        integer_row([EisensteinNumber(1), value, "w"])
+    with pytest.raises(error, match="is not an exact field element"):
+        EisensteinNumber.of(value)
 
 
 zw_entries = st.one_of(st.just((0, 0)), st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
@@ -81,11 +88,10 @@ zw_entries = st.one_of(st.just((0, 0)), st.tuples(st.integers(-20, 20), st.integ
 @example(((2, -1), (0, 0), (4, 4)))  # a lead with a nonzero w-part
 @example(((0, 0), (0, 0), (0, -5)))
 def test_normalized_is_the_triple_normalized_strs_prints(p):
-    out = normalized(p)
-    assert out == tuple(map(parse_eisenstein, normalized_strs(canonical_pairs(p))))
-    # lead 1 and proportional to p: p divided by its lead, checked in Q(w)
+    # lead 1 and proportional to p: p divided by its lead in Q(w)
     lead = EisensteinNumber(*next(v for v in p if v != (0, 0)))
-    assert [x * lead for x in out] == [EisensteinNumber(*v) for v in p]
+    normalized = tuple(EisensteinNumber(*v) / lead for v in p)
+    assert normalized == tuple(map(parse_eisenstein, normalized_strs(canonical_pairs(p))))
 
 
 def test_self_division():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import linalg_oracle
 from linalg_oracle import mat_mul, nullspace, package_rank, peeled_rank, rref
 from pencilfiber.arrangement import incidence, intersection_points
-from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_pairs, pair_cross, pair_dot
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, integer_row, pair_cross, pair_dot
 from pencilfiber.fixtures import cuspidal_dual
 from pencilfiber.linalg import PRIME, ZETA, nullspace_f3, rank_mod_p, rank_pairs, residue
 
@@ -141,7 +141,7 @@ def sparse_matrices(draw):
 @example([[ZERO, 2 * OMEGA], [ZERO, -ONE], [ZERO, ZERO]])  # two one-entry rows on one column
 @example([[], []])
 def test_rank_pairs_agrees_with_peeled_minor_and_rref_ranks(m):
-    rows = [integer_pairs(row) for row in m]
+    rows = [integer_row(row)[0] for row in m]
     before = [list(row) for row in rows]
     assert rank_pairs(rows) == peeled_rank(rows) == _rank_by_minors(m) == len(rref(m)[1])
     assert rows == before
@@ -173,7 +173,7 @@ def vector_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(vector_pairs())
 def test_cross_is_orthogonal_and_detects_rank(pair):
-    u, v = (integer_pairs(x) for x in pair)
+    u, v = (integer_row(x)[0] for x in pair)
     c = pair_cross(u, v)
     assert pair_dot(c, u) == (0, 0) and pair_dot(c, v) == (0, 0)
     assert any(x != (0, 0) for x in c) == (package_rank(list(pair)) == 2)
@@ -184,7 +184,7 @@ def test_cross_is_orthogonal_and_detects_rank(pair):
 def test_inverse_or_singular(m):
     # the cross products of row pairs are the columns of adj(m): m adj(m) = det(m) I,
     # here for m with each row scaled into Z[w], whose rank is that of m
-    rows = [integer_pairs(row) for row in m]
+    rows = [integer_row(row)[0] for row in m]
     adj_columns = [pair_cross(rows[1], rows[2]), pair_cross(rows[2], rows[0]), pair_cross(rows[0], rows[1])]
     det = _det([[EisensteinNumber(*x) for x in row] for row in rows])
     product = [[EisensteinNumber(*pair_dot(row, col)) for col in adj_columns] for row in rows]

@@ -9,7 +9,7 @@ import incidence_oracle
 from linalg_oracle import package_rank
 from pencilfiber import milnor
 from pencilfiber.arrangement import IncidencePoint, MultiplicityError, proj_transform
-from pencilfiber.eisenstein import EisensteinNumber, integer_pairs
+from pencilfiber.eisenstein import EisensteinNumber, integer_row
 from pencilfiber.fixtures import (
     braid,
     concurrent_triple,
@@ -195,20 +195,20 @@ _qw = st.builds(
 @st.composite
 def points_with_scaled_copies(draw):
     """Points at nonzero Q(w) triples with large denominators, some repeated
-    under a nonzero scalar.  Each keeps ``integer_pairs`` of its triple, not
+    under a nonzero scalar.  Each keeps ``integer_row`` of its triple, not
     canonicalised, so a scaled copy keeps its own representative."""
     points = draw(st.lists(st.tuples(_qw, _qw, _qw).filter(any), min_size=1, max_size=6))
     for index in draw(st.lists(st.integers(0, len(points) - 1), max_size=3)):
         scale = draw(_qw.filter(bool))
         points.append(tuple(scale * v for v in points[index]))
-    return [IncidencePoint(tuple(integer_pairs(p)), (0, 1, 2)) for p in points]
+    return [IncidencePoint(tuple(integer_row(p)[0]), (0, 1, 2)) for p in points]
 
 
 @settings(max_examples=40, deadline=None)
 @given(points_with_scaled_copies(), st.integers(0, 3))
 def test_evaluation_rank_at_zw_representatives(points, degree):
     # a representative scales each row by a nonzero scalar to the power degree
-    expected = package_rank(incidence_oracle.evaluation_matrix(points, degree))
+    expected = package_rank(incidence_oracle.evaluation_matrix(map(incidence_oracle.of_point, points), degree))
     assert rank_pairs(milnor._evaluation_matrix(points, degree)) == expected
 
 

@@ -124,3 +124,20 @@ def test_every_public_function_is_exported_read_or_a_command():
             if not name.startswith("_") and name not in kept and read[name] == Counter(_names(node))[name]:
                 found.append(f"{file}:{node.lineno} {name}")
     assert found == []
+
+
+def test_only_eisenstein_and_forms_import_fractions():
+    # Q(w) numbers are built in the arithmetic and the polynomial algebra; the
+    # other modules hold Z[w] pairs, and cli and pencils import no field element
+    importers, field_element = set(), set()
+    for file, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers.update(file for alias in node.names if alias.name.split(".")[0] == "fractions")
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "fractions":
+                    importers.add(file)
+                if any(alias.name == "EisensteinNumber" for alias in node.names):
+                    field_element.add(file)
+    assert sorted(importers) == ["eisenstein.py", "forms.py"]
+    assert not field_element & {"cli.py", "pencils.py"}

@@ -14,7 +14,7 @@ from decision_oracle import bareiss_dependence
 from pencilfiber import cli, linalg
 from pencilfiber import pencils as pencils_module
 from pencilfiber.arrangement import Arrangement, Line, MultiplicityError, incidence, intersection_points, proj_transform
-from pencilfiber.eisenstein import ZERO, EisensteinNumber
+from pencilfiber.eisenstein import ZERO, EisensteinNumber, parse_eisenstein
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
@@ -57,7 +57,7 @@ def _exhaustive_pencil_oracle(arr):
     r = arr.r
     k = r // 3
     monomials = monomial_exponents(k)
-    forms = [HomForm.linear(*line.coeffs) for line in arr.lines]
+    forms = [HomForm.linear(*line.to_json()) for line in arr.lines]
     accepted = set()
     indices = list(range(r))
     for class_a in combinations(indices[1:], k - 1):
@@ -81,13 +81,26 @@ def _exhaustive_pencil_oracle(arr):
     return accepted
 
 
+def _qw_view(pencil):
+    """The lambdas l_i = lam[i] / lam_scale and products F_i = tables[i] / scales[i]
+    of a pencil's Z[w] certificate, divided out in Q(w)."""
+    lambdas = tuple(EisensteinNumber(Fraction(a, pencil.lam_scale), Fraction(b, pencil.lam_scale)) for a, b in pencil.lam)
+    degree = len(pencil.classes[0])
+    products = tuple(
+        HomForm(degree, {e: EisensteinNumber(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in table.items()})
+        for table, scale in zip(pencil.tables, pencil.scales)
+    )
+    return lambdas, products
+
+
 def test_dual_hesse_has_four_pencils():
     pencils = find_pencils(dual_hesse())
     assert len(pencils) == 4
     classes = {p.classes for p in pencils}
     assert ((0, 1, 2), (3, 4, 5), (6, 7, 8)) in classes
     cubic = next(p for p in pencils if p.classes == ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
-    assert cubic.lambdas == (EisensteinNumber(1), EisensteinNumber(-1), EisensteinNumber(1))
+    assert _qw_view(cubic)[0] == (EisensteinNumber(1), EisensteinNumber(-1), EisensteinNumber(1))
+    assert cubic.to_json()["lambdas"] == ["1", "-1", "1"]
 
 
 def test_braid_unique_pencil_vs_oracle():
@@ -117,18 +130,20 @@ def test_concurrent_triple_pencil():
     assert len(pencils) == 1
     p = pencils[0]
     assert p.classes == ((0,), (1,), (2,))
-    assert p.lambdas == (EisensteinNumber(1), EisensteinNumber(1), EisensteinNumber(-1))
+    assert _qw_view(p)[0] == (EisensteinNumber(1), EisensteinNumber(1), EisensteinNumber(-1))
 
 
 def test_returned_identity_always_verifies():
     for builder in (dual_hesse, braid, ceva_two, concurrent_triple):
         for pencil in find_pencils(builder()):
+            lambdas, products = _qw_view(pencil)
             total = None
-            for lam, form in zip(pencil.lambdas, pencil.products):
+            for lam, form in zip(lambdas, products):
                 term = form * lam
                 total = term if total is None else total + term
             assert total.is_zero
-            assert all(lam for lam in pencil.lambdas)
+            assert all(lam for lam in lambdas)
+            assert pencil.scaled_products() == tuple(form * lam for lam, form in zip(lambdas, products))
 
 
 def test_r_not_divisible_by_three_is_empty():
@@ -203,8 +218,7 @@ def test_pencil_json_roundtrip():
     pencil = find_pencils(dual_hesse())[0]
     again = PencilDecomposition.from_json(pencil.to_json())
     assert again.classes == pencil.classes
-    assert again.lambdas == pencil.lambdas
-    assert all(a == b for a, b in zip(again.products, pencil.products))
+    assert _qw_view(again) == _qw_view(pencil)
 
 
 def test_pencil_json_requires_lists():
@@ -340,7 +354,7 @@ def _qw_pencil_oracle(arr):
     """Classes from the exhaustive search, products by ``HomForm.__mul__``, and
     l2, l3 of the Q(w) identity F1 + l2*F2 + l3*F3 = 0 by Cramer's rule on two
     monomials where F2 and F3 are independent."""
-    forms = [HomForm.linear(*line.coeffs) for line in arr.lines]
+    forms = [HomForm.linear(*line.to_json()) for line in arr.lines]
     found = []
     for classes in sorted(_exhaustive_pencil_oracle(arr)):
         prods = []
@@ -370,9 +384,10 @@ def test_pencils_match_qw_product_oracle():
     unequal_scales = 0
     for arr in images:
         pencils = find_pencils(arr)
-        assert [(p.classes, p.lambdas, p.products) for p in pencils] == _qw_pencil_oracle(arr), arr.label
+        assert [(p.classes, *_qw_view(p)) for p in pencils] == _qw_pencil_oracle(arr), arr.label
+        coeffs = [tuple(map(parse_eisenstein, line.to_json())) for line in arr.lines]
         for p in pencils:
-            scales = [math.prod(_denominator_lcm(arr.lines[i].coeffs) for i in cls) for cls in p.classes]
+            scales = [math.prod(_denominator_lcm(coeffs[i]) for i in cls) for cls in p.classes]
             unequal_scales += len(set(scales)) > 1
     assert unequal_scales >= len(images)  # the per-class scales c_i differ
 
@@ -581,10 +596,11 @@ def test_pencil_json_from_certificate_is_the_json_of_its_qw_view(corpus_dir):
     for arr in arrangements:
         for pencil in find_pencils(arr):
             before = pencil.to_json()
+            lambdas, products = _qw_view(pencil)
             view = {
                 "classes": [list(c) for c in pencil.classes],
-                "lambdas": [str(l) for l in pencil.lambdas],
-                "products": [f.to_json() for f in pencil.products],
+                "lambdas": [str(l) for l in lambdas],
+                "products": [f.to_json() for f in products],
             }
             assert json.dumps(before) == json.dumps(view) == json.dumps(pencil.to_json()), arr.label
             found += 1

@@ -13,7 +13,7 @@ from decision_oracle import generic_member
 from linalg_oracle import peeled_rank, rref
 from pencilfiber import resonance
 from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points, proj_transform
-from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, ParseError, integer_pairs, pair_mul
+from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, ParseError, integer_row, pair_mul
 from pencilfiber.fixtures import (
     braid,
     ceva_two,
@@ -682,7 +682,7 @@ def _local_conditions(points, a):
 
 def _scaled(a):
     """The weight vector a scaled once into Z[w]."""
-    return integer_pairs(a)
+    return integer_row(a)[0]
 
 
 def _all_points_kernel_dim(os2, a):
