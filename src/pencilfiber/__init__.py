@@ -26,8 +26,6 @@ from .arrangement import (
 from .milnor import MilnorReport, milnor_report, superabundance
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
-    OSDegree2,
-    build_os2,
     component_isotropy_check,
     pencil_basis,
     resonance_kernel_dim,
@@ -58,14 +56,12 @@ __all__ = [
     "MU3",
     "OMEGA",
     "OMEGA2",
-    "OSDegree2",
     "ParseError",
     "PencilDecomposition",
     "QuasiToricRelation",
     "UniPoly",
     "base_solution",
     "beta3",
-    "build_os2",
     "combinatorial_type",
     "component_isotropy_check",
     "descend_step",

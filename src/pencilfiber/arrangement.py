@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .eisenstein import (
@@ -209,6 +210,13 @@ class Incidence:
     indices in ``points`` of the points on line l, and ``violation`` the
     first point on more than three lines, or None.  ``cocycles`` is built
     on first use.
+
+    Every layer relies on each pair of lines meeting at exactly one listed
+    point, so the one pass that indexes the points also marks each point's
+    pairs of lines in an r x r table: a pair marked twice, or a table that
+    is not exactly the pairs i < j once the pass is done, raises
+    AssertionError.  ``incidence`` groups every crossing into one point,
+    so only a record built by hand can fail.
     """
 
     __slots__ = ("points", "on_line", "violation", "_cocycles")
@@ -217,11 +225,18 @@ class Incidence:
         self.points = tuple(points)
         self.violation: IncidencePoint | None = None
         on_line: list[list[int]] = [[] for _ in range(r)]
+        covered = bytearray(r * r)
         for n, pt in enumerate(self.points):
             for l in pt.lines:
                 on_line[l].append(n)
+            for i, j in combinations(pt.lines, 2):
+                if covered[i * r + j]:
+                    raise AssertionError(f"lines {i} and {j} meet at two incidence points")
+                covered[i * r + j] = 1
             if self.violation is None and len(pt.lines) > 3:
                 self.violation = pt
+        if covered != b"".join(bytes(i + 1) + b"\1" * (r - i - 1) for i in range(r)):
+            raise AssertionError("the incidence points do not cover each pair of lines exactly once")
         self.on_line = tuple(tuple(ns) for ns in on_line)
         self._cocycles: list[list[int]] | None = None
 
@@ -324,13 +339,13 @@ def point_census(points: Iterable[IncidencePoint]) -> dict[int, int]:
     return census
 
 
-def require_multiplicities_ok(arr: Arrangement) -> tuple[IncidencePoint, ...]:
-    """The intersection points; MultiplicityError at the first one on more than
-    three lines, which the incidence record notes when it is built."""
+def require_multiplicities_ok(arr: Arrangement) -> Incidence:
+    """The incidence record; MultiplicityError at its first point on more than
+    three lines, which the record notes when it is built."""
     record = incidence(arr)
     if record.violation is not None:
         raise MultiplicityError(record.violation)
-    return record.points
+    return record
 
 
 @dataclass(frozen=True)
@@ -451,7 +466,7 @@ def _orbit(seeds: list[int], maps: list[list[int]]) -> set[int]:
 
 def combinatorial_type(arr: Arrangement) -> CombinatorialType:
     """Exact combinatorial type; MultiplicityError above multiplicity 3."""
-    points = require_multiplicities_ok(arr)
+    points = require_multiplicities_ok(arr).points
     census = tuple(sorted(point_census(points).items()))
     triples = [pt.lines for pt in points if pt.multiplicity == 3]
     return CombinatorialType(arr.r, census, _canonical_encoding(triples))

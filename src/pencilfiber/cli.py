@@ -63,8 +63,6 @@ from .forms import UniPoly
 from .milnor import milnor_report
 from .pencils import PencilDecomposition, beta3, find_pencils
 from .resonance import (
-    OSDegree2,
-    build_os2,
     component_isotropy_check,
     distinct_planes,
     pencil_basis,
@@ -187,23 +185,23 @@ def _descent_instance(data: dict) -> tuple[QuasiToricRelation, list[UniPoly]]:
     return rel, [UniPoly.from_json(p) for p in json_list(data["known_factors"], "known_factors")]
 
 
-def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition], os2: OSDegree2) -> dict:
+def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition]) -> dict:
     """The quotient's ranks and each candidate component with its two fields:
     one local candidate per triple point, then one per pencil.
 
-    Every candidate's fields follow from Brieskorn's rule alone, with no
-    pass (see ``resonance``): at a point of multiplicity exactly 3, which
-    the multiplicity gate has certified, and for the level sets of a
-    pencil's F3 cocycle, which ``find_pencils`` has certified, the basis is
-    isotropic and its generic member's kernel is 2-dimensional."""
+    The ranks are read off the incidence record: the t_3 triple-point
+    relations have disjoint supports, so they are independent and the
+    quotient has rank C(r, 2) - t_3.  Every candidate's fields follow from
+    Brieskorn's rule alone, with no pass (see ``resonance``): at a point of
+    multiplicity exactly 3, which the multiplicity gate has certified, and
+    for the level sets of a pencil's F3 cocycle, which ``find_pencils`` has
+    certified, the basis is isotropic and its generic member's kernel is
+    2-dimensional."""
+    triples = [pt.lines for pt in intersection_points(arr) if pt.multiplicity == 3]
     return {
-        "quotient_rank": os2.quotient_rank,
-        "relation_count": os2.relation_rank,  # the triple-point relations are independent
-        "local_components": [
-            {"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2}
-            for pt in intersection_points(arr)
-            if pt.multiplicity == 3
-        ],
+        "quotient_rank": arr.r * (arr.r - 1) // 2 - len(triples),
+        "relation_count": len(triples),
+        "local_components": [{"lines": list(lines), "isotropic": True, "kernel_dim": 2} for lines in triples],
         "pencil_components": [{"classes": [list(c) for c in p.classes], "isotropic": True, "kernel_dim": 2} for p in pencils],
     }
 
@@ -220,7 +218,7 @@ def _analysis_payload(arr: Arrangement) -> dict:
         "pencil_count": len(pencils),
         "combinatorial_type_exact": True,  # the canonical form is exact at every size
         "pencil_eigenvalue_consistent": (report.s > 0) == bool(pencils),
-        "resonance": _resonance_payload(arr, pencils, build_os2(arr)),
+        "resonance": _resonance_payload(arr, pencils),
     }
 
 
@@ -238,13 +236,10 @@ def cmd_pencils(args: argparse.Namespace) -> int:
 
 def cmd_resonance(args: argparse.Namespace) -> int:
     arr = _load_arrangement(args.path)
-    pencils = find_pencils(arr)
-    os2 = build_os2(arr)
-    payload = _resonance_payload(arr, pencils, os2)
+    payload = _resonance_payload(arr, find_pencils(arr))
     if args.vector is not None:
         try:
-            vector = json_list(json.loads(args.vector), "--vector")
-            pairs, scale = integer_row(vector)
+            pairs, scale = integer_row(json_list(json.loads(args.vector), "--vector"))
         except (TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"--vector is not a list of field elements: {exc}") from exc
         if len(pairs) != arr.r:
@@ -256,7 +251,7 @@ def cmd_resonance(args: argparse.Namespace) -> int:
         if all(v == (0, 0) for v in pairs):
             _emit({"error": "weight_vector_zero"})
             return EXIT_DOMAIN
-        dim = resonance_kernel_dim(os2, vector)
+        dim = resonance_kernel_dim(arr, pairs)
         payload["probe"] = {"vector": [quotient_str(v, scale) for v in pairs], "kernel_dim": dim, "resonant": dim >= 2}
     _emit(payload)
     return EXIT_OK
@@ -333,11 +328,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             arr = _load_arrangement(str(path))
             s = milnor_report(arr).s
             pencils = find_pencils(arr)
-            os2 = build_os2(arr)
             local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
             from_pencils = [pencil_basis(pencil, arr.r) for pencil in pencils]
-            isotropic = [component_isotropy_check(os2, basis) for basis in local + from_pencils]
-            planes = distinct_planes(arr.r, from_pencils)
+            isotropic = [component_isotropy_check(arr, basis) for basis in local + from_pencils]
+            planes = distinct_planes(from_pencils)
         except MultiplicityError as exc:
             rows.append({"file": path.name, **_violation_payload(exc.point)})
             continue

@@ -92,7 +92,7 @@ def superabundance(arr: Arrangement) -> int:
     and s = T - min(T, M) exactly.  Only a lower rank mod p falls back to
     the Bareiss rank over Z[w].
     """
-    points = require_multiplicities_ok(arr)
+    points = require_multiplicities_ok(arr).points
     r = arr.r
     if r % 3 != 0:
         return 0

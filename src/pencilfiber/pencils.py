@@ -70,7 +70,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .arrangement import Arrangement, incidence, require_multiplicities_ok
+from .arrangement import Arrangement, require_multiplicities_ok
 from .eisenstein import (
     Pair,
     canonical_pairs,
@@ -201,8 +201,7 @@ def _dependence(rows: list[list[Pair]]) -> tuple[Pair, Pair, Pair] | None:
 def _cocycles(arr: Arrangement) -> list[list[int]]:
     """The F3 cocycle basis of the incidence record; MultiplicityError above
     multiplicity 3, where its rows would not state the 3-net rules."""
-    require_multiplicities_ok(arr)
-    return incidence(arr).cocycles
+    return require_multiplicities_ok(arr).cocycles
 
 
 def beta3(arr: Arrangement) -> int:

@@ -32,32 +32,36 @@ with a_l != 0 in a union-find, with b_l = a_l t_class; the Sigma-points
 leave one linear row each in the class unknowns and the unforced
 zero-weight lines, and the dimension is the number of unknowns minus the
 ``linalg.rank_pairs`` of those rows.  The premise, that the points' pairs
-cover every pair of lines once, is checked when the quotient is built.
+cover every pair of lines once, is checked once per arrangement, when its
+incidence record (``arrangement.Incidence``) is built.
 
-The quotient keeps the line -> points index of the arrangement's incidence
-record (``arrangement.Incidence``), and every pass visits only the points
-it lists for the support lines.  a|q = 0 at a point with no line of a's
-support, so the kernel reads the points on a's support lines: for a local
-candidate at most 3(r - 1) points, where r lines may meet in up to
-r(r - 1)/2.  w_ij is zero unless lines i and j both lie in the support
-{l : a_l != 0 or b_l != 0}, so a membership test alone (``wedge_vanishes``,
-``component_isotropy_check``) passes only over the points the index lists
-for two or more support lines: one point for a local basis, every point for
-a pencil basis.
+Every question takes the arrangement and reads that record through
+``require_multiplicities_ok``, so a point on more than three lines raises
+MultiplicityError; no other view of the quotient is built.  The relations
+have disjoint supports, so the quotient's rank, which ``cli`` prints, is
+C(r, 2) - t_3 for t_3 triple points.  Every pass visits only the points
+that the record's line -> points index lists for the support lines.
+a|q = 0 at a point with no line of a's support, so the kernel reads the
+points on a's support lines: for a local candidate at most 3(r - 1)
+points, where r lines may meet in up to r(r - 1)/2.  w_ij is zero unless
+lines i and j both lie in the support {l : a_l != 0 or b_l != 0}, so a
+membership test alone (``wedge_vanishes``, ``component_isotropy_check``)
+passes only over the points the index lists for two or more support
+lines: one point for a local basis, every point for a pencil basis.
 
-Each weight vector is read once, by the one weight scaler ``_weights``,
-into its Z[w] pairs and its support lines: a vector of ints has scale 1 and
-its nonzero entries become pairs directly, any other is scaled by the lcm
-of its denominators (``eisenstein.integer_row``), and its support is read
-from the pairs.  Everything after that reads only the support: coordinate
-sums, the independence of a basis on its support columns (for two vectors,
-a nonzero 2 x 2 minor, with no elimination), the wedge at the points
-carrying two support lines, and the kernel at the points on the support
-lines, which counts the zero-weight lines without listing them.  The scale
-is a positive integer, so it changes no answer: a coordinate sum is zero, a
-basis is independent, a wedge vanishes and a wedge kernel has its dimension
-exactly when the same holds before scaling, because
-(s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
+A weight vector is a list of r Z[w] pairs, (x, y) meaning x + y*w; text
+and Q(w) values are read into pairs before they get here
+(``eisenstein.integer_row``, as ``cli`` reads ``--vector``), and a wrong
+length raises ValueError.  The support, the lines l with a_l != 0, is read
+from the pairs, and everything after that reads only the support:
+coordinate sums, the independence of a basis on its support columns (for
+two vectors, a nonzero 2 x 2 minor, with no elimination), the wedge at the
+points carrying two support lines, and the kernel at the points on the
+support lines, which counts the zero-weight lines without listing them.
+Vectors scaled from Q(w) by a positive integer give the same answers: a
+coordinate sum is zero, a basis is independent, a wedge vanishes and a
+wedge kernel has its dimension exactly when the same holds before scaling,
+because (s a) ^ (t b) = s t (a ^ b) for nonzero scalars s and t.
 
 Candidate 2-dimensional components come from two sources: a triple point
 {i, j, k} spans e_i - e_j, e_j - e_k ("local"), and a pencil decomposition
@@ -87,80 +91,30 @@ dimension 3 - 1 = 2.  v is t = (0, 1, 1/2), which satisfies the row, so
 the basis is isotropic.
 
 ``distinct_planes`` counts the distinct planes that candidate bases span,
-from the same scaled vectors, by Cramer's rule against one nonzero 2 x 2
+from the same pairs, by Cramer's rule against one nonzero 2 x 2
 minor of each plane counted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement, IncidencePoint, incidence, require_multiplicities_ok
-from .eisenstein import EisensteinNumber, Pair, integer_row, pair_mul
+from .arrangement import Arrangement, Incidence, IncidencePoint, require_multiplicities_ok
+from .eisenstein import Pair, pair_mul
 from .linalg import find, rank_pairs
 from .pencils import PencilDecomposition
 
-Weights = Sequence[EisensteinNumber | int | str]  # a weight vector: one entry per line
-_INT = frozenset({int})
 
-
-@dataclass
-class OSDegree2:
-    """Degree-2 quotient as the sum of one summand per incidence point.
-
-    ``points`` holds the sorted line tuples of the points; each triple point
-    carries one relation, and the relations have disjoint supports.
-    ``on_line[l]`` lists the indices in ``points`` of the points on line l.
-    """
-
-    r: int
-    points: tuple[tuple[int, ...], ...]
-    on_line: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.r * (self.r - 1) // 2
-
-    @property
-    def relation_rank(self) -> int:
-        return sum(1 for p in self.points if len(p) == 3)
-
-    @property
-    def quotient_rank(self) -> int:
-        return self.n_pairs - self.relation_rank
-
-
-def build_os2(arr: Arrangement) -> OSDegree2:
-    require_multiplicities_ok(arr)
-    record = incidence(arr)
-    points = tuple(pt.lines for pt in record.points)
-    pairs = sorted(pair for p in points for pair in combinations(p, 2))
-    if pairs != list(combinations(range(arr.r), 2)):
-        raise AssertionError("the incidence points do not cover each pair of lines exactly once")
-    return OSDegree2(arr.r, points, record.on_line)
-
-
-def _weights(r: int, a: Weights) -> tuple[list[Pair], list[int]]:
-    """a scaled once into Z[w], with its support, the increasing lines l
-    with a_l != 0; ValueError unless a has length r.
-
-    A vector of ints has scale 1: its entries become the pairs (x, 0), and
-    its support is found without a Python loop.  Any other vector is read by
-    ``eisenstein.integer_row``, scaled by the lcm of its denominators, and
-    its support is read from the pairs.
-    """
-    if len(a) != r:
+def _support(r: int, vec: Sequence[Pair]) -> list[int]:
+    """The increasing lines l with vec_l != 0; ValueError unless vec has length r."""
+    if len(vec) != r:
         raise ValueError(f"weight vector must have length {r}")
-    if set(map(type, a)) == _INT:
-        return [(x, 0) for x in a], list(compress(range(r), a))
-    vec, _ = integer_row(a)
-    return vec, [l for l, pair in enumerate(vec) if pair != (0, 0)]
+    return [l for l, pair in enumerate(vec) if pair != (0, 0)]
 
 
-def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _point_rules(points: Iterable[tuple[int, ...]], a: Sequence[Pair]) -> Iterator[tuple[tuple[int, ...], bool]]:
     """Each given point q where a|q != 0, with True when q is a Sigma-point
     (a triple point with sum a|q = 0): there a ^ b vanishes iff sum b|q = 0,
     and at the others iff b|q is parallel to a|q."""
@@ -174,15 +128,15 @@ def _point_rules(points: Iterable[tuple[int, ...]], a: list[Pair]) -> Iterator[t
                 yield p, not (x + u + s or y + v + t)
 
 
-def _points_with_two(os: OSDegree2, support: Iterable[int]) -> list[tuple[int, ...]]:
-    """The points that carry two or more of the support lines: a point is
-    listed once for each of its support lines, so those listed twice or
-    more."""
-    listed = Counter(n for l in support for n in os.on_line[l])
-    return [os.points[n] for n, count in listed.items() if count >= 2]
+def _points_with_two(record: Incidence, support: Iterable[int]) -> list[tuple[int, ...]]:
+    """The lines of the points that carry two or more of the support lines:
+    a point is listed once for each of its support lines, so those listed
+    twice or more."""
+    listed = Counter(n for l in support for n in record.on_line[l])
+    return [record.points[n].lines for n, count in listed.items() if count >= 2]
 
 
-def _wedge_zero(a: list[Pair], b: list[Pair], points: Iterable[tuple[int, ...]]) -> bool:
+def _wedge_zero(a: Sequence[Pair], b: Sequence[Pair], points: Iterable[tuple[int, ...]]) -> bool:
     """Whether a ^ b = 0 at the given points, by the rule at each point q
     where a|q != 0: at a Sigma-point b|q sums to zero, and at any other
     point b|q is parallel to a|q, cross-multiplied against the first line m
@@ -199,26 +153,24 @@ def _wedge_zero(a: list[Pair], b: list[Pair], points: Iterable[tuple[int, ...]])
     return True
 
 
-def wedge_vanishes(os: OSDegree2, a: Weights, b: Weights) -> bool:
+def wedge_vanishes(arr: Arrangement, a: Sequence[Pair], b: Sequence[Pair]) -> bool:
     """True iff a ^ b is zero in the quotient, checked only at the points
     that carry two lines of the support of a and b.
 
     w_ij is zero unless lines i and j both lie in the support, so a point
-    with at most one support line imposes nothing.  a and b are each scaled
-    once into Z[w]; a nonzero scale multiplies the wedge by a nonzero
-    scalar, so whether it vanishes does not change.
+    with at most one support line imposes nothing.
     """
-    (u, support_u), (v, support_v) = _weights(os.r, a), _weights(os.r, b)
-    return _wedge_zero(u, v, _points_with_two(os, set(support_u).union(support_v)))
+    record = require_multiplicities_ok(arr)
+    support = set(_support(arr.r, a)).union(_support(arr.r, b))
+    return _wedge_zero(a, b, _points_with_two(record, support))
 
 
-def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
+def resonance_kernel_dim(arr: Arrangement, a: Sequence[Pair]) -> int:
     """dim { b : a ^ b = 0 in the quotient }; >= 2 means a is resonant.
 
-    a is scaled once into Z[w], which leaves the kernel unchanged.  Only the
-    points the index lists for a's support lines have a|q != 0, and one
-    rule pass over them, in the quotient's order, builds the kernel: a
-    union-find joins the support lines that share a point other than a
+    Only the points the index lists for a's support lines have a|q != 0,
+    and one rule pass over them, in the record's order, builds the kernel:
+    a union-find joins the support lines that share a point other than a
     Sigma-point, where b|q is parallel to a|q, so b_l = a_l t with one t per
     class; the zero-weight lines on those points are forced to b_l = 0; and
     each Sigma-point leaves the row sum b|q = 0.
@@ -230,18 +182,20 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     column, so it gets no column.  The dimension is the number of unknowns
     minus the ``linalg.rank_pairs`` of the rows.
     """
-    vec, support = _weights(os.r, a)
+    record = require_multiplicities_ok(arr)
+    support = _support(arr.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
-    parent = list(range(os.r))
+    parent = list(range(arr.r))
     forced, sigma_points = set(), []
-    for p, sigma in _point_rules([os.points[n] for n in sorted({n for l in support for n in os.on_line[l]})], vec):
+    visited = sorted({n for l in support for n in record.on_line[l]})
+    for p, sigma in _point_rules([record.points[n].lines for n in visited], a):
         if sigma:
             sigma_points.append(p)
             continue
         root = None
         for l in p:
-            if vec[l] == (0, 0):
+            if a[l] == (0, 0):
                 forced.add(l)
             elif root is None:
                 root = find(parent, l)
@@ -250,7 +204,7 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
     classes = {l: find(parent, l) for l in support}
     # one column per class root, then one per unforced zero-weight line on a Sigma-point
     columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
-    unknowns = len(columns) + os.r - len(classes) - len(forced)
+    unknowns = len(columns) + arr.r - len(classes) - len(forced)
     for l in dict.fromkeys(l for p in sigma_points for l in p if l not in classes and l not in forced):
         columns[l] = len(columns)
     rows = []
@@ -258,19 +212,19 @@ def resonance_kernel_dim(os: OSDegree2, a: Weights) -> int:
         row = [(0, 0)] * len(columns)
         for l in p:
             if l not in forced:
-                n, (x, y) = (columns[classes[l]], vec[l]) if l in classes else (columns[l], (1, 0))
+                n, (x, y) = (columns[classes[l]], a[l]) if l in classes else (columns[l], (1, 0))
                 row[n] = (row[n][0] + x, row[n][1] + y)
         rows.append(row)
     return unknowns - rank_pairs(rows)
 
 
-def _det(u: list[Pair], v: list[Pair], l: int, m: int) -> Pair:
+def _det(u: Sequence[Pair], v: Sequence[Pair], l: int, m: int) -> Pair:
     """The 2 x 2 minor u_l v_m - u_m v_l over Z[w]."""
     (a, b), (c, d) = pair_mul(u[l], v[m]), pair_mul(u[m], v[l])
     return (a - c, b - d)
 
 
-def _minor(u: list[Pair], v: list[Pair], support: list[int]) -> tuple[int, int] | None:
+def _minor(u: Sequence[Pair], v: Sequence[Pair], support: list[int]) -> tuple[int, int] | None:
     """Columns (l, m) in the support with u_l v_m - u_m v_l != 0, or None when
     u and v are dependent.
 
@@ -284,7 +238,7 @@ def _minor(u: list[Pair], v: list[Pair], support: list[int]) -> tuple[int, int] 
     return next(((lead, m) for m in support if _det(u, v, lead, m) != (0, 0)), None)
 
 
-def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
+def _independent(vectors: Sequence[Sequence[Pair]], support: list[int]) -> bool:
     """Whether Z[w] vectors, read on their support columns, are linearly
     independent: for two, whether they have a nonzero 2 x 2 minor
     (``_minor``); any other number goes to ``linalg.rank_pairs``."""
@@ -293,73 +247,74 @@ def _independent(vectors: list[list[Pair]], support: list[int]) -> bool:
     return _minor(*vectors, support) is not None
 
 
-def component_isotropy_check(os: OSDegree2, basis: list[Weights]) -> bool:
+def component_isotropy_check(arr: Arrangement, basis: Sequence[Sequence[Pair]]) -> bool:
     """True iff all pairwise wedges of an independent sum-zero basis vanish;
     ValueError unless each vector has coordinate sum zero and they are
     independent.
 
-    Each vector is scaled once into Z[w], which keeps every coordinate sum
-    zero or nonzero, the basis independent or dependent and every wedge
-    vanishing or not.  The check reads only the support S, the lines where
-    some basis vector is nonzero: for each pair (u, v), one rule pass of u
-    over the points with two lines of S tests v for membership in
-    ker(u ^ .).  A point with fewer than two lines of its own pair's support
-    satisfies that pair's rule, so reading it there changes nothing.
+    The check reads only the support S, the lines where some basis vector
+    is nonzero: for each pair (u, v), one rule pass of u over the points
+    with two lines of S tests v for membership in ker(u ^ .).  A point with
+    fewer than two lines of its own pair's support satisfies that pair's
+    rule, so reading it there changes nothing.
     """
-    weights = [_weights(os.r, v) for v in basis]
-    if any(sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support) for vec, support in weights):
+    record = require_multiplicities_ok(arr)
+    supports = [_support(arr.r, vec) for vec in basis]
+    if any(sum(vec[l][0] for l in s) or sum(vec[l][1] for l in s) for vec, s in zip(basis, supports)):
         raise ValueError("basis vectors must have coordinate sum zero")
-    support = sorted(set().union(*(support for _, support in weights)))
-    if not _independent([vec for vec, _ in weights], support):
+    support = sorted(set().union(*supports))
+    if not _independent(basis, support):
         raise ValueError("basis vectors are linearly dependent")
-    points = _points_with_two(os, support)
-    return all(_wedge_zero(u, v, points) for (u, _), (v, _) in combinations(weights, 2))
+    points = _points_with_two(record, support)
+    return all(_wedge_zero(u, v, points) for u, v in combinations(basis, 2))
 
 
-def triple_point_basis(point: IncidencePoint, r: int) -> list[Weights]:
-    """Local candidate component at a triple point, as integer vectors."""
+def triple_point_basis(point: IncidencePoint, r: int) -> list[list[Pair]]:
+    """Local candidate component at a triple point {i, j, k}: e_i - e_j and e_j - e_k."""
     if point.multiplicity != 3:
         raise ValueError("local components come from triple points")
     i, j, k = point.lines
-    u = [0] * r
-    v = [0] * r
-    u[i], u[j] = 1, -1
-    v[j], v[k] = 1, -1
+    u = [(0, 0)] * r
+    v = [(0, 0)] * r
+    u[i], u[j] = (1, 0), (-1, 0)
+    v[j], v[k] = (1, 0), (-1, 0)
     return [u, v]
 
 
-def pencil_basis(pencil: PencilDecomposition, r: int) -> list[Weights]:
-    """Global candidate component spanned by class-indicator differences, as integer vectors."""
-    chi = []
-    for cls in pencil.classes:
-        vec = [0] * r
-        for i in cls:
-            vec[i] = 1
-        chi.append(vec)
-    u = [a - b for a, b in zip(chi[0], chi[1])]
-    v = [a - b for a, b in zip(chi[1], chi[2])]
+def pencil_basis(pencil: PencilDecomposition, r: int) -> list[list[Pair]]:
+    """Global candidate component of a pencil (R1, R2, R3): chi_R1 - chi_R2 and chi_R2 - chi_R3."""
+    first, second, third = pencil.classes
+    u = [(0, 0)] * r
+    v = [(0, 0)] * r
+    for l in first:
+        u[l] = (1, 0)
+    for l in second:
+        u[l], v[l] = (-1, 0), (1, 0)
+    for l in third:
+        v[l] = (-1, 0)
     return [u, v]
 
 
 # a counted basis (u, v): its joint support, the columns l, m of a nonzero minor, and that minor
-_Plane = tuple[list[Pair], list[Pair], set[int], int, int, Pair]
+_Plane = tuple[Sequence[Pair], Sequence[Pair], set[int], int, int, Pair]
 
 
-def distinct_planes(r: int, bases: list[list[Weights]]) -> int:
-    """How many distinct planes the two-vector bases of weights on r lines
-    span: an independent basis counts unless both its vectors lie in the
-    plane of one counted before; a dependent one spans no plane.
+def distinct_planes(bases: Sequence[Sequence[Sequence[Pair]]]) -> int:
+    """How many distinct planes the two-vector bases of weights span: an
+    independent basis counts unless both its vectors lie in the plane of one
+    counted before; a dependent one spans no plane.  Every vector must have
+    the length of the first.
 
-    Each vector is scaled once into Z[w], which keeps every span.  A counted
-    basis (u, v) keeps one nonzero minor D = u_l v_m - u_m v_l (``_minor``),
-    and x lies in its plane iff x = (A u + B v) / D with Cramer's numerators
-    A = x_l v_m - x_m v_l and B = u_l x_m - u_m x_l, that is iff
-    D x_c = A u_c + B v_c at every column c where u, v or x is nonzero.
-    There is no division and no elimination.
+    A counted basis (u, v) keeps one nonzero minor D = u_l v_m - u_m v_l
+    (``_minor``), and x lies in its plane iff x = (A u + B v) / D with
+    Cramer's numerators A = x_l v_m - x_m v_l and B = u_l x_m - u_m x_l,
+    that is iff D x_c = A u_c + B v_c at every column c where u, v or x is
+    nonzero.  There is no division and no elimination.
     """
     counted: list[_Plane] = []
-    for basis in bases:
-        (u, support_u), (v, support_v) = (_weights(r, vec) for vec in basis)
+    r = len(bases[0][0]) if bases else 0
+    for u, v in bases:
+        support_u, support_v = _support(r, u), _support(r, v)
         support = set(support_u).union(support_v)
         minor = _minor(u, v, sorted(support))
         if minor is None or any(_in_plane(plane, u, support_u) and _in_plane(plane, v, support_v) for plane in counted):
@@ -369,7 +324,7 @@ def distinct_planes(r: int, bases: list[list[Weights]]) -> int:
     return len(counted)
 
 
-def _in_plane(plane: _Plane, x: list[Pair], support_x: list[int]) -> bool:
+def _in_plane(plane: _Plane, x: Sequence[Pair], support_x: list[int]) -> bool:
     """Whether x lies in the plane of a basis counted by ``distinct_planes``, by Cramer's rule."""
     u, v, support, l, m, det = plane
     a, b = _det(x, v, l, m), _det(u, x, l, m)
@@ -378,4 +333,3 @@ def _in_plane(plane: _Plane, x: list[Pair], support_x: list[int]) -> bool:
         if pair_mul(det, x[c]) != (p + s, q + t):
             return False
     return True
-

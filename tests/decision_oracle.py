@@ -8,16 +8,19 @@ wedges, each tested point by point, with independence by ``rank_pairs``,
 followed by a separate kernel solve, by a union-find and the Sigma-rows, of
 the generic member (``generic_member``, u + 2v).  Neither shares code with
 ``pencils._dependence`` or with ``resonance``, where membership likewise
-applies the rule at each point and only the kernel uses a union-find.
+applies the rule at each point and only the kernel uses a union-find.  The
+oracle reads each Z[w] weight vector on its own, through Q(w)
+(``_weights``), and finds the points with support lines by scanning every
+point of the arrangement, not through the record's line -> points index.
 ``rank_distinct_planes`` counts distinct planes by ``rank_pairs`` of
 stacked bases, where ``resonance.distinct_planes`` uses Cramer's rule.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
+from pencilfiber.arrangement import intersection_points
 from pencilfiber.eisenstein import EisensteinNumber, integer_row, pair_cross, pair_dot, pair_mul
 from pencilfiber.linalg import find, rank_pairs
 
@@ -36,9 +39,12 @@ def bareiss_dependence(rows):
 
 
 def _weights(r, a):
+    """The Z[w] pairs of a weight vector and its support, read through Q(w):
+    each pair becomes an EisensteinNumber, its support is read from those,
+    and the values on it are scaled back into Z[w] by ``integer_row``."""
     if len(a) != r:
         raise ValueError(f"weight vector must have length {r}")
-    values = [EisensteinNumber.of(v) for v in a]
+    values = [EisensteinNumber(*pair) for pair in a]
     support = [l for l, v in enumerate(values) if v]
     vec = [(0, 0)] * r
     for l, pair in zip(support, integer_row([values[l] for l in support])[0]):
@@ -53,9 +59,12 @@ def _point_rules(points, a):
             yield p, sigma
 
 
-def _wedge_vanishes(os2, a, b, support):
-    listed = Counter(n for l in support for n in os2.on_line[l])
-    points = (os2.points[n] for n, count in listed.items() if count >= 2)
+def _points(arr):
+    return [pt.lines for pt in intersection_points(arr)]
+
+
+def _wedge_vanishes(arr, a, b, support):
+    points = (p for p in _points(arr) if len(support.intersection(p)) >= 2)
     for p, sigma in _point_rules(points, a):
         if sigma:
             if sum(b[l][0] for l in p) or sum(b[l][1] for l in p):
@@ -67,15 +76,15 @@ def _wedge_vanishes(os2, a, b, support):
     return True
 
 
-def wedge(os2, a, b):
+def wedge(arr, a, b):
     """a ^ b = 0, by the rule of a at the points with two lines of the joint support."""
-    (u, support_u), (v, support_v) = _weights(os2.r, a), _weights(os2.r, b)
-    return _wedge_vanishes(os2, u, v, set(support_u).union(support_v))
+    (u, support_u), (v, support_v) = _weights(arr.r, a), _weights(arr.r, b)
+    return _wedge_vanishes(arr, u, v, set(support_u).union(support_v))
 
 
-def isotropy(os2, basis):
+def isotropy(arr, basis):
     """All pairwise wedges vanish; ValueError for a basis that is not sum-zero or not independent."""
-    weights = [_weights(os2.r, v) for v in basis]
+    weights = [_weights(arr.r, v) for v in basis]
     for vec, support in weights:
         if sum(vec[l][0] for l in support) or sum(vec[l][1] for l in support):
             raise ValueError("basis vectors must have coordinate sum zero")
@@ -83,19 +92,19 @@ def isotropy(os2, basis):
     vectors = [vec for vec, _ in weights]
     if rank_pairs([[vec[l] for l in support] for vec in vectors]) != len(vectors):
         raise ValueError("basis vectors are linearly dependent")
-    return all(_wedge_vanishes(os2, u, v, support) for u, v in combinations(vectors, 2))
+    return all(_wedge_vanishes(arr, u, v, set(support)) for u, v in combinations(vectors, 2))
 
 
-def kernel_dim(os2, a):
+def kernel_dim(arr, a):
     """dim ker(a ^ .) by the union-find and Sigma-rows, read at the points on a's support lines."""
-    vec, support = _weights(os2.r, a)
+    vec, support = _weights(arr.r, a)
     if not support:
         raise ValueError("the zero weight vector is not probed")
-    visited = sorted({n for l in support for n in os2.on_line[l]})
-    parent = list(range(os2.r))
+    visited = [p for p in _points(arr) if any(vec[l] != (0, 0) for l in p)]
+    parent = list(range(arr.r))
     forced = set()
     sigma_points = []
-    for p, sigma in _point_rules((os2.points[n] for n in visited), vec):
+    for p, sigma in _point_rules(visited, vec):
         if sigma:
             sigma_points.append(p)
             continue
@@ -109,7 +118,7 @@ def kernel_dim(os2, a):
                 parent[find(parent, l)] = root
     classes = {l: find(parent, l) for l in support}
     columns = {root: n for n, root in enumerate(dict.fromkeys(classes.values()))}
-    unknowns = len(columns) + os2.r - len(support) - len(forced)
+    unknowns = len(columns) + arr.r - len(support) - len(forced)
     for p in sigma_points:
         for l in p:
             if vec[l] == (0, 0) and l not in forced:
@@ -131,14 +140,14 @@ def kernel_dim(os2, a):
 
 
 def generic_member(basis):
-    """A fixed nonzero combination u + 2 v of a two-vector basis, used for spot checks."""
+    """A fixed nonzero combination u + 2 v of a two-vector basis of Z[w] pairs, used for spot checks."""
     u, v = basis
-    return [a + 2 * b for a, b in zip(u, v)]
+    return [(a + 2 * c, b + 2 * d) for (a, b), (c, d) in zip(u, v)]
 
 
-def two_call_fields(os2, basis):
+def two_call_fields(arr, basis):
     """(isotropic, kernel_dim of the generic member) by two separate calls."""
-    return isotropy(os2, basis), kernel_dim(os2, generic_member(basis))
+    return isotropy(arr, basis), kernel_dim(arr, generic_member(basis))
 
 
 def rank_distinct_planes(r, bases):

@@ -30,7 +30,6 @@ from pencilfiber.forms import HomForm, UniPoly
 from pencilfiber.milnor import milnor_report
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
-    build_os2,
     component_isotropy_check,
     pencil_basis,
     resonance_kernel_dim,
@@ -199,28 +198,26 @@ def test_criterion_09_resonance_components(corpus_dir):
         census = point_census(intersection_points(arr))
         if any(m > 3 for m in census):
             continue
-        os2 = build_os2(arr)
         for pt in intersection_points(arr):
             if pt.multiplicity != 3:
                 continue
             basis = triple_point_basis(pt, arr.r)
-            assert component_isotropy_check(os2, basis)
-            assert resonance_kernel_dim(os2, generic_member(basis)) >= 2
+            assert component_isotropy_check(arr, basis)
+            assert resonance_kernel_dim(arr, generic_member(basis)) >= 2
             checked += 1
         for pencil in find_pencils(arr):
             basis = pencil_basis(pencil, arr.r)
-            assert component_isotropy_check(os2, basis)
-            assert resonance_kernel_dim(os2, generic_member(basis)) >= 2
+            assert component_isotropy_check(arr, basis)
+            assert resonance_kernel_dim(arr, generic_member(basis)) >= 2
             checked += 1
     rng = random.Random(123)
-    os2 = build_os2(triangle())
+    arr = triangle()
     probes = 0
     while probes < 20:
         values = [rng.randint(-6, 6) for _ in range(2)]
-        vec = [EisensteinNumber(values[0]), EisensteinNumber(values[1]), EisensteinNumber(-values[0] - values[1])]
-        if not any(vec):
+        if not any(values):
             continue
-        assert resonance_kernel_dim(os2, vec) == 1
+        assert resonance_kernel_dim(arr, [(values[0], 0), (values[1], 0), (-values[0] - values[1], 0)]) == 1
         probes += 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

@@ -200,7 +200,7 @@ def test_multiplicities_are_checked_once_per_arrangement(make):
     record.points = _Unscannable(record.points)
     for _ in range(3):
         if expected is None:
-            assert require_multiplicities_ok(arr) is record.points
+            assert require_multiplicities_ok(arr) is record
             continue
         with pytest.raises(MultiplicityError) as err:
             require_multiplicities_ok(arr)
@@ -286,6 +286,26 @@ def incidence_records(draw):
 def test_cocycles_of_synthetic_records_are_the_dense_basis(record):
     points, r = record
     assert Incidence(points, r).cocycles == _dense_cocycles(points, r)
+
+
+@pytest.mark.parametrize(
+    "points, r",
+    [
+        # two triple points sharing the pair {0, 1}; their C(3, 2) + C(3, 2) = 6
+        # pairs equal C(4, 2), but {2, 3} is never covered
+        ([(0, 1, 2), (0, 1, 3)], 4),
+        # no pair twice, but {2, 3} is never covered
+        ([(0, 1, 2), (0, 3), (1, 3)], 4),
+        # every pair once, and one more point on a pair already covered
+        ([(0, 1), (0, 2), (1, 2), (1, 2)], 3),
+    ],
+    ids=["shared pair", "missing pair", "extra point"],
+)
+def test_incidence_requires_each_pair_at_one_point(points, r):
+    """A record is built only when its points cover each pair of lines
+    exactly once, the premise of every layer that reads it."""
+    with pytest.raises(AssertionError):
+        Incidence([IncidencePoint((), lines) for lines in points], r)
 
 
 def test_proportional_lines_rejected():

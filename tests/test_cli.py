@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pencilfiber
 from decision_oracle import generic_member
 from linalg_oracle import rref
-from pencilfiber import cli, resonance
+from pencilfiber import cli, eisenstein, resonance
 from pencilfiber.arrangement import (
     Arrangement,
     MultiplicityError,
@@ -909,7 +909,7 @@ def test_crosscheck_fails_each_file_with_a_component_that_is_not_isotropic(capsy
         candidates += count
     checked = []
 
-    def not_isotropic(os2, basis):
+    def not_isotropic(arr, basis):
         checked.append(basis)
         return False
 
@@ -941,7 +941,7 @@ def test_crosscheck_computes_no_kernel_dimension(capsys, corpus_dir, dual_hesse_
     assert run_cli(capsys, ["crosscheck", str(corpus_dir)]) == (0, expected)
     assert run_cli(capsys, ["analyze", dual_hesse_file]) == (0, analyzed)
     with pytest.raises(KernelEliminationCalled):
-        resonance.resonance_kernel_dim(cli.build_os2(dual_hesse()), [1, -1] + [0] * 7)
+        resonance.resonance_kernel_dim(dual_hesse(), [(1, 0), (-1, 0)] + [(0, 0)] * 7)
 
 
 def test_analyze_and_resonance_make_no_rule_pass(capsys, corpus_dir, monkeypatch):
@@ -967,19 +967,20 @@ def test_analyze_and_resonance_make_no_rule_pass(capsys, corpus_dir, monkeypatch
     assert (pencil, local) == (12, 38)
 
 
-def _payload_through_the_pass(arr, pencils, os2):
+def _payload_through_the_pass(arr, pencils):
     """The resonance payload with both fields of every candidate, local and
     pencil, from the public isotropy check and a kernel solve of the generic
     member; every candidate must give (True, 2)."""
 
     def fields(basis, what):
-        found = (component_isotropy_check(os2, basis), resonance_kernel_dim(os2, generic_member(basis)))
+        found = (component_isotropy_check(arr, basis), resonance_kernel_dim(arr, generic_member(basis)))
         assert found == (True, 2), (arr.label, what)
         return {"isotropic": found[0], "kernel_dim": found[1]}
 
+    relations = sum(pt.multiplicity == 3 for pt in intersection_points(arr))
     return {
-        "quotient_rank": os2.quotient_rank,
-        "relation_count": os2.relation_rank,
+        "quotient_rank": len(list(combinations(range(arr.r), 2))) - relations,
+        "relation_count": relations,
         "local_components": [
             {"lines": list(pt.lines), **fields(triple_point_basis(pt, arr.r), pt.lines)}
             for pt in intersection_points(arr)
@@ -1006,9 +1007,8 @@ def test_local_fields_from_the_rule_equal_one_pass_per_point(corpus_dir):
     local = pencil = 0
     for arr in arrangements:
         pencils = find_pencils(arr)
-        os2 = cli.build_os2(arr)
-        payload = cli._resonance_payload(arr, pencils, os2)
-        assert payload == _payload_through_the_pass(arr, pencils, os2), arr.label
+        payload = cli._resonance_payload(arr, pencils)
+        assert payload == _payload_through_the_pass(arr, pencils), arr.label
         local += len(payload["local_components"])
         pencil += len(payload["pencil_components"])
     assert local == 38 + 38 + 768 + 1872  # corpus, fixtures, sub-arrangements, cuspidal duals
@@ -1029,12 +1029,11 @@ def test_a_class_with_two_lines_swapped_is_not_isotropic(build):
     the same partition with two lines swapped between classes is not
     isotropic through the pass, so the oracle above can fail."""
     arr = build()
-    os2 = cli.build_os2(arr)
     pencils = find_pencils(arr)
     assert pencils
     for pencil in pencils:
-        assert component_isotropy_check(os2, pencil_basis(pencil, arr.r))
-        assert not component_isotropy_check(os2, _swapped(pencil, arr.r)), pencil.classes
+        assert component_isotropy_check(arr, pencil_basis(pencil, arr.r))
+        assert not component_isotropy_check(arr, _swapped(pencil, arr.r)), pencil.classes
 
 
 class FieldArithmeticCalled(Exception):
@@ -1050,11 +1049,10 @@ def test_resonance_payload_does_no_field_arithmetic(corpus_dir, monkeypatch):
     for path in sorted(corpus_dir.glob("*.json")):
         arr = Arrangement.from_json(json.loads(path.read_text()))
         pencils = find_pencils(arr)
-        os2 = cli.build_os2(arr)
-        expected = cli._resonance_payload(arr, pencils, os2)
+        expected = cli._resonance_payload(arr, pencils)
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
             monkeypatch.setattr(EisensteinNumber, name, refuse)
-        assert cli._resonance_payload(arr, pencils, os2) == expected, path.name
+        assert cli._resonance_payload(arr, pencils) == expected, path.name
         monkeypatch.undo()
 
 
@@ -1395,6 +1393,26 @@ def test_probe_prints_its_vector_in_lowest_terms(capsys, corpus_dir):
     code, out = run_cli(capsys, ["resonance", "--vector", '["1","-1","2*w","-2*w","0","0"]', braid_path])
     assert code == 0
     assert json.loads(out)["probe"]["kernel_dim"] == probe["kernel_dim"]
+
+
+def test_probe_reads_its_vector_once(capsys, corpus_dir, monkeypatch):
+    """``--vector`` is read into Z[w] once, by ``integer_row`` in ``cli``, and
+    the kernel solve takes those pairs: its six text entries are parsed six
+    times beyond the 18 parses of braid's line coefficients."""
+    parsed = []
+    parse_parts = eisenstein.parse_parts
+
+    def counted(text):
+        parsed.append(text)
+        return parse_parts(text)
+
+    monkeypatch.setattr(eisenstein, "parse_parts", counted)
+    braid_path = str(corpus_dir / "braid.json")
+    assert run_cli(capsys, ["resonance", braid_path])[0] == 0
+    assert len(parsed) == 18
+    parsed.clear()
+    assert run_cli(capsys, ["resonance", "--vector", FRACTIONAL_PROBE, braid_path])[0] == 0
+    assert len(parsed) - 18 == 6
 
 
 def _with_coefficient(where, value):

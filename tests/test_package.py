@@ -128,8 +128,9 @@ def test_every_public_function_is_exported_read_or_a_command():
 
 def test_only_eisenstein_and_forms_import_fractions():
     # Q(w) numbers are built in the arithmetic and the polynomial algebra; the
-    # other modules hold Z[w] pairs, and cli and pencils import no field element
-    importers, field_element = set(), set()
+    # other modules hold Z[w] pairs, and cli, pencils and resonance import no
+    # field element; resonance takes weights as pairs and imports no reader
+    importers, field_element, row_reader = set(), set(), set()
     for file, tree in _package_trees().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -139,5 +140,8 @@ def test_only_eisenstein_and_forms_import_fractions():
                     importers.add(file)
                 if any(alias.name == "EisensteinNumber" for alias in node.names):
                     field_element.add(file)
+                if any(alias.name == "integer_row" for alias in node.names):
+                    row_reader.add(file)
     assert sorted(importers) == ["eisenstein.py", "forms.py"]
-    assert not field_element & {"cli.py", "pencils.py"}
+    assert not field_element & {"cli.py", "pencils.py", "resonance.py"}
+    assert "resonance.py" not in row_reader

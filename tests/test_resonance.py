@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import decision_oracle
 from decision_oracle import generic_member
 from linalg_oracle import peeled_rank, rref
-from pencilfiber import resonance
-from pencilfiber.arrangement import Arrangement, Incidence, IncidencePoint, intersection_points, proj_transform
+from pencilfiber import cli, resonance
+from pencilfiber.arrangement import Arrangement, intersection_points, proj_transform
 from pencilfiber.eisenstein import OMEGA, ONE, ZERO, EisensteinNumber, ParseError, integer_row, pair_mul
 from pencilfiber.fixtures import (
     braid,
@@ -26,7 +26,6 @@ from pencilfiber.fixtures import (
 )
 from pencilfiber.pencils import find_pencils
 from pencilfiber.resonance import (
-    build_os2,
     component_isotropy_check,
     distinct_planes,
     pencil_basis,
@@ -38,6 +37,19 @@ from pencilfiber.resonance import (
 
 def E(*values):
     return [EisensteinNumber.of(v) for v in values]
+
+
+def zw(a):
+    """A weight vector of Q(w) values, ints or text as the Z[w] pairs that
+    ``integer_row`` scales it into, the form ``resonance`` reads.  A positive
+    integer scale changes no answer, so every test builds its Q(w) weights
+    and reads them through this one helper."""
+    return integer_row(a)[0]
+
+
+def qw(vec):
+    """A vector of Z[w] pairs as Q(w) values, for arithmetic and the dense oracles."""
+    return [EisensteinNumber(*pair) for pair in vec]
 
 
 # The oracle works on the whole exterior square: C(r, 2)-wide vectors modulo
@@ -67,14 +79,17 @@ def raw_wedge(r, a, b):
 
 
 def _wedge_oracle(relations, r, a, b):
-    """a ^ b vanishes iff appending it to the relations keeps their rank."""
-    return len(rref(relations + [raw_wedge(r, a, b)])[1]) == len(rref(relations)[1])
+    """a ^ b, for Z[w] pairs a and b, vanishes iff appending it to the
+    relations keeps their rank."""
+    return len(rref(relations + [raw_wedge(r, qw(a), qw(b))])[1]) == len(rref(relations)[1])
 
 
 def _kernel_dim_oracle(relations, r, a):
     """Independent kernel dimension: for each standard basis vector compute the
     raw wedge column, then count solutions of 'column combination lies in the
-    relation row span' by an augmented-rank computation."""
+    relation row span' by an augmented-rank computation.  a is a vector of
+    Z[w] pairs."""
+    a = qw(a)
     cols = []
     for l in range(r):
         b = [ZERO] * r
@@ -111,37 +126,24 @@ def _component_bases(arr):
 
 
 def _random_weight(rng, r):
-    return [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(r)]
+    return [(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(r)]
 
 
-def test_build_os2_counts():
-    os_triangle = build_os2(triangle())
-    assert os_triangle.relation_rank == 0
-    assert os_triangle.quotient_rank == 3
+def test_quotient_ranks_against_the_dense_relations():
+    """The ranks printed from the incidence record: one independent relation
+    per triple point, and C(r, 2) minus those for the quotient."""
 
-    os_concurrent = build_os2(concurrent_triple())
-    assert os_concurrent.relation_rank == 1
-    assert os_concurrent.quotient_rank == 2
+    def ranks(arr):
+        payload = cli._resonance_payload(arr, [])
+        return payload["relation_count"], payload["quotient_rank"]
 
-    os_hesse = build_os2(dual_hesse())
-    assert os_hesse.relation_rank == 12
-    assert os_hesse.quotient_rank == 36 - 12
-
+    assert ranks(triangle()) == (0, 3)
+    assert ranks(concurrent_triple()) == (1, 2)
+    assert ranks(dual_hesse()) == (12, 36 - 12)
     for arr in _oracle_sample():
-        os2 = build_os2(arr)
         relations = _dense_relations(arr)
-        assert os2.n_pairs == len(_pairs(arr.r))
-        assert os2.relation_rank == len(rref(relations)[1]) == len(relations)
-
-
-def test_build_os2_requires_each_pair_at_one_point():
-    # two triple points sharing the pair {0, 1}; their C(3, 2) + C(3, 2) = 6
-    # pairs equal C(4, 2), but {2, 3} is never covered
-    arr = Arrangement(braid().lines[:4], "corrupt")
-    p, q = (pt.pairs for pt in intersection_points(arr)[:2])
-    arr._incidence = Incidence((IncidencePoint(p, (0, 1, 2)), IncidencePoint(q, (0, 1, 3))), arr.r)
-    with pytest.raises(AssertionError):
-        build_os2(arr)
+        rank = len(rref(relations)[1])
+        assert ranks(arr) == (rank, len(_pairs(arr.r)) - rank) and rank == len(relations)
 
 
 def _sparse_pairs(rng, arr):
@@ -169,10 +171,10 @@ def _sparse_pairs(rng, arr):
         pairs += [(a, b), ([x + y for x, y in zip(a, b)], [c * (x + y) for x, y in zip(a, b)])]
         off = [l for l in range(arr.r) if l not in pt.lines]
         if pt.multiplicity == 3 and off:
-            u, v = triple_point_basis(pt, arr.r)
+            u, v = (qw(vec) for vec in triple_point_basis(pt, arr.r))
             v[rng.choice(off)] = rng.choice(scalars)
             pairs.append((u, v))
-    return pairs
+    return [(zw(a), zw(b)) for a, b in pairs]
 
 
 def _fractional_weight(rng, r):
@@ -187,14 +189,14 @@ def _fractional_pairs(rng, arr):
     """Weights with denominators: scaled and sheared component bases, a
     multiple of a random weight, and random pairs."""
     pairs = []
-    for u, v in _component_bases(arr):
+    for u, v in (map(qw, basis) for basis in _component_bases(arr)):
         s, t = Fraction(rng.randint(1, 5), rng.randint(2, 7)), Fraction(rng.randint(1, 5), rng.randint(2, 7))
         pairs.append(([s * x for x in u], [t * y + EisensteinNumber(0, s) * x for x, y in zip(u, v)]))
     a = _fractional_weight(rng, arr.r)
     lam = EisensteinNumber(Fraction(rng.randint(1, 3), rng.randint(2, 5)), Fraction(1, 3))
     pairs.append((a, [lam * x for x in a]))
     pairs += [(_fractional_weight(rng, arr.r), _fractional_weight(rng, arr.r)) for _ in range(2)]
-    return pairs
+    return [(zw(a), zw(b)) for a, b in pairs]
 
 
 def test_wedge_vanishes_against_oracle():
@@ -205,24 +207,28 @@ def test_wedge_vanishes_against_oracle():
     sparse_rng, fractional_rng = random.Random(43), random.Random(47)
     seen = {"dense": set(), "sparse": set(), "fractional": set()}
     for arr in _oracle_sample():
-        os2 = build_os2(arr)
         relations = _dense_relations(arr)
         pairs = []
         for u, v in _component_bases(arr):
-            pairs += [(u, v), (v, u), (u, [x + 2 * y for x, y in zip(u, v)])]
+            pairs += [(u, v), (v, u), (u, _plus_twice(v, u))]
         a = _random_weight(rng, arr.r)
-        lam = EisensteinNumber(rng.randint(1, 3), rng.randint(-2, 2))
-        pairs.append((a, [lam * x for x in a]))
+        lam = (rng.randint(1, 3), rng.randint(-2, 2))
+        pairs.append((a, [pair_mul(lam, x) for x in a]))
         pairs += [(_random_weight(rng, arr.r), _random_weight(rng, arr.r)) for _ in range(3)]
         kinds = [("dense", pairs), ("sparse", _sparse_pairs(sparse_rng, arr))]
         kinds.append(("fractional", _fractional_pairs(fractional_rng, arr)))
         for kind, drawn in kinds:
             for a, b in drawn:
-                vanishes = wedge_vanishes(os2, a, b)
+                vanishes = wedge_vanishes(arr, a, b)
                 assert vanishes == _wedge_oracle(relations, arr.r, a, b), (kind, arr.label)
-                assert vanishes == wedge_vanishes(os2, a, [y + 2 * x for x, y in zip(a, b)])
+                assert vanishes == wedge_vanishes(arr, a, _plus_twice(b, a))
                 seen[kind].add(vanishes)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+def _plus_twice(u, v):
+    """u + 2 v for vectors of Z[w] pairs."""
+    return [(a + 2 * c, b + 2 * d) for (a, b), (c, d) in zip(u, v)]
 
 
 def test_wedge_needs_the_sigma_rows():
@@ -233,23 +239,21 @@ def test_wedge_needs_the_sigma_rows():
     indicator.  The dense rank test agrees."""
     seen = []
     for arr in (braid(), dual_hesse(), ceva_two()):
-        os2 = build_os2(arr)
         relations = _dense_relations(arr)
         pairs = []
         for pt in intersection_points(arr):
             if pt.multiplicity == 3:
                 i, j, k = pt.lines
-                a, b, c = ([ZERO] * arr.r for _ in range(3))
-                a[i], a[j], b[i], b[j], c[k] = ONE, -ONE, ONE, ONE, ONE
+                a, b, c = (_supported(arr.r, weights) for weights in ({i: 1, j: -1}, {i: 1, j: 1}, {k: 1}))
                 pairs += [(a, b, False), (a, c, False), (a, triple_point_basis(pt, arr.r)[1], True)]
         for pencil in find_pencils(arr):
             basis = pencil_basis(pencil, arr.r)
             a = generic_member(basis)
             for cls in pencil.classes:
-                pairs.append((a, [ONE if l in cls else ZERO for l in range(arr.r)], False))
+                pairs.append((a, _supported(arr.r, dict.fromkeys(cls, 1)), False))
             pairs += [(a, basis[0], True), (a, basis[1], True)]
         for a, b, expected in pairs:
-            assert wedge_vanishes(os2, a, b) == _wedge_oracle(relations, arr.r, a, b) == expected, arr.label
+            assert wedge_vanishes(arr, a, b) == _wedge_oracle(relations, arr.r, a, b) == expected, arr.label
             seen.append(expected)
     assert seen.count(False) > 30 and seen.count(True) > 20
 
@@ -264,29 +268,29 @@ def test_wedge_at_a_sigma_point_needs_the_sum(corpus_dir):
     arrangements += [cuspidal_dual(7), cuspidal_dual(10)]  # the fixtures with triple points not in the corpus
     points = 0
     for arr in arrangements:
-        os2 = build_os2(arr)
         for pt in intersection_points(arr):
             if pt.multiplicity == 3:
                 i, j, k = pt.lines
                 a = _supported(arr.r, {i: 1, j: 1, k: -2})
-                assert not any(wedge_vanishes(os2, a, _supported(arr.r, {l: 1})) for l in pt.lines), arr.label
+                assert not any(wedge_vanishes(arr, a, _supported(arr.r, {l: 1})) for l in pt.lines), arr.label
                 for b in ({i: 1, j: -1}, {j: 1, k: -1}):
-                    assert wedge_vanishes(os2, a, _supported(arr.r, b)), arr.label
+                    assert wedge_vanishes(arr, a, _supported(arr.r, b)), arr.label
                 points += 1
     assert points > 100
 
 
 def _supported(r, weights):
-    """The weight vector on r lines that is ``weights[l]`` at each line l it lists and 0 elsewhere."""
-    return [EisensteinNumber(weights.get(l, 0)) for l in range(r)]
+    """The Z[w] weight vector on r lines that is the integer ``weights[l]`` at
+    each line l it lists and 0 elsewhere."""
+    return [(weights.get(l, 0), 0) for l in range(r)]
 
 
 def test_wedge_alternating():
-    os2 = build_os2(braid())
+    arr = braid()
     rng = random.Random(2)
     for _ in range(10):
-        a = E(*[rng.randint(-3, 3) for _ in range(6)])
-        assert wedge_vanishes(os2, a, a)
+        a = zw([rng.randint(-3, 3) for _ in range(6)])
+        assert wedge_vanishes(arr, a, a)
 
 
 def test_wedge_bilinear():
@@ -294,50 +298,43 @@ def test_wedge_bilinear():
     as bilinearity and alternation require; probed on vanishing and
     non-vanishing pairs."""
     arr = braid()
-    os2 = build_os2(arr)
     rng = random.Random(3)
     local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
     seen = set()
     for _ in range(12):
         if rng.random() < 0.5:
-            u, v = rng.choice(local)
+            u, v = (qw(vec) for vec in rng.choice(local))
             s, t = rng.randint(1, 3), rng.randint(-3, -1)
-            a = [s * x for x in u]
-            b = [x + t * y for x, y in zip(u, v)]
+            a = zw([s * x for x in u])
+            b = zw([x + t * y for x, y in zip(u, v)])
         else:
-            a = E(*[rng.randint(-3, 3) for _ in range(6)])
-            b = E(*[rng.randint(-3, 3) for _ in range(6)])
-        b_plus_2a = [y + 2 * x for x, y in zip(a, b)]
-        vanishes = wedge_vanishes(os2, a, b)
-        assert vanishes == wedge_vanishes(os2, a, b_plus_2a) == wedge_vanishes(os2, b, a)
+            a = zw([rng.randint(-3, 3) for _ in range(6)])
+            b = zw([rng.randint(-3, 3) for _ in range(6)])
+        vanishes = wedge_vanishes(arr, a, b)
+        assert vanishes == wedge_vanishes(arr, a, _plus_twice(b, a)) == wedge_vanishes(arr, b, a)
         seen.add(vanishes)
     assert seen == {True, False}
 
 
 def test_wedge_concurrent_relation_kills():
-    os2 = build_os2(concurrent_triple())
-    assert wedge_vanishes(os2, E(1, -1, 0), E(0, 1, -1))
+    assert wedge_vanishes(concurrent_triple(), zw([1, -1, 0]), zw([0, 1, -1]))
 
 
 def test_wedge_triangle_nonzero():
-    os2 = build_os2(triangle())
-    assert not wedge_vanishes(os2, E(1, -1, 0), E(0, 1, -1))
+    assert not wedge_vanishes(triangle(), zw([1, -1, 0]), zw([0, 1, -1]))
 
 
 def test_kernel_dims_against_oracle():
-    os2 = build_os2(concurrent_triple())
-    os2t = build_os2(triangle())
     relations = _dense_relations(concurrent_triple())
-    for a in (E(1, -1, 0), E("1", "w", "-1-w")):
-        assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(relations, 3, a) == 2
-        assert resonance_kernel_dim(os2t, a) == _kernel_dim_oracle([], 3, a) == 1
+    for a in (zw([1, -1, 0]), zw(["1", "w", "-1-w"])):
+        assert resonance_kernel_dim(concurrent_triple(), a) == _kernel_dim_oracle(relations, 3, a) == 2
+        assert resonance_kernel_dim(triangle(), a) == _kernel_dim_oracle([], 3, a) == 1
     rng = random.Random(17)
     fractional_rng, scalar_rng = random.Random(53), random.Random(59)
     all_dims = set()
     for arr in _oracle_sample():
-        os2 = build_os2(arr)
         relations = _dense_relations(arr)
-        probes = [generic_member(basis) for basis in _component_bases(arr)]
+        probes = [qw(generic_member(basis)) for basis in _component_bases(arr)]
         for n in range(4):  # seeded sum-zero weights, the odd ones with w-parts
             vals = [EisensteinNumber(rng.randint(-3, 3), rng.randint(-2, 2) if n % 2 else 0) for _ in range(arr.r - 1)]
             probes.append(vals + [-sum(vals, ZERO)])
@@ -345,14 +342,14 @@ def test_kernel_dims_against_oracle():
         dims = []
         for a in probes:
             if any(a):
-                dims.append(resonance_kernel_dim(os2, a))
-                assert dims[-1] == _kernel_dim_oracle(relations, arr.r, a), arr.label
+                dims.append(resonance_kernel_dim(arr, zw(a)))
+                assert dims[-1] == _kernel_dim_oracle(relations, arr.r, zw(a)), arr.label
                 # a nonzero scalar with a w-part and denominators keeps the kernel
                 c = EisensteinNumber(
                     Fraction(scalar_rng.randint(-5, 5), scalar_rng.randint(2, 7)),
                     Fraction(scalar_rng.choice((-1, 1)) * scalar_rng.randint(1, 4), scalar_rng.randint(2, 7)),
                 )
-                assert resonance_kernel_dim(os2, [c * x for x in a]) == dims[-1], arr.label
+                assert resonance_kernel_dim(arr, zw([c * x for x in a])) == dims[-1], arr.label
         all_dims.update(dims)
         if arr.label in ("braid", "dual_hesse"):
             assert min(dims) == 1 and max(dims) >= 2
@@ -398,7 +395,6 @@ def test_kernel_rule_edge_cases_against_oracle():
     keeps = ([0, 1, 2, 3, 4, 5, 6], [0, 2, 4, 5, 7, 8])
     subs = [Arrangement([hesse.lines[i] for i in keep], f"dual_hesse{keep}") for keep in keeps]
     for arr in [braid(), hesse, near_pencil_six(), *subs]:
-        os2 = build_os2(arr)
         relations = _dense_relations(arr)
         points = intersection_points(arr)
         triples = [pt.lines for pt in points if pt.multiplicity == 3]
@@ -420,7 +416,7 @@ def test_kernel_rule_edge_cases_against_oracle():
             probes.append(a)
         for pencil in find_pencils(arr)[:2]:
             x = _nonzero_scalar(rng)
-            probes.append([x * v for v in pencil_basis(pencil, arr.r)[0]])
+            probes.append([x * v for v in qw(pencil_basis(pencil, arr.r)[0])])
         for size in (2, 3, 4):
             a = [ZERO] * arr.r
             for l in rng.sample(range(arr.r), size):
@@ -428,7 +424,7 @@ def test_kernel_rule_edge_cases_against_oracle():
             if any(a):
                 probes.append(a)
         for a in probes:
-            assert resonance_kernel_dim(os2, a) == _kernel_dim_oracle(relations, arr.r, a), arr.label
+            assert resonance_kernel_dim(arr, zw(a)) == _kernel_dim_oracle(relations, arr.r, zw(a)), arr.label
             seen |= _rule_cases(arr, a)
     assert seen == {
         "sigma point with a zero entry",
@@ -440,86 +436,81 @@ def test_kernel_rule_edge_cases_against_oracle():
 
 
 def test_kernel_dim_rejects_zero_vector():
-    os2 = build_os2(triangle())
-    with pytest.raises(ValueError):
-        resonance_kernel_dim(os2, E(0, 0, 0))
+    with pytest.raises(ValueError, match="zero weight vector"):
+        resonance_kernel_dim(triangle(), zw([0, 0, 0]))
 
 
 def test_kernel_contains_the_vector():
     # kernel dim is at least 1 since a ^ a = 0
     rng = random.Random(9)
-    os2 = build_os2(braid())
+    arr = braid()
     for _ in range(10):
-        a = E(*[rng.randint(-2, 2) for _ in range(6)])
-        if not any(a):
+        a = zw([rng.randint(-2, 2) for _ in range(6)])
+        if all(x == (0, 0) for x in a):
             continue
-        assert resonance_kernel_dim(os2, a) >= 1
+        assert resonance_kernel_dim(arr, a) >= 1
 
 
 def test_dual_hesse_pencil_vector_is_resonant():
     arr = dual_hesse()
-    os2 = build_os2(arr)
     for pencil in find_pencils(arr):
         u, v = pencil_basis(pencil, arr.r)
-        assert resonance_kernel_dim(os2, u) >= 2
-        assert resonance_kernel_dim(os2, generic_member([u, v])) >= 2
+        assert resonance_kernel_dim(arr, u) >= 2
+        assert resonance_kernel_dim(arr, generic_member([u, v])) >= 2
 
 
 def test_triple_point_components_isotropic():
     for builder in (braid, dual_hesse, concurrent_triple):
         arr = builder()
-        os2 = build_os2(arr)
         for pt in intersection_points(arr):
             if pt.multiplicity != 3:
                 continue
-            assert component_isotropy_check(os2, triple_point_basis(pt, arr.r))
+            assert component_isotropy_check(arr, triple_point_basis(pt, arr.r))
 
 
 def test_pencil_components_isotropic():
     for builder in (braid, dual_hesse, concurrent_triple):
         arr = builder()
-        os2 = build_os2(arr)
         pencils = find_pencils(arr)
         for pencil in pencils:
-            assert component_isotropy_check(os2, pencil_basis(pencil, arr.r))
+            assert component_isotropy_check(arr, pencil_basis(pencil, arr.r))
         # component census: one verified global component per pencil
         assert len(pencils) == sum(
-            1 for pencil in pencils if component_isotropy_check(os2, pencil_basis(pencil, arr.r))
+            1 for pencil in pencils if component_isotropy_check(arr, pencil_basis(pencil, arr.r))
         )
 
 
 def test_triangle_candidate_fails_isotropy():
-    os2 = build_os2(triangle())
-    assert not component_isotropy_check(os2, [E(1, -1, 0), E(0, 1, -1)])
+    assert not component_isotropy_check(triangle(), [zw([1, -1, 0]), zw([0, 1, -1])])
 
 
 def test_isotropy_checks_every_pair():
     # (u, v) is a local component of braid, so only the later pairs with w fail
     arr = braid()
-    os2 = build_os2(arr)
     pt = next(pt for pt in intersection_points(arr) if pt.multiplicity == 3)
     u, v = triple_point_basis(pt, arr.r)
-    w = [ZERO] * arr.r
     free = [l for l in range(arr.r) if l not in pt.lines]
-    w[pt.lines[0]], w[free[0]] = EisensteinNumber(1), EisensteinNumber(-1)
-    assert component_isotropy_check(os2, [u, v])
-    assert not wedge_vanishes(os2, u, w) and not wedge_vanishes(os2, v, w)
-    assert not component_isotropy_check(os2, [u, v, w])
+    w = _supported(arr.r, {pt.lines[0]: 1, free[0]: -1})
+    assert component_isotropy_check(arr, [u, v])
+    assert not wedge_vanishes(arr, u, w) and not wedge_vanishes(arr, v, w)
+    assert not component_isotropy_check(arr, [u, v, w])
 
 
 def test_isotropy_rejects_bad_bases():
-    os2 = build_os2(triangle())
+    arr = triangle()
     with pytest.raises(ValueError, match="linearly dependent"):
-        component_isotropy_check(os2, [E(1, -1, 0), E(2, -2, 0)])
+        component_isotropy_check(arr, [zw([1, -1, 0]), zw([2, -2, 0])])
     with pytest.raises(ValueError, match="coordinate sum zero"):
-        component_isotropy_check(os2, [E(1, 1, 0), E(0, 1, -1)])
+        component_isotropy_check(arr, [zw([1, 1, 0]), zw([0, 1, -1])])
     # the sum is w: its rational part is zero
     with pytest.raises(ValueError, match="coordinate sum zero"):
-        component_isotropy_check(os2, [E("1", "-1+w", "0"), E(0, 1, -1)])
+        component_isotropy_check(arr, [zw(["1", "-1+w", "0"]), zw([0, 1, -1])])
     u = E(1, -1, 0)
     s = EisensteinNumber(Fraction(1, 2), 1)
     with pytest.raises(ValueError, match="linearly dependent"):
-        component_isotropy_check(os2, [u, [s * x for x in u]])
+        component_isotropy_check(arr, [zw(u), zw([s * x for x in u])])
+    with pytest.raises(ValueError, match="length 3"):
+        component_isotropy_check(arr, [zw([1, -1, 0]), zw([0, 1, -1, 0])])
 
 
 def test_distinct_planes_of_weights_with_w_parts_and_denominators():
@@ -537,22 +528,23 @@ def test_distinct_planes_of_weights_with_w_parts_and_denominators():
         ([[u, v], other, changed, dependent], 2),
         ([changed, [u, v], other, [other[1], other[0]]], 2),
     ]:
-        assert distinct_planes(5, bases) == decision_oracle.rank_distinct_planes(5, bases) == count
+        bases = [[zw(x) for x in basis] for basis in bases]
+        assert distinct_planes(bases) == decision_oracle.rank_distinct_planes(5, bases) == count
     # a dependent basis spans no plane
-    assert distinct_planes(5, [dependent, [u, v]]) == 1
+    assert distinct_planes([[zw(x) for x in basis] for basis in (dependent, [u, v])]) == 1
     with pytest.raises(ValueError, match="length 5"):
-        distinct_planes(5, [[u, v[:4]]])
+        distinct_planes([[zw(u), zw(v[:4])]])
 
 
 def _scaled_bases(rng, basis):
     """The basis as given, each vector times a nonzero Q(w) scalar, and the
     bases (u + s v, t u - v) of the same plane with s, t in Q(w), t != 0."""
-    u, v = ([EisensteinNumber.of(x) for x in vec] for vec in basis)
+    u, v = map(qw, basis)
     p, q, s, t = (_nonzero_scalar(rng) for _ in range(4))
     return [
         basis,
-        [[p * x for x in u], [q * x for x in v]],
-        [[a + s * b for a, b in zip(u, v)], [t * a - b for a, b in zip(u, v)]],
+        [zw([p * x for x in u]), zw([q * x for x in v])],
+        [zw([a + s * b for a, b in zip(u, v)]), zw([t * a - b for a, b in zip(u, v)])],
     ]
 
 
@@ -570,10 +562,10 @@ def test_distinct_planes_by_cramer_match_the_rank_oracle(corpus_dir):
         copies = [copy for basis in pencils for copy in _scaled_bases(rng, basis)]
         rng.shuffle(copies)
         for bases in (pencils, copies, local + copies, pencils[:1] + local):
-            count = distinct_planes(arr.r, bases)
+            count = distinct_planes(bases)
             assert count == decision_oracle.rank_distinct_planes(arr.r, bases), path.name
             seen.add(count)
-        assert distinct_planes(arr.r, copies) == len(pencils), path.name
+        assert distinct_planes(copies) == len(pencils), path.name
     assert seen == {0, 1, 3, 4, 6}
 
 
@@ -583,35 +575,29 @@ def test_distinct_planes_make_no_rank_call(corpus_dir, monkeypatch):
 
     monkeypatch.setattr(resonance, "rank_pairs", refuse)
     arr = dual_hesse()
-    assert distinct_planes(arr.r, [pencil_basis(p, arr.r) for p in find_pencils(arr)]) == 4
+    assert distinct_planes([pencil_basis(p, arr.r) for p in find_pencils(arr)]) == 4
 
 
 def test_kernel_dim_invariant_under_relabeling():
     arr = braid()
-    os2 = build_os2(arr)
-    a = E(1, -1, 0, 2, -2, 0)
+    a = zw([1, -1, 0, 2, -2, 0])
     rng = random.Random(31)
     order = list(range(6))
     rng.shuffle(order)
     relabeled = arr.reordered(order)
-    os2b = build_os2(relabeled)
-    b = [ZERO] * 6
-    for new_idx, old_idx in enumerate(order):
-        b[new_idx] = a[old_idx]
-    assert resonance_kernel_dim(os2, a) == resonance_kernel_dim(os2b, b)
+    b = [a[old_idx] for old_idx in order]
+    assert resonance_kernel_dim(arr, a) == resonance_kernel_dim(relabeled, b)
 
 
 def test_generic_arrangement_kernel_is_trivial():
     arr = generic_six()
-    os2 = build_os2(arr)
     rng = random.Random(41)
     for _ in range(5):
         vals = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
         vals.append(-sum(vals))
-        a = E(*vals)
-        if not any(a):
+        if not any(vals):
             continue
-        assert resonance_kernel_dim(os2, a) == 1
+        assert resonance_kernel_dim(arr, zw(vals)) == 1
 
 
 def test_isotropic_basis_puts_the_generic_member_in_resonance(corpus_dir):
@@ -621,15 +607,14 @@ def test_isotropic_basis_puts_the_generic_member_in_resonance(corpus_dir):
     checked = 0
     for path in sorted(corpus_dir.glob("*.json")):
         arr = Arrangement.from_json(json.loads(path.read_text()))
-        os2 = build_os2(arr)
         local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
         for basis in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)]:
-            if not component_isotropy_check(os2, basis):
+            if not component_isotropy_check(arr, basis):
                 continue
             u, v = basis
             a = generic_member(basis)
-            assert wedge_vanishes(os2, a, u) and wedge_vanishes(os2, a, v)
-            assert resonance_kernel_dim(os2, a) >= 2
+            assert wedge_vanishes(arr, a, u) and wedge_vanishes(arr, a, v)
+            assert resonance_kernel_dim(arr, a) >= 2
             checked += 1
     assert checked == 50  # 38 triple points and 12 pencils over the corpus
 
@@ -648,13 +633,13 @@ def test_isotropy_is_unchanged_by_scaling_the_basis(corpus_dir):
     seen = set()
     for path in sorted(corpus_dir.glob("*.json")):
         arr = Arrangement.from_json(json.loads(path.read_text()))
-        os2 = build_os2(arr)
         local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
         mixed = [[first[0], second[1]] for first, second in zip(local, local[1:])]
         for u, v in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)] + mixed:
-            isotropic = component_isotropy_check(os2, [u, v])
+            isotropic = component_isotropy_check(arr, [u, v])
             s, t = _nonzero_scalar(rng), _nonzero_scalar(rng)
-            assert component_isotropy_check(os2, [[s * x for x in u], [t * y for y in v]]) == isotropic, arr.label
+            scaled = [zw([s * x for x in qw(u)]), zw([t * y for y in qw(v)])]
+            assert component_isotropy_check(arr, scaled) == isotropic, arr.label
             seen.add(isotropic)
     assert seen == {True, False}
 
@@ -680,25 +665,19 @@ def _local_conditions(points, a):
             yield ((i, a[j]), (j, (-a[k][0] - a[i][0], -a[k][1] - a[i][1])), (k, a[j]))
 
 
-def _scaled(a):
-    """The weight vector a scaled once into Z[w]."""
-    return integer_row(a)[0]
-
-
-def _all_points_kernel_dim(os2, a):
+def _all_points_kernel_dim(arr, a):
     rows = []
-    for cond in _local_conditions(os2.points, _scaled(a)):
+    for cond in _local_conditions([pt.lines for pt in intersection_points(arr)], a):
         if any(c != (0, 0) for _, c in cond):
-            row = [(0, 0)] * os2.r
+            row = [(0, 0)] * arr.r
             for l, c in cond:
                 row[l] = c
             rows.append(row)
-    return os2.r - peeled_rank(rows)
+    return arr.r - peeled_rank(rows)
 
 
-def _all_points_wedge(os2, a, b):
-    b = _scaled(b)
-    for cond in _local_conditions(os2.points, _scaled(a)):
+def _all_points_wedge(arr, a, b):
+    for cond in _local_conditions([pt.lines for pt in intersection_points(arr)], a):
         x = y = 0
         for l, c in cond:
             p, q = pair_mul(c, b[l])
@@ -709,14 +688,14 @@ def _all_points_wedge(os2, a, b):
 
 
 def _sum_zero_weight(rng, r, size):
-    """A nonzero weight with w-parts and coordinate sum zero on ``size`` random lines."""
+    """A nonzero Z[w] weight with w-parts and coordinate sum zero on ``size`` random lines."""
     while True:
         first, *rest = rng.sample(range(r), size)
-        a = [ZERO] * r
+        a = [(0, 0)] * r
         for l in rest:
-            a[l] = EisensteinNumber(rng.randint(-4, 4), rng.randint(-3, 3))
-        a[first] = -sum(a, ZERO)
-        if any(a):
+            a[l] = (rng.randint(-4, 4), rng.randint(-3, 3))
+        a[first] = (-sum(x for x, _ in a), -sum(y for _, y in a))
+        if any(x != (0, 0) for x in a):
             return a
 
 
@@ -726,24 +705,23 @@ def test_cuspidal_kernels_and_wedges_against_all_points(m):
     r = 15, 25 and 41 lines, plus seeded sum-zero weights on two to ten lines
     and on all of them, equal the all-points answers."""
     arr = cuspidal_dual(m)
-    os2 = build_os2(arr)
     rng = random.Random(m)
     bases = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
     seen = set()
     for (u, v), (_, other) in zip(bases, bases[1:] + bases[:1]):
         a = generic_member([u, v])
-        assert resonance_kernel_dim(os2, a) == _all_points_kernel_dim(os2, a)
+        assert resonance_kernel_dim(arr, a) == _all_points_kernel_dim(arr, a)
         for b in (v, other):
-            vanishes = wedge_vanishes(os2, u, b)
-            assert vanishes == _all_points_wedge(os2, u, b)
+            vanishes = wedge_vanishes(arr, u, b)
+            assert vanishes == _all_points_wedge(arr, u, b)
             seen.add(vanishes)
     for size in (2, 3, 4, 6, 10) * 4 + (arr.r,):
         a, b = _sum_zero_weight(rng, arr.r, size), _sum_zero_weight(rng, arr.r, size)
-        assert resonance_kernel_dim(os2, a) == _all_points_kernel_dim(os2, a)
-        lam = EisensteinNumber(rng.randint(1, 3), rng.randint(-2, 2))
-        for b in (b, [lam * x for x in a]):
-            vanishes = wedge_vanishes(os2, a, b)
-            assert vanishes == _all_points_wedge(os2, a, b)
+        assert resonance_kernel_dim(arr, a) == _all_points_kernel_dim(arr, a)
+        lam = (rng.randint(1, 3), rng.randint(-2, 2))
+        for b in (b, [pair_mul(lam, x) for x in a]):
+            vanishes = wedge_vanishes(arr, a, b)
+            assert vanishes == _all_points_wedge(arr, a, b)
             seen.add(vanishes)
     assert seen == {True, False}
 
@@ -752,7 +730,7 @@ def test_local_candidate_reads_only_points_on_its_support_lines(monkeypatch):
     """On the 41 cuspidal lines, a local candidate's kernel and isotropy
     check read the points on its three lines, 60 of the 420."""
     arr = cuspidal_dual(20)
-    os2 = build_os2(arr)
+    points = [pt.lines for pt in intersection_points(arr)]
     read = []
     rules = resonance._point_rules
 
@@ -763,13 +741,13 @@ def test_local_candidate_reads_only_points_on_its_support_lines(monkeypatch):
 
     monkeypatch.setattr(resonance, "_point_rules", recording)
     pt = next(pt for pt in intersection_points(arr) if pt.multiplicity == 3)
-    on_support = [p for p in os2.points if set(p) & set(pt.lines)]
-    assert (len(os2.points), len(on_support)) == (420, 60)
+    on_support = [p for p in points if set(p) & set(pt.lines)]
+    assert (len(points), len(on_support)) == (420, 60)
     basis = triple_point_basis(pt, arr.r)
-    assert resonance_kernel_dim(os2, generic_member(basis)) == 2
+    assert resonance_kernel_dim(arr, generic_member(basis)) == 2
     assert read == on_support
     read.clear()
-    assert component_isotropy_check(os2, basis)
+    assert component_isotropy_check(arr, basis)
     assert read == [pt.lines]
 
 
@@ -808,10 +786,10 @@ def _decision_sample(corpus_dir):
     return arrangements + [cuspidal_dual(m) for m in (7, 12, 20)]
 
 
-def _fields(os2, basis):
+def _fields(arr, basis):
     """(isotropic, kernel_dim of the generic member u + 2v) from the public
     isotropy check and kernel solve."""
-    return component_isotropy_check(os2, basis), resonance_kernel_dim(os2, generic_member(basis))
+    return component_isotropy_check(arr, basis), resonance_kernel_dim(arr, generic_member(basis))
 
 
 def test_one_pass_per_candidate_matches_the_two_call_path(corpus_dir):
@@ -822,15 +800,14 @@ def test_one_pass_per_candidate_matches_the_two_call_path(corpus_dir):
     vectors."""
     seen = Counter()
     for arr in _decision_sample(corpus_dir):
-        os2 = build_os2(arr)
         local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
         mixed = [[first[0], second[1]] for first, second in zip(local, local[1:])][:3]
         for basis in local + [pencil_basis(p, arr.r) for p in find_pencils(arr)] + mixed:
-            fields = _fields(os2, basis)
-            assert fields == decision_oracle.two_call_fields(os2, basis), arr.label
+            fields = _fields(arr, basis)
+            assert fields == decision_oracle.two_call_fields(arr, basis), arr.label
             u, v = basis
-            assert resonance_kernel_dim(os2, u) == decision_oracle.kernel_dim(os2, u), arr.label
-            assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v) == fields[0], arr.label
+            assert resonance_kernel_dim(arr, u) == decision_oracle.kernel_dim(arr, u), arr.label
+            assert wedge_vanishes(arr, u, v) == decision_oracle.wedge(arr, u, v) == fields[0], arr.label
             seen[fields] += 1
     assert {isotropic for isotropic, _ in seen} == {True, False}
     assert {dim for _, dim in seen} == {1, 2}, seen
@@ -848,7 +825,7 @@ def _integer_bases(draw):
     entries = st.lists(st.integers(-3, 3), min_size=arr.r, max_size=arr.r)
     if draw(st.booleans()):
         pt = draw(st.sampled_from([pt for pt in intersection_points(arr) if pt.multiplicity == 3]))
-        u, v = triple_point_basis(pt, arr.r)
+        u, v = ([x for x, _ in vec] for vec in triple_point_basis(pt, arr.r))
         s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         basis = [[x + s * y for x, y in zip(u, v)], [t * x + y for x, y in zip(u, v)]]
     else:
@@ -860,23 +837,22 @@ def _integer_bases(draw):
     if draw(st.booleans()):
         c = draw(st.integers(-2, 2))
         basis[1] = [c * x for x in basis[0]]
-    return arr, basis, extra
+    return arr, [zw(vec) for vec in basis], extra and zw(extra)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_bases())
 def test_integer_bases_against_the_two_call_path(drawn):
     arr, basis, extra = drawn
-    os2 = build_os2(arr)
     u, v = basis
-    assert _outcome(_fields, os2, basis) == _outcome(decision_oracle.two_call_fields, os2, basis)
-    assert _outcome(component_isotropy_check, os2, basis) == _outcome(decision_oracle.isotropy, os2, basis)
-    assert wedge_vanishes(os2, u, v) == decision_oracle.wedge(os2, u, v)
-    if any(u):
-        assert resonance_kernel_dim(os2, u) == decision_oracle.kernel_dim(os2, u)
+    assert _outcome(_fields, arr, basis) == _outcome(decision_oracle.two_call_fields, arr, basis)
+    assert _outcome(component_isotropy_check, arr, basis) == _outcome(decision_oracle.isotropy, arr, basis)
+    assert wedge_vanishes(arr, u, v) == decision_oracle.wedge(arr, u, v)
+    if any(x != (0, 0) for x in u):
+        assert resonance_kernel_dim(arr, u) == decision_oracle.kernel_dim(arr, u)
     if extra is not None:
         three = basis + [extra]
-        assert _outcome(component_isotropy_check, os2, three) == _outcome(decision_oracle.isotropy, os2, three)
+        assert _outcome(component_isotropy_check, arr, three) == _outcome(decision_oracle.isotropy, arr, three)
 
 
 @pytest.mark.parametrize(
@@ -884,31 +860,32 @@ def test_integer_bases_against_the_two_call_path(drawn):
     [(1.0, ValueError), (True, ValueError), ("1+", ParseError), ("x", ParseError), ("1/0", ParseError)],
     ids=["float", "bool", "dangling sign", "no number", "zero denominator"],
 )
-def test_weights_reject_floats_bools_and_malformed_strings(bad, error):
-    os2 = build_os2(braid())
-    weights = [bad, -1, "0", Fraction(1, 2), EisensteinNumber(0, 1), 0]
-    for probe in (
-        lambda: resonance_kernel_dim(os2, weights),
-        lambda: wedge_vanishes(os2, [1, -1, 0, 0, 0, 0], weights),
-        lambda: component_isotropy_check(os2, [weights, [0, 1, -1, 0, 0, 0]]),
-    ):
-        with pytest.raises(error) as caught:
-            probe()
-        if error is ValueError:
-            assert not isinstance(caught.value, ParseError)
+def test_weights_reject_floats_bools_and_malformed_strings(capsys, corpus_dir, bad, error):
+    """Weights reach ``resonance`` as Z[w] pairs, read by ``integer_row``, the
+    one reader: a float or a bool is a ValueError that is no ParseError, and
+    malformed text a ParseError; through ``--vector`` either is an input
+    error."""
+    with pytest.raises(error) as caught:
+        integer_row([bad, -1, "0", Fraction(1, 2), EisensteinNumber(0, 1), 0])
+    if error is ValueError:
+        assert not isinstance(caught.value, ParseError)
+    code = cli.main(["resonance", str(corpus_dir / "braid.json"), "--vector", json.dumps([bad, -1, "0", "1/2", "w", 0])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err)["error"].startswith("--vector is not a list of field elements: ")
 
 
 def test_string_weights_build_no_field_element(monkeypatch):
-    """A weight vector of strings is read into Z[w] pairs, support and all,
-    without an EisensteinNumber per entry; "0/3" is zero, off the support,
-    and its denominator joins the scale 6."""
-    os2 = build_os2(braid())
+    """A weight vector of strings is read into Z[w] pairs without an
+    EisensteinNumber per entry; "0/3" is zero, off the support, and its
+    denominator joins the scale 6.  The kernel of those pairs is that of the
+    Q(w) vector."""
     a = ["1/2", "-w", "0", "0/3", "-1/2+w", "0"]
-    expected = resonance_kernel_dim(os2, a)
+    expected = resonance_kernel_dim(braid(), zw(E(*a)))
 
     def refuse(*args):
         raise AssertionError("an EisensteinNumber was built")
 
     monkeypatch.setattr(EisensteinNumber, "__init__", refuse)
-    assert resonance._weights(6, a) == ([(3, 0), (0, -6), (0, 0), (0, 0), (-3, 6), (0, 0)], [0, 1, 4])
-    assert resonance_kernel_dim(os2, a) == expected
+    assert integer_row(a) == ([(3, 0), (0, -6), (0, 0), (0, 0), (-3, 6), (0, 0)], 6)
+    assert resonance_kernel_dim(braid(), zw(a)) == expected
