@@ -13,11 +13,14 @@ triple groups the r(r - 1)/2 crossings exactly in O(r^2) steps, with no
 check after it, and each point stores only that canonical triple and its
 lines.  Lines and points store no Q(w) form, and build none to be printed:
 the strings of their Q(w) coordinates, lead coordinate 1, are printed from
-the integers by ``eisenstein.normalized_strs``, and the points are sorted
-by those strings.
+the integers by ``eisenstein.normalized_strs``.  The points on three or
+more lines, the only ones whose order is printed, come first, sorted by
+multiplicity, highest first, then by those strings; the double points
+follow in the order the pass creates them, by increasing pair of lines
+(i, j), and are never printed to be sorted.
 
 The incidence data is built once per arrangement and kept on it as one
-``Incidence`` record that every layer reads: the sorted points, the index of
+``Incidence`` record that every layer reads: the ordered points, the index of
 the points on each line, the first point on more than three lines, if any,
 and, on first use, the F3 basis of the mod-3 cocycles that ``pencils``
 reads for beta_3 and the candidate partitions.  A double point only says
@@ -206,10 +209,13 @@ class IncidencePoint:
 class Incidence:
     """The incidence data of an arrangement of r lines, read by every layer.
 
-    ``points`` are the incidence points, ``on_line[l]`` the increasing
-    indices in ``points`` of the points on line l, and ``violation`` the
-    first point on more than three lines, or None.  ``cocycles`` is built
-    on first use.
+    ``points`` are the incidence points in the order given: from
+    ``incidence``, the points on three or more lines by multiplicity,
+    highest first, and then by their printed coordinates, followed by the
+    double points by their pair of lines (i, j).  ``on_line[l]`` holds the
+    increasing indices in ``points`` of the points on line l, and
+    ``violation`` the first point on more than three lines, or None.
+    ``cocycles`` is built on first use.
 
     Every layer relies on each pair of lines meeting at exactly one listed
     point, so the one pass that indexes the points also marks each point's
@@ -295,10 +301,14 @@ def incidence(arr: Arrangement) -> Incidence:
     lines, and the row of the least line finds every other line j of the
     point: j joins the group, and the pairs (k, j) for the lines k already
     in the group past its least, the same point, are marked and skipped
-    unread in their rows later.  Each point keeps its key; the points are
-    sorted by multiplicity, highest first, then by the strings of their
-    normalized coordinates, which ``eisenstein.normalized_strs`` prints from
-    the integers.
+    unread in their rows later.  Each point keeps its key.  The points on
+    three or more lines come first, sorted by multiplicity, highest first,
+    then by the strings of their normalized coordinates, which
+    ``eisenstein.normalized_strs`` prints from the integers: their order is
+    printed, by ``local_components`` and by the point that fails the
+    multiplicity check.  The double points follow in the order the pass
+    creates them, the dict's insertion order, which is increasing (i, j)
+    and does not depend on hashing; no string is built for them.
     """
     if arr._incidence is None:
         lines = [line.pairs for line in arr.lines]
@@ -318,17 +328,17 @@ def incidence(arr: Arrangement) -> Incidence:
                 for k in group[1:]:
                     covered[k][j] = 1
                 group.append(j)
-        keyed = [
-            ((-len(through), normalized_strs(c)), IncidencePoint(c, tuple(through))) for c, through in groups.items()
-        ]
-        keyed.sort(key=lambda entry: entry[0])
-        arr._incidence = Incidence((pt for _, pt in keyed), r)
+        multiple, double = [], []
+        for c, through in groups.items():
+            (double if len(through) == 2 else multiple).append(IncidencePoint(c, tuple(through)))
+        multiple.sort(key=lambda pt: (-len(pt.lines), normalized_strs(pt.pairs)))
+        arr._incidence = Incidence(multiple + double, r)
     return arr._incidence
 
 
 def intersection_points(arr: Arrangement) -> tuple[IncidencePoint, ...]:
     """All pairwise intersections, grouped exactly into incidence points: the
-    points of ``incidence(arr)``, computed once per arrangement."""
+    points of ``incidence(arr)`` in its order, computed once per arrangement."""
     return incidence(arr).points
 
 

@@ -25,7 +25,9 @@ entry of a row once, an EisensteinNumber, a Fraction, an int or a string,
 as those parts, so text reaches Z[w] without a Fraction, and returns the
 row scaled by the lcm of its denominators together with that scale.
 ``canonical_pairs`` is the normal form of a projective Z[w] triple: first
-nonzero entry a positive integer, integer content 1.  A projective point
+nonzero entry a positive integer, integer content 1.  It takes triples
+only, written out over their six integers, and raises ValueError on the
+zero triple and on anything that is not three pairs.  A projective point
 is printed with no Q(w) object: ``normalized_strs`` prints the Q(w) triple
 of the same point whose first nonzero entry is 1 from the canonical triple,
 and it and any (a + b*w) / d over Z[w] are printed by ``quotient_str``,
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 # ASCII digits only: ``\d`` would also match other scripts' decimal digits.
@@ -377,24 +378,40 @@ def pair_dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
     return (a0 * c0 + a1 * c1 + a2 * c2 - bd, a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 - bd)
 
 
-def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, ...]:
+def canonical_pairs(p: Sequence[Pair]) -> tuple[Pair, Pair, Pair]:
     """The Z[w] triple proportional to the nonzero triple p whose first nonzero
     entry is a positive integer and whose integer content is 1.
 
-    It is computed without fractions: multiplying by the conjugate
-    (a - b) - b*w of the lead a + b*w makes the lead its norm a^2 - a*b + b^2
-    (a lead with b = 0 needs only its sign), and dividing by the gcd of all
-    the integers makes the content 1.  Two triples are proportional iff their
-    canonical triples are equal.
+    It is written out over the six integers, with no fractions: the lead
+    a + b*w is found by comparisons; when b != 0, multiplying by its
+    conjugate (a - b) - b*w takes each entry x + y*w to
+    (x*(a - b) + y*b) + (y*a - x*b)*w and the lead to its norm
+    a^2 - a*b + b^2, and when b = 0 only the sign of a is fixed; one gcd of
+    the six integers then makes the content 1.  Two triples are
+    proportional iff their canonical triples are equal.  p must be three
+    pairs and not all zero; anything else raises ValueError.
     """
-    a, b = next(v for v in p if v != (0, 0))
+    try:
+        (x0, y0), (x1, y1), (x2, y2) = p
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a triple of Z[w] pairs, not {p!r}") from None
+    if x0 or y0:
+        a, b = x0, y0
+    elif x1 or y1:
+        a, b = x1, y1
+    elif x2 or y2:
+        a, b = x2, y2
+    else:
+        raise ValueError("the zero triple is no projective point")
     if b:
-        ca, cb = a - b, -b
-        p = [(x * ca - y * cb, x * cb + y * ca - y * cb) for x, y in p]
+        c = a - b
+        x0, y0 = x0 * c + y0 * b, y0 * a - x0 * b
+        x1, y1 = x1 * c + y1 * b, y1 * a - x1 * b
+        x2, y2 = x2 * c + y2 * b, y2 * a - x2 * b
     elif a < 0:
-        p = [(-x, -y) for x, y in p]
-    g = math.gcd(*chain.from_iterable(p))
-    return tuple((x // g, y // g) for x, y in p)
+        x0, y0, x1, y1, x2, y2 = -x0, -y0, -x1, -y1, -x2, -y2
+    g = math.gcd(x0, y0, x1, y1, x2, y2)
+    return ((x0 // g, y0 // g), (x1 // g, y1 // g), (x2 // g, y2 // g))
 
 
 def quotient_str(v: Pair, d: int) -> str:
@@ -405,13 +422,15 @@ def quotient_str(v: Pair, d: int) -> str:
     return format_parts(a // ga, d // ga, b // gb, d // gb)
 
 
-def normalized_strs(c: Sequence[Pair]) -> tuple[str, ...]:
+def normalized_strs(c: Sequence[Pair]) -> tuple[str, str, str]:
     """The strings of the Q(w) triple proportional to the triple c from
     ``canonical_pairs`` whose first nonzero entry is 1, computed from
-    integers: with lead the positive integer L, each entry v is v / L
-    (``quotient_str``)."""
-    lead = next(x for x, _ in c if x)
-    return tuple(quotient_str(v, lead) for v in c)
+    integers: the lead is the positive integer L, the first nonzero real
+    part of c, since the entries before it are zero, and each entry v is
+    printed as v / L (``quotient_str``)."""
+    u, v, t = c
+    lead = u[0] or v[0] or t[0]
+    return (quotient_str(u, lead), quotient_str(v, lead), quotient_str(t, lead))
 
 
 ZERO = EisensteinNumber(0)

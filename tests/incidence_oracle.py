@@ -48,7 +48,10 @@ def line_intersection(l1, l2):
 
 
 def intersection_points(arr):
-    """All pairwise intersections, grouped by their normalized triples."""
+    """All pairwise intersections, grouped by their normalized triples: the
+    points on three or more lines first, by multiplicity, highest first,
+    then by the strings of their coordinates; then the double points, by
+    their pair of lines."""
     groups = {}
     n = arr.r
     for i in range(n):
@@ -56,7 +59,7 @@ def intersection_points(arr):
             p = line_intersection(arr.lines[i], arr.lines[j])
             groups.setdefault(p, set()).update((i, j))
     points = [OraclePoint(p, tuple(sorted(idx))) for p, idx in groups.items()]
-    points.sort(key=lambda ip: (-ip.multiplicity, tuple(str(c) for c in ip.point)))
+    points.sort(key=lambda ip: (-ip.multiplicity, ip.lines if ip.multiplicity == 2 else tuple(str(c) for c in ip.point)))
     return tuple(points)
 
 

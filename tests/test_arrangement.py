@@ -183,6 +183,17 @@ def test_lines_and_points_print_their_qw_view_from_integers(incidence_inputs):
     assert pt.point_str() == "[" + ":".join(str(c) for c in expected) + "]" == "[1:5+2*w:0]"
 
 
+def test_hand_built_zero_point_raises_value_error():
+    """A point built by hand at the zero triple is no projective point: it
+    is printed through ``canonical_pairs``, which raises ValueError, not a
+    bare StopIteration that a generator would turn into RuntimeError."""
+    pt = IncidencePoint(((0, 0),) * 3, (0, 1))
+    with pytest.raises(ValueError, match="zero triple"):
+        pt.point_str()
+    with pytest.raises(ValueError, match="zero triple"):
+        list(pt.to_json() for _ in range(1))
+
+
 class _Unscannable(tuple):
     def __iter__(self):
         raise AssertionError("the points were scanned again")
@@ -352,6 +363,18 @@ def test_points_do_not_depend_on_line_order():
     original = {p.pairs for p in intersection_points(arr)}
     permuted = {p.pairs for p in intersection_points(shuffled)}
     assert original == permuted
+
+
+def test_double_points_come_in_the_order_of_their_pairs(incidence_inputs):
+    """The points on three or more lines come first, by multiplicity, highest
+    first, then by their printed coordinates; the double points follow by
+    their pair of lines (i, j), the order the pass meets them in."""
+    for arr in incidence_inputs + [cuspidal_dual(30)]:
+        points = intersection_points(arr)
+        multiple = [pt for pt in points if pt.multiplicity > 2]
+        assert list(points[: len(multiple)]) == multiple
+        assert multiple == sorted(multiple, key=lambda pt: (-pt.multiplicity, tuple(pt.to_json()["point"])))
+        assert [pt.lines for pt in points[len(multiple) :]] == sorted(pt.lines for pt in points if pt.multiplicity == 2)
 
 
 def _violation(arr):

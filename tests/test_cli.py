@@ -1074,8 +1074,9 @@ def _timed_cuspidal_analyze(capsys, tmp_path, m):
 def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
     """450 triple points, each a local component whose two fields Brieskorn's
     rule gives with no pass, and 1830 crossings grouped by the canonical
-    triples of their cross products.  About 0.013 s on a shared 2-vCPU host
-    (python 3.11.7); the gate leaves CI headroom."""
+    triples of their cross products.  About 0.04 s in this test, on a cold
+    first call, on a shared 2-vCPU host (python 3.11.7); the gate leaves CI
+    headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 30)
     assert report["point_census"] == {"3": 450, "2": 480}
     assert len(report["resonance"]["local_components"]) == 450
@@ -1085,8 +1086,9 @@ def test_analyze_61_cuspidal_lines_within_its_gate(capsys, tmp_path):
 def test_analyze_91_cuspidal_lines_within_its_gate(capsys, tmp_path):
     """1013 triple points, each a local component printed from the rule as
     isotropic with a 2-dimensional kernel, and 4095 crossings grouped by
-    the canonical triples of their cross products.  About 0.03 s on a
-    shared 2-vCPU host (python 3.11.7); the gate leaves CI headroom."""
+    the canonical triples of their cross products.  About 0.03 s in this
+    test on a shared 2-vCPU host (python 3.11.7); the gate leaves CI
+    headroom."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 45)
     assert report["point_census"] == {"3": 1013, "2": 1056}
     local = report["resonance"]["local_components"]
@@ -1099,13 +1101,26 @@ def test_analyze_301_cuspidal_lines_within_its_gate(capsys, tmp_path):
     """45150 crossings in 22650 points, 11250 of them triple: incidence in
     one pass keyed by the canonical triples of the cross products, which
     reads two of the three pairs of each triple point, and no rule pass,
-    since there is no pencil.  About 0.38 s on a shared 2-vCPU host
-    (python 3.11.7), where an O(r^3) exact scan and a pass per local
-    component took 12 s."""
+    since there is no pencil.  About 0.43 s in this test on a shared 2-vCPU
+    host (python 3.11.7), 0.58-0.70 s before the canonical triple was
+    written out and the sort key skipped the double points, and 12 s with
+    an O(r^3) exact scan and a pass per local component."""
     report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 150)
     assert report["point_census"] == {"3": 11250, "2": 11400}
     assert len(report["resonance"]["local_components"]) == 11250
-    assert elapsed < 2.0
+    assert elapsed < 1.5
+
+
+def test_analyze_601_cuspidal_lines_within_its_gate(capsys, tmp_path):
+    """180300 crossings in 90300 points, 45000 of them triple, each a local
+    component printed from the rule; the sort key prints coordinates only
+    for the triple points, and the double points stay in the order of the
+    pass.  About 1.9-2.05 s in this test on a shared 2-vCPU host (python
+    3.11.7), against 2.76-2.96 s before; the gate is about 4 times that."""
+    report, elapsed = _timed_cuspidal_analyze(capsys, tmp_path, 300)
+    assert report["point_census"] == {"3": 45000, "2": 45300}
+    assert len(report["resonance"]["local_components"]) == 45000
+    assert elapsed < 8.0
 
 
 @pytest.mark.parametrize("m, census", [(13, {"3": 85, "2": 96}), (16, {"3": 128, "2": 144})], ids=["r=27", "r=33"])

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from incidence_oracle import normalize_pairs
 from pencilfiber.eisenstein import (
     MU3,
     OMEGA,
@@ -15,6 +17,7 @@ from pencilfiber.eisenstein import (
     integer_row,
     json_int,
     normalized_strs,
+    pair_mul,
     parse_eisenstein,
 )
 
@@ -92,6 +95,80 @@ def test_normalized_is_the_triple_normalized_strs_prints(p):
     lead = EisensteinNumber(*next(v for v in p if v != (0, 0)))
     normalized = tuple(EisensteinNumber(*v) / lead for v in p)
     assert normalized == tuple(map(parse_eisenstein, normalized_strs(canonical_pairs(p))))
+
+
+def _oracle_canonical(p):
+    """The canonical triple from the Q(w) oracle: p divided by its lead, then
+    scaled into Z[w] by the lcm of the denominators, so lead a positive
+    integer and content 1."""
+    return tuple(integer_row(normalize_pairs(p))[0])
+
+
+_LEADS = {
+    "w-part": lambda rng, big: (rng.randint(-big, big), rng.choice([-1, 1]) * rng.randint(1, big)),
+    "negative": lambda rng, big: (-rng.randint(1, big), 0),
+    "positive": lambda rng, big: (rng.randint(1, big), 0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LEADS))
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_canonical_pairs_matches_the_qw_oracle(position, kind):
+    """The written-out normal form equals the oracle's with the lead in each
+    position, a lead with a w-part, a negative or a positive integer lead,
+    entries up to and beyond 2**64, and a common factor that only some
+    entries show."""
+    rng = random.Random(f"{position} {kind}")
+    for big in (3, 2**20, 2**70, 2**130):
+        for _ in range(60):
+            entry = lambda: (rng.randint(-big, big) * (rng.random() < 0.8), rng.randint(-big, big) * (rng.random() < 0.5))
+            p = [(0, 0)] * position + [_LEADS[kind](rng, big)] + [entry() for _ in range(2 - position)]
+            if rng.random() < 0.5:
+                # a factor shared by every entry but the last, which the gcd must still read
+                f = rng.randint(2, big + 2)
+                p = [(f * a, f * b) for a, b in p[:2]] + p[2:]
+            assert canonical_pairs(p) == _oracle_canonical(p), p
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # the first four integers share 2, the fifth does not
+        (((6, 0), (4, 2), (3, 0)), ((6, 0), (4, 2), (3, 0))),
+        # the lead is last, so the first four integers are zero
+        (((0, 0), (0, 0), (-4, 0)), ((0, 0), (0, 0), (1, 0))),
+        # lead w: times its conjugate -1 - w it is 1, and w * (-1 - w) = 1
+        (((0, 1), (0, 2), (0, 0)), ((1, 0), (2, 0), (0, 0))),
+        # lead 1 + 2w has norm 1 - 2 + 4 = 3, the content is 1 after the multiply
+        (((1, 2), (3, 0), (2**64, 0)), ((3, 0), (-3, -6), (-(2**64), -(2**65)))),
+    ],
+)
+def test_canonical_pairs_examples(p, expected):
+    assert canonical_pairs(p) == expected == _oracle_canonical(p)
+
+
+zw_nonzero = st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)).filter(lambda v: v != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(zw_entries, zw_entries, zw_entries).filter(lambda p: p != ((0, 0),) * 3), zw_nonzero)
+@example(((0, 0), (3, 0), (1, 2)), (2, 0))
+@example(((0, 0), (0, 0), (1, 0)), (0, 1))
+@example(((5, 1), (0, 0), (2, -3)), (-1, -1))
+def test_canonical_pairs_of_a_multiple(p, c):
+    """Scaling a triple by a nonzero element c of Z[w] leaves its canonical
+    triple unchanged: the form names the projective point."""
+    assert canonical_pairs([pair_mul(c, v) for v in p]) == canonical_pairs(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [((0, 0), (0, 0), (0, 0)), [(0, 0)] * 3, ((1, 0), (0, 0)), ((1, 0), (0, 0), (0, 0), (0, 0)), (), (1, 2, 3), ((1, 0, 0), (0, 0), (0, 0))],
+    ids=["zero", "zero list", "two pairs", "four pairs", "empty", "ints", "a triple entry"],
+)
+def test_canonical_pairs_rejects_the_zero_triple_and_non_triples(p):
+    with pytest.raises(ValueError):
+        canonical_pairs(p)
 
 
 def test_self_division():
