@@ -20,13 +20,15 @@ follow in the order the pass creates them, by increasing pair of lines
 (i, j), and are never printed to be sorted.
 
 The incidence data is built once per arrangement and kept on it as one
-``Incidence`` record that every layer reads: the ordered points, the index of
-the points on each line, the first point on more than three lines, if any,
-and, on first use, the F3 basis of the mod-3 cocycles that ``pencils``
-reads for beta_3 and the candidate partitions.  A double point only says
-that its two lines carry one label, so a union-find joins them into
-classes, and ``linalg.nullspace_f3`` receives one row per triple point over
-one column per class; the basis is expanded back to the lines by class.
+``Incidence`` record that every layer reads: the ordered points, those on
+three or more lines (``triples``, where every layer finds the triple
+points), the index of the points on each line, the first point on more
+than three lines, if any, and, on first use, the F3 basis of the mod-3
+cocycles that ``pencils`` reads for beta_3 and the candidate partitions.
+A double point only says that its two lines carry one label, so a
+union-find joins them into classes, and ``linalg.nullspace_f3`` receives
+one row per point of ``triples`` over one column per class; the basis is
+expanded back to the lines by class.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
 points; double points are determined by r and those.  The canonical form is
@@ -212,10 +214,12 @@ class Incidence:
     ``points`` are the incidence points in the order given: from
     ``incidence``, the points on three or more lines by multiplicity,
     highest first, and then by their printed coordinates, followed by the
-    double points by their pair of lines (i, j).  ``on_line[l]`` holds the
-    increasing indices in ``points`` of the points on line l, and
-    ``violation`` the first point on more than three lines, or None.
-    ``cocycles`` is built on first use.
+    double points by their pair of lines (i, j).  ``triples`` holds the
+    points on three or more lines in that order: the triple points past the
+    multiplicity gate, and a prefix of ``points`` from ``incidence``.
+    ``on_line[l]`` holds the increasing indices in ``points`` of the points
+    on line l, and ``violation`` the first point on more than three lines,
+    or None.  ``cocycles`` is built on first use.
 
     Every layer relies on each pair of lines meeting at exactly one listed
     point, so the one pass that indexes the points also marks each point's
@@ -225,11 +229,12 @@ class Incidence:
     so only a record built by hand can fail.
     """
 
-    __slots__ = ("points", "on_line", "violation", "_cocycles")
+    __slots__ = ("points", "triples", "on_line", "violation", "_cocycles")
 
     def __init__(self, points: Iterable[IncidencePoint], r: int) -> None:
         self.points = tuple(points)
         self.violation: IncidencePoint | None = None
+        triples = []
         on_line: list[list[int]] = [[] for _ in range(r)]
         covered = bytearray(r * r)
         for n, pt in enumerate(self.points):
@@ -239,10 +244,13 @@ class Incidence:
                 if covered[i * r + j]:
                     raise AssertionError(f"lines {i} and {j} meet at two incidence points")
                 covered[i * r + j] = 1
-            if self.violation is None and len(pt.lines) > 3:
-                self.violation = pt
+            if len(pt.lines) > 2:
+                triples.append(pt)
+                if self.violation is None and len(pt.lines) > 3:
+                    self.violation = pt
         if covered != b"".join(bytes(i + 1) + b"\1" * (r - i - 1) for i in range(r)):
             raise AssertionError("the incidence points do not cover each pair of lines exactly once")
+        self.triples = tuple(triples)
         self.on_line = tuple(tuple(ns) for ns in on_line)
         self._cocycles: list[list[int]] | None = None
 
@@ -253,9 +261,9 @@ class Incidence:
 
         The double points are solved without elimination: a union-find joins
         their lines into classes, each rooted at its largest line, and tau
-        is constant on a class.  ``nullspace_f3`` gets one row per triple
-        point over one column per class, in the order of the roots, with
-        the point's lines added into their classes' columns (two lines of
+        is constant on a class.  ``nullspace_f3`` gets one row per point of
+        ``triples`` over one column per class, in the order of the roots,
+        with the point's lines added into their classes' columns (two lines of
         one class give 2, three give 0 mod 3), and each basis vector is
         expanded back to the lines by class.  A kernel vector that is 1 at
         line j and 0 past it is constant on classes, so j is the largest
@@ -269,20 +277,17 @@ class Incidence:
         if self._cocycles is None:
             r = len(self.on_line)
             parent = list(range(r))
-            triples = []
             for pt in self.points:
-                if pt.multiplicity == 2:
+                if len(pt.lines) == 2:
                     i, j = find(parent, pt.lines[0]), find(parent, pt.lines[1])
                     parent[min(i, j)] = max(i, j)
-                else:
-                    triples.append(pt.lines)
             roots = [find(parent, l) for l in range(r)]
             column = {root: n for n, root in enumerate(sorted(set(roots)))}
             of_line = [column[root] for root in roots]
             rows = []
-            for lines in triples:
+            for pt in self.triples:
                 row = [0] * len(column)
-                for l in lines:
+                for l in pt.lines:
                     row[of_line[l]] += 1
                 rows.append(row)
             basis = nullspace_f3(rows, len(column))
@@ -476,10 +481,9 @@ def _orbit(seeds: list[int], maps: list[list[int]]) -> set[int]:
 
 def combinatorial_type(arr: Arrangement) -> CombinatorialType:
     """Exact combinatorial type; MultiplicityError above multiplicity 3."""
-    points = require_multiplicities_ok(arr).points
-    census = tuple(sorted(point_census(points).items()))
-    triples = [pt.lines for pt in points if pt.multiplicity == 3]
-    return CombinatorialType(arr.r, census, _canonical_encoding(triples))
+    record = require_multiplicities_ok(arr)
+    census = tuple(sorted(point_census(record.points).items()))
+    return CombinatorialType(arr.r, census, _canonical_encoding([pt.lines for pt in record.triples]))
 
 
 def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]]) -> Arrangement:

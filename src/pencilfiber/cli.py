@@ -197,11 +197,11 @@ def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition]) -> 
     for the level sets of a pencil's F3 cocycle, which ``find_pencils`` has
     certified, the basis is isotropic and its generic member's kernel is
     2-dimensional."""
-    triples = [pt.lines for pt in intersection_points(arr) if pt.multiplicity == 3]
+    triples = require_multiplicities_ok(arr).triples
     return {
         "quotient_rank": arr.r * (arr.r - 1) // 2 - len(triples),
         "relation_count": len(triples),
-        "local_components": [{"lines": list(lines), "isotropic": True, "kernel_dim": 2} for lines in triples],
+        "local_components": [{"lines": list(pt.lines), "isotropic": True, "kernel_dim": 2} for pt in triples],
         "pencil_components": [{"classes": [list(c) for c in p.classes], "isotropic": True, "kernel_dim": 2} for p in pencils],
     }
 
@@ -328,7 +328,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             arr = _load_arrangement(str(path))
             s = milnor_report(arr).s
             pencils = find_pencils(arr)
-            local = [triple_point_basis(pt, arr.r) for pt in intersection_points(arr) if pt.multiplicity == 3]
+            local = [triple_point_basis(pt, arr.r) for pt in require_multiplicities_ok(arr).triples]
             from_pencils = [pencil_basis(pencil, arr.r) for pencil in pencils]
             isotropic = [component_isotropy_check(arr, basis) for basis in local + from_pencils]
             planes = distinct_planes(from_pencils)

@@ -67,7 +67,7 @@ def _evaluation_rows(points: list[Sequence[T]], degree: int, one: T, mul: Callab
     return rows
 
 
-def _evaluation_matrix(points: list[IncidencePoint], degree: int) -> list[list[Pair]]:
+def _evaluation_matrix(points: Sequence[IncidencePoint], degree: int) -> list[list[Pair]]:
     """Rows of monomial values at the Z[w] triple of each point.
 
     Scaling a point by a nonzero scalar scales its row by that scalar to the
@@ -76,7 +76,7 @@ def _evaluation_matrix(points: list[IncidencePoint], degree: int) -> list[list[P
     return _evaluation_rows([pt.pairs for pt in points], degree, (1, 0), pair_mul)
 
 
-def _evaluation_residues(points: list[IncidencePoint], degree: int) -> list[list[int]]:
+def _evaluation_residues(points: Sequence[IncidencePoint], degree: int) -> list[list[int]]:
     """The image of ``_evaluation_matrix`` under w -> ZETA mod PRIME,
     computed from the residues of the coordinates."""
     coords = [[residue(v) for v in pt.pairs] for pt in points]
@@ -92,11 +92,10 @@ def superabundance(arr: Arrangement) -> int:
     and s = T - min(T, M) exactly.  Only a lower rank mod p falls back to
     the Bareiss rank over Z[w].
     """
-    points = require_multiplicities_ok(arr).points
+    triple = require_multiplicities_ok(arr).triples
     r = arr.r
     if r % 3 != 0:
         return 0
-    triple = [pt for pt in points if pt.multiplicity == 3]
     degree = 2 * r // 3 - 3
     full = min(len(triple), len(monomial_exponents(degree)))
     if rank_mod_p(_evaluation_residues(triple, degree)) == full:

@@ -198,15 +198,11 @@ def _dependence(rows: list[list[Pair]]) -> tuple[Pair, Pair, Pair] | None:
     return lam
 
 
-def _cocycles(arr: Arrangement) -> list[list[int]]:
-    """The F3 cocycle basis of the incidence record; MultiplicityError above
-    multiplicity 3, where its rows would not state the 3-net rules."""
-    return require_multiplicities_ok(arr).cocycles
-
-
 def beta3(arr: Arrangement) -> int:
-    """Dimension over F3 of the cocycles modulo sigma = (1, ..., 1); at most 2."""
-    return len(_cocycles(arr)) - 1
+    """Dimension over F3 of the cocycles modulo sigma = (1, ..., 1); at most 2.
+    MultiplicityError above multiplicity 3, where the cocycle rows would not
+    state the 3-net rules."""
+    return len(require_multiplicities_ok(arr).cocycles) - 1
 
 
 def _cocycle_classes(basis: list[list[int]]) -> Iterator[list[int]]:
@@ -236,7 +232,7 @@ def _cocycle_partitions(arr: Arrangement) -> list[tuple[tuple[int, ...], ...]]:
     """
     k = arr.r // 3
     found = []
-    for tau in _cocycle_classes(_cocycles(arr)):
+    for tau in _cocycle_classes(require_multiplicities_ok(arr).cocycles):
         classes: tuple[list[int], ...] = ([], [], [])
         for i, t in enumerate(tau):
             classes[t].append(i)

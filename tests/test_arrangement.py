@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import incidence_oracle
 import linalg_oracle
 from canonical_oracle import canonical_encoding
-from pencilfiber import arrangement
+from pencilfiber import arrangement, cli
 from pencilfiber.arrangement import (
     Arrangement,
     Incidence,
@@ -50,6 +50,8 @@ from pencilfiber.fixtures import (
     triangle,
 )
 from pencilfiber.linalg import PRIME, ZETA
+from pencilfiber.milnor import superabundance
+from pencilfiber.pencils import find_pencils
 
 ALL_FIXTURES = [dual_hesse, braid, ceva_two, triangle, concurrent_triple, generic_six, near_pencil_six]
 
@@ -219,6 +221,19 @@ def test_multiplicities_are_checked_once_per_arrangement(make):
         assert err.value.point.to_json() == {"point": ["0", "0", "1"], "lines": [0, 1, 2, 3], "multiplicity": 4}
 
 
+@pytest.mark.parametrize("make", [dual_hesse, braid, near_pencil_six], ids=lambda f: f.__name__)
+def test_triple_point_readers_do_not_scan_the_points(make):
+    """Superabundance and the resonance payload read the triple points from
+    the record's ``triples`` and never scan every point.  The pencils are
+    found first, since the cocycles read the double points."""
+    arr = make()
+    pencils = find_pencils(arr)
+    expected = superabundance(arr), cli._resonance_payload(arr, pencils)
+    record = incidence(arr)
+    record.points = _Unscannable(record.points)
+    assert (superabundance(arr), cli._resonance_payload(arr, pencils)) == expected
+
+
 @pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), near_pencil_six(), cuspidal_dual(7)], ids=lambda a: a.label)
 def test_incidence_record_indexes_points_by_line(arr):
     record = incidence(arr)
@@ -226,6 +241,8 @@ def test_incidence_record_indexes_points_by_line(arr):
     assert len(record.on_line) == arr.r
     for line in range(arr.r):
         assert record.on_line[line] == tuple(n for n, pt in enumerate(record.points) if line in pt.lines)
+    assert record.points[: len(record.triples)] == record.triples
+    assert all(len(pt.lines) == 2 for pt in record.points[len(record.triples) :])
 
 
 @pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), cuspidal_dual(7)], ids=lambda a: a.label)
@@ -241,16 +258,21 @@ def _dense_cocycles(points, r):
     return linalg_oracle.nullspace_f3(linalg_oracle.cocycle_rows(points, r), r)
 
 
+def _corpus_and_fixtures(corpus_dir):
+    """The corpus, every fixture, then cuspidal_dual at r = 7, 11, 21, 61."""
+    corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    builders = [*ALL_FIXTURES, generic_nine, four_concurrent, dual_hesse_pgl, braid_pgl]
+    return corpus + [b() for b in builders] + [cuspidal_dual(n) for n in (3, 5, 10, 30)]
+
+
 def test_cocycles_on_line_classes_are_the_dense_basis(corpus_dir):
     """The union-find solve gives the basis of one dense row per point: on
     the corpus, every fixture, seeded line orders of both, the 511
     sub-arrangements of dual_hesse and cuspidal_dual at r = 7, 11, 21, 61."""
-    corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
-    builders = [*ALL_FIXTURES, generic_nine, four_concurrent, dual_hesse_pgl, braid_pgl]
-    fixtures = [b() for b in builders] + [cuspidal_dual(n) for n in (3, 5, 10, 30)]
+    inputs = _corpus_and_fixtures(corpus_dir)
     rng = random.Random(28)
     orders = []
-    for arr in corpus + fixtures[:-1]:
+    for arr in inputs[:-1]:
         for _ in range(3):
             order = list(range(arr.r))
             rng.shuffle(order)
@@ -258,9 +280,33 @@ def test_cocycles_on_line_classes_are_the_dense_basis(corpus_dir):
     hesse = dual_hesse()
     subs = [hesse.reordered(subset) for n in range(1, 10) for subset in combinations(range(9), n)]
     assert len(subs) == 511
-    for arr in corpus + fixtures + orders + subs:
+    for arr in inputs + orders + subs:
         record = incidence(arr)
         assert record.cocycles == _dense_cocycles(record.points, arr.r), arr.label
+
+
+def test_incidence_obeys_hirzebruchs_inequality(corpus_dir):
+    """Hirzebruch ("Arrangements of lines and algebraic surfaces", 1983): r >= 6
+    complex lines with no point on r - 2 or more of them have
+    t_2 + t_3 >= r + t_5 + 2 t_6 + ...  With only double and triple points
+    that is t_2 + t_3 >= r, a bound from the topology of the plane that the
+    incidence pass knows nothing of.  Checked on the corpus, every fixture,
+    cuspidal_dual at r = 7, 11, 21, 61 and the 130 sub-arrangements of
+    dual_hesse with r >= 6; the braid arrangement meets it with slack 1."""
+    hesse = dual_hesse()
+    subs = [hesse.reordered(subset) for n in range(6, 10) for subset in combinations(range(9), n)]
+    assert len(subs) == 130
+    slack = []
+    for arr in _corpus_and_fixtures(corpus_dir) + subs:
+        record = incidence(arr)
+        if arr.r < 6 or record.violation is not None:
+            continue
+        t3 = len(record.triples)
+        t2 = point_census(record.points).get(2, 0)
+        assert t2 + t3 >= arr.r, arr.label
+        slack.append((t2 + t3 - arr.r, arr.label))
+    assert len(slack) == 152
+    assert min(slack) == (1, "braid")
 
 
 @st.composite
@@ -296,7 +342,9 @@ def incidence_records(draw):
 @example(([], 1))
 def test_cocycles_of_synthetic_records_are_the_dense_basis(record):
     points, r = record
-    assert Incidence(points, r).cocycles == _dense_cocycles(points, r)
+    built = Incidence(points, r)
+    assert built.triples == tuple(p for p in points if len(p.lines) > 2)
+    assert built.cocycles == _dense_cocycles(points, r)
 
 
 @pytest.mark.parametrize(
