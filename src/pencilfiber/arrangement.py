@@ -31,7 +31,11 @@ one row per point of ``triples`` over one column per class; the basis is
 expanded back to the lines by class.
 
 Combinatorial equivalence is incidence-structure isomorphism of the triple
-points; double points are determined by r and those.  The canonical form is
+points; double points are determined by r and those, so past the
+multiplicity gate r and ``triples`` give every count: t_3 = len(triples)
+triple points and C(r, 2) - 3 t_3 double points.  ``intersection_points``
+and ``point_census`` serve callers that want the points themselves; no
+layer reads a count from them.  The canonical form is
 exact at every size: colour refinement plus individualization (McKay and
 Piperno, "Practical graph isomorphism II", 2014) over the lines through
 triple points, keeping the least relabelled encoding over all discrete
@@ -368,12 +372,14 @@ class CombinatorialType:
     """Canonical certificate of the rank-2 incidence structure.
 
     ``canonical`` is the least relabelled encoding of the triple points over
-    the lines they cover, so two arrangements have equal types iff their
-    intersection lattices are isomorphic.
+    the lines they cover.  Past the multiplicity gate every other pair of
+    lines meets at one double point, so r and ``canonical`` fix the whole
+    lattice, its census included (len(canonical) triple points and
+    C(r, 2) - 3 len(canonical) double points): two arrangements have equal
+    types iff their intersection lattices are isomorphic.
     """
 
     r: int
-    census: tuple[tuple[int, int], ...]
     canonical: tuple[tuple[int, int, int], ...]
 
 
@@ -481,9 +487,8 @@ def _orbit(seeds: list[int], maps: list[list[int]]) -> set[int]:
 
 def combinatorial_type(arr: Arrangement) -> CombinatorialType:
     """Exact combinatorial type; MultiplicityError above multiplicity 3."""
-    record = require_multiplicities_ok(arr)
-    census = tuple(sorted(point_census(record.points).items()))
-    return CombinatorialType(arr.r, census, _canonical_encoding([pt.lines for pt in record.triples]))
+    triples = require_multiplicities_ok(arr).triples
+    return CombinatorialType(arr.r, _canonical_encoding([pt.lines for pt in triples]))
 
 
 def proj_transform(arr: Arrangement, matrix: Sequence[Sequence[EisensteinNumber]]) -> Arrangement:

@@ -47,8 +47,6 @@ from .arrangement import (
     IncidencePoint,
     MultiplicityError,
     combinatorial_type,
-    intersection_points,
-    point_census,
     require_multiplicities_ok,
 )
 from .catalan import (
@@ -207,12 +205,16 @@ def _resonance_payload(arr: Arrangement, pencils: list[PencilDecomposition]) -> 
 
 
 def _analysis_payload(arr: Arrangement) -> dict:
+    """The full report.  The census is read off r and the record's triples:
+    every pair of lines not on a triple point meets at one double point."""
     report = milnor_report(arr)
     pencils = find_pencils(arr)
+    t3 = len(require_multiplicities_ok(arr).triples)
+    census = {"3": t3, "2": arr.r * (arr.r - 1) // 2 - 3 * t3}
     return {
         "label": arr.label,
         "r": arr.r,
-        "point_census": {str(m): n for m, n in point_census(intersection_points(arr)).items()},
+        "point_census": {m: n for m, n in census.items() if n},
         "milnor": report.to_json(),
         "pencils": [p.to_json() for p in pencils],
         "pencil_count": len(pencils),
@@ -315,9 +317,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     tested by a rule pass over the points with two lines of its support, so
     crosscheck checks those fields independently.  No kernel dimension is
     solved: isotropy already puts both basis vectors in the kernel of the
-    generic member.  A combinatorial type includes r and the point census,
-    so types are computed only for the files whose (r, census) another file
-    shares; no other pair can have equal types."""
+    generic member.  A combinatorial type fixes r and the number t_3 of
+    triple points, so types are computed only for the files whose (r, t_3)
+    another file shares; no other pair can have equal types."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")
@@ -350,7 +352,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             "isotropy_all_ok": all(isotropic),
         }
         rows.append(row)
-        loaded.append((row, arr, (arr.r, tuple(sorted(point_census(intersection_points(arr)).items())))))
+        loaded.append((row, arr, (arr.r, len(local))))  # one local basis per triple point
     shared = Counter(key for _, _, key in loaded)
     typed = [(row, combinatorial_type(arr)) for row, arr, key in loaded if shared[key] > 1]
     failures = [

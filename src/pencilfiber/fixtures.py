@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .arrangement import Arrangement, Line, point_census, intersection_points, proj_transform
+from .arrangement import Arrangement, Line, incidence, proj_transform
 from .eisenstein import OMEGA, OMEGA2, EisensteinNumber
 
 
@@ -64,9 +64,8 @@ def conic_dual_lines(params: list[EisensteinNumber | int], label: str) -> Arrang
         raise ValueError("parameters must be pairwise distinct")
     lines = [Line(1, a, a * a) for a in params]
     arr = Arrangement(lines, label)
-    census = point_census(intersection_points(arr))
-    if not set(census) <= {2}:
-        raise AssertionError(f"conic-dual construction produced {census}")
+    if incidence(arr).triples:
+        raise AssertionError(f"conic-dual construction produced {incidence(arr).triples[0]}")
     return arr
 
 
@@ -83,9 +82,8 @@ def near_pencil_six() -> Arrangement:
     lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0)]
     lines += [Line(1, a, a * a) for a in (1, 2, 3)]
     arr = Arrangement(lines, "near_pencil_6")
-    census = point_census(intersection_points(arr))
-    if census != {3: 1, 2: 12}:
-        raise AssertionError(f"unexpected census {census}")
+    if [pt.lines for pt in incidence(arr).triples] != [(0, 1, 2)]:
+        raise AssertionError(f"unexpected triple points {incidence(arr).triples}")
     return arr
 
 

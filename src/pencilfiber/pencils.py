@@ -33,15 +33,15 @@ its normalized coefficients by the positive integer s (``Line.pairs`` and
 ``Line.scale``), and each class product is multiplied out as integer pairs
 (``forms.linear_product_pairs``): G_i = c_i * F_i, with c_i the product of
 the scales s of the class's lines.  A candidate is a pencil iff the
-coefficient matrix of G1, G2, G3, one row per monomial of degree k and one
-column per class, has rank 2 and its kernel vector has no zero entry;
-scaling a column by the positive integer c_i changes neither.  With three
-columns no elimination is needed (``_dependence``): the cross product
+coefficient matrix of G1, G2, G3, one row per monomial that one of them
+contains and one column per class, has rank 2 and its kernel vector has no
+zero entry; scaling a column by the positive integer c_i changes neither,
+and a monomial that none of them contains would only add a zero row.  With
+three columns no elimination is needed (``_dependence``): the cross product
 ``pair_cross`` lambda of two rows that are not proportional is nonzero, and
-the rank is 2 iff ``pair_dot`` gives lambda . row = 0 on every monomial
-row.  Those zero dots are the exact certificate of the dependence.  A
-nonzero dot means rank 3, no nonzero cross means rank 1, and either
-candidate is skipped.
+the rank is 2 iff ``pair_dot`` gives lambda . row = 0 on every row.  Those
+zero dots are the exact certificate of the dependence.  A nonzero dot means
+rank 3, no nonzero cross means rank 1, and either candidate is skipped.
 
 A pencil is its Z[w] certificate, however it was made.  ``find_pencils``
 stores G1, G2, G3 with the scales c_i, so F_i = G_i / c_i, and the kernel
@@ -84,7 +84,6 @@ from .eisenstein import (
     quotient_str,
 )
 from .forms import Exponent, HomForm, json_form_pairs, linear_product_pairs
-from .milnor import monomial_exponents
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +161,12 @@ def find_pencils(arr: Arrangement) -> list[PencilDecomposition]:
     if arr.r % 3:
         require_multiplicities_ok(arr)
         return []
-    k = arr.r // 3
-    monomials = monomial_exponents(k)
     lines = [line.pairs for line in arr.lines]
     line_scales = [line.scale for line in arr.lines]
     found: list[PencilDecomposition] = []
     for triple in _cocycle_partitions(arr):
         prods = tuple(linear_product_pairs(lines[i] for i in c) for c in triple)
-        kernel = _dependence([[p.get(e, (0, 0)) for p in prods] for e in monomials])
+        kernel = _dependence([[p.get(e, (0, 0)) for p in prods] for e in {**prods[0], **prods[1], **prods[2]}])
         if kernel is not None:
             scales = tuple(math.prod(line_scales[i] for i in c) for c in triple)
             # F_i = G_i / c_i, so l_i F_i sum to zero with l_i proportional to kernel_i * c_i

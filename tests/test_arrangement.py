@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -232,6 +233,35 @@ def test_triple_point_readers_do_not_scan_the_points(make):
     record = incidence(arr)
     record.points = _Unscannable(record.points)
     assert (superabundance(arr), cli._resonance_payload(arr, pencils)) == expected
+
+
+@pytest.mark.parametrize("arr", [dual_hesse(), braid(), near_pencil_six(), generic_six(), cuspidal_dual(7)], ids=lambda a: a.label)
+def test_counts_and_types_do_not_scan_the_points(arr):
+    """``combinatorial_type`` and the census that ``analyze`` prints read r and
+    the record's ``triples`` and never scan every point.  The cocycles are
+    built first, since they read the double points."""
+    expected = combinatorial_type(arr), cli._analysis_payload(arr)
+    record = incidence(arr)
+    record.points = _Unscannable(record.points)
+    assert (combinatorial_type(arr), cli._analysis_payload(arr)) == expected
+
+
+def test_crosscheck_does_not_scan_the_points(capsys, corpus_dir, monkeypatch):
+    """crosscheck's rows and its (r, t_3) type key read the record, not a
+    scan of every point: with each corpus file's cocycles built and its
+    points unscannable, it prints what it prints on fresh arrangements."""
+    assert cli.main(["crosscheck", str(corpus_dir)]) == 0
+    expected = capsys.readouterr().out
+    primed = {}
+    for path in corpus_dir.glob("*.json"):
+        arr = cli._load_arrangement(str(path))
+        record = incidence(arr)
+        record.cocycles  # built now, as they read the double points
+        record.points = _Unscannable(record.points)
+        primed[str(path)] = arr
+    monkeypatch.setattr(cli, "_load_arrangement", primed.__getitem__)
+    assert cli.main(["crosscheck", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("arr", [braid(), dual_hesse_pgl(), near_pencil_six(), cuspidal_dual(7)], ids=lambda a: a.label)
@@ -739,3 +769,21 @@ def test_canonical_search_is_pruned_by_automorphisms(monkeypatch):
         relabel = list(range(16))
         rng.shuffle(relabel)
         assert arrangement._canonical_encoding([tuple(relabel[v] for v in t) for t in PG32_TRIPLES]) == reference
+
+
+def test_canonical_search_on_disjoint_triples():
+    """k disjoint triples under a seeded relabelling, k <= 10: every line is
+    in one cell after refinement, so the search individualizes one vertex
+    per level, about 2k levels deep.  The code is the k consecutive
+    triples, and k = 10 takes about 20 ms (python 3.11.7); the bound is a
+    gate for a search whose nodes cost only what changed."""
+    rng = random.Random(40)
+    for k in range(1, 11):
+        labels = list(range(3 * k))
+        rng.shuffle(labels)
+        triples = [tuple(labels[3 * n : 3 * n + 3]) for n in range(k)]
+        start = time.perf_counter()
+        code = arrangement._canonical_encoding(triples)
+        elapsed = time.perf_counter() - start
+        assert code == tuple((3 * n, 3 * n + 1, 3 * n + 2) for n in range(k))
+    assert elapsed < 0.5

@@ -25,6 +25,7 @@ from pencilfiber.arrangement import (
     MultiplicityError,
     combinatorial_type,
     intersection_points,
+    point_census,
     proj_transform,
 )
 from pencilfiber.cli import main
@@ -717,7 +718,8 @@ def test_crosscheck_shipped_corpus(capsys, corpus_dir):
 
 
 def test_crosscheck_types_only_files_that_share_r_and_census(capsys, corpus_dir, monkeypatch):
-    """A type includes r and the census, so only files sharing both are typed."""
+    """A type fixes r and the number t_3 of triple points, and with them the
+    census, so only files sharing (r, t_3) are typed."""
     typed = []
     original = cli.combinatorial_type
 
@@ -1136,6 +1138,19 @@ def test_analyze_cuspidal_lines_with_3_dividing_r_within_its_gate(capsys, tmp_pa
     assert elapsed < 2.0
 
 
+def test_printed_census_is_the_scanned_census(corpus_dir):
+    """``analyze`` prints the census from r and the triple points alone; the
+    public scan of every point is the reference, on the corpus, every
+    fixture that passes the multiplicity gate and cuspidal_dual at r = 7
+    and 61."""
+    corpus = [Arrangement.from_json(json.loads(p.read_text())) for p in sorted(corpus_dir.glob("*.json"))]
+    fixtures = [dual_hesse, dual_hesse_pgl, braid, braid_pgl, ceva_two, triangle, concurrent_triple]
+    fixtures += [near_pencil_six, generic_six, generic_nine]
+    for arr in corpus + [make() for make in fixtures] + [cuspidal_dual(3), cuspidal_dual(30)]:
+        scanned = point_census(intersection_points(arr))
+        assert cli._analysis_payload(arr)["point_census"] == {str(m): n for m, n in scanned.items()}, arr.label
+
+
 # --- the stdout contract ----------------------------------------------------------
 
 # sha256 of the stdout of each command, computed by running it in-process on
@@ -1282,6 +1297,70 @@ def test_emit_matches_json_dumps_on_error_payloads(capsys, tmp_path):
     assert payloads[1]["error"] == "descent_obstruction"
     for payload in payloads:
         assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# --- loader fuzzing -------------------------------------------------------------
+
+
+def _paths(value, path=()):
+    """The key and index path to every node below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+# small values that the loaders accept somewhere, so a mutation often stays well formed
+_NEAR = st.sampled_from(["0", "1", "-1", "2", "w", "-w", "1+w", "1/2", "0/1", 0, 1, -1, 2, 3, True, False, [], {}])
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one field replaced by a drawn value, or removed."""
+    value = json.loads(json.dumps(base))
+    *head, last = draw(st.sampled_from(list(_paths(value))))
+    parent = value
+    for key in head:
+        parent = parent[key]
+    if draw(st.booleans()):
+        parent[last] = draw(st.one_of(_NEAR, _VALUES))
+    else:
+        del parent[last]
+    return value
+
+
+def _fuzz_bases():
+    """A corpus arrangement, a corpus pencil, a relation that doubling makes
+    and the descent instance of criterion 8, as JSON values."""
+    from pencilfiber.catalan import generate_solutions
+
+    pencil = find_pencils(braid())[0]
+    relation = generate_solutions(pencil, 1)[0]
+    return [braid().to_json(), pencil.to_json(), relation.to_json(), _criterion_8_descent()]
+
+
+_LOADED = [["analyze"], ["catalan", "generate", "--steps", "1"], ["catalan", "verify"], ["catalan", "descend"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_VALUES, *map(_mutated, _fuzz_bases())))
+def test_loaders_reject_fuzzed_files_cleanly(tmp_path_factory, value):
+    """Every loader behind ``analyze``, ``catalan generate``, ``verify`` and
+    ``descend`` meets arbitrary JSON values and single-field mutations of a
+    valid input of each kind.  Nothing raises out of ``main``, the exit code
+    is 0, 1 or 2, and an input error prints nothing on stdout and one JSON
+    line on stderr."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(value))
+    for argv in _LOADED:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv[:2], str(path), *argv[2:]])
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert isinstance(json.loads(line), dict)
 
 
 class _Level(enum.IntEnum):
